@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 validation/usage failure, 3 equivalence failure,
 from __future__ import annotations
 
 import argparse
+import math
 import struct
 import sys
 
@@ -62,11 +63,12 @@ def read_tensor(path) -> Tensor:
         if tag not in _DTYPE_FOR_TAG:
             raise ValueError(f"{path}: unknown dtype tag {tag}")
         dt = _DTYPE_FOR_TAG[tag]
-        count = int(np.prod(shape))
-        raw = fh.read(count * dt.itemsize)
-        if len(raw) != count * dt.itemsize:
+        count = math.prod(shape)  # exact: four u32 dims overflow int64
+        # read what is there rather than count * itemsize, which can exceed memory
+        raw = fh.read()
+        if len(raw) < count * dt.itemsize:
             raise ValueError(f"{path}: expected {count} elements, file is short")
-        if fh.read(1):
+        if len(raw) > count * dt.itemsize:
             raise ValueError(f"{path}: trailing bytes after tensor data")
     data = np.frombuffer(raw, dtype=dt).reshape(shape)
     return Tensor(data.astype(data.dtype.newbyteorder("=")))

@@ -203,6 +203,17 @@ def _filter_bias(bias, k: int, x: np.ndarray):
     return b.reshape(1, k, 1, 1)
 
 
+def conv_windows(xp: np.ndarray, r: int, s: int, stride) -> np.ndarray:
+    """Every (r, s) tap's strided window of a padded (n, c, h, w) input.
+
+    Returns a read-only (c, r, s, n, ho, wo) view without copying:
+    [t, i, j, n, oh, ow] is xp[n, t, stride[0]*oh + i, stride[1]*ow + j].
+    Reshaping it to (c*r*s, n*ho*wo) gives the im2col matrix.
+    """
+    taps = np.lib.stride_tricks.sliding_window_view(xp, (r, s), axis=(2, 3))
+    return taps[:, :, :: stride[0], :: stride[1]].transpose(1, 4, 5, 0, 2, 3)
+
+
 def conv2d_raw(x: np.ndarray, w: np.ndarray, bias, stride, pad) -> np.ndarray:
     """Reference 2-D convolution (cross-correlation) with zero padding.
 
@@ -276,14 +287,11 @@ def conv2d_gemm(x: np.ndarray, w: np.ndarray, bias, stride, pad) -> np.ndarray:
     """
     n, c, _, _ = x.shape
     k, _, r, s = w.shape
-    sh, sw = stride
     ph, pw = pad
     dt, ho, wo = _conv_geometry(x, w, stride, pad)
     b = _filter_bias(bias, k, x)
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    # (c, r, s, n, ho, wo) view of every tap's strided window, no copy
-    taps = np.lib.stride_tricks.sliding_window_view(xp, (r, s), axis=(2, 3))
-    taps = taps[:, :, ::sh, ::sw].transpose(1, 4, 5, 0, 2, 3)
+    taps = conv_windows(xp, r, s, stride)
     if k == 1:
         w = np.concatenate([w, np.zeros_like(w)])
     rows = w.shape[0]

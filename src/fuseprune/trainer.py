@@ -1,8 +1,18 @@
 """Deterministic desk-scale training: forward/backward, SGD, synthetic data.
 
 The loop exists so soft pruning can interleave real weight updates with
-masking. It is a reference implementation: single-threaded, seeded
-end-to-end, and exact enough for finite-difference verification.
+masking. It is seeded end-to-end and exact enough for finite-difference
+verification.
+
+Convolutions run as im2col GEMMs. The padded input is held with the batch
+innermost, (c, h, w, n), and the forward pass multiplies the (k, c*r*s)
+weights by its (c*r*s, ho*wo*n) window matrix; the weight gradient is the
+output gradient times that matrix transposed (rebuilt in backward, so only
+the padded input is cached), and the input gradient is the transposed
+weights times the output gradient, added back onto the padded input one
+tap at a time (col2im). The accumulation order is the BLAS's: training
+needs no fixed order, only the inference kernels in tensor.py do. Results
+are deterministic at a fixed BLAS thread count.
 
 Batch norm runs in training mode here: unfrozen channels normalize with
 the current batch's statistics (biased variance) and update their stored
@@ -20,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, validate
-from .tensor import ConvSpec, Tensor
+from .tensor import ConvSpec, Tensor, conv_windows
 
 SUPPORTED_KINDS = ("input", "output", "conv", "bn", "relu", "add", "concat",
                    "maxpool", "gavgpool", "fc")
@@ -135,15 +145,6 @@ def _frozen_mask(node, channels: int) -> np.ndarray:
     return np.asarray(frozen, dtype=bool)
 
 
-def _pad_input(x: np.ndarray, ph: int, pw: int, fill=0.0) -> np.ndarray:
-    if ph == 0 and pw == 0:
-        return x
-    n, c, h, w = x.shape
-    xp = np.full((n, c, h + 2 * ph, w + 2 * pw), x.dtype.type(fill), dtype=x.dtype)
-    xp[:, :, ph : ph + h, pw : pw + w] = x
-    return xp
-
-
 def _forward_train(g: Graph, x: np.ndarray, bn_momentum: float):
     """Training-mode forward pass; returns node outputs plus backward caches.
 
@@ -185,24 +186,25 @@ def _forward_train(g: Graph, x: np.ndarray, bn_momentum: float):
     return values, caches
 
 
+def _im2col(xp: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """The (c*r*s, ho*wo*n) window matrix of a padded input held as (c, h, w, n)."""
+    windows = conv_windows(xp.transpose(3, 0, 1, 2), spec.r, spec.s, spec.stride)
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(spec.c * spec.r * spec.s, -1)
+
+
 def _conv_forward(node, x, caches):
     spec: ConvSpec = node.attrs["spec"]
-    w = node.params["weight"].data
+    w2d = node.params["weight"].data.reshape(spec.k, -1)
     ph, pw = spec.pad
-    sh, sw = spec.stride
-    xp = _pad_input(x, ph, pw)
+    # batch innermost, (c, h, w, n): im2col and col2im then move rows of
+    # wo*n contiguous elements instead of rows of wo
+    xp = np.pad(x.transpose(1, 2, 3, 0), ((0, 0), (ph, ph), (pw, pw), (0, 0)))
     ho, wo = spec.out_hw(x.shape[2], x.shape[3])
-    hspan = (ho - 1) * sh + 1
-    wspan = (wo - 1) * sw + 1
-    y = np.zeros((x.shape[0], spec.k, ho, wo), dtype=x.dtype)
-    for u in range(spec.r):
-        for v in range(spec.s):
-            window = xp[:, :, u : u + hspan : sh, v : v + wspan : sw]
-            y += np.einsum("ncij,kc->nkij", window, w[:, :, u, v])
+    y2d = w2d @ _im2col(xp, spec)
     if spec.has_bias:
-        y += node.params["bias"].data
-    caches[node.id] = {"x": x, "xp": xp, "spans": (hspan, wspan)}
-    return y
+        y2d += node.params["bias"].data.reshape(-1, 1)
+    caches[node.id] = {"xp": xp}
+    return np.ascontiguousarray(y2d.reshape(spec.k, ho, wo, x.shape[0]).transpose(3, 0, 1, 2))
 
 
 def _fc_forward(node, x):
@@ -247,7 +249,7 @@ def _maxpool_forward(node, x, caches):
     r, s = node.attrs["window"]
     sh, sw = node.attrs["stride"]
     ph, pw = node.attrs["pad"]
-    xp = _pad_input(x, ph, pw, fill=-np.inf)
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
     ho = (x.shape[2] + 2 * ph - r) // sh + 1
     wo = (x.shape[3] + 2 * pw - s) // sw + 1
     hspan = (ho - 1) * sh + 1
@@ -345,21 +347,22 @@ def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1):
 
 def _conv_backward(node, gy, cache):
     spec: ConvSpec = node.attrs["spec"]
-    w = node.params["weight"].data
+    w2d = node.params["weight"].data.reshape(spec.k, -1)
     xp = cache["xp"]
-    hspan, wspan = cache["spans"]
+    _, hp, wp, n = xp.shape
+    ho, wo = gy.shape[2:]
     sh, sw = spec.stride
     ph, pw = spec.pad
-    gw = np.zeros_like(w)
+    gy2d = gy.transpose(1, 2, 3, 0).reshape(spec.k, -1)
+    gw = (gy2d @ _im2col(xp, spec).T).reshape(spec.weight_shape)
+    gcols = (w2d.T @ gy2d).reshape(spec.c, spec.r, spec.s, ho, wo, n)
+    # col2im: add each tap's window gradient onto the input positions it read
     gxp = np.zeros_like(xp)
+    hspan, wspan = (ho - 1) * sh + 1, (wo - 1) * sw + 1
     for u in range(spec.r):
         for v in range(spec.s):
-            window = xp[:, :, u : u + hspan : sh, v : v + wspan : sw]
-            gw[:, :, u, v] = np.einsum("nkij,ncij->kc", gy, window)
-            gxp[:, :, u : u + hspan : sh, v : v + wspan : sw] += np.einsum(
-                "nkij,kc->ncij", gy, w[:, :, u, v])
-    h, wd = cache["x"].shape[2:]
-    gx = gxp[:, :, ph : ph + h, pw : pw + wd]
+            gxp[:, u : u + hspan : sh, v : v + wspan : sw] += gcols[:, u, v]
+    gx = np.ascontiguousarray(gxp[:, ph : hp - ph, pw : wp - pw].transpose(3, 0, 1, 2))
     gparams = {"weight": gw}
     if spec.has_bias:
         gparams["bias"] = gy.sum(axis=(0, 2, 3)).reshape(1, spec.k, 1, 1)
@@ -494,10 +497,12 @@ def fit(g: Graph, dataset: SynthDataset, cfg: TrainConfig) -> list[float]:
 
 def make_epoch_hook(dataset: SynthDataset, cfg: TrainConfig):
     """An epoch hook for dynamic_prune: trains one epoch per call, keeping
-    momentum state across calls."""
+    momentum state across calls. Each call's mean loss is appended to the
+    hook's `losses` list."""
     velocity: dict = {}
 
     def hook(graph: Graph, epoch: int) -> None:
-        train_epoch(graph, dataset, cfg, epoch, velocity)
+        hook.losses.append(train_epoch(graph, dataset, cfg, epoch, velocity))
 
+    hook.losses = []
     return hook

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,14 @@ class TestTensorFiles:
         path = tmp_path / "x.bin"
         path.write_bytes(b"\x09\x00\x00\x00" + b"\x01\x00\x00\x00" * 4)
         with pytest.raises(ValueError):
+            read_tensor(path)
+
+    @pytest.mark.parametrize("dims", [(65536,) * 4, (2**32 - 1, 2**32 - 1, 2, 1)])
+    def test_element_count_beyond_int64_is_short(self, tmp_path, dims):
+        # an int64 product wraps these counts to 0 and to a negative length
+        path = tmp_path / "x.bin"
+        path.write_bytes(struct.pack("<5I", 1, *dims) + b"\x00" * 64)
+        with pytest.raises(ValueError, match="file is short"):
             read_tensor(path)
 
 

@@ -580,3 +580,12 @@ class TestDynamicPruneIntegration:
         assert weights_blob(pruned) != weights_blob(untrained)
         # and the input graph was never touched
         assert weights_blob(g) == weights_blob(small_net(7))
+
+    def test_hook_keeps_each_epoch_loss(self):
+        hook = make_epoch_hook(SynthDataset(seed=8, n_train=64, n_test=16),
+                               TrainConfig(lr=0.05, batch_size=32, seed=0))
+        assert hook.losses == []
+        dynamic_prune(small_net(7), None, PruneConfig(rate=0.25, epochs=2, mode="continued"),
+                      hook)
+        assert len(hook.losses) == 2
+        assert all(np.isfinite(loss) for loss in hook.losses)

@@ -1,0 +1,113 @@
+"""Direct tests of the trainer's im2col convolution, forward and backward.
+
+The trainer's conv leaves its accumulation order to the BLAS, so its
+forward output is compared with the brute-force oracle, and its input,
+weight and bias gradients with central finite differences of the float64
+loss sum(y * gy), by tolerances derived from the dtype. The geometries
+cover what the im2col/col2im index arithmetic can get wrong: strides that
+leave input rows unread, 1x1 kernels, a single filter, non-square kernels,
+and padding on one or both axes.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from fuseprune.trainer import _conv_backward, _conv_forward
+
+from conftest import conv_node
+from oracles import conv2d_brute, numeric_gradient
+from test_trainer import rel_err
+
+DTYPES = (np.float32, np.float64)
+# Forward: error relative to the sum of the absolute terms, as for
+# conv2d_gemm; both sides round each of at most 27 terms (2 * 27 * eps is
+# 3.2e-6 in f32 and 6.0e-15 in f64).
+FWD_TOL = {np.float32: 1e-5, np.float64: 1e-12}
+# Gradients: max difference over the largest entry (test_trainer.rel_err).
+# The weight gradient sums up to 50 terms (50 * eps is 3.0e-6 in f32); in
+# f64 the finite differences' own rounding, about eps * |loss| / step,
+# dominates.
+GRAD_TOL = {np.float32: 1e-5, np.float64: 1e-8}
+
+# name: (n, c, k, h, w, r, s, stride, pad, bias)
+CASES = {
+    # (6 - 3) is odd, so the last input row and column are never read
+    "stride2-uneven": (2, 2, 3, 6, 6, 3, 3, (2, 2), (0, 0), True),
+    "projection-1x1-stride2": (2, 3, 4, 6, 6, 1, 1, (2, 2), (0, 0), False),
+    "single-filter": (2, 3, 1, 5, 5, 3, 3, (1, 1), (1, 1), True),
+    "non-square": (2, 2, 3, 5, 6, 2, 3, (1, 2), (1, 0), True),
+    "pad0": (1, 3, 2, 5, 5, 3, 3, (1, 1), (0, 0), True),
+    "pad2-stride2": (2, 2, 3, 5, 4, 3, 3, (2, 1), (2, 1), False),
+}
+
+
+def draw(name, dt):
+    n, c, k, h, w, r, s, stride, pad, bias = CASES[name]
+    rng = np.random.default_rng(sorted(CASES).index(name))
+    x = rng.standard_normal((n, c, h, w)).astype(dt)
+    wt = (rng.standard_normal((k, c, r, s)) * 0.5).astype(dt)
+    b = rng.uniform(-0.5, 0.5, k).astype(dt) if bias else None
+    return x, wt, b, stride, pad
+
+
+def forward(x, w, b, stride, pad):
+    """(node, y, cache) of one training-mode conv."""
+    k, c, r, s = w.shape
+    # Tensor freezes the array it is given; copy so the caller's stays writable
+    node = conv_node("conv", ["in"], k, c, r=r, s=s, stride=stride, pad=pad, weight=w.copy(),
+                     bias=None if b is None else b.copy(), dtype=w.dtype)
+    caches = {}
+    y = _conv_forward(node, x, caches)
+    return node, y, caches["conv"]
+
+
+@pytest.mark.parametrize("dt", DTYPES)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_forward_matches_brute(name, dt):
+    x, w, b, stride, pad = draw(name, dt)
+    _, y, _ = forward(x, w, b, stride, pad)
+    want = conv2d_brute(x, w, b, stride, pad)
+    scale = conv2d_brute(np.abs(x), np.abs(w), None if b is None else np.abs(b), stride, pad)
+    assert y.dtype == dt and y.shape == want.shape and y.flags.c_contiguous
+    assert np.all(np.abs(y - want) <= FWD_TOL[dt] * scale)
+
+
+@pytest.mark.parametrize("dt", DTYPES)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_gradients_match_finite_differences(name, dt):
+    x, w, b, stride, pad = draw(name, dt)
+    node, y, cache = forward(x, w, b, stride, pad)
+    gy = np.random.default_rng(99).standard_normal(y.shape).astype(dt)
+    gx, gparams = _conv_backward(node, gy, cache)
+    assert gx.dtype == dt and gx.shape == x.shape
+    assert set(gparams) == ({"weight", "bias"} if b is not None else {"weight"})
+
+    x64, w64, gy64 = (a.astype(np.float64) for a in (x, w, gy))
+    b64 = None if b is None else b.astype(np.float64)
+
+    def loss(xa, wa, ba):
+        return float((forward(xa, wa, ba, stride, pad)[1] * gy64).sum())
+
+    num_x = numeric_gradient(lambda a: loss(a, w64, b64), x64)
+    num_w = numeric_gradient(lambda a: loss(x64, a, b64), w64)
+    assert rel_err(gx, num_x) <= GRAD_TOL[dt]
+    assert rel_err(gparams["weight"], num_w) <= GRAD_TOL[dt]
+    assert gparams["weight"].shape == w.shape and gparams["weight"].dtype == dt
+    if b is not None:
+        num_b = numeric_gradient(lambda a: loss(x64, w64, a), b64)
+        assert rel_err(gparams["bias"].reshape(-1), num_b) <= GRAD_TOL[dt]
+    # inputs that no window reads get exactly zero gradient
+    assert np.all(gx[num_x == 0] == 0)
+
+
+@pytest.mark.parametrize("dt", DTYPES)
+def test_unread_rows_and_columns_get_no_gradient(dt):
+    for name, rows in (("stride2-uneven", [5]), ("projection-1x1-stride2", [1, 3, 5])):
+        x, w, b, stride, pad = draw(name, dt)
+        node, y, cache = forward(x, w, b, stride, pad)
+        gx, _ = _conv_backward(node, np.ones_like(y), cache)
+        assert np.all(gx[:, :, rows, :] == 0) and np.all(gx[:, :, :, rows] == 0), name
+        read = np.setdiff1d(np.arange(x.shape[2]), rows)
+        assert np.all(gx[:, :, read][:, :, :, read] != 0), name
