@@ -27,7 +27,7 @@ import numpy as np
 
 from .analysis import count_flops, load_profile, profile, speedup, speedup_from_profile
 from .fusion import FusionError, FusionReport, fold_bn, fuse
-from .graph import Graph, GraphError, execute, load, save
+from .graph import Graph, GraphError, atomic_write, execute, load, save
 from .pruning import PruneConfig, PruneError, PruneMask, dynamic_prune, materialize
 from .tensor import Tensor
 from .trainer import TrainConfig, TrainerError, make_epoch_hook, parse_dataset_spec
@@ -49,9 +49,9 @@ def write_tensor(path, t: Tensor) -> None:
     tag = _TAG_FOR_DTYPE.get(t.dtype)
     if tag is None:
         raise ValueError(f"cannot serialize dtype {t.dtype}")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_HEADER.pack(tag, *t.shape))
-        fh.write(np.ascontiguousarray(t.data, dtype=t.data.dtype.newbyteorder("<")).tobytes())
+        fh.write(np.ascontiguousarray(t.data, dtype=t.data.dtype.newbyteorder("<")))
 
 
 def read_tensor(path) -> Tensor:

@@ -17,14 +17,19 @@ little-endian u32 manifest length, a UTF-8 JSON manifest (nodes, kinds,
 attributes, tags, and a tensor table of name/shape/dtype/offset/length),
 then one raw blob of little-endian IEEE-754 values concatenated in
 manifest order. The manifest carries a format version and a SHA-256
-checksum of the blob.
+checksum of the blob. save writes a new file beside the target and renames
+it into place, so a failed save leaves any earlier file whole.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import heapq
 import json
+import math
+import os
+import secrets
 import time
 from dataclasses import dataclass, field
 
@@ -417,12 +422,36 @@ def _attrs_from_json(kind: str, raw: dict) -> dict:
     return {}
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """Open a new file beside path for binary writing; it replaces path on success.
+
+    If the body raises, the new file is removed and path keeps its old
+    contents (or stays absent), so an interrupted write never leaves a
+    truncated file under that name. The replace is atomic on POSIX and
+    Windows; the data is not fsynced, so it guards against a failing or
+    killed process, not against a power loss.
+    """
+    path = os.fspath(path)
+    folder, name = os.path.split(path)
+    tmp = os.path.join(folder, f".{name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save(g: Graph, path) -> None:
     """Write the graph to a .fpm container (see module docstring)."""
     validate(g)
     order = _topo_order(g)
     tensor_entries = []
     chunks = []
+    digest = hashlib.sha256()
     offset = 0
     for nid in order:
         node = g.nodes[nid]
@@ -431,17 +460,19 @@ def save(g: Graph, path) -> None:
             if pname not in node.params:
                 continue
             t = node.params[pname]
-            raw = t.data.astype("<f4" if t.dtype == np.float32 else "<f8").tobytes()
+            # no copy on a little-endian host: the blob is hashed and written
+            # straight from the tensors' own buffers
+            raw = np.ascontiguousarray(t.data, dtype=t.dtype.newbyteorder("<"))
             tensor_entries.append({
                 "name": f"{nid}/{pname}",
                 "shape": list(t.shape),
                 "dtype": DTYPE_NAMES[t.dtype],
                 "offset": offset,
-                "length": len(raw),
+                "length": raw.nbytes,
             })
             chunks.append(raw)
-            offset += len(raw)
-    blob = b"".join(chunks)
+            digest.update(raw)
+            offset += raw.nbytes
     manifest = {
         "format": "fpm",
         "version": FORMAT_VERSION,
@@ -464,14 +495,15 @@ def save(g: Graph, path) -> None:
             for nid in order
         ],
         "tensors": tensor_entries,
-        "blob": {"length": len(blob), "sha256": hashlib.sha256(blob).hexdigest()},
+        "blob": {"length": offset, "sha256": digest.hexdigest()},
     }
     payload = json.dumps(manifest, ensure_ascii=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(FORMAT_MAGIC)
         fh.write(len(payload).to_bytes(4, "little"))
         fh.write(payload)
-        fh.write(blob)
+        for raw in chunks:
+            fh.write(raw)
 
 
 def load(path) -> Graph:
@@ -491,7 +523,7 @@ def load(path) -> Graph:
         raise ModelFormatError(f"{path}: malformed manifest (not an fpm manifest)")
     if manifest.get("version") != FORMAT_VERSION:
         raise ModelFormatError(f"{path}: unsupported version {manifest.get('version')!r}")
-    blob = data[8 + man_len :]
+    blob = memoryview(data)[8 + man_len :]
     blob_meta = manifest.get("blob", {})
     if blob_meta.get("length") != len(blob):
         raise ModelFormatError(
@@ -509,13 +541,14 @@ def load(path) -> Graph:
             if dtype is None:
                 raise ModelFormatError(f"{path}: tensor {name!r} has unknown dtype {entry['dtype']!r}")
             start, length = int(entry["offset"]), int(entry["length"])
-            if start < 0 or start + length > len(blob):
+            if start < 0 or length < 0 or start + length > len(blob):
                 raise ModelFormatError(f"{path}: tensor {name!r} lies outside the blob")
-            count = int(np.prod(shape))
+            count = math.prod(shape)
             if count * dtype.itemsize != length:
                 raise ModelFormatError(f"{path}: tensor {name!r} length/shape mismatch")
-            le = "<f4" if dtype == np.float32 else "<f8"
-            arr = np.frombuffer(blob[start : start + length], dtype=le).astype(dtype).reshape(shape)
+            le = dtype.newbyteorder("<")
+            # astype copies, so no tensor keeps the file's buffer alive
+            arr = np.frombuffer(blob, le, count, offset=start).astype(dtype).reshape(shape)
             tensors[name] = Tensor(arr)
         nodes: dict[str, Node] = {}
         for raw in manifest["nodes"]:

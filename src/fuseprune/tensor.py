@@ -20,6 +20,10 @@ The kernels meet it as follows:
   column) order. It is the reference the brute-force oracle pins bit for
   bit, and conv2d_gemm is tested against it and the oracle.
 * fc_raw accumulates sequentially over inputs.
+* conv2d_gemm and fc_raw form the products of a block of channels (inputs)
+  in one call, then add them to the accumulator one at a time in channel
+  order. _BLOCK_BYTES caps a block's buffers; it bounds memory and the
+  number of numpy calls and changes no bit, whatever the block boundaries.
 
 float32 is the working precision; float64 is supported throughout for
 high-precision runs. Mixing dtypes within one kernel call is an error.
@@ -258,6 +262,30 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, bias, stride, pad) -> np.ndarray:
 # found for any row count up to 136 and up to 147 taps.
 _GEMM_COLUMN_BLOCK = 16
 
+# Caps the buffers conv2d_gemm and fc_raw fill per block of channels: the
+# window matrices and the products (see the module docstring). Larger blocks
+# spill out of cache and slow the kernels down.
+_BLOCK_BYTES = 512 * 1024
+
+
+def _block_length(channels: int, channel_bytes: int) -> int:
+    """How many channels of channel_bytes each fit in _BLOCK_BYTES (at least one)."""
+    return max(1, min(channels, _BLOCK_BYTES // channel_bytes))
+
+
+def _add_in_order(acc: np.ndarray, stack: np.ndarray, m: int) -> None:
+    """acc += stack[1], then stack[2], ... stack[m]: one product at a time.
+
+    stack[0] is scratch. Reducing over the leading axis of a C-contiguous
+    stack adds whole (acc-shaped) slices in index order, so the result is
+    the bits of m sequential in-place adds.
+    """
+    if m == 1:
+        acc += stack[1]
+        return
+    stack[0] = acc
+    np.add.reduce(stack[: m + 1], axis=0, out=acc)
+
 
 def conv2d_gemm(x: np.ndarray, w: np.ndarray, bias, stride, pad) -> np.ndarray:
     """2-D convolution with one GEMM per input channel; conv2d_raw's semantics.
@@ -267,6 +295,13 @@ def conv2d_gemm(x: np.ndarray, w: np.ndarray, bias, stride, pad) -> np.ndarray:
     and the product is added into an accumulator that starts at +0; the
     bias, when present, is added once at the end. Inputs are validated and
     rejected exactly as by conv2d_raw.
+
+    The channels are taken a block at a time: one copy fills the block's
+    window matrices, one stacked matmul forms its per-channel products, and
+    the products are added to the accumulator one channel after another.
+    Each product is the same GEMM, of the same shape, as alone, so the
+    block length (at most _BLOCK_BYTES of windows and products) changes no
+    bit.
 
     The order over input channels is fixed; the order over the taps inside
     one channel's dot product is the BLAS's. Bitwise materialization needs
@@ -297,14 +332,18 @@ def conv2d_gemm(x: np.ndarray, w: np.ndarray, bias, stride, pad) -> np.ndarray:
     rows = w.shape[0]
     width = n * ho * wo
     padded = -(-width // _GEMM_COLUMN_BLOCK) * _GEMM_COLUMN_BLOCK
-    cols = np.zeros((r * s, padded), dtype=dt)
-    windows = cols[:, :width].reshape(r, s, n, ho, wo)
-    part = np.empty((rows, padded), dtype=dt)
+    block = _block_length(c, (r * s + rows) * padded * dt.itemsize)
+    # a view: copying the weights per call costs more than blocking saves
+    wt = w.reshape(rows, c, r * s).transpose(1, 0, 2)
+    cols = np.zeros((block, r * s, padded), dtype=dt)
+    windows = cols[:, :, :width].reshape(block, r, s, n, ho, wo)
+    stack = np.empty((block + 1, rows, padded), dtype=dt)
     acc = np.zeros((rows, padded), dtype=dt)
-    for t in range(c):
-        np.copyto(windows, taps[t])
-        np.matmul(w[:, t].reshape(rows, r * s), cols, out=part)
-        acc += part
+    for t in range(0, c, block):
+        m = min(block, c - t)
+        np.copyto(windows[:m], taps[t : t + m])
+        np.matmul(wt[t : t + m], cols[:m], out=stack[1 : m + 1])
+        _add_in_order(acc, stack, m)
     y = np.ascontiguousarray(acc[:k, :width].reshape(k, n, ho, wo).transpose(1, 0, 2, 3))
     if b is not None:
         y += b
@@ -399,8 +438,10 @@ def fc_raw(x2d: np.ndarray, w2d: np.ndarray, bias) -> np.ndarray:
     """Dense layer on flattened rows, accumulated sequentially over inputs.
 
     y(n, o) = sum over t of x(n, t) * w(o, t), bias added after the sum.
-    The explicit loop keeps the summation order fixed so that removing an
-    all-zero input column leaves the surviving partial sums unchanged.
+    The summation order is fixed so that removing an all-zero input column
+    leaves the surviving partial sums unchanged: the (n, out) products of a
+    block of inputs are formed in one broadcast multiply and added to the
+    sum one input at a time, in input order, whatever the block length.
     """
     n, fin = x2d.shape
     fout, fin_w = w2d.shape
@@ -408,10 +449,13 @@ def fc_raw(x2d: np.ndarray, w2d: np.ndarray, bias) -> np.ndarray:
         raise TensorError(f"fc expects {fin_w} inputs, got {fin}")
     dt = _check_same_dtype(x2d, w2d)
     y = np.zeros((n, fout), dtype=dt)
-    tmp = np.empty_like(y)
-    for t in range(fin):
-        np.multiply(x2d[:, t][:, None], w2d[:, t][None, :], out=tmp)
-        y += tmp
+    block = _block_length(fin, n * fout * dt.itemsize)
+    stack = np.empty((block + 1, n, fout), dtype=dt)
+    xt, wt = x2d.T, w2d.T
+    for t in range(0, fin, block):
+        m = min(block, fin - t)
+        np.multiply(xt[t : t + m, :, None], wt[t : t + m, None, :], out=stack[1 : m + 1])
+        _add_in_order(y, stack, m)
     if bias is not None:
         b = np.asarray(bias).reshape(-1)
         if b.shape[0] != fout:

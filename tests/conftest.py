@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import errno
+
 import numpy as np
 import pytest
 
+from fuseprune import graph
 from fuseprune.graph import Graph, Node
 from fuseprune.tensor import ConvSpec, Tensor
 
@@ -12,6 +15,40 @@ from fuseprune.tensor import ConvSpec, Tensor
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+class _FullDisk:
+    """A file whose writes fail, as on a full disk, once `allowed` have succeeded."""
+
+    def __init__(self, fh, allowed, written):
+        self.fh, self.allowed, self.written = fh, allowed, written
+
+    def write(self, data):
+        if self.allowed == 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.allowed -= 1
+        n = self.fh.write(data)
+        self.written.append(n)
+        return n
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Make every file that fuseprune.graph opens fail after its first write.
+
+    Returns the list of byte counts the writes that succeeded wrote.
+    """
+    written = []
+    real_open = open
+    monkeypatch.setattr(graph, "open", lambda *a, **kw: _FullDisk(real_open(*a, **kw), 1, written),
+                        raising=False)
+    return written
 
 
 def conv_node(nid, inputs, k, c, r=3, s=3, stride=(1, 1), pad=(1, 1), weight=None,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -64,6 +65,15 @@ class TestTensorFiles:
         back = read_tensor(path)
         assert back.shape == t.shape
         assert back.data.tobytes() == t.data.tobytes()
+
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, rng, full_disk):
+        path = tmp_path / "x.bin"
+        path.write_bytes(b"previous tensor")
+        with pytest.raises(OSError, match="No space"):
+            write_tensor(path, Tensor(rng.standard_normal((2, 3, 4, 5)).astype(np.float32)))
+        assert full_disk == [20]  # the header was written, the data was not
+        assert path.read_bytes() == b"previous tensor"
+        assert os.listdir(tmp_path) == ["x.bin"]
 
     def test_f64_roundtrip(self, tmp_path, rng):
         t = Tensor(rng.standard_normal((1, 2, 2, 2)))

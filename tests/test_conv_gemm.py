@@ -6,6 +6,12 @@ derived from the dtype. What bitwise materialization needs of it is tested
 bit for bit: dropping an all-zero input channel or any set of filters must
 leave every surviving output unchanged, and exact-arithmetic cases
 (identity weights, a 1x1 conv embedded in a 3x3 kernel) must be exact.
+
+conv2d_gemm and fc_raw form a block of channels' products at once and add
+them in channel order. The block length follows tensor._BLOCK_BYTES and
+must change no bit: both kernels are compared bit for bit with one-channel-
+at-a-time loops under block lengths of one, a partial last block and a
+single block, and removal must stay exact when it changes the block length.
 """
 
 from __future__ import annotations
@@ -18,9 +24,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuseprune.tensor import TensorError, conv2d_gemm, conv2d_raw
+from fuseprune import tensor
+from fuseprune.tensor import TensorError, conv2d_gemm, conv2d_raw, conv_windows, fc_raw
 
-from oracles import conv2d_brute
+from oracles import conv2d_brute, fc_brute
 
 DTYPES = (np.float32, np.float64)
 # Error bound for a dot product of the sizes used here, relative to the sum
@@ -37,6 +44,39 @@ def rand(rng, shape, dt):
 
 def bits_equal(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def conv_channel_loop(x, w, bias, stride, pad):
+    """conv2d_gemm's arithmetic one input channel at a time: the reference
+    for its channel order (same GEMM shapes, partial sums added in order)."""
+    n, c, h, wd = x.shape
+    k, _, r, s = w.shape
+    ho = (h + 2 * pad[0] - r) // stride[0] + 1
+    wo = (wd + 2 * pad[1] - s) // stride[1] + 1
+    taps = conv_windows(np.pad(x, ((0, 0), (0, 0), (pad[0],) * 2, (pad[1],) * 2)), r, s, stride)
+    if k == 1:
+        w = np.concatenate([w, np.zeros_like(w)])
+    rows = w.shape[0]
+    width = n * ho * wo
+    padded = -(-width // tensor._GEMM_COLUMN_BLOCK) * tensor._GEMM_COLUMN_BLOCK
+    cols = np.zeros((r * s, padded), dtype=x.dtype)
+    acc = np.zeros((rows, padded), dtype=x.dtype)
+    for t in range(c):
+        cols[:, :width] = taps[t].reshape(r * s, width)
+        acc += w[:, t].reshape(rows, r * s) @ cols
+    y = np.ascontiguousarray(acc[:k, :width].reshape(k, n, ho, wo).transpose(1, 0, 2, 3))
+    if bias is not None:
+        y += bias.reshape(1, k, 1, 1)
+    return y
+
+
+def conv_block_bytes(x, w, stride, pad, block):
+    """A _BLOCK_BYTES that makes conv2d_gemm(x, w) use the given block length."""
+    n, _, h, wd = x.shape
+    k, _, r, s = w.shape
+    width = n * ((h + 2 * pad[0] - r) // stride[0] + 1) * ((wd + 2 * pad[1] - s) // stride[1] + 1)
+    padded = -(-width // tensor._GEMM_COLUMN_BLOCK) * tensor._GEMM_COLUMN_BLOCK
+    return block * (r * s + max(k, 2)) * padded * x.dtype.itemsize
 
 
 @pytest.mark.parametrize("dt", DTYPES)
@@ -198,11 +238,19 @@ def test_rejects_what_the_reference_rejects(kernel, x_shape, w_shape, bias, pad,
 _THREAD_PROBE = """
 import hashlib, sys
 import numpy as np
-from fuseprune.tensor import conv2d_gemm
+from fuseprune.tensor import conv2d_gemm, fc_raw
 rng = np.random.default_rng(9)
-x = rng.standard_normal((4, 8, 32, 32)).astype(np.float32)
-w = rng.standard_normal((64, 8, 3, 3)).astype(np.float32)
-sys.stdout.write(hashlib.sha256(conv2d_gemm(x, w, None, (1, 1), (1, 1)).tobytes()).hexdigest())
+digest = hashlib.sha256()
+# one channel per block (1.2 MB of windows and products each), then 4 blocks of 2
+for n, hw in ((4, 32), (1, 28)):
+    x = rng.standard_normal((n, 8, hw, hw)).astype(np.float32)
+    w = rng.standard_normal((64, 8, 3, 3)).astype(np.float32)
+    digest.update(conv2d_gemm(x, w, None, (1, 1), (1, 1)).tobytes())
+# 16 inputs per block, the last block partial
+x = rng.standard_normal((8, 1100)).astype(np.float32)
+w = rng.standard_normal((1000, 1100)).astype(np.float32)
+digest.update(fc_raw(x, w, None).tobytes())
+sys.stdout.write(digest.hexdigest())
 """
 
 
@@ -215,8 +263,93 @@ def _probe_digest(**env_overrides):
 
 
 def test_result_does_not_depend_on_blas_thread_count():
-    # 64 x 9 x 4096 is large enough for OpenBLAS to split the GEMM across
-    # threads when it has more than one; a single-thread run must agree
+    # 64 x 9 x 4096 and 64 x 9 x 784 are large enough for OpenBLAS to split
+    # the GEMM across threads when it has more than one; a single-thread run
+    # must agree, for one-channel blocks and for multi-channel blocks alike
     single = _probe_digest(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     assert len(single) == 64
     assert _probe_digest() == single
+
+
+@pytest.mark.parametrize("dt", DTYPES)
+@pytest.mark.parametrize("stride,pad", GEOMETRIES)
+@pytest.mark.parametrize("block", ("one", "partial", "single"))
+def test_blocks_add_channels_in_order(monkeypatch, dt, stride, pad, block):
+    rng = np.random.default_rng(10)
+    for c, k in ((7, 5), (16, 1), (13, 24)):
+        x = rand(rng, (2, c, 7, 6), dt)
+        w = rand(rng, (k, c, 3, 3), dt)
+        b = rand(rng, k, dt)
+        length = {"one": 1, "partial": 3, "single": c}[block]
+        monkeypatch.setattr(tensor, "_BLOCK_BYTES", conv_block_bytes(x, w, stride, pad, length))
+        assert bits_equal(conv2d_gemm(x, w, b, stride, pad),
+                          conv_channel_loop(x, w, b, stride, pad)), (c, k)
+
+
+@pytest.mark.parametrize("dt", DTYPES)
+@pytest.mark.parametrize("c", (9, 300))
+def test_tiny_products_are_added_in_channel_order(dt, c):
+    # k=1 on a 1x1 output gives 2x16 products, so every channel fits in one
+    # block; numpy's pairwise (8-way unrolled) summation would show from 9
+    # terms if the reduction ever ran along the channel axis. One output
+    # shows a reordering only sometimes (about 3 draws in 10 at c=9), so
+    # many draws are checked.
+    rng = np.random.default_rng(11)
+    for draw in range(40):
+        x = rand(rng, (1, c, 3, 3), dt)
+        w = rand(rng, (1, c, 3, 3), dt)
+        got = conv2d_gemm(x, w, None, (1, 1), (0, 0))
+        assert got.shape == (1, 1, 1, 1)
+        assert bits_equal(got, conv_channel_loop(x, w, None, (1, 1), (0, 0))), draw
+
+
+@pytest.mark.parametrize("dt", DTYPES)
+@pytest.mark.parametrize("block_bytes", (1, 3, None))
+def test_fc_blocks_match_sequential_oracle(monkeypatch, dt, block_bytes):
+    # n=2, fout=3: products of 6 elements, so block_bytes/(6*itemsize) inputs
+    # per block; 3 gives partial blocks of 3 over 10 and 23 inputs
+    rng = np.random.default_rng(12)
+    for fin in (9, 10, 23):
+        x = rand(rng, (2, fin), dt)
+        w = rand(rng, (3, fin), dt)
+        b = rand(rng, 3, dt)
+        if block_bytes is not None:
+            monkeypatch.setattr(tensor, "_BLOCK_BYTES", block_bytes * 6 * np.dtype(dt).itemsize)
+        assert bits_equal(fc_raw(x, w, b), fc_brute(x, w, b)), fin
+
+
+@pytest.mark.parametrize("dt", DTYPES)
+@pytest.mark.parametrize("stride,pad", GEOMETRIES)
+def test_removal_is_bit_exact_when_the_block_length_changes(monkeypatch, dt, stride, pad):
+    rng = np.random.default_rng(13)
+    x = rand(rng, (2, 12, 9, 9), dt)
+    x[:, [1, 6, 11]] = 0.0
+    w = rand(rng, (24, 12, 3, 3), dt)
+    live_c = [t for t in range(12) if t not in (1, 6, 11)]
+    live_k = [f for f in range(24) if f not in (0, 5, 9, 17)]
+    # 5 channels per block for the 20 surviving filters, 4 for all 24
+    budget = conv_block_bytes(x, w[live_k], stride, pad, 5)
+    monkeypatch.setattr(tensor, "_BLOCK_BYTES", budget)
+    assert tensor._block_length(12, conv_block_bytes(x, w, stride, pad, 1)) == 4
+    full = conv2d_gemm(x, w, None, stride, pad)
+    no_filters = conv2d_gemm(x, w[live_k], None, stride, pad)
+    no_channels = conv2d_gemm(x[:, live_c], w[:, live_c], None, stride, pad)
+    both = conv2d_gemm(x[:, live_c], w[live_k][:, live_c], None, stride, pad)
+    assert bits_equal(no_filters, np.ascontiguousarray(full[:, live_k]))
+    assert bits_equal(no_channels, full)
+    assert bits_equal(both, np.ascontiguousarray(full[:, live_k]))
+
+
+@pytest.mark.parametrize("dt", DTYPES)
+def test_fc_removal_is_bit_exact_when_the_block_length_changes(monkeypatch, dt):
+    rng = np.random.default_rng(14)
+    x = rand(rng, (3, 40), dt)
+    x[:, [0, 7, 8, 31]] = 0.0
+    w = rand(rng, (10, 40), dt)
+    keep_in = [t for t in range(40) if t not in (0, 7, 8, 31)]
+    keep_out = [0, 2, 3, 6, 9]
+    # 7 inputs per block for 5 outputs, 3 for all 10
+    monkeypatch.setattr(tensor, "_BLOCK_BYTES", 7 * 3 * 5 * np.dtype(dt).itemsize)
+    full = fc_raw(x, w, None)
+    assert bits_equal(fc_raw(x[:, keep_in], w[:, keep_in], None), full)
+    assert bits_equal(fc_raw(x, w[keep_out], None), np.ascontiguousarray(full[:, keep_out]))

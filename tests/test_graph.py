@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -186,6 +187,17 @@ class TestContainer:
         save(g, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_save_keeps_old_file_and_leaves_no_temp(self, rng, tmp_path, full_disk):
+        path = tmp_path / "m.fpm"
+        path.write_bytes(b"previous model")
+        with pytest.raises(OSError, match="No space"):
+            save(tiny_chain(rng), path)
+        with pytest.raises(OSError, match="No space"):
+            save(tiny_chain(rng), tmp_path / "new.fpm")
+        assert sum(full_disk) > 0  # the failures came partway through each file
+        assert path.read_bytes() == b"previous model"
+        assert os.listdir(tmp_path) == ["m.fpm"]
+
     def test_f64_roundtrip(self, rng, tmp_path):
         g = tiny_chain(rng, dtype=np.float64)
         path = tmp_path / "m64.fpm"
@@ -253,6 +265,22 @@ class TestContainer:
         payload = json.dumps(manifest, separators=(",", ":")).encode()
         path.write_bytes(b"FPM1" + len(payload).to_bytes(4, "little") + payload + blob)
         with pytest.raises(ModelFormatError, match="absent tensor"):
+            load(path)
+
+    @pytest.mark.parametrize("shape", [[-1, 1, 1, 1], [-2, 1, 1, 1]])
+    def test_negative_tensor_length_rejected(self, rng, tmp_path, shape):
+        # a count of -1 must not read to the end of the blob, as numpy would
+        g = tiny_chain(rng)
+        path = tmp_path / "m.fpm"
+        save(g, path)
+        raw = path.read_bytes()
+        man_len = int.from_bytes(raw[4:8], "little")
+        manifest = json.loads(raw[8 : 8 + man_len])
+        entry = manifest["tensors"][0]
+        entry["shape"], entry["length"] = shape, 4 * shape[0]
+        payload = json.dumps(manifest, separators=(",", ":")).encode()
+        path.write_bytes(b"FPM1" + len(payload).to_bytes(4, "little") + payload + raw[8 + man_len :])
+        with pytest.raises(ModelFormatError, match="outside the blob"):
             load(path)
 
     def test_blob_is_little_endian_ieee(self, rng, tmp_path):
