@@ -186,8 +186,9 @@ _ARITY = {"input": 0, "output": 1, "conv": 1, "bn": 1, "relu": 1, "add": 2,
 def validate(g: Graph) -> dict[str, tuple[int, int, int, int]]:
     """Check structure and infer every node's output shape.
 
-    Returns a map node id -> (n, c, h, w). Raises CycleDetected,
-    DanglingInput, UnreachableNode or ShapeMismatch (naming the node).
+    Returns a map node id -> (n, c, h, w) whose keys run in the order of
+    Graph.topo_order. Raises CycleDetected, DanglingInput, UnreachableNode
+    or ShapeMismatch (naming the node).
     """
     if not g.nodes:
         raise GraphError("graph has no nodes")
@@ -246,6 +247,12 @@ def validate(g: Graph) -> dict[str, tuple[int, int, int, int]]:
         except (GraphError, ValueError) as exc:
             raise ShapeMismatch(f"node {nid!r}: {exc}") from exc
     return shapes
+
+
+def _validated_order(g: Graph) -> list[str]:
+    """validate(g) and the topological order it computed: the keys of the
+    shapes it returns, which it fills in that order, so g is sorted once."""
+    return list(validate(g))
 
 
 def _infer_shape(g: Graph, node: Node, shapes) -> tuple[int, int, int, int]:
@@ -353,13 +360,13 @@ def execute(g: Graph, x: Tensor, timings: dict[str, float] | None = None) -> Ten
     the declared input_shape. When `timings` is given, the wall time of each
     node's kernel is added to it keyed by node id.
     """
-    validate(g)
+    order = _validated_order(g)
     if tuple(x.shape[1:]) != tuple(g.input_shape[1:]):
         raise ShapeMismatch(
             f"input (c, h, w) {x.shape[1:]} does not match declared {g.input_shape[1:]}"
         )
     values: dict[str, Tensor] = {}
-    for nid in _topo_order(g):
+    for nid in order:
         node = g.nodes[nid]
         if node.kind == "input":
             values[nid] = x
@@ -447,8 +454,7 @@ def atomic_write(path):
 
 def save(g: Graph, path) -> None:
     """Write the graph to a .fpm container (see module docstring)."""
-    validate(g)
-    order = _topo_order(g)
+    order = _validated_order(g)
     tensor_entries = []
     chunks = []
     digest = hashlib.sha256()

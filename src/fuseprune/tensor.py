@@ -24,6 +24,13 @@ The kernels meet it as follows:
   in one call, then add them to the accumulator one at a time in channel
   order. _BLOCK_BYTES caps a block's buffers; it bounds memory and the
   number of numpy calls and changes no bit, whatever the block boundaries.
+* conv2d_gemm's GEMM columns run (ho, wo, n), batch innermost, so that its
+  window copies move rows of wo*n contiguous elements. Column order changes
+  no bit: each output element is one column's dot product with a filter
+  row, and under the GEMM shapes conv2d_gemm fixes its result does not
+  depend on where the column sits among the others (tests pin the kernel
+  to an (n, ho, wo)-ordered reference bit for bit). The trainer's conv
+  uses the same padded layout and window view.
 
 float32 is the working precision; float64 is supported throughout for
 high-precision runs. Mixing dtypes within one kernel call is an error.
@@ -218,6 +225,31 @@ def conv_windows(xp: np.ndarray, r: int, s: int, stride) -> np.ndarray:
     return taps[:, :, :: stride[0], :: stride[1]].transpose(1, 4, 5, 0, 2, 3)
 
 
+def pad_batch_innermost(x: np.ndarray, pad) -> np.ndarray:
+    """x (n, c, h, w) zero-padded by pad and held batch innermost.
+
+    Returns a new (c, h + 2*ph, w + 2*pw, n) array, filled by one
+    transposing copy into zeros. With the batch innermost, one output row
+    of a tap's window reads wo*n contiguous elements at stride 1, where the
+    (n, c, h, w) layout gives runs of wo.
+    """
+    n, c, h, wd = x.shape
+    ph, pw = pad
+    xp = np.zeros((c, h + 2 * ph, wd + 2 * pw, n), dtype=x.dtype)
+    xp[:, ph : ph + h, pw : pw + wd] = x.transpose(1, 2, 3, 0)
+    return xp
+
+
+def batch_innermost_windows(xp: np.ndarray, r: int, s: int, stride) -> np.ndarray:
+    """conv_windows of a padded (c, h, w, n) input, as a (c, r, s, ho, wo, n) view.
+
+    [t, i, j, oh, ow, n] is xp[t, stride[0]*oh + i, stride[1]*ow + j, n];
+    reshaping it to (c*r*s, ho*wo*n) gives the im2col matrix with the batch
+    innermost in its columns.
+    """
+    return conv_windows(xp.transpose(3, 0, 1, 2), r, s, stride).transpose(0, 1, 2, 4, 5, 3)
+
+
 def conv2d_raw(x: np.ndarray, w: np.ndarray, bias, stride, pad) -> np.ndarray:
     """Reference 2-D convolution (cross-correlation) with zero padding.
 
@@ -290,11 +322,20 @@ def _add_in_order(acc: np.ndarray, stack: np.ndarray, m: int) -> None:
 def conv2d_gemm(x: np.ndarray, w: np.ndarray, bias, stride, pad) -> np.ndarray:
     """2-D convolution with one GEMM per input channel; conv2d_raw's semantics.
 
-    For each input channel t in order, the (r*s, n*ho*wo) matrix of channel
+    For each input channel t in order, the (r*s, ho*wo*n) matrix of channel
     t's input windows (im2col) is multiplied by the (k, r*s) matrix w[:, t],
     and the product is added into an accumulator that starts at +0; the
     bias, when present, is added once at the end. Inputs are validated and
     rejected exactly as by conv2d_raw.
+
+    The columns run (ho, wo, n), with the batch innermost: the input is
+    padded once into a (c, h, w, n) buffer (pad_batch_innermost), so at
+    stride 1 each row of a window matrix is copied as runs of wo*n
+    contiguous elements rather than runs of wo, and the (k, ho, wo, n)
+    accumulator is transposed to (n, k, ho, wo) once at the end. The order
+    of the columns changes no bit: a column's result is its dot product
+    with a filter row, and under the shape rules below it does not depend
+    on the other columns, so (n, ho, wo) columns give the same bytes.
 
     The channels are taken a block at a time: one copy fills the block's
     window matrices, one stacked matmul forms its per-channel products, and
@@ -322,11 +363,9 @@ def conv2d_gemm(x: np.ndarray, w: np.ndarray, bias, stride, pad) -> np.ndarray:
     """
     n, c, _, _ = x.shape
     k, _, r, s = w.shape
-    ph, pw = pad
     dt, ho, wo = _conv_geometry(x, w, stride, pad)
     b = _filter_bias(bias, k, x)
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    taps = conv_windows(xp, r, s, stride)
+    taps = batch_innermost_windows(pad_batch_innermost(x, pad), r, s, stride)
     if k == 1:
         w = np.concatenate([w, np.zeros_like(w)])
     rows = w.shape[0]
@@ -336,7 +375,7 @@ def conv2d_gemm(x: np.ndarray, w: np.ndarray, bias, stride, pad) -> np.ndarray:
     # a view: copying the weights per call costs more than blocking saves
     wt = w.reshape(rows, c, r * s).transpose(1, 0, 2)
     cols = np.zeros((block, r * s, padded), dtype=dt)
-    windows = cols[:, :, :width].reshape(block, r, s, n, ho, wo)
+    windows = cols[:, :, :width].reshape(block, r, s, ho, wo, n)
     stack = np.empty((block + 1, rows, padded), dtype=dt)
     acc = np.zeros((rows, padded), dtype=dt)
     for t in range(0, c, block):
@@ -344,7 +383,7 @@ def conv2d_gemm(x: np.ndarray, w: np.ndarray, bias, stride, pad) -> np.ndarray:
         np.copyto(windows[:m], taps[t : t + m])
         np.matmul(wt[t : t + m], cols[:m], out=stack[1 : m + 1])
         _add_in_order(acc, stack, m)
-    y = np.ascontiguousarray(acc[:k, :width].reshape(k, n, ho, wo).transpose(1, 0, 2, 3))
+    y = np.ascontiguousarray(acc[:k, :width].reshape(k, ho, wo, n).transpose(3, 0, 1, 2))
     if b is not None:
         y += b
     return y

@@ -4,9 +4,11 @@ The loop exists so soft pruning can interleave real weight updates with
 masking. It is seeded end-to-end and exact enough for finite-difference
 verification.
 
-Convolutions run as im2col GEMMs. The padded input is held with the batch
-innermost, (c, h, w, n), and the forward pass multiplies the (k, c*r*s)
-weights by its (c*r*s, ho*wo*n) window matrix; the weight gradient is the
+Convolutions run as im2col GEMMs in the layout of the inference kernel,
+tensor.conv2d_gemm: the padded input is held with the batch innermost,
+(c, h, w, n) (tensor.pad_batch_innermost), and the forward pass multiplies
+the (k, c*r*s) weights by its (c*r*s, ho*wo*n) window matrix
+(tensor.batch_innermost_windows, reshaped); the weight gradient is the
 output gradient times that matrix transposed (rebuilt in backward, so only
 the padded input is cached), and the input gradient is the transposed
 weights times the output gradient, added back onto the padded input one
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, validate
-from .tensor import ConvSpec, Tensor, conv_windows
+from .tensor import ConvSpec, Tensor, batch_innermost_windows, pad_batch_innermost
 
 SUPPORTED_KINDS = ("input", "output", "conv", "bn", "relu", "add", "concat",
                    "maxpool", "gavgpool", "fc")
@@ -186,21 +188,13 @@ def _forward_train(g: Graph, x: np.ndarray, bn_momentum: float):
     return values, caches
 
 
-def _im2col(xp: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """The (c*r*s, ho*wo*n) window matrix of a padded input held as (c, h, w, n)."""
-    windows = conv_windows(xp.transpose(3, 0, 1, 2), spec.r, spec.s, spec.stride)
-    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(spec.c * spec.r * spec.s, -1)
-
-
 def _conv_forward(node, x, caches):
     spec: ConvSpec = node.attrs["spec"]
     w2d = node.params["weight"].data.reshape(spec.k, -1)
-    ph, pw = spec.pad
-    # batch innermost, (c, h, w, n): im2col and col2im then move rows of
-    # wo*n contiguous elements instead of rows of wo
-    xp = np.pad(x.transpose(1, 2, 3, 0), ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    xp = pad_batch_innermost(x, spec.pad)
     ho, wo = spec.out_hw(x.shape[2], x.shape[3])
-    y2d = w2d @ _im2col(xp, spec)
+    cols = batch_innermost_windows(xp, spec.r, spec.s, spec.stride).reshape(w2d.shape[1], -1)
+    y2d = w2d @ cols
     if spec.has_bias:
         y2d += node.params["bias"].data.reshape(-1, 1)
     caches[node.id] = {"xp": xp}
@@ -354,7 +348,8 @@ def _conv_backward(node, gy, cache):
     sh, sw = spec.stride
     ph, pw = spec.pad
     gy2d = gy.transpose(1, 2, 3, 0).reshape(spec.k, -1)
-    gw = (gy2d @ _im2col(xp, spec).T).reshape(spec.weight_shape)
+    cols = batch_innermost_windows(xp, spec.r, spec.s, spec.stride).reshape(w2d.shape[1], -1)
+    gw = (gy2d @ cols.T).reshape(spec.weight_shape)
     gcols = (w2d.T @ gy2d).reshape(spec.c, spec.r, spec.s, ho, wo, n)
     # col2im: add each tap's window gradient onto the input positions it read
     gxp = np.zeros_like(xp)

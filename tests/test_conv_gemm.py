@@ -12,6 +12,10 @@ them in channel order. The block length follows tensor._BLOCK_BYTES and
 must change no bit: both kernels are compared bit for bit with one-channel-
 at-a-time loops under block lengths of one, a partial last block and a
 single block, and removal must stay exact when it changes the block length.
+
+conv2d_gemm's GEMM columns run (ho, wo, n), batch innermost, while the
+test-local conv_channel_loop keeps (n, ho, wo) columns; their bitwise
+agreement at several batch sizes shows that the column order changes no bit.
 """
 
 from __future__ import annotations
@@ -160,16 +164,17 @@ def test_zero_channel_and_dropped_filters_together(dt):
     # the input channels they fed; both at once must still be exact
     rng = np.random.default_rng(4)
     for stride, pad in GEOMETRIES:
-        x = rand(rng, (3, 12, 9, 9), dt)
-        x[:, [1, 6, 11]] = 0.0
-        w = rand(rng, (24, 12, 3, 3), dt)
-        w[[0, 5, 9, 17]] = 0.0
-        live_c = [t for t in range(12) if t not in (1, 6, 11)]
-        live_k = [f for f in range(24) if f not in (0, 5, 9, 17)]
-        full = conv2d_gemm(x, w, None, stride, pad)
-        small = conv2d_gemm(x[:, live_c], w[live_k][:, live_c], None, stride, pad)
-        assert bits_equal(small, np.ascontiguousarray(full[:, live_k]))
-        assert not np.any(full[:, [0, 5, 9, 17]])
+        for n in (3, 32):
+            x = rand(rng, (n, 12, 9, 9), dt)
+            x[:, [1, 6, 11]] = 0.0
+            w = rand(rng, (24, 12, 3, 3), dt)
+            w[[0, 5, 9, 17]] = 0.0
+            live_c = [t for t in range(12) if t not in (1, 6, 11)]
+            live_k = [f for f in range(24) if f not in (0, 5, 9, 17)]
+            full = conv2d_gemm(x, w, None, stride, pad)
+            small = conv2d_gemm(x[:, live_c], w[live_k][:, live_c], None, stride, pad)
+            assert bits_equal(small, np.ascontiguousarray(full[:, live_k])), n
+            assert not np.any(full[:, [0, 5, 9, 17]])
 
 
 @pytest.mark.parametrize("dt", DTYPES)
@@ -241,8 +246,9 @@ import numpy as np
 from fuseprune.tensor import conv2d_gemm, fc_raw
 rng = np.random.default_rng(9)
 digest = hashlib.sha256()
-# one channel per block (1.2 MB of windows and products each), then 4 blocks of 2
-for n, hw in ((4, 32), (1, 28)):
+# one channel per block (1.2 MB of windows and products each), then 4 blocks
+# of 2, then a batch of 32 with the batch innermost in 2,048 columns
+for n, hw in ((4, 32), (1, 28), (32, 8)):
     x = rng.standard_normal((n, 8, hw, hw)).astype(np.float32)
     w = rng.standard_normal((64, 8, 3, 3)).astype(np.float32)
     digest.update(conv2d_gemm(x, w, None, (1, 1), (1, 1)).tobytes())
@@ -263,9 +269,10 @@ def _probe_digest(**env_overrides):
 
 
 def test_result_does_not_depend_on_blas_thread_count():
-    # 64 x 9 x 4096 and 64 x 9 x 784 are large enough for OpenBLAS to split
-    # the GEMM across threads when it has more than one; a single-thread run
-    # must agree, for one-channel blocks and for multi-channel blocks alike
+    # 64 x 9 x 4096, 64 x 9 x 784 and 64 x 9 x 2048 are large enough for
+    # OpenBLAS to split the GEMM across threads when it has more than one; a
+    # single-thread run must agree, for one-channel blocks, multi-channel
+    # blocks and batch-innermost columns of 32 images alike
     single = _probe_digest(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     assert len(single) == 64
     assert _probe_digest() == single
@@ -275,15 +282,21 @@ def test_result_does_not_depend_on_blas_thread_count():
 @pytest.mark.parametrize("stride,pad", GEOMETRIES)
 @pytest.mark.parametrize("block", ("one", "partial", "single"))
 def test_blocks_add_channels_in_order(monkeypatch, dt, stride, pad, block):
+    # conv_channel_loop's columns run (n, ho, wo), conv2d_gemm's (ho, wo, n),
+    # so batches above one also check that the column order changes no bit;
+    # at n=5 no geometry's ho*wo*n is a multiple of 16
     rng = np.random.default_rng(10)
-    for c, k in ((7, 5), (16, 1), (13, 24)):
-        x = rand(rng, (2, c, 7, 6), dt)
-        w = rand(rng, (k, c, 3, 3), dt)
-        b = rand(rng, k, dt)
-        length = {"one": 1, "partial": 3, "single": c}[block]
-        monkeypatch.setattr(tensor, "_BLOCK_BYTES", conv_block_bytes(x, w, stride, pad, length))
-        assert bits_equal(conv2d_gemm(x, w, b, stride, pad),
-                          conv_channel_loop(x, w, b, stride, pad)), (c, k)
+    for n in (2, 1, 5, 32):
+        for c, k in ((7, 5), (16, 1), (13, 24)):
+            x = rand(rng, (n, c, 7, 6), dt)
+            w = rand(rng, (k, c, 3, 3), dt)
+            b = rand(rng, k, dt)
+            length = {"one": 1, "partial": 3, "single": c}[block]
+            monkeypatch.setattr(tensor, "_BLOCK_BYTES", conv_block_bytes(x, w, stride, pad, length))
+            got = conv2d_gemm(x, w, b, stride, pad)
+            assert bits_equal(got, conv_channel_loop(x, w, b, stride, pad)), (n, c, k)
+            if n == 5:
+                assert (got.shape[2] * got.shape[3] * n) % tensor._GEMM_COLUMN_BLOCK
 
 
 @pytest.mark.parametrize("dt", DTYPES)

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from fuseprune import graph
 from fuseprune.graph import (
     CycleDetected,
     DanglingInput,
@@ -168,6 +169,25 @@ class TestExecute:
         g = make_graph(nodes, "in", "out", (1, 2, 3, 3))
         x = Tensor(np.abs(np.random.default_rng(1).standard_normal((1, 2, 3, 3))).astype(np.float32))
         assert np.array_equal(execute(g, x).data, x.data)
+
+    def test_validate_keys_run_in_topological_order(self, rng):
+        g = tiny_chain(rng)
+        reordered = Graph(
+            nodes={nid: g.nodes[nid] for nid in reversed(list(g.nodes))},
+            input_id=g.input_id, output_id=g.output_id, input_shape=g.input_shape,
+        )
+        for h in (g, reordered):
+            assert list(validate(h)) == h.topo_order()
+
+    def test_execute_and_save_sort_the_graph_once(self, rng, tmp_path, monkeypatch):
+        g = tiny_chain(rng)
+        sorts = []
+        topo_order = graph._topo_order
+        monkeypatch.setattr(graph, "_topo_order", lambda h: sorts.append(h) or topo_order(h))
+        execute(g, Tensor(rng.standard_normal((1, 3, 8, 8)).astype(np.float32)))
+        assert len(sorts) == 1
+        save(g, tmp_path / "g.fpm")
+        assert len(sorts) == 2
 
 
 class TestContainer:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fuseprune.fusion import find_residual_blocks, fuse, fuse_basic_block
+from fuseprune.fusion import find_residual_blocks, fold_bn, fuse, fuse_basic_block
 from fuseprune.graph import execute, save, validate
 from fuseprune.pruning import (
     InconsistentMask,
@@ -18,7 +18,7 @@ from fuseprune.pruning import (
     select_prune_indices,
     soft_prune_epoch,
 )
-from fuseprune.tensor import ConvSpec, Tensor
+from fuseprune.tensor import DTYPE_FROM_NAME, ConvSpec, Tensor
 from fuseprune.zoo import ZooSpec, build
 
 from conftest import bn_node, conv_node, fc_node, make_graph, plain_node, random_residual_block_graph
@@ -280,6 +280,26 @@ class TestMaterialize:
             ya = execute(masked, x)
             yb = execute(res.graph, x)
             assert ya.data.tobytes() == yb.data.tobytes()
+
+    @pytest.mark.parametrize("dtype,tol", (("f32", 1e-4), ("f64", 1e-10)))
+    @pytest.mark.parametrize("mode,rate", (("conservative", 0.0), ("continued", 0.3)))
+    def test_batch_32_materialized_bitwise_and_deployed_within_tolerance(self, dtype, tol,
+                                                                          mode, rate):
+        # resnet20 at 3x8x8 with a batch of 32, so every conv's GEMM columns
+        # interleave 32 images; tolerances and input scale of the acceptance
+        # suite's fusion and bn-fold criteria
+        g = build(ZooSpec("resnet20", input_shape=(1, 3, 8, 8), dtype=dtype, seed=8))
+        fused, report = fuse(g, "3/3")
+        masked = fused.copy()
+        mask = soft_prune_epoch(masked, report, PruneConfig(rate=rate, mode=mode))
+        res = materialize(masked, mask, report)
+        assert sum(rec["removed"] for rec in res.summary) > 0
+        deployed = fold_bn(res.graph)
+        x = Tensor((np.random.default_rng(10).standard_normal((32, 3, 8, 8)) * 0.1)
+                   .astype(DTYPE_FROM_NAME[dtype]))
+        ya = execute(masked, x).data
+        assert ya.tobytes() == execute(res.graph, x).data.tobytes()
+        assert float(np.max(np.abs(execute(deployed, x).data - ya))) <= tol
 
     def test_all_keep_mask_is_identity(self, rng, tmp_path):
         g = small_chain(rng, k=8)
