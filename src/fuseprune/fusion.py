@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, Node, validate
-from .tensor import BnParams, ConvSpec, Tensor
+from .graph import Graph, Node, bn_params, validate
+from .tensor import ConvSpec, Tensor
 
 OMEGA_MIN = 1e-3
 
@@ -227,7 +227,7 @@ def make_identity_weights(channels: int, r: int, s: int, dtype=np.float32) -> Te
         raise NonOddKernel(f"identity weights need odd kernel dims, got {r}x{s}")
     w = np.zeros((channels, channels, r, s), dtype=dtype)
     w[np.arange(channels), np.arange(channels), (r - 1) // 2, (s - 1) // 2] = 1
-    return Tensor(w)
+    return Tensor._wrap(w)
 
 
 def pad_conv_weights(w: Tensor, r: int, s: int) -> Tensor:
@@ -246,7 +246,7 @@ def pad_conv_weights(w: Tensor, r: int, s: int) -> Tensor:
     out = np.zeros((k, c, r, s), dtype=w.dtype)
     ro, so = (r - r0) // 2, (s - s0) // 2
     out[:, :, ro : ro + r0, so : so + s0] = w.data
-    return Tensor(out)
+    return Tensor._wrap(out)
 
 
 def adjust_identity_for_bn(w: Tensor, omega: np.ndarray, omega_min: float = OMEGA_MIN) -> Tensor:
@@ -266,7 +266,7 @@ def adjust_identity_for_bn(w: Tensor, omega: np.ndarray, omega_min: float = OMEG
             f"|omega[{idx}]| = {abs(float(omega[idx])):.3e} < {omega_min:g}; "
             "inverse-bn adjustment would be ill-conditioned"
         )
-    return Tensor(w.data / omega.astype(w.dtype)[:, None, None, None])
+    return Tensor._wrap(w.data / omega.astype(w.dtype)[:, None, None, None])
 
 
 def _sole_consumer(consumers, nid):
@@ -363,14 +363,6 @@ def find_residual_blocks(g: Graph) -> list[BlockMatch]:
         used |= match.internal_ids()
         matches.append(match)
     return matches
-
-
-def _bn_of(node: Node) -> BnParams:
-    return BnParams(
-        gamma=node.params["gamma"].data, beta=node.params["beta"].data,
-        mean=node.params["mean"].data, var=node.params["var"].data,
-        eps=float(node.attrs["eps"]),
-    )
 
 
 def _centered(spec: ConvSpec) -> bool:
@@ -473,7 +465,7 @@ def _fuse_block(g: Graph, match: BlockMatch, with_bn: bool, assume_nonneg: bool)
 
     # --- build everything up front -------------------------------------
     ident1 = make_identity_weights(c_in, s1.r, s1.s, dtype=dtype)
-    new_w1 = Tensor(np.concatenate([conv1.params["weight"].data, ident1.data], axis=0))
+    new_w1 = Tensor._wrap(np.concatenate([conv1.params["weight"].data, ident1.data], axis=0))
     new_b1 = None
     if s1.has_bias:
         b1 = conv1.params["bias"].data.reshape(-1)
@@ -485,7 +477,7 @@ def _fuse_block(g: Graph, match: BlockMatch, with_bn: bool, assume_nonneg: bool)
     # at every step.
     omega2 = None
     if match.bn2 is not None:
-        omega2 = _bn_of(g.nodes[match.bn2]).omega(np.float64)
+        omega2 = bn_params(g.nodes[match.bn2]).omega(np.float64)
 
     if match.kind == "basic":
         aux = make_identity_weights(c_in, s2.r, s2.s, dtype=np.float64)
@@ -497,7 +489,7 @@ def _fuse_block(g: Graph, match: BlockMatch, with_bn: bool, assume_nonneg: bool)
         bs = _conv_bias_vec(sc)
         bs = np.zeros(k2, np.float64) if bs is None else bs.astype(np.float64)
         if match.shortcut_bn is not None:
-            sp = _bn_of(g.nodes[match.shortcut_bn])
+            sp = bn_params(g.nodes[match.shortcut_bn])
             om_s = sp.omega(np.float64)
             ws = ws * om_s[:, None, None, None]
             bs = om_s * bs + sp.lam(np.float64)
@@ -509,7 +501,7 @@ def _fuse_block(g: Graph, match: BlockMatch, with_bn: bool, assume_nonneg: bool)
         if extra_bias is not None:
             extra_bias = extra_bias / omega2
 
-    new_w2 = Tensor(np.concatenate(
+    new_w2 = Tensor._wrap(np.concatenate(
         [conv2.params["weight"].data, aux.data.astype(dtype, copy=False)], axis=1))
     b2 = _conv_bias_vec(conv2)
     if extra_bias is not None and np.any(extra_bias != 0):
@@ -675,7 +667,7 @@ def fold_bn(g: Graph) -> Graph:
             )
         spec: ConvSpec = src.attrs["spec"]
         dtype = src.params["weight"].dtype
-        p = _bn_of(node)
+        p = bn_params(node)
         omega = p.omega(np.float64)
         lam = p.lam(np.float64)
         w = (src.params["weight"].data.astype(np.float64)
@@ -684,7 +676,7 @@ def fold_bn(g: Graph) -> Graph:
         b = np.zeros(spec.k, np.float64) if b is None else b.astype(np.float64)
         b = (omega * b + lam).astype(dtype, copy=False)
         src.params = dict(src.params)
-        src.params["weight"] = Tensor(w)
+        src.params["weight"] = Tensor._wrap(w)
         src.params["bias"] = Tensor(b.reshape(1, -1, 1, 1))
         src.attrs = dict(src.attrs)
         src.attrs["spec"] = ConvSpec(k=spec.k, c=spec.c, r=spec.r, s=spec.s,

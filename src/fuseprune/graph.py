@@ -12,6 +12,14 @@ calls give bit-identical results, and any valid topological order computes
 the same values. The batch dimension of the input is free; the declared
 input_shape fixes (c, h, w) and a nominal batch size used for validation.
 
+Execution also carries, node by node, the output channels that are exactly
+zero for every input, derived from the weights alone (_zero_channels), and
+each conv leaves those input channels and its own all-zero filters out of
+its GEMMs. This is what makes materialization bit-identical: a soft-pruned
+model and the model with those channels deleted run the same GEMMs on the
+same operands, so they agree as long as the BLAS gives identical calls
+identical bits at a fixed thread count.
+
 Model files (.fpm) are a single container: the magic bytes "FPM1", a
 little-endian u32 manifest length, a UTF-8 JSON manifest (nodes, kinds,
 attributes, tags, and a tensor table of name/shape/dtype/offset/length),
@@ -163,7 +171,8 @@ def _topo_order(g: Graph) -> list[str]:
     return order
 
 
-def _bn_params(node: Node) -> BnParams:
+def bn_params(node: Node) -> BnParams:
+    """The BnParams of a bn node's parameter tensors and eps."""
     return BnParams(
         gamma=node.params["gamma"].data.reshape(-1),
         beta=node.params["beta"].data.reshape(-1),
@@ -329,14 +338,49 @@ def _infer_shape(g: Graph, node: Node, shapes) -> tuple[int, int, int, int]:
     raise GraphError(f"node {node.id!r}: unhandled kind {kind}")
 
 
-def _eval_node(node: Node, args: list[Tensor]) -> Tensor:
+def _zero_channels(node: Node, zero_in: list, dt) -> np.ndarray | None:
+    """The output channels of node that are exactly zero for every input.
+
+    A bool mask over the channels, or None when none are known to be zero.
+    zero_in holds the masks of node's inputs; only weights are read, never
+    activations. The marks are exact, not guesses: a conv filter whose
+    weights and bias are all zero gives +0 (conv2d writes it so), bn maps an
+    exact zero to omega * 0 + lam, which is a zero when lam is (in the dtype
+    the kernel computes lam in), relu and the pools keep zeros, and an add
+    gives a zero where both operands are zero. concat, fc and the input are
+    left unmarked.
+    """
+    kind = node.kind
+    if kind == "conv":
+        zero = node.params["weight"].zero_rows()
+        if zero is None:
+            return None
+        if node.attrs["spec"].has_bias:
+            zero = zero & (node.params["bias"].data.reshape(-1) == 0)
+    elif kind == "bn":
+        if zero_in[0] is None:
+            return None
+        zero = zero_in[0] & (bn_params(node).lam(dt) == 0)
+    elif kind in ("relu", "maxpool", "gavgpool", "output"):
+        return zero_in[0]
+    elif kind == "add":
+        if zero_in[0] is None or zero_in[1] is None:
+            return None
+        zero = zero_in[0] & zero_in[1]
+    else:
+        return None
+    return zero if zero.any() else None
+
+
+def _eval_node(node: Node, args: list[Tensor], zero_in, zero_out) -> Tensor:
     kind = node.kind
     if kind in ("input", "output"):
         return args[0] if args else None
     if kind == "conv":
-        return conv2d(args[0], node.params["weight"], _conv_bias(node), node.attrs["spec"])
+        return conv2d(args[0], node.params["weight"], _conv_bias(node), node.attrs["spec"],
+                      zero_in, zero_out)
     if kind == "bn":
-        return batch_norm_inference(args[0], _bn_params(node))
+        return batch_norm_inference(args[0], bn_params(node))
     if kind == "relu":
         return relu(args[0])
     if kind == "add":
@@ -359,6 +403,10 @@ def execute(g: Graph, x: Tensor, timings: dict[str, float] | None = None) -> Ten
     The batch dimension of x is free; channels and spatial dims must match
     the declared input_shape. When `timings` is given, the wall time of each
     node's kernel is added to it keyed by node id.
+
+    Every conv leaves out of its GEMMs the input channels and filters that
+    _zero_channels proves exactly zero from the weights (see the module
+    docstring).
     """
     order = _validated_order(g)
     if tuple(x.shape[1:]) != tuple(g.input_shape[1:]):
@@ -366,17 +414,22 @@ def execute(g: Graph, x: Tensor, timings: dict[str, float] | None = None) -> Ten
             f"input (c, h, w) {x.shape[1:]} does not match declared {g.input_shape[1:]}"
         )
     values: dict[str, Tensor] = {}
+    zeros: dict[str, np.ndarray | None] = {}
+    dt = x.dtype
     for nid in order:
         node = g.nodes[nid]
         if node.kind == "input":
             values[nid] = x
+            zeros[nid] = None
             continue
         args = [values[src] for src in node.inputs]
+        zero_in = [zeros[src] for src in node.inputs]
+        zeros[nid] = _zero_channels(node, zero_in, dt)
         if timings is None:
-            values[nid] = _eval_node(node, args)
+            values[nid] = _eval_node(node, args, zero_in[0], zeros[nid])
         else:
             t0 = time.perf_counter()
-            values[nid] = _eval_node(node, args)
+            values[nid] = _eval_node(node, args, zero_in[0], zeros[nid])
             timings[nid] = timings.get(nid, 0.0) + (time.perf_counter() - t0)
     return values[g.output_id]
 
@@ -553,9 +606,9 @@ def load(path) -> Graph:
             if count * dtype.itemsize != length:
                 raise ModelFormatError(f"{path}: tensor {name!r} length/shape mismatch")
             le = dtype.newbyteorder("<")
-            # astype copies, so no tensor keeps the file's buffer alive
-            arr = np.frombuffer(blob, le, count, offset=start).astype(dtype).reshape(shape)
-            tensors[name] = Tensor(arr)
+            # Tensor copies, so no tensor keeps the file's buffer alive
+            arr = np.frombuffer(blob, le, count, offset=start).reshape(shape)
+            tensors[name] = Tensor(arr, dtype)
         nodes: dict[str, Node] = {}
         for raw in manifest["nodes"]:
             params = {}

@@ -11,9 +11,10 @@ Zeroizing filter k clears its weights and bias and, on any bn directly
 consuming the conv, clears beta_k and mean_k. That makes the channel emit
 exactly zero in both inference and training forward passes while leaving
 gamma_k alone, so gradients still reach the filter and it can recover.
-It is also what makes physical removal exact: a channel that is zero
-everywhere contributes exact-zero products to downstream accumulations,
-so deleting it cannot change any value.
+It is also what makes physical removal exact: graph.execute proves such a
+channel zero from the weights and leaves it out of every conv's GEMMs, so
+the masked model runs the GEMMs its materialization runs, and the fc adds
+its exact-zero products to an in-order sum where they change nothing.
 
 Materialization deletes the zeroized filters for real: conv rows, the
 following bn's channels, and the matching input channels (or fc columns)
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fusion import FusionReport
-from .graph import Graph, Node, validate
+from .graph import Graph, Node, bn_params, validate
 from .tensor import ConvSpec, Tensor
 
 TRANSPARENT_KINDS = ("bn", "relu", "maxpool", "gavgpool")
@@ -157,7 +158,7 @@ def _zeroize(g: Graph, consumers, conv_id: str, idx: list[int]) -> None:
     w = node.params["weight"].data.copy()
     w[idx] = 0
     node.params = dict(node.params)
-    node.params["weight"] = Tensor(w)
+    node.params["weight"] = Tensor._wrap(w)
     if spec.has_bias:
         b = node.params["bias"].data.copy()
         b[0, idx] = 0
@@ -280,10 +281,8 @@ def _propagation_plan(g: Graph, consumers, shapes, conv_id: str,
         nid = stack.pop()
         node = g.nodes[nid]
         if node.kind == "bn":
-            p = node.params
-            omega = p["gamma"].data.reshape(-1) / np.sqrt(
-                p["var"].data.reshape(-1) + p["gamma"].dtype.type(node.attrs["eps"]))
-            lam = p["beta"].data.reshape(-1) - omega * p["mean"].data.reshape(-1)
+            # the rule graph.execute uses to prove a bn channel zero
+            lam = bn_params(node).lam(node.params["gamma"].dtype)
             if np.any(lam[zero_idx] != 0):
                 raise InconsistentMask(
                     f"bn {nid!r}: removed channels {zero_idx} have nonzero shift "
@@ -319,12 +318,12 @@ def _apply_slice(node: Node, action: tuple, keep_idx: np.ndarray) -> None:
             node.attrs["frozen"] = tuple(frozen[i] for i in keep_idx)
     elif action[1] == "conv":
         spec: ConvSpec = node.attrs["spec"]
-        node.params["weight"] = Tensor(node.params["weight"].data[:, keep_idx])
+        node.params["weight"] = Tensor._wrap(node.params["weight"].data.take(keep_idx, axis=1))
         node.attrs["spec"] = ConvSpec(spec.k, len(keep_idx), spec.r, spec.s,
                                       spec.stride, spec.pad, spec.has_bias)
     elif action[1] == "fc":
         cols = action[2]
-        node.params["weight"] = Tensor(node.params["weight"].data[:, cols])
+        node.params["weight"] = Tensor._wrap(node.params["weight"].data.take(cols, axis=1))
 
 
 def materialize(g: Graph, mask: PruneMask, report: FusionReport | None = None) -> MaterializeResult:
@@ -376,7 +375,7 @@ def materialize(g: Graph, mask: PruneMask, report: FusionReport | None = None) -
             touched[action[0]] = nid
         node.params = dict(node.params)
         node.attrs = dict(node.attrs)
-        node.params["weight"] = Tensor(node.params["weight"].data[keep_idx])
+        node.params["weight"] = Tensor._wrap(node.params["weight"].data[keep_idx])
         if spec.has_bias:
             node.params["bias"] = Tensor(node.params["bias"].data[:, keep_idx])
         node.attrs["spec"] = ConvSpec(len(keep_idx), spec.c, spec.r, spec.s,

@@ -5,32 +5,28 @@ Every activation and weight in this package is a rank-4 array laid out as
 functions, and their results depend only on their inputs.
 
 Determinism contract. Materializing a pruned model must reproduce the
-masked model bit for bit, which needs two things of a reduction: an
-all-zero input contributes exact zeros that leave the running sum as it
-is, and removing an output (a filter) leaves every other output unchanged.
-The kernels meet it as follows:
+masked model bit for bit. That promise rests on the graph, not on any
+summation order inside a kernel: graph.execute works out, from the weights
+alone, which channels are exactly zero, and conv2d leaves them out of its
+GEMMs on both sides. The masked model and its materialization then make the
+same BLAS calls on the same compacted operands, so the only thing assumed
+of the BLAS is that identical calls give identical bits at a fixed thread
+count. The kernels meet it as follows:
 
-* conv2d, the convolution graphs execute, runs conv2d_gemm. Execution fixes
-  the order over input channels: one GEMM per channel, its partial sums
-  added in channel order to an accumulator that starts at +0. The order of
-  the taps within one channel's dot product is left to the BLAS, whose
-  per-element result must not depend on the number of filter rows or on
-  its thread count (see conv2d_gemm for the shapes this requires).
+* conv2d, the convolution graphs execute, runs conv2d_gemm: im2col GEMMs
+  over the live input channels and the live filters, one per band of
+  output rows. Dead filters are written back as +0 at full width, so every
+  other kernel sees the same shapes as before. The order of the c*r*s
+  terms of a dot product is the BLAS's.
 * conv2d_raw keeps the full sequential (input channel, kernel row, kernel
   column) order. It is the reference the brute-force oracle pins bit for
   bit, and conv2d_gemm is tested against it and the oracle.
-* fc_raw accumulates sequentially over inputs.
-* conv2d_gemm and fc_raw form the products of a block of channels (inputs)
-  in one call, then add them to the accumulator one at a time in channel
-  order. _BLOCK_BYTES caps a block's buffers; it bounds memory and the
-  number of numpy calls and changes no bit, whatever the block boundaries.
-* conv2d_gemm's GEMM columns run (ho, wo, n), batch innermost, so that its
-  window copies move rows of wo*n contiguous elements. Column order changes
-  no bit: each output element is one column's dot product with a filter
-  row, and under the GEMM shapes conv2d_gemm fixes its result does not
-  depend on where the column sits among the others (tests pin the kernel
-  to an (n, ho, wo)-ordered reference bit for bit). The trainer's conv
-  uses the same padded layout and window view.
+* fc_raw accumulates sequentially over inputs, so an all-zero input column
+  leaves the sum as it is: an fc after removed channels needs no
+  compaction. It forms the products of a block of inputs in one call, then
+  adds them to the accumulator one at a time in input order; _BLOCK_BYTES
+  caps a block's buffers and changes no bit.
+* The trainer's conv uses conv2d_gemm's padded layout and window view.
 
 float32 is the working precision; float64 is supported throughout for
 high-precision runs. Mixing dtypes within one kernel call is an error.
@@ -51,15 +47,33 @@ class TensorError(ValueError):
     """Malformed tensor contents or a kernel shape/parameter violation."""
 
 
-class Tensor:
-    """Immutable dense 4-D array of finite float32 or float64 values."""
+_UNSET = object()
 
-    __slots__ = ("data",)
+
+class Tensor:
+    """Immutable dense 4-D array of finite float32 or float64 values.
+
+    Tensor(data) copies data into a read-only array of its own, so the
+    caller's array stays writable and unshared.
+    """
+
+    __slots__ = ("data", "_zero_rows")
 
     def __init__(self, data, dtype=None):
-        arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
+        self._adopt(np.array(data, dtype=dtype, order="C"))
+
+    @classmethod
+    def _wrap(cls, arr: np.ndarray) -> "Tensor":
+        """A Tensor over arr itself, without a copy.
+
+        Only for a fresh array that nothing else holds or writes: a kernel's
+        output, or weights the package has just computed.
+        """
+        t = cls.__new__(cls)
+        t._adopt(arr)
+        return t
+
+    def _adopt(self, arr: np.ndarray) -> None:
         if arr.dtype not in SUPPORTED_DTYPES:
             raise TensorError(f"unsupported dtype {arr.dtype}; expected float32 or float64")
         if arr.ndim != 4:
@@ -71,9 +85,23 @@ class Tensor:
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "_zero_rows", _UNSET)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
+
+    def zero_rows(self) -> np.ndarray | None:
+        """Read-only bool mask over axis 0 of the slices that are all exactly
+        zero, or None when there are none.
+
+        Computed on first use and kept, since the data never changes; for a
+        conv weight it marks the all-zero filters.
+        """
+        if self._zero_rows is _UNSET:
+            zero = ~self.data.reshape(self.shape[0], -1).any(axis=1)
+            zero.setflags(write=False)
+            object.__setattr__(self, "_zero_rows", zero if zero.any() else None)
+        return self._zero_rows
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -89,7 +117,7 @@ class Tensor:
 
     @classmethod
     def zeros(cls, shape, dtype=np.float32) -> "Tensor":
-        return cls(np.zeros(shape, dtype=dtype))
+        return cls._wrap(np.zeros(shape, dtype=dtype))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype_name})"
@@ -286,115 +314,77 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, bias, stride, pad) -> np.ndarray:
     return y
 
 
-# Output columns of each per-channel GEMM are padded to a multiple of this.
-# Measured with OpenBLAS 0.3.31 (f32 and f64, one and two threads): with a
-# column count that is not a multiple of 16, some columns' results change
-# with the number of rows (f32 from 32 taps, f64 from 16 taps, and f64 at
-# 4095 and 4097 columns with 9 taps); with a multiple of 16, no change was
-# found for any row count up to 136 and up to 147 taps.
-_GEMM_COLUMN_BLOCK = 16
-
-# Caps the buffers conv2d_gemm and fc_raw fill per block of channels: the
-# window matrices and the products (see the module docstring). Larger blocks
-# spill out of cache and slow the kernels down.
+# Caps the window matrix of one conv2d_gemm GEMM and the products fc_raw
+# forms per block of inputs: larger buffers spill out of cache and slow the
+# kernels down.
 _BLOCK_BYTES = 512 * 1024
 
 
-def _block_length(channels: int, channel_bytes: int) -> int:
-    """How many channels of channel_bytes each fit in _BLOCK_BYTES (at least one)."""
-    return max(1, min(channels, _BLOCK_BYTES // channel_bytes))
+def conv2d_gemm(x: np.ndarray, w: np.ndarray, bias, stride, pad,
+                zero_in=None, zero_out=None) -> np.ndarray:
+    """2-D convolution as im2col GEMMs; conv2d_raw's semantics.
 
+    The (k', c'*r*s) matrix of the live filters over the live input
+    channels multiplies the (c'*r*s, ho*wo*n) matrix of those channels'
+    input windows; the bias, when present, is added once at the end. Inputs
+    are validated and rejected exactly as by conv2d_raw. The window matrix
+    is built and multiplied a band of output rows at a time, as many rows
+    as fit in _BLOCK_BYTES (one band for most layers at batch 1); the band
+    depends only on c', r, s, wo, n and the dtype.
 
-def _add_in_order(acc: np.ndarray, stack: np.ndarray, m: int) -> None:
-    """acc += stack[1], then stack[2], ... stack[m]: one product at a time.
+    zero_in and zero_out are optional length-c and length-k bool masks.
+    zero_in marks input channels the caller knows to be all exactly zero:
+    they are left out of the GEMMs, which changes the result only by
+    rounding. zero_out marks filters whose weights and bias are all zero:
+    they are left out of the GEMMs and their outputs are written as +0. Two
+    calls whose live channels and filters hold the same values therefore
+    make the same GEMMs, whatever else sits beside them, and that is what
+    keeps materialization bit-identical (see the module docstring).
 
-    stack[0] is scratch. Reducing over the leading axis of a C-contiguous
-    stack adds whole (acc-shaped) slices in index order, so the result is
-    the bits of m sequential in-place adds.
+    The input is padded once into a (c', h, w, n) buffer
+    (pad_batch_innermost), so the window matrix's columns run (ho, wo, n)
+    and at stride 1 its rows are copied as runs of wo*n contiguous elements;
+    each band's product is transposed into the (n, k, ho, wo) output.
+
+    Results agree with conv2d_raw to rounding, not bit for bit: the order of
+    the c'*r*s terms of each dot product is the BLAS's.
     """
-    if m == 1:
-        acc += stack[1]
-        return
-    stack[0] = acc
-    np.add.reduce(stack[: m + 1], axis=0, out=acc)
-
-
-def conv2d_gemm(x: np.ndarray, w: np.ndarray, bias, stride, pad) -> np.ndarray:
-    """2-D convolution with one GEMM per input channel; conv2d_raw's semantics.
-
-    For each input channel t in order, the (r*s, ho*wo*n) matrix of channel
-    t's input windows (im2col) is multiplied by the (k, r*s) matrix w[:, t],
-    and the product is added into an accumulator that starts at +0; the
-    bias, when present, is added once at the end. Inputs are validated and
-    rejected exactly as by conv2d_raw.
-
-    The columns run (ho, wo, n), with the batch innermost: the input is
-    padded once into a (c, h, w, n) buffer (pad_batch_innermost), so at
-    stride 1 each row of a window matrix is copied as runs of wo*n
-    contiguous elements rather than runs of wo, and the (k, ho, wo, n)
-    accumulator is transposed to (n, k, ho, wo) once at the end. The order
-    of the columns changes no bit: a column's result is its dot product
-    with a filter row, and under the shape rules below it does not depend
-    on the other columns, so (n, ho, wo) columns give the same bytes.
-
-    The channels are taken a block at a time: one copy fills the block's
-    window matrices, one stacked matmul forms its per-channel products, and
-    the products are added to the accumulator one channel after another.
-    Each product is the same GEMM, of the same shape, as alone, so the
-    block length (at most _BLOCK_BYTES of windows and products) changes no
-    bit.
-
-    The order over input channels is fixed; the order over the taps inside
-    one channel's dot product is the BLAS's. Bitwise materialization needs
-    two properties, and both hold:
-
-    * an all-zero input channel contributes a product of exact zeros, and
-      adding a zero to an accumulator that is never -0 leaves it unchanged,
-      so dropping that channel (and its weight column) changes no bit;
-    * each GEMM's per-element result does not depend on how many filter
-      rows it has, so dropping filters changes no surviving bit. numpy
-      hands a product with a single row or a single column to gemv, whose
-      order differs from the GEMM's, and OpenBLAS's order for some columns
-      depends on the row count unless the column count is a multiple of
-      _GEMM_COLUMN_BLOCK; so every GEMM gets at least two rows (a zero row
-      is added for a single filter) and zero columns up to that multiple.
-
-    Results agree with conv2d_raw to rounding, not bit for bit.
-    """
-    n, c, _, _ = x.shape
+    n = x.shape[0]
     k, _, r, s = w.shape
     dt, ho, wo = _conv_geometry(x, w, stride, pad)
     b = _filter_bias(bias, k, x)
+    # take, unlike fancy indexing on axis 1, copies straight into C order
+    if zero_out is not None:
+        live_out = np.flatnonzero(~zero_out)
+        w = w.take(live_out, axis=0)
+    if zero_in is not None:
+        live_in = np.flatnonzero(~zero_in)
+        x, w = x.take(live_in, axis=1), w.take(live_in, axis=1)
+    rows, c = w.shape[:2]
     taps = batch_innermost_windows(pad_batch_innermost(x, pad), r, s, stride)
-    if k == 1:
-        w = np.concatenate([w, np.zeros_like(w)])
-    rows = w.shape[0]
-    width = n * ho * wo
-    padded = -(-width // _GEMM_COLUMN_BLOCK) * _GEMM_COLUMN_BLOCK
-    block = _block_length(c, (r * s + rows) * padded * dt.itemsize)
-    # a view: copying the weights per call costs more than blocking saves
-    wt = w.reshape(rows, c, r * s).transpose(1, 0, 2)
-    cols = np.zeros((block, r * s, padded), dtype=dt)
-    windows = cols[:, :, :width].reshape(block, r, s, ho, wo, n)
-    stack = np.empty((block + 1, rows, padded), dtype=dt)
-    acc = np.zeros((rows, padded), dtype=dt)
-    for t in range(0, c, block):
-        m = min(block, c - t)
-        np.copyto(windows[:m], taps[t : t + m])
-        np.matmul(wt[t : t + m], cols[:m], out=stack[1 : m + 1])
-        _add_in_order(acc, stack, m)
-    y = np.ascontiguousarray(acc[:k, :width].reshape(k, ho, wo, n).transpose(3, 0, 1, 2))
+    w2d = w.reshape(rows, c * r * s)
+    if zero_out is None:
+        y = np.empty((n, k, ho, wo), dtype=dt)
+        live_out = slice(None)
+    else:
+        y = np.zeros((n, k, ho, wo), dtype=dt)
+    band = max(1, min(ho, _BLOCK_BYTES // max(1, c * r * s * wo * n * dt.itemsize)))
+    for oh in range(0, ho, band):
+        m = min(band, ho - oh)
+        prod = w2d @ taps[:, :, :, oh : oh + m].reshape(c * r * s, m * wo * n)
+        y[:, live_out, oh : oh + m] = prod.reshape(rows, m, wo, n).transpose(3, 0, 1, 2)
     if b is not None:
         y += b
     return y
 
 
-def conv2d(x: Tensor, w: Tensor, bias, spec: ConvSpec) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, bias, spec: ConvSpec, zero_in=None, zero_out=None) -> Tensor:
     """Convolve x with w under the given spec using conv2d_gemm.
 
-    bias is a length-k array or None. The summation order over input
-    channels is fixed; the order over taps within a channel is left to the
-    BLAS (see conv2d_gemm for why materialization stays bit-identical).
+    bias is a length-k array or None. zero_in and zero_out are conv2d_gemm's
+    optional masks of all-zero input channels and all-zero filters, which
+    graph.execute derives from the weights so that a masked model and its
+    materialization run the same GEMMs.
     """
     if w.shape != spec.weight_shape:
         raise TensorError(f"weight shape {w.shape} does not match {spec}")
@@ -405,7 +395,8 @@ def conv2d(x: Tensor, w: Tensor, bias, spec: ConvSpec) -> Tensor:
     if not spec.has_bias and bias is not None:
         raise TensorError("spec declares no bias but one was given")
     spec.out_hw(x.shape[2], x.shape[3])
-    return Tensor(conv2d_gemm(x.data, w.data, bias, spec.stride, spec.pad))
+    return Tensor._wrap(conv2d_gemm(x.data, w.data, bias, spec.stride, spec.pad,
+                                    zero_in, zero_out))
 
 
 def batch_norm_inference(x: Tensor, p: BnParams) -> Tensor:
@@ -415,18 +406,18 @@ def batch_norm_inference(x: Tensor, p: BnParams) -> Tensor:
     dt = x.dtype
     omega = p.omega(dt).reshape(1, -1, 1, 1)
     lam = p.lam(dt).reshape(1, -1, 1, 1)
-    return Tensor(x.data * omega + lam)
+    return Tensor._wrap(x.data * omega + lam)
 
 
 def elementwise_add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise TensorError(f"add shape mismatch: {a.shape} vs {b.shape}")
     _check_same_dtype(a.data, b.data)
-    return Tensor(a.data + b.data)
+    return Tensor._wrap(a.data + b.data)
 
 
 def relu(x: Tensor) -> Tensor:
-    return Tensor(np.maximum(x.data, x.dtype.type(0)))
+    return Tensor._wrap(np.maximum(x.data, x.dtype.type(0)))
 
 
 def concat_channels(tensors) -> Tensor:
@@ -439,12 +430,12 @@ def concat_channels(tensors) -> Tensor:
         if (t.shape[0], t.shape[2], t.shape[3]) != (first.shape[0], first.shape[2], first.shape[3]):
             raise TensorError(f"concat non-channel dims differ: {first.shape} vs {t.shape}")
     _check_same_dtype(*[t.data for t in tensors])
-    return Tensor(np.concatenate([t.data for t in tensors], axis=1))
+    return Tensor._wrap(np.concatenate([t.data for t in tensors], axis=1))
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
     """Mean over the spatial dims: (n, c, h, w) -> (n, c, 1, 1)."""
-    return Tensor(x.data.mean(axis=(2, 3), keepdims=True, dtype=x.dtype))
+    return Tensor._wrap(x.data.mean(axis=(2, 3), keepdims=True, dtype=x.dtype))
 
 
 def max_pool(x: Tensor, window, stride, pad) -> Tensor:
@@ -470,7 +461,7 @@ def max_pool(x: Tensor, window, stride, pad) -> Tensor:
         for j in range(s):
             np.maximum(y, rows[:, :, :, j : j + wspan : sw], out=y)
     # a window made entirely of padding would leave -inf behind; Tensor rejects it
-    return Tensor(y)
+    return Tensor._wrap(y)
 
 
 def fc_raw(x2d: np.ndarray, w2d: np.ndarray, bias) -> np.ndarray:
@@ -488,13 +479,19 @@ def fc_raw(x2d: np.ndarray, w2d: np.ndarray, bias) -> np.ndarray:
         raise TensorError(f"fc expects {fin_w} inputs, got {fin}")
     dt = _check_same_dtype(x2d, w2d)
     y = np.zeros((n, fout), dtype=dt)
-    block = _block_length(fin, n * fout * dt.itemsize)
+    block = max(1, min(fin, _BLOCK_BYTES // (n * fout * dt.itemsize)))
     stack = np.empty((block + 1, n, fout), dtype=dt)
     xt, wt = x2d.T, w2d.T
     for t in range(0, fin, block):
         m = min(block, fin - t)
         np.multiply(xt[t : t + m, :, None], wt[t : t + m, None, :], out=stack[1 : m + 1])
-        _add_in_order(y, stack, m)
+        if m == 1:
+            y += stack[1]
+            continue
+        # reducing over the leading axis of the C-contiguous stack adds whole
+        # (n, fout) slices in index order: the bits of m sequential adds
+        stack[0] = y
+        np.add.reduce(stack[: m + 1], axis=0, out=y)
     if bias is not None:
         b = np.asarray(bias).reshape(-1)
         if b.shape[0] != fout:
@@ -514,4 +511,4 @@ def fully_connected(x: Tensor, w: Tensor, bias) -> Tensor:
     if fin != fin_w:
         raise TensorError(f"fc weight expects {fin_w} inputs, tensor flattens to {fin}")
     y = fc_raw(x.data.reshape(n, fin), w.data.reshape(fout, fin_w), bias)
-    return Tensor(y.reshape(n, fout, 1, 1))
+    return Tensor._wrap(y.reshape(n, fout, 1, 1))

@@ -12,9 +12,8 @@ the (k, c*r*s) weights by its (c*r*s, ho*wo*n) window matrix
 output gradient times that matrix transposed (rebuilt in backward, so only
 the padded input is cached), and the input gradient is the transposed
 weights times the output gradient, added back onto the padded input one
-tap at a time (col2im). The accumulation order is the BLAS's: training
-needs no fixed order, only the inference kernels in tensor.py do. Results
-are deterministic at a fixed BLAS thread count.
+tap at a time (col2im). The accumulation order is the BLAS's, as in the
+inference conv. Results are deterministic at a fixed BLAS thread count.
 
 Batch norm runs in training mode here: unfrozen channels normalize with
 the current batch's statistics (biased variance) and update their stored
@@ -448,7 +447,7 @@ def sgd_step(g: Graph, grads, cfg: TrainConfig, velocity: dict) -> None:
             v = step if v is None else dt.type(cfg.momentum) * v + step
             velocity[key] = v
             node.params = dict(node.params)
-            node.params[pname] = Tensor(param - dt.type(cfg.lr) * v)
+            node.params[pname] = Tensor._wrap(param - dt.type(cfg.lr) * v)
 
 
 def train_epoch(g: Graph, dataset: SynthDataset, cfg: TrainConfig, epoch: int = 0,

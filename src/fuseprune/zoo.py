@@ -81,7 +81,7 @@ def _conv(nid, src, k, c, kernel, stride, dtype, tags):
     pad = (kernel - 1) // 2
     spec = ConvSpec(k=k, c=c, r=kernel, s=kernel, stride=(stride, stride), pad=(pad, pad))
     return Node(id=nid, kind="conv", inputs=[src], attrs={"spec": spec},
-                params={"weight": Tensor(np.zeros(spec.weight_shape, dtype))}, tags=list(tags))
+                params={"weight": Tensor._wrap(np.zeros(spec.weight_shape, dtype))}, tags=list(tags))
 
 
 def _bn(nid, src, c, dtype, tags):
@@ -160,14 +160,14 @@ def init_weights(g: Graph, seed: int) -> Graph:
             dtype = node.params["weight"].dtype
             std = np.sqrt(2.0 / (spec.c * spec.r * spec.s))
             w = (rng.standard_normal(spec.weight_shape) * std).astype(dtype)
-            node.params["weight"] = Tensor(w)
+            node.params["weight"] = Tensor._wrap(w)
             if spec.has_bias:
                 node.params["bias"] = Tensor(np.zeros((1, spec.k, 1, 1), dtype))
         elif node.kind == "fc":
             wt = node.params["weight"]
             fout, fin = wt.shape[0], wt.shape[1]
             std = np.sqrt(2.0 / fin)
-            node.params["weight"] = Tensor((rng.standard_normal((fout, fin, 1, 1)) * std).astype(wt.dtype))
+            node.params["weight"] = Tensor._wrap((rng.standard_normal((fout, fin, 1, 1)) * std).astype(wt.dtype))
             if "bias" in node.params:
                 node.params["bias"] = Tensor(np.zeros((1, fout, 1, 1), wt.dtype))
         elif node.kind == "bn":
