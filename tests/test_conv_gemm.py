@@ -6,7 +6,11 @@ from the dtype; exact-arithmetic cases (identity weights, the bias added
 after the sum) must be exact. Its zero_in and zero_out masks must make
 exactly the GEMM of the compacted operands: the bitwise promise of
 materialization rests on that and is tested at graph level in
-test_materialize_bitwise.py.
+test_materialize_bitwise.py. The test_dropping_* tests and
+test_zero_channel_and_dropped_filters_together check it kernel by kernel:
+masking all-zero input channels, any set of zeroized filters (every filter
+count from 1 to 80, kernels of 1, 3 and 7), or both, must give byte for
+byte the conv of the operands with those channels and filters deleted.
 
 fc_raw forms a block of inputs' products at once and adds them in input
 order. The block length follows tensor._BLOCK_BYTES and must change no
@@ -131,6 +135,132 @@ def test_masks_make_the_gemm_of_the_compacted_operands(monkeypatch, dt, stride, 
         want = conv2d_brute(x, w, b, stride, pad)
         scale = conv2d_brute(np.abs(x), np.abs(w), np.abs(b), stride, pad)
         assert np.all(np.abs(got - want) <= REL_TOL[dt] * scale)
+
+
+def zeroize_filters(w, b, dropped):
+    """Copies of w and b with the dropped filters set to zero, as pruning does."""
+    w, b = w.copy(), None if b is None else b.copy()
+    w[dropped] = 0
+    if b is not None:
+        b[dropped] = 0
+    return w, b
+
+
+def assert_dead_outputs_are_plus_zero(y, dropped):
+    dead = y[:, dropped]
+    assert not np.any(dead) and not np.any(np.signbit(dead))
+
+
+@pytest.mark.parametrize("dt", DTYPES)
+@pytest.mark.parametrize("stride,pad", GEOMETRIES)
+def test_dropping_zero_input_channel_is_bit_exact(dt, stride, pad):
+    rng = np.random.default_rng(1)
+    for c in (2, 3, 5, 16):
+        for zero in {0, c // 2, c - 1}:
+            x = rand(rng, (2, c, 7, 6), dt)
+            x[:, zero] = 0.0
+            w = rand(rng, (9, c, 3, 3), dt)
+            zero_in = np.zeros(c, bool)
+            zero_in[zero] = True
+            keep = np.flatnonzero(~zero_in)
+            full = conv2d_gemm(x, w, None, stride, pad, zero_in, None)
+            dropped = conv2d_gemm(x[:, keep], w[:, keep], None, stride, pad)
+            assert bits_equal(full, dropped), (c, zero)
+
+
+@pytest.mark.parametrize("dt", DTYPES)
+@pytest.mark.parametrize("stride,pad", GEOMETRIES)
+def test_dropping_filters_is_bit_exact(dt, stride, pad):
+    # every filter count from 1 to 80; the spatial sizes give output column
+    # counts from 1 upwards, odd and even, so partial BLAS tiles occur, and
+    # one kept filter makes a one-row GEMM
+    rng = np.random.default_rng(2)
+    for k in range(1, 81):
+        n = int(rng.integers(1, 3))
+        c = int(rng.integers(1, 5))
+        hw = int(rng.integers(3, 12))
+        x = rand(rng, (n, c, hw, hw + 1), dt)
+        w = rand(rng, (k, c, 3, 3), dt)
+        b = rand(rng, k, dt)
+        for keep_n in {1, max(1, k // 2), k - 1} - {0}:
+            keep = np.sort(rng.choice(k, keep_n, replace=False))
+            dropped = np.ones(k, bool)
+            dropped[keep] = False
+            full = conv2d_gemm(x, *zeroize_filters(w, b, dropped), stride, pad, None, dropped)
+            part = conv2d_gemm(x, w[keep], b[keep], stride, pad)
+            assert bits_equal(part, np.ascontiguousarray(full[:, keep])), (k, keep_n)
+            assert_dead_outputs_are_plus_zero(full, dropped)
+
+
+@pytest.mark.parametrize("dt", DTYPES)
+@pytest.mark.parametrize("kernel", (1, 7))
+def test_dropping_filters_is_bit_exact_other_kernel_sizes(dt, kernel):
+    rng = np.random.default_rng(3)
+    for k in (1, 2, 3, 7, 16, 33, 64):
+        for hw in (kernel, kernel + 2, kernel + 7):
+            x = rand(rng, (1, 3, hw, hw), dt)
+            w = rand(rng, (k, 3, kernel, kernel), dt)
+            for stride, pad in GEOMETRIES:
+                if (hw + 2 * pad[0] - kernel) < 0 or (hw + 2 * pad[1] - kernel) < 0:
+                    continue
+                keep = np.sort(rng.choice(k, max(1, k - 1 - k // 3), replace=False))
+                dropped = np.ones(k, bool)
+                dropped[keep] = False
+                wz, _ = zeroize_filters(w, None, dropped)
+                full = conv2d_gemm(x, wz, None, stride, pad, None, dropped)
+                part = conv2d_gemm(x, w[keep], None, stride, pad)
+                assert bits_equal(part, np.ascontiguousarray(full[:, keep])), (k, hw)
+                assert_dead_outputs_are_plus_zero(full, dropped)
+
+
+@pytest.mark.parametrize("dt", DTYPES)
+def test_zero_channel_and_dropped_filters_together(dt):
+    # materialization removes a conv's zeroized filters and, downstream,
+    # the input channels they fed; both at once must still be exact
+    rng = np.random.default_rng(4)
+    zero_in = np.isin(np.arange(12), (1, 6, 11))
+    zero_out = np.isin(np.arange(24), (0, 5, 9, 17))
+    live_c, live_k = np.flatnonzero(~zero_in), np.flatnonzero(~zero_out)
+    for stride, pad in GEOMETRIES:
+        for n in (3, 32):
+            x = rand(rng, (n, 12, 9, 9), dt)
+            x[:, zero_in] = 0.0
+            w = rand(rng, (24, 12, 3, 3), dt)
+            w[zero_out] = 0.0
+            full = conv2d_gemm(x, w, None, stride, pad, zero_in, zero_out)
+            small = conv2d_gemm(x[:, live_c], w[live_k][:, live_c], None, stride, pad)
+            assert bits_equal(small, np.ascontiguousarray(full[:, live_k])), n
+            assert_dead_outputs_are_plus_zero(full, zero_out)
+
+
+@pytest.mark.parametrize("dt", DTYPES)
+@pytest.mark.parametrize("stride,pad", GEOMETRIES)
+def test_removal_is_bit_exact_when_the_block_length_changes(monkeypatch, dt, stride, pad):
+    # the band of output rows is sized from the live channels, so deleting
+    # channels changes it; a masked call must size it as its compacted twin
+    rng = np.random.default_rng(13)
+    zero_in = np.isin(np.arange(12), (1, 6, 11))
+    zero_out = np.isin(np.arange(24), (0, 5, 9, 17))
+    live_c, live_k = np.flatnonzero(~zero_in), np.flatnonzero(~zero_out)
+    x = rand(rng, (2, 12, 9, 9), dt)
+    x[:, zero_in] = 0.0
+    w = rand(rng, (24, 12, 3, 3), dt)
+    w[zero_out] = 0.0
+    wo = (9 + 2 * pad[1] - 3) // stride[1] + 1
+    row_bytes = 9 * wo * 2 * np.dtype(dt).itemsize  # per channel of one output row
+    # bands of 2 rows over the 9 live channels, of 1 row over all 12
+    budget = 2 * 9 * row_bytes
+    assert budget // (9 * row_bytes) == 2 and budget // (12 * row_bytes) == 1
+    monkeypatch.setattr(tensor, "_BLOCK_BYTES", budget)
+    no_filters = conv2d_gemm(x, w, None, stride, pad, None, zero_out)
+    no_channels = conv2d_gemm(x, w, None, stride, pad, zero_in, None)
+    both = conv2d_gemm(x, w, None, stride, pad, zero_in, zero_out)
+    assert bits_equal(np.ascontiguousarray(no_filters[:, live_k]),
+                      conv2d_gemm(x, w[live_k], None, stride, pad))
+    assert bits_equal(no_channels, conv2d_gemm(x[:, live_c], w[:, live_c], None, stride, pad))
+    assert bits_equal(np.ascontiguousarray(both[:, live_k]),
+                      conv2d_gemm(x[:, live_c], w[live_k][:, live_c], None, stride, pad))
+    assert_dead_outputs_are_plus_zero(both, zero_out)
 
 
 @pytest.mark.parametrize("dt", DTYPES)
