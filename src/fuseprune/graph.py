@@ -14,8 +14,8 @@ input_shape fixes (c, h, w) and a nominal batch size used for validation.
 
 Execution also carries, node by node, the output channels that are exactly
 zero for every input, derived from the weights alone (_zero_channels), and
-each conv leaves those input channels and its own all-zero filters out of
-its GEMMs. This is what makes materialization bit-identical: a soft-pruned
+each conv leaves out of its GEMMs those input channels and its filters
+that are zero on all the others. This is what makes materialization bit-identical: a soft-pruned
 model and the model with those channels deleted run the same GEMMs on the
 same operands, so they agree as long as the BLAS gives identical calls
 identical bits at a fixed thread count.
@@ -343,16 +343,22 @@ def _zero_channels(node: Node, zero_in: list, dt) -> np.ndarray | None:
 
     A bool mask over the channels, or None when none are known to be zero.
     zero_in holds the masks of node's inputs; only weights are read, never
-    activations. The marks are exact, not guesses: a conv filter whose
-    weights and bias are all zero gives +0 (conv2d writes it so), bn maps an
-    exact zero to omega * 0 + lam, which is a zero when lam is (in the dtype
-    the kernel computes lam in), relu and the pools keep zeros, and an add
-    gives a zero where both operands are zero. concat, fc and the input are
-    left unmarked.
+    activations. The marks are exact, not guesses: a conv filter whose bias
+    is zero and whose weights are zero on every input channel not already
+    marked gives +0 (conv2d writes it so), bn maps an exact zero to
+    omega * 0 + lam, which is a zero when lam is (in the dtype the kernel
+    computes lam in), relu and the pools keep zeros, and an add gives a zero
+    where both operands are zero. concat, fc and the input are left
+    unmarked.
+
+    A conv's filters are judged on its live input channels only, because
+    materialize deletes the others: a filter whose weights sit only on
+    removed channels is all zero in the materialized model, so the masked
+    model must mark it too, or the two would run GEMMs of different shapes.
     """
     kind = node.kind
     if kind == "conv":
-        zero = node.params["weight"].zero_rows()
+        zero = node.params["weight"].zero_rows(zero_in[0])
         if zero is None:
             return None
         if node.attrs["spec"].has_bias:

@@ -47,9 +47,6 @@ class TensorError(ValueError):
     """Malformed tensor contents or a kernel shape/parameter violation."""
 
 
-_UNSET = object()
-
-
 class Tensor:
     """Immutable dense 4-D array of finite float32 or float64 values.
 
@@ -85,23 +82,30 @@ class Tensor:
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "_zero_rows", _UNSET)
+        object.__setattr__(self, "_zero_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
 
-    def zero_rows(self) -> np.ndarray | None:
+    def zero_rows(self, skip=None) -> np.ndarray | None:
         """Read-only bool mask over axis 0 of the slices that are all exactly
         zero, or None when there are none.
 
-        Computed on first use and kept, since the data never changes; for a
-        conv weight it marks the all-zero filters.
+        skip, an optional bool mask over axis 1, leaves the entries it marks
+        out of the test: for a conv weight and the input channels known to
+        be zero, the result marks the filters that read nothing else. Each
+        result is computed on first use and kept per skip mask, since the
+        data never changes.
         """
-        if self._zero_rows is _UNSET:
-            zero = ~self.data.reshape(self.shape[0], -1).any(axis=1)
+        if self._zero_rows is None:
+            object.__setattr__(self, "_zero_rows", {})
+        key = None if skip is None else skip.tobytes()
+        if key not in self._zero_rows:
+            data = self.data if skip is None else self.data[:, ~skip]
+            zero = ~data.reshape(self.shape[0], -1).any(axis=1)
             zero.setflags(write=False)
-            object.__setattr__(self, "_zero_rows", zero if zero.any() else None)
-        return self._zero_rows
+            self._zero_rows[key] = zero if zero.any() else None
+        return self._zero_rows[key]
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -335,11 +339,13 @@ def conv2d_gemm(x: np.ndarray, w: np.ndarray, bias, stride, pad,
     zero_in and zero_out are optional length-c and length-k bool masks.
     zero_in marks input channels the caller knows to be all exactly zero:
     they are left out of the GEMMs, which changes the result only by
-    rounding. zero_out marks filters whose weights and bias are all zero:
-    they are left out of the GEMMs and their outputs are written as +0. Two
-    calls whose live channels and filters hold the same values therefore
-    make the same GEMMs, whatever else sits beside them, and that is what
-    keeps materialization bit-identical (see the module docstring).
+    rounding. zero_out marks filters whose bias is zero and whose weights
+    are zero on every live input channel: they are left out of the GEMMs
+    and their outputs are written as +0. Two calls whose live channels and
+    filters hold the same values therefore make the same GEMMs, whatever
+    else sits beside them, and that is what keeps materialization
+    bit-identical (see the module docstring). With either mask the live
+    weights are copied out on every call.
 
     The input is padded once into a (c', h, w, n) buffer
     (pad_batch_innermost), so the window matrix's columns run (ho, wo, n)
@@ -382,7 +388,7 @@ def conv2d(x: Tensor, w: Tensor, bias, spec: ConvSpec, zero_in=None, zero_out=No
     """Convolve x with w under the given spec using conv2d_gemm.
 
     bias is a length-k array or None. zero_in and zero_out are conv2d_gemm's
-    optional masks of all-zero input channels and all-zero filters, which
+    optional masks of all-zero input channels and dead filters, which
     graph.execute derives from the weights so that a masked model and its
     materialization run the same GEMMs.
     """

@@ -63,6 +63,17 @@ def zero_marks(g, x):
     return marks
 
 
+def assert_same_live_counts(masked, small, x):
+    """Every node has as many unmarked channels in the masked graph as in its
+    materialization, so each conv's GEMM has the same shape on both sides."""
+    live = {}
+    for side, g in (("masked", masked), ("small", small)):
+        shapes, marks = graph.validate(g), zero_marks(g, x)
+        live[side] = {nid: shapes[nid][1] - (0 if m is None else int(m.sum()))
+                      for nid, m in marks.items()}
+    assert live["masked"] == live["small"]
+
+
 @pytest.mark.parametrize("dtype", ("f32", "f64"))
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_zoo_masked_equals_materialized(family, dtype):
@@ -79,6 +90,7 @@ def test_zoo_masked_equals_materialized(family, dtype):
         fused, report = fuse(g, option)
         for mode, rate in SCENARIOS:
             masked, res = pruned_pair(fused, report, mode, rate)
+            assert_same_live_counts(masked, res.graph, x1)
             for x in (x32, x1) if option in (options[0], options[-1]) else (x1,):
                 assert same_bytes(execute(masked, x), execute(res.graph, x)), (option, mode, rate)
             removed += sum(rec["removed"] for rec in res.summary)
@@ -102,6 +114,37 @@ def test_blocked_conv_is_compacted_on_both_sides():
         for side in marks.values():
             assert list(np.flatnonzero(side[rec["conv"]])) == zeroed
     assert same_bytes(execute(masked, x), execute(res.graph, x))
+
+
+@pytest.mark.parametrize("dtype", ("f32", "f64"))
+@pytest.mark.parametrize("family", ("resnet8-tiny", "resnet20"))
+def test_passthrough_of_a_removed_stem_channel_is_dead_on_both_sides(family, dtype):
+    # With the first block fused, conv1' filter c1 + j is a passthrough that
+    # reads only stem channel j. Shrinking the block's own filters lets every
+    # passthrough win the norm contest, while continued pruning zeroizes some
+    # stem filters j. materialize deletes conv1' input channel j, which leaves
+    # filter c1 + j all zero, so the masked graph must mark it dead as well.
+    hw = zoo_hw(family)
+    g = build(ZooSpec(family, input_shape=(1, 3, hw, hw), dtype=dtype, seed=3))
+    fid = "stage1.block1.conv1"
+    c1 = g.node(fid).attrs["spec"].k
+    g.node(fid).params["weight"] = Tensor(g.node(fid).params["weight"].data * 0.01)
+    fused, report = fuse(g, f"1/{len(FAMILIES[family].stages)}")
+    masked, res = pruned_pair(fused, report, "continued", 0.3)
+    stem_dead = np.flatnonzero(masked.node("conv1").params["weight"].zero_rows())
+    zeroized = masked.node(fid).params["weight"].zero_rows()
+    passthrough = c1 + stem_dead
+    assert len(stem_dead) > 0 and not zeroized[passthrough].any()
+    x = Tensor(np.random.default_rng(9).standard_normal((32, 3, hw, hw)) * INPUT_SCALE,
+               DTYPE_FROM_NAME[dtype])
+    kept = np.flatnonzero(~zeroized)
+    assert list(np.flatnonzero(zero_marks(masked, x)[fid])) == sorted(
+        np.flatnonzero(zeroized).tolist() + passthrough.tolist())
+    assert list(np.flatnonzero(zero_marks(res.graph, x)[fid])) == list(
+        np.searchsorted(kept, passthrough))
+    assert_same_live_counts(masked, res.graph, x)
+    for xb in (x, Tensor(x.data[:1])):
+        assert same_bytes(execute(masked, xb), execute(res.graph, xb))
 
 
 def chance_zero_graph(rng, dt, shift):

@@ -44,3 +44,18 @@ def test_zero_rows_marks_all_zero_filters_once():
     assert not zero.flags.writeable
     assert t.zero_rows() is zero
     assert Tensor(np.ones((2, 1, 1, 1), np.float32)).zero_rows() is None
+
+
+def test_zero_rows_can_skip_input_channels():
+    # filter 0 reads only input channel 1, filter 1 reads both
+    w = np.zeros((3, 2, 1, 1), np.float32)
+    w[0, 1] = 1
+    w[1] = 2
+    t = Tensor(w)
+    skip = np.array([False, True])
+    zero = t.zero_rows(skip)
+    assert zero.tolist() == [True, False, True]
+    assert t.zero_rows(skip.copy()) is zero
+    assert t.zero_rows().tolist() == [False, False, True]
+    assert t.zero_rows(np.array([False, False])).tolist() == [False, False, True]
+    assert t.zero_rows(np.array([True, True])).tolist() == [True, True, True]
