@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, Node, bn_params, validate
+from .graph import Graph, Node, _conv_bias, bn_params, validate
 from .tensor import ConvSpec, Tensor
 
 OMEGA_MIN = 1e-3
@@ -382,12 +382,6 @@ def _extend_bn_identity(bn: Node, extra: int) -> None:
     bn.attrs["frozen"] = tuple(old) + tuple([1] * extra)
 
 
-def _conv_bias_vec(node: Node):
-    if node.attrs["spec"].has_bias:
-        return node.params["bias"].data.reshape(-1)
-    return None
-
-
 def _provably_nonneg(g: Graph, nid: str) -> bool:
     """True when the node's output is non-negative by construction: a relu,
     or a max/avg pool or concat fed only by provably non-negative nodes."""
@@ -486,7 +480,7 @@ def _fuse_block(g: Graph, match: BlockMatch, with_bn: bool, assume_nonneg: bool)
     else:
         sc = g.nodes[match.shortcut_conv]
         ws = sc.params["weight"].data.astype(np.float64)
-        bs = _conv_bias_vec(sc)
+        bs = _conv_bias(sc)
         bs = np.zeros(k2, np.float64) if bs is None else bs.astype(np.float64)
         if match.shortcut_bn is not None:
             sp = bn_params(g.nodes[match.shortcut_bn])
@@ -503,7 +497,7 @@ def _fuse_block(g: Graph, match: BlockMatch, with_bn: bool, assume_nonneg: bool)
 
     new_w2 = Tensor._wrap(np.concatenate(
         [conv2.params["weight"].data, aux.data.astype(dtype, copy=False)], axis=1))
-    b2 = _conv_bias_vec(conv2)
+    b2 = _conv_bias(conv2)
     if extra_bias is not None and np.any(extra_bias != 0):
         new_b2 = extra_bias if b2 is None else b2.astype(np.float64) + extra_bias
     else:
@@ -672,7 +666,7 @@ def fold_bn(g: Graph) -> Graph:
         lam = p.lam(np.float64)
         w = (src.params["weight"].data.astype(np.float64)
              * omega[:, None, None, None]).astype(dtype, copy=False)
-        b = _conv_bias_vec(src)
+        b = _conv_bias(src)
         b = np.zeros(spec.k, np.float64) if b is None else b.astype(np.float64)
         b = (omega * b + lam).astype(dtype, copy=False)
         src.params = dict(src.params)

@@ -15,7 +15,9 @@ input_shape fixes (c, h, w) and a nominal batch size used for validation.
 Execution also carries, node by node, the output channels that are exactly
 zero for every input, derived from the weights alone (_zero_channels), and
 each conv leaves out of its GEMMs those input channels and its filters
-that are zero on all the others. This is what makes materialization bit-identical: a soft-pruned
+that are zero on all the others. An fc runs as a 1x1 conv over its
+flattened input, whose marks are its input channels' marks repeated over
+h*w. This is what makes materialization bit-identical: a soft-pruned
 model and the model with those channels deleted run the same GEMMs on the
 same operands, so they agree as long as the BLAS gives identical calls
 identical bits at a fixed thread count.
@@ -52,8 +54,8 @@ from .tensor import (
     batch_norm_inference,
     concat_channels,
     conv2d,
+    conv2d_gemm,
     elementwise_add,
-    fully_connected,
     global_avg_pool,
     max_pool,
     relu,
@@ -183,9 +185,9 @@ def bn_params(node: Node) -> BnParams:
 
 
 def _conv_bias(node: Node):
-    if node.attrs["spec"].has_bias:
-        return node.params["bias"].data.reshape(-1)
-    return None
+    """A conv or fc node's bias as a 1-D array, or None when it has none."""
+    has_bias = node.attrs["spec"].has_bias if node.kind == "conv" else "bias" in node.params
+    return node.params["bias"].data.reshape(-1) if has_bias else None
 
 
 _ARITY = {"input": 0, "output": 1, "conv": 1, "bn": 1, "relu": 1, "add": 2,
@@ -398,8 +400,14 @@ def _eval_node(node: Node, args: list[Tensor], zero_in, zero_out) -> Tensor:
     if kind == "gavgpool":
         return global_avg_pool(args[0])
     if kind == "fc":
-        bias = node.params["bias"].data.reshape(-1) if "bias" in node.params else None
-        return fully_connected(args[0], node.params["weight"], bias)
+        # a 1x1 conv over the flattened input, whose channel marks cover h*w
+        # inputs each, so a masked fc multiplies what its materialization does
+        n, c, h, w = args[0].shape
+        if zero_in is not None:
+            zero_in = np.repeat(zero_in, h * w)
+        x = args[0].data.reshape(n, c * h * w, 1, 1)
+        return Tensor._wrap(conv2d_gemm(x, node.params["weight"], _conv_bias(node),
+                                        (1, 1), (0, 0), zero_in))
     raise GraphError(f"cannot execute kind {kind}")
 
 
@@ -410,9 +418,9 @@ def execute(g: Graph, x: Tensor, timings: dict[str, float] | None = None) -> Ten
     the declared input_shape. When `timings` is given, the wall time of each
     node's kernel is added to it keyed by node id.
 
-    Every conv leaves out of its GEMMs the input channels and filters that
-    _zero_channels proves exactly zero from the weights (see the module
-    docstring).
+    Every conv, and every fc as a 1x1 conv, leaves out of its GEMMs the
+    input channels and filters that _zero_channels proves exactly zero from
+    the weights (see the module docstring).
     """
     order = _validated_order(g)
     if tuple(x.shape[1:]) != tuple(g.input_shape[1:]):

@@ -130,8 +130,8 @@ def filter_l2_norms(w: Tensor) -> np.ndarray:
     binary64: norm_k = sqrt(sum of squared entries of filter k)."""
     if len(w.shape) != 4:
         raise PruneError(f"filter norms need a 4-D weight tensor, got {w.shape}")
-    flat = w.data.astype(np.float64).reshape(w.shape[0], -1)
-    return np.sqrt(np.sum(flat * flat, axis=1))
+    flat = w.data.reshape(w.shape[0], -1)
+    return np.sqrt(np.sum(np.square(flat, dtype=np.float64), axis=1))
 
 
 def select_prune_indices(norms: np.ndarray, count: int, tie_break: str = "low_index") -> list[int]:

@@ -18,14 +18,22 @@ count. The kernels meet it as follows:
   output rows. Dead filters are written back as +0 at full width, so every
   other kernel sees the same shapes as before. The order of the c*r*s
   terms of a dot product is the BLAS's.
+* Dead taps. conv2d_gemm also leaves out the kernel taps that read only
+  padding: live_taps works out their hull from the geometry alone, so a
+  masked model and its materialization, which share every geometry, drop
+  the same taps. The dropped terms are w * (+0). A weight Tensor keeps its
+  tap-restricted copy per window, so no call gathers it twice.
 * conv2d_raw keeps the full sequential (input channel, kernel row, kernel
   column) order. It is the reference the brute-force oracle pins bit for
   bit, and conv2d_gemm is tested against it and the oracle.
-* fc_raw accumulates sequentially over inputs, so an all-zero input column
-  leaves the sum as it is: an fc after removed channels needs no
-  compaction. It forms the products of a block of inputs in one call, then
-  adds them to the accumulator one at a time in input order; _BLOCK_BYTES
-  caps a block's buffers and changes no bit.
+* graph.execute runs every fc as a 1x1-conv GEMM (conv2d_gemm) over the
+  (n, c*h*w, 1, 1) view of its input, compacted by the input channels'
+  zero marks repeated over h*w, so a masked fc multiplies the operands its
+  materialization does. fc_raw, which accumulates sequentially over
+  inputs, and fully_connected on it are the reference the brute-force
+  oracle pins bit for bit; fc_raw adds a block of inputs' products one at
+  a time in input order, and _BLOCK_BYTES caps a block's buffers and
+  changes no bit.
 * The trainer's conv uses conv2d_gemm's padded layout and window view.
 
 float32 is the working precision; float64 is supported throughout for
@@ -54,7 +62,7 @@ class Tensor:
     caller's array stays writable and unshared.
     """
 
-    __slots__ = ("data", "_zero_rows")
+    __slots__ = ("data", "_cache")
 
     def __init__(self, data, dtype=None):
         self._adopt(np.array(data, dtype=dtype, order="C"))
@@ -82,10 +90,20 @@ class Tensor:
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "_zero_rows", None)
+        object.__setattr__(self, "_cache", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
+
+    def _cached(self, key, make):
+        """make(), computed on first use and kept under key: the data never
+        changes. The dict is made on first use, so tensors that are never
+        asked, such as activations, carry none."""
+        if self._cache is None:
+            object.__setattr__(self, "_cache", {})
+        if key not in self._cache:
+            self._cache[key] = make()
+        return self._cache[key]
 
     def zero_rows(self, skip=None) -> np.ndarray | None:
         """Read-only bool mask over axis 0 of the slices that are all exactly
@@ -94,18 +112,30 @@ class Tensor:
         skip, an optional bool mask over axis 1, leaves the entries it marks
         out of the test: for a conv weight and the input channels known to
         be zero, the result marks the filters that read nothing else. Each
-        result is computed on first use and kept per skip mask, since the
-        data never changes.
+        result is kept per skip mask.
         """
-        if self._zero_rows is None:
-            object.__setattr__(self, "_zero_rows", {})
-        key = None if skip is None else skip.tobytes()
-        if key not in self._zero_rows:
+        def make():
             data = self.data if skip is None else self.data[:, ~skip]
             zero = ~data.reshape(self.shape[0], -1).any(axis=1)
             zero.setflags(write=False)
-            self._zero_rows[key] = zero if zero.any() else None
-        return self._zero_rows[key]
+            return zero if zero.any() else None
+
+        return self._cached(("zero_rows", None if skip is None else skip.tobytes()), make)
+
+    def taps(self, rows: slice, cols: slice) -> np.ndarray:
+        """A read-only C-ordered copy of this conv weight's [:, :, rows, cols]
+        (slices with a start and a stop), kept per window.
+
+        conv2d_gemm multiplies only the taps that read a real input; caching
+        the slice spares it a gather that reads the whole weight on every
+        call.
+        """
+        def make():
+            sub = _gather_taps(self.data, rows, cols)
+            sub.setflags(write=False)
+            return sub
+
+        return self._cached(("taps", rows.start, rows.stop, cols.start, cols.stop), make)
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -320,32 +350,72 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, bias, stride, pad) -> np.ndarray:
 
 # Caps the window matrix of one conv2d_gemm GEMM and the products fc_raw
 # forms per block of inputs: larger buffers spill out of cache and slow the
-# kernels down.
+# kernels down. conv2d_gemm sizes its bands from the compacted K, so
+# deleting channels or dead taps can change a band but never makes two
+# calls on equal operands differ.
 _BLOCK_BYTES = 512 * 1024
 
 
-def conv2d_gemm(x: np.ndarray, w: np.ndarray, bias, stride, pad,
+def live_taps(size: int, kernel: int, stride: int, pad: int, out: int) -> slice:
+    """The kernel offsets along one axis that may read a real input.
+
+    Offset i of output position o reads padded index stride*o + i, which is
+    a real input when pad <= stride*o + i < pad + size. Over o in [0, out),
+    that can hold only for i in [pad - stride*(out - 1), pad + size); the
+    result clips that to the kernel. It is a hull, not the exact set: with
+    a stride wider than the input, an offset inside it may still read only
+    padding, and a stride wider than the padded input can leave it empty.
+    Every offset outside it reads padding alone, so its terms are w * (+0)
+    and leaving them out changes the sum by rounding only.
+    """
+    stop = min(kernel, pad + size)
+    return slice(min(stop, max(0, pad - stride * (out - 1))), stop)
+
+
+def _gather_taps(w: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """A C-ordered copy of w[:, :, rows, cols] for a (k, c, r, s) weight.
+
+    One take over the flat (c, r, s) axis: for a 2x2 window of a 3x3 kernel
+    about three times faster than copying the strided slice.
+    """
+    k, c, r, s = w.shape
+    idx = (np.arange(c)[:, None, None] * (r * s)
+           + np.arange(rows.start, rows.stop)[None, :, None] * s
+           + np.arange(cols.start, cols.stop)[None, None, :])
+    return w.reshape(k, c * r * s).take(idx.reshape(-1), axis=1).reshape(
+        k, c, rows.stop - rows.start, cols.stop - cols.start)
+
+
+def conv2d_gemm(x: np.ndarray, w, bias, stride, pad,
                 zero_in=None, zero_out=None) -> np.ndarray:
     """2-D convolution as im2col GEMMs; conv2d_raw's semantics.
 
-    The (k', c'*r*s) matrix of the live filters over the live input
-    channels multiplies the (c'*r*s, ho*wo*n) matrix of those channels'
-    input windows; the bias, when present, is added once at the end. Inputs
-    are validated and rejected exactly as by conv2d_raw. The window matrix
-    is built and multiplied a band of output rows at a time, as many rows
-    as fit in _BLOCK_BYTES (one band for most layers at batch 1); the band
-    depends only on c', r, s, wo, n and the dtype.
+    The (k', c'*r'*s') matrix of the live filters over the live input
+    channels and live taps multiplies the (c'*r'*s', ho*wo*n) matrix of
+    those channels' input windows at those taps; the bias, when present, is
+    added once at the end. Inputs are validated and rejected exactly as by
+    conv2d_raw. The window matrix is built and multiplied a band of output
+    rows at a time, as many rows as fit in _BLOCK_BYTES (one band for most
+    layers at batch 1); the band depends only on c', r', s', wo, n and the
+    dtype.
+
+    The live taps are the hull live_taps works out from the geometry alone
+    (h, w, r, s, stride, pad, ho, wo): a 3x3 pad-1 conv on a 1x1 map
+    multiplies its center tap only. w is a (k, c, r, s) array or a weight
+    Tensor. When the hull is a strict part of the kernel, a Tensor gives
+    the weights of those taps from its cache (Tensor.taps) and an array is
+    gathered anew on every call.
 
     zero_in and zero_out are optional length-c and length-k bool masks.
     zero_in marks input channels the caller knows to be all exactly zero:
     they are left out of the GEMMs, which changes the result only by
     rounding. zero_out marks filters whose bias is zero and whose weights
     are zero on every live input channel: they are left out of the GEMMs
-    and their outputs are written as +0. Two calls whose live channels and
-    filters hold the same values therefore make the same GEMMs, whatever
-    else sits beside them, and that is what keeps materialization
+    and their outputs are written as +0. Two calls whose live channels,
+    filters and taps hold the same values therefore make the same GEMMs,
+    whatever else sits beside them, and that is what keeps materialization
     bit-identical (see the module docstring). With either mask the live
-    weights are copied out on every call.
+    weights are copied out of the (tap-restricted) weights on every call.
 
     The input is padded once into a (c', h, w, n) buffer
     (pad_batch_innermost), so the window matrix's columns run (ho, wo, n)
@@ -353,12 +423,21 @@ def conv2d_gemm(x: np.ndarray, w: np.ndarray, bias, stride, pad,
     each band's product is transposed into the (n, k, ho, wo) output.
 
     Results agree with conv2d_raw to rounding, not bit for bit: the order of
-    the c'*r*s terms of each dot product is the BLAS's.
+    the c'*r'*s' terms of each dot product is the BLAS's.
     """
-    n = x.shape[0]
+    weight = w if isinstance(w, Tensor) else None
+    if weight is not None:
+        w = weight.data
+    n, _, h, wd = x.shape
     k, _, r, s = w.shape
     dt, ho, wo = _conv_geometry(x, w, stride, pad)
     b = _filter_bias(bias, k, x)
+    tap_rows = live_taps(h, r, stride[0], pad[0], ho)
+    tap_cols = live_taps(wd, s, stride[1], pad[1], wo)
+    hull = tap_rows.stop - tap_rows.start, tap_cols.stop - tap_cols.start
+    if hull != (r, s):
+        w = (weight.taps(tap_rows, tap_cols) if weight is not None
+             else _gather_taps(w, tap_rows, tap_cols))
     # take, unlike fancy indexing on axis 1, copies straight into C order
     if zero_out is not None:
         live_out = np.flatnonzero(~zero_out)
@@ -367,17 +446,24 @@ def conv2d_gemm(x: np.ndarray, w: np.ndarray, bias, stride, pad,
         live_in = np.flatnonzero(~zero_in)
         x, w = x.take(live_in, axis=1), w.take(live_in, axis=1)
     rows, c = w.shape[:2]
-    taps = batch_innermost_windows(pad_batch_innermost(x, pad), r, s, stride)
-    w2d = w.reshape(rows, c * r * s)
+    depth = c * hull[0] * hull[1]
+    windows = batch_innermost_windows(pad_batch_innermost(x, pad), r, s, stride)
+    windows = windows[:, tap_rows, tap_cols]
+    w2d = w.reshape(rows, depth)
     if zero_out is None:
         y = np.empty((n, k, ho, wo), dtype=dt)
         live_out = slice(None)
     else:
         y = np.zeros((n, k, ho, wo), dtype=dt)
-    band = max(1, min(ho, _BLOCK_BYTES // max(1, c * r * s * wo * n * dt.itemsize)))
+    band = max(1, min(ho, _BLOCK_BYTES // max(1, depth * wo * n * dt.itemsize)))
     for oh in range(0, ho, band):
         m = min(band, ho - oh)
-        prod = w2d @ taps[:, :, :, oh : oh + m].reshape(c * r * s, m * wo * n)
+        # a copy even where a reshape could be a strided view (a single
+        # tap), so the BLAS sees the layout a kernel of those taps alone
+        # gives; freed before the next band's is made, so that one reuses
+        # its memory instead of faulting in fresh pages
+        prod = w2d @ np.ascontiguousarray(
+            windows[:, :, :, oh : oh + m].reshape(depth, m * wo * n))
         y[:, live_out, oh : oh + m] = prod.reshape(rows, m, wo, n).transpose(3, 0, 1, 2)
     if b is not None:
         y += b
@@ -390,7 +476,9 @@ def conv2d(x: Tensor, w: Tensor, bias, spec: ConvSpec, zero_in=None, zero_out=No
     bias is a length-k array or None. zero_in and zero_out are conv2d_gemm's
     optional masks of all-zero input channels and dead filters, which
     graph.execute derives from the weights so that a masked model and its
-    materialization run the same GEMMs.
+    materialization run the same GEMMs. Where the geometry leaves kernel
+    taps that read only padding, w keeps the weights of the others cached
+    (Tensor.taps).
     """
     if w.shape != spec.weight_shape:
         raise TensorError(f"weight shape {w.shape} does not match {spec}")
@@ -401,7 +489,7 @@ def conv2d(x: Tensor, w: Tensor, bias, spec: ConvSpec, zero_in=None, zero_out=No
     if not spec.has_bias and bias is not None:
         raise TensorError("spec declares no bias but one was given")
     spec.out_hw(x.shape[2], x.shape[3])
-    return Tensor._wrap(conv2d_gemm(x.data, w.data, bias, spec.stride, spec.pad,
+    return Tensor._wrap(conv2d_gemm(x.data, w, bias, spec.stride, spec.pad,
                                     zero_in, zero_out))
 
 
@@ -471,13 +559,16 @@ def max_pool(x: Tensor, window, stride, pad) -> Tensor:
 
 
 def fc_raw(x2d: np.ndarray, w2d: np.ndarray, bias) -> np.ndarray:
-    """Dense layer on flattened rows, accumulated sequentially over inputs.
+    """Reference dense layer on flattened rows, accumulated sequentially
+    over inputs.
 
     y(n, o) = sum over t of x(n, t) * w(o, t), bias added after the sum.
-    The summation order is fixed so that removing an all-zero input column
-    leaves the surviving partial sums unchanged: the (n, out) products of a
-    block of inputs are formed in one broadcast multiply and added to the
-    sum one input at a time, in input order, whatever the block length.
+    The summation order is fixed, so it equals the brute-force oracle bit
+    for bit and removing an all-zero input column leaves the surviving
+    partial sums unchanged: the (n, out) products of a block of inputs are
+    formed in one broadcast multiply and added to the sum one input at a
+    time, in input order, whatever the block length. Graph execution runs
+    fc as a 1x1-conv GEMM instead (see the module docstring).
     """
     n, fin = x2d.shape
     fout, fin_w = w2d.shape
@@ -508,7 +599,11 @@ def fc_raw(x2d: np.ndarray, w2d: np.ndarray, bias) -> np.ndarray:
 
 
 def fully_connected(x: Tensor, w: Tensor, bias) -> Tensor:
-    """Flatten x to (n, c*h*w) and apply a dense layer; output is (n, out, 1, 1)."""
+    """Flatten x to (n, c*h*w) and apply fc_raw; output is (n, out, 1, 1).
+
+    The reference for the fc of graph.execute, which runs conv2d_gemm on
+    the (n, c*h*w, 1, 1) view of x instead.
+    """
     n = x.shape[0]
     fin = x.shape[1] * x.shape[2] * x.shape[3]
     fout, fin_w, one_a, one_b = w.shape

@@ -12,6 +12,14 @@ masking all-zero input channels, any set of zeroized filters (every filter
 count from 1 to 80, kernels of 1, 3 and 7), or both, must give byte for
 byte the conv of the operands with those channels and filters deleted.
 
+conv2d_gemm multiplies only the kernel taps inside the hull
+tensor.live_taps works out from the geometry; every tap outside it reads
+padding alone. The test_*tap* tests check the hull by brute force over
+random geometries, that a 3x3 pad-1 conv on a 1x1 map is byte for byte the
+1x1 conv of its center tap, that partial hulls stay within the oracle's
+tolerance, and that a weight Tensor caches one tap-restricted copy per
+window and none when every tap is live.
+
 fc_raw forms a block of inputs' products at once and adds them in input
 order. The block length follows tensor._BLOCK_BYTES and must change no
 bit: it is compared bit for bit with the sequential oracle under block
@@ -30,7 +38,16 @@ import numpy as np
 import pytest
 
 from fuseprune import tensor
-from fuseprune.tensor import TensorError, conv2d_gemm, conv2d_raw, fc_raw
+from fuseprune.tensor import (
+    ConvSpec,
+    Tensor,
+    TensorError,
+    conv2d,
+    conv2d_gemm,
+    conv2d_raw,
+    fc_raw,
+    live_taps,
+)
 
 from oracles import conv2d_brute, fc_brute
 
@@ -274,6 +291,151 @@ def test_all_channels_or_all_filters_dead(dt):
     w[:] = 0
     got = conv2d_gemm(rand(rng, (2, 3, 5, 5), dt), w, None, (2, 2), (1, 1), None, np.ones(4, bool))
     assert bits_equal(got, np.zeros((2, 4, 3, 3), dt))
+
+
+def assert_near_brute(got, x, w, b, stride, pad, dt):
+    want = conv2d_brute(x, w, b, stride, pad)
+    scale = conv2d_brute(np.abs(x), np.abs(w), None if b is None else np.abs(b), stride, pad)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.all(np.abs(got - want) <= REL_TOL[dt] * scale)
+
+
+def test_taps_outside_the_hull_read_only_padding():
+    # brute force over random geometries along one axis: an offset outside
+    # live_taps reads no real input at any output position, and an end of
+    # the hull that the kernel does not clip reads one (the hull may be
+    # empty: with pad >= kernel and a stride wider than the padded input)
+    rng = np.random.default_rng(17)
+    checked = empty = 0
+    for _ in range(3000):
+        size, kernel = int(rng.integers(1, 7)), int(rng.integers(1, 8))
+        stride, pad = int(rng.integers(1, 4)), int(rng.integers(0, 4))
+        out = (size + 2 * pad - kernel) // stride + 1
+        if out < 1:
+            continue
+        hull = live_taps(size, kernel, stride, pad, out)
+        real = [any(pad <= stride * o + i < pad + size for o in range(out))
+                for i in range(kernel)]
+        assert 0 <= hull.start <= hull.stop <= kernel
+        assert not any(real[i] for i in range(kernel) if not hull.start <= i < hull.stop)
+        if hull.start < hull.stop:
+            assert hull.start == 0 or real[hull.start]
+            assert hull.stop == kernel or real[hull.stop - 1]
+        checked += 1
+        empty += hull.start == hull.stop
+    assert checked > 1000 and empty > 0
+
+
+@pytest.mark.parametrize("dt", DTYPES)
+def test_dead_taps_of_random_geometries_match_brute(dt):
+    # pads up to 3 on maps from 1x1: hulls cut on one or both sides, and
+    # strides wider than the input, where the hull may even be empty
+    rng = np.random.default_rng(18)
+    # (r, s, stride, pad, h, w): a 1x1 kernel that reads only padding, with
+    # an empty hull in one axis and in both
+    fixed = [(1, 3, (3, 1), (1, 1), 1, 2), (1, 1, (3, 3), (1, 1), 1, 1)]
+    for case in range(80 + len(fixed)):
+        if case < len(fixed):
+            r, s, stride, pad, h, w_in = fixed[case]
+        else:
+            r, s = (int(v) for v in rng.integers(1, 8, size=2))
+            stride = tuple(int(v) for v in rng.integers(1, 4, size=2))
+            pad = tuple(int(v) for v in rng.integers(0, 4, size=2))
+            h, w_in = (int(v) for v in rng.integers(1, 6, size=2))
+            if h + 2 * pad[0] < r or w_in + 2 * pad[1] < s:
+                continue
+        x = rand(rng, (int(rng.integers(1, 3)), 3, h, w_in), dt)
+        w = rand(rng, (4, 3, r, s), dt)
+        b = rand(rng, 4, dt) if case % 2 else None
+        assert_near_brute(conv2d_gemm(x, w, b, stride, pad), x, w, b, stride, pad, dt)
+
+
+@pytest.mark.parametrize("dt", DTYPES)
+@pytest.mark.parametrize("n", (1, 32))
+@pytest.mark.parametrize("with_bias", (False, True))
+@pytest.mark.parametrize("masked", (False, True))
+def test_center_tap_of_a_1x1_map_is_the_1x1_conv(dt, n, with_bias, masked):
+    # 8 of the 9 taps read padding: the GEMM must be the center tap's alone,
+    # the same bytes as a 1x1 conv, for an array or a cached Tensor weight
+    rng = np.random.default_rng(19)
+    c, k = 12, 10
+    x = rand(rng, (n, c, 1, 1), dt)
+    w = rand(rng, (k, c, 3, 3), dt)
+    b = rand(rng, k, dt) if with_bias else None
+    zero_in = zero_out = None
+    if masked:
+        zero_in, zero_out = np.isin(np.arange(c), (2, 7)), np.isin(np.arange(k), (0, 5))
+        x[:, zero_in] = 0
+        w[zero_out] = 0
+        if b is not None:
+            b[zero_out] = 0
+    center = np.ascontiguousarray(w[:, :, 1:2, 1:2])
+    want = conv2d_gemm(x, center, b, (1, 1), (0, 0), zero_in, zero_out)
+    for stride in ((1, 1), (2, 2)):
+        for weight in (w, Tensor(w)):
+            got = conv2d_gemm(x, weight, b, stride, (1, 1), zero_in, zero_out)
+            assert bits_equal(got, want), (stride, type(weight))
+    assert_near_brute(want, x, w, b, (1, 1), (1, 1), dt)
+
+
+@pytest.mark.parametrize("dt", DTYPES)
+@pytest.mark.parametrize("h,w_in,r,stride,pad", [
+    (2, 2, 3, (2, 2), (1, 1)),   # rows and columns [1, 3)
+    (2, 2, 7, (1, 1), (3, 3)),   # a 7x7 kernel down to [2, 5)
+    (2, 3, 3, (2, 1), (1, 2)),   # rows [1, 3), every column live
+    (3, 2, 3, (1, 2), (2, 1)),   # rows [0, 3) clipped to the kernel, columns [1, 3)
+])
+def test_partial_tap_hulls_match_brute(dt, h, w_in, r, stride, pad):
+    rng = np.random.default_rng(20)
+    for n in (1, 32):
+        x = rand(rng, (n, 5, h, w_in), dt)
+        w = rand(rng, (6, 5, r, r), dt)
+        b = rand(rng, 6, dt)
+        for weight in (w, Tensor(w)):
+            assert_near_brute(conv2d_gemm(x, weight, b, stride, pad), x, w, b, stride, pad, dt)
+
+
+def test_all_live_taps_make_no_copy_and_no_cache(monkeypatch):
+    gathered = []
+    real_gather = tensor._gather_taps
+    monkeypatch.setattr(tensor, "_gather_taps",
+                        lambda *a: gathered.append(a) or real_gather(*a))
+    rng = np.random.default_rng(21)
+    w = Tensor(rand(rng, (4, 3, 3, 3), np.float32))
+    x = Tensor(rand(rng, (2, 3, 5, 5), np.float32))
+    for stride in ((1, 1), (2, 2)):
+        conv2d(x, w, None, ConvSpec(4, 3, 3, 3, stride=stride, pad=(1, 1)))
+        conv2d_gemm(x.data, w.data, None, stride, (1, 1))
+    assert gathered == [] and w._cache is None
+    # a 1x1 map does gather, once for the Tensor and on every array call
+    one = Tensor(rand(rng, (2, 3, 1, 1), np.float32))
+    for _ in range(2):
+        conv2d(one, w, None, ConvSpec(4, 3, 3, 3, pad=(1, 1)))
+        conv2d_gemm(one.data, w.data, None, (1, 1), (1, 1))
+    assert len(gathered) == 3
+
+
+@pytest.mark.parametrize("dt", DTYPES)
+def test_one_weight_caches_a_window_per_map_size(dt):
+    # stride 2, pad 1: a 1x1 map reads the center tap, a 2x2 map the
+    # [1, 3) x [1, 3) window, and a 3x3 map every tap
+    rng = np.random.default_rng(22)
+    w = rand(rng, (6, 4, 3, 3), dt)
+    weight = Tensor(w)
+    spec = ConvSpec(6, 4, 3, 3, stride=(2, 2), pad=(1, 1))
+    first = {}
+    for hw in (1, 2, 3, 1, 2):
+        x = rand(rng, (2, 4, hw, hw), dt)
+        got = conv2d(Tensor(x), weight, None, spec).data
+        assert_near_brute(got, x, w, None, (2, 2), (1, 1), dt)
+        if hw in first:
+            assert bits_equal(conv2d(Tensor(first[hw]), weight, None, spec).data,
+                              conv2d_gemm(first[hw], w, None, (2, 2), (1, 1)))
+        first.setdefault(hw, x)
+    windows = [v for key, v in weight._cache.items() if key[0] == "taps"]
+    assert sorted(v.shape for v in windows) == [(6, 4, 1, 1), (6, 4, 2, 2)]
+    assert weight.taps(slice(1, 2), slice(1, 2)) is weight.taps(slice(1, 2), slice(1, 2))
+    assert all(not v.flags.writeable for v in windows)
 
 
 @pytest.mark.parametrize("kernel", (conv2d_raw, conv2d_gemm))

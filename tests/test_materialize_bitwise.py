@@ -5,8 +5,12 @@ alone (graph._zero_channels), and every conv leaves them out of its GEMMs.
 A masked model and its materialization then run the same GEMMs on the same
 compacted operands, so their outputs agree bit for bit. These tests check
 that over the whole zoo and, on hand-built graphs, the cases the marks must
-get right: a blocked conv that keeps its zero filters, and a filter that is
-zero by chance, which is dead only where the following bn's shift is zero.
+get right: a blocked conv that keeps its zero filters, a filter that is
+zero by chance, which is dead only where the following bn's shift is zero,
+and an fc that reads a spatial map, where each channel's mark covers h*w
+of its inputs. The zoo sweep drives resnet18 and resnet34 through stage-4
+convs on 1x1 maps (2x2 for their stride-2 conv), where conv2d_gemm drops
+the taps that read only padding, on both sides.
 """
 
 from __future__ import annotations
@@ -236,6 +240,63 @@ def test_chance_zero_filter_with_nonzero_shift_stays_live(dtype):
     beta[0, 2] = 0
     g.node("bn1").params["beta"] = Tensor(beta)
     assert np.max(np.abs(reference(g, x) - ref)) > 1e3 * TOL["f32"]
+
+
+def spatial_fc_graph(rng, dt, h=3, w=4):
+    """in -> conv (6 filters) -> bn -> relu -> fc over all 6*h*w values.
+
+    Filters 1 and 4 are zeroized as soft pruning leaves them (no bias, their
+    bn beta and mean cleared), so the fc reads 2*h*w inputs that are exactly
+    zero, and materialize deletes those columns.
+    """
+    w1 = (rng.standard_normal((6, 3, 3, 3)) * 0.4).astype(dt)
+    w1[[1, 4]] = 0
+    beta, mean = rng.uniform(-0.4, 0.4, 6), rng.uniform(-0.4, 0.4, 6)
+    beta[[1, 4]] = mean[[1, 4]] = 0
+    fin = 6 * h * w
+    nodes = [
+        plain_node("in", "input", []),
+        conv_node("conv", ["in"], 6, 3, weight=w1, dtype=dt),
+        bn_node("bn", ["conv"], 6, gamma=rng.uniform(0.5, 1.5, 6), beta=beta, mean=mean,
+                var=rng.uniform(0.5, 1.5, 6), dtype=dt),
+        plain_node("relu", "relu", ["bn"]),
+        fc_node("fc", ["relu"], 5, fin, weight=rng.standard_normal((5, fin, 1, 1)).astype(dt),
+                bias=rng.uniform(-0.2, 0.2, 5), dtype=dt),
+        plain_node("out", "output", ["fc"]),
+    ]
+    g = make_graph(nodes, "in", "out", (1, 3, h, w))
+    return g, PruneMask(keep={"conv": [True, False, True, True, False, True]})
+
+
+def spatial_fc_reference(g, x):
+    """The spatial-fc graph in float64 from the brute-force oracles."""
+    p = {nid: {k: t.data.astype(np.float64) for k, t in node.params.items()}
+         for nid, node in g.nodes.items()}
+    y = conv2d_brute(x.data.astype(np.float64), p["conv"]["weight"], None, (1, 1), (1, 1))
+    y = np.maximum(bn_brute(y, *(p["bn"][k].reshape(-1) for k in ("gamma", "beta", "mean", "var")),
+                            g.nodes["bn"].attrs["eps"]), 0)
+    return fc_brute(y.reshape(x.shape[0], -1), p["fc"]["weight"].reshape(5, -1),
+                    p["fc"]["bias"].reshape(-1))
+
+
+@pytest.mark.parametrize("dtype", ("f32", "f64"))
+def test_fc_over_a_spatial_map_is_compacted_on_both_sides(dtype):
+    # the graph runs fc as a 1x1 conv over the flattened input; a dead
+    # channel covers h*w of its inputs, so its mark must be repeated h*w
+    # times for the masked fc to multiply what the materialized one does
+    dt = DTYPE_FROM_NAME[dtype]
+    rng = np.random.default_rng(23)
+    g, mask = spatial_fc_graph(rng, dt)
+    small = materialize(g, mask).graph
+    assert small.node("fc").params["weight"].shape == (5, 4 * 12, 1, 1)
+    x32 = Tensor(rng.standard_normal((32, 3, 3, 4)), dt)
+    assert list(np.flatnonzero(zero_marks(g, x32)["relu"])) == [1, 4]
+    assert zero_marks(small, x32)["relu"] is None
+    for x in (x32, Tensor(x32.data[:1])):
+        y = execute(g, x)
+        assert same_bytes(y, execute(small, x)), x.shape[0]
+        err = np.max(np.abs(y.data.reshape(x.shape[0], 5) - spatial_fc_reference(g, x)))
+        assert err <= TOL[dtype], x.shape[0]
 
 
 _ONE_THREAD = """

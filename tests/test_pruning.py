@@ -19,7 +19,7 @@ from fuseprune.pruning import (
     soft_prune_epoch,
 )
 from fuseprune.tensor import DTYPE_FROM_NAME, ConvSpec, Tensor
-from fuseprune.zoo import ZooSpec, build
+from fuseprune.zoo import FAMILIES, ZooSpec, build
 
 from conftest import bn_node, conv_node, fc_node, make_graph, plain_node, random_residual_block_graph
 from oracles import bottom_k_indices_brute, filter_norms_brute
@@ -62,6 +62,21 @@ class TestNorms:
         lib = filter_l2_norms(Tensor(w))
         ref = filter_norms_brute(w)
         np.testing.assert_allclose(lib, ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", ("f32", "f64"))
+    def test_bytes_match_the_upcast_then_multiply_formula(self, dtype):
+        # the norms pick the filters to zeroize, so any change in their bits
+        # could change a mask; they must equal, byte for byte, the squares
+        # of a float64 copy of every zoo conv weight summed per filter
+        for family in sorted(FAMILIES):
+            hw = 8 if family == "resnet8-tiny" else 32
+            g = build(ZooSpec(family, input_shape=(1, 3, hw, hw), dtype=dtype, seed=3))
+            for node in g.nodes.values():
+                if node.kind == "conv":
+                    w = node.params["weight"]
+                    flat = w.data.astype(np.float64).reshape(w.shape[0], -1)
+                    want = np.sqrt(np.sum(flat * flat, axis=1))
+                    assert filter_l2_norms(w).tobytes() == want.tobytes(), (family, node.id)
 
     def test_selection_matches_oracle(self, rng):
         norms = rng.uniform(0, 2, 16)
