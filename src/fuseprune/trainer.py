@@ -8,19 +8,32 @@ Convolutions run as im2col GEMMs in the layout of the inference kernel,
 tensor.conv2d_gemm: the padded input is held with the batch innermost,
 (c, h, w, n) (tensor.pad_batch_innermost), and the forward pass multiplies
 the (k, c*r*s) weights by its (c*r*s, ho*wo*n) window matrix
-(tensor.batch_innermost_windows, reshaped); the weight gradient is the
-output gradient times that matrix transposed (rebuilt in backward, so only
-the padded input is cached), and the input gradient is the transposed
-weights times the output gradient, added back onto the padded input one
-tap at a time (col2im). The accumulation order is the BLAS's, as in the
-inference conv. Results are deterministic at a fixed BLAS thread count.
+(tensor.batch_innermost_windows, reshaped). Backward rebuilds that matrix
+from the cached padded input; caching the matrix itself would hold r*s
+times the input per conv. The weight gradient is taken as (cols @ gy.T).T:
+on the trainer's long products (k rows, ho*wo*n columns) the BLAS runs
+that orientation up to about twice as fast as gy @ cols.T. The input
+gradient is the transposed weights times the output gradient, added back
+onto the padded input one tap at a time (col2im). The accumulation order
+is the BLAS's, as in the inference conv. Results are deterministic at a
+fixed BLAS thread count.
 
 Batch norm runs in training mode here: unfrozen channels normalize with
-the current batch's statistics (biased variance) and update their stored
-running statistics; channels flagged frozen keep using their stored
-statistics, receive zero parameter gradients, and are skipped by weight
-decay, so the exact-identity channels created by fusion stay bit-identical
-through any amount of training. relu backs propagate via 1[x > 0].
+the current batch's statistics (mean and two-pass biased variance, as
+einsum channel reductions) and update their stored running statistics;
+channels flagged frozen keep using their stored statistics, receive zero
+parameter gradients, and are skipped by weight decay, so the
+exact-identity channels created by fusion stay bit-identical through any
+amount of training. Backward is the closed form of the batch-statistics
+chain (Ioffe & Szegedy, arXiv 1502.03167),
+dx = gamma*inv/N * (N*gy - sum(gy) - xhat*sum(gy*xhat)), whose two sums
+are also the beta and gamma gradients; frozen channels take gamma*inv*gy.
+relu backs propagate via 1[x > 0].
+
+train_epoch sorts the graph once and every step of the epoch reuses the
+order. A step whose loss, batch statistics or parameter update is not
+finite stops training with a TrainerError naming the epoch and batch (and
+the node, for statistics and updates).
 """
 
 from __future__ import annotations
@@ -30,11 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, validate
-from .tensor import ConvSpec, Tensor, batch_innermost_windows, pad_batch_innermost
-
-SUPPORTED_KINDS = ("input", "output", "conv", "bn", "relu", "add", "concat",
-                   "maxpool", "gavgpool", "fc")
+from .graph import KINDS, Graph
+from .tensor import ConvSpec, Tensor, TensorError, batch_innermost_windows, pad_batch_innermost
 
 
 class TrainerError(Exception):
@@ -146,18 +156,19 @@ def _frozen_mask(node, channels: int) -> np.ndarray:
     return np.asarray(frozen, dtype=bool)
 
 
-def _forward_train(g: Graph, x: np.ndarray, bn_momentum: float):
-    """Training-mode forward pass; returns node outputs plus backward caches.
+def _forward_train(g: Graph, x: np.ndarray, bn_momentum: float, order: list[str]):
+    """Training-mode forward pass over the topological order; returns node
+    outputs plus backward caches.
 
     Side effect: unfrozen bn channels fold this batch's statistics into the
     stored running mean/var with the given momentum.
     """
     values: dict[str, np.ndarray] = {}
     caches: dict[str, dict] = {}
-    for nid in g.topo_order():
+    for nid in order:
         node = g.nodes[nid]
         kind = node.kind
-        if kind not in SUPPORTED_KINDS:
+        if kind not in KINDS:
             raise TrainerError(f"node {nid!r}: kind {kind!r} unsupported in training mode")
         if kind == "input":
             values[nid] = x
@@ -211,31 +222,44 @@ def _fc_forward(node, x):
 
 def _bn_forward_train(node, x, bn_momentum, caches):
     dt = x.dtype
-    c = x.shape[1]
+    n, c, h, w = x.shape
     frozen = _frozen_mask(node, c)
     eps = dt.type(node.attrs["eps"])
-    gamma = node.params["gamma"].data.reshape(-1)
-    beta = node.params["beta"].data.reshape(-1)
+    cnt = dt.type(n * h * w)
+    gamma = node.params["gamma"].data.reshape(c, 1, 1)
+    beta = node.params["beta"].data.reshape(c, 1, 1)
     stored_mean = node.params["mean"].data.reshape(-1)
     stored_var = node.params["var"].data.reshape(-1)
-    batch_mean = x.mean(axis=(0, 2, 3))
-    batch_var = x.var(axis=(0, 2, 3))  # biased, used for normalization and running stats
+    batch_mean = np.einsum("nchw->c", x) / cnt
     use_mean = np.where(frozen, stored_mean, batch_mean)
+    xhat = x - use_mean[:, None, None]
+    # biased two-pass variance; xhat still holds x - mean here, which on the
+    # frozen channels is off the batch mean, but those use the stored var
+    batch_var = np.einsum("nchw,nchw->c", xhat, xhat) / cnt
     use_var = np.where(frozen, stored_var, batch_var)
-    inv = 1.0 / np.sqrt(use_var + eps)
-    inv = inv.astype(dt)
-    xc = x - use_mean[None, :, None, None]
-    xhat = xc * inv[None, :, None, None]
-    y = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    inv = (1.0 / np.sqrt(use_var + eps)).astype(dt)
+    xhat *= inv[:, None, None]
+    y = gamma * xhat
+    y += beta
     # fold the batch statistics into the running estimates (unfrozen only)
     m = dt.type(bn_momentum)
     new_mean = np.where(frozen, stored_mean, (1 - m) * stored_mean + m * batch_mean).astype(dt)
     new_var = np.where(frozen, stored_var, (1 - m) * stored_var + m * batch_var).astype(dt)
     node.params = dict(node.params)
-    node.params["mean"] = Tensor(new_mean.reshape(1, c, 1, 1))
-    node.params["var"] = Tensor(new_var.reshape(1, c, 1, 1))
-    caches[node.id] = {"x": x, "xc": xc, "xhat": xhat, "inv": inv, "frozen": frozen}
+    node.params["mean"] = _updated(node.id, "running mean", new_mean.reshape(1, c, 1, 1))
+    node.params["var"] = _updated(node.id, "running var", new_var.reshape(1, c, 1, 1))
+    caches[node.id] = {"xhat": xhat, "inv": inv, "frozen": frozen}
     return y
+
+
+def _updated(nid: str, what: str, arr: np.ndarray) -> Tensor:
+    """Tensor._wrap(arr) for a parameter the step has just computed; a
+    non-finite value means training diverged, reported as a TrainerError
+    naming the node."""
+    try:
+        return Tensor._wrap(arr)
+    except TensorError:
+        raise TrainerError(f"node {nid!r}: {what} is not finite (training diverged)") from None
 
 
 def _maxpool_forward(node, x, caches):
@@ -264,24 +288,28 @@ def training_forward(g: Graph, batch, bn_momentum: float = 0.1) -> np.ndarray:
     estimates in place).
     """
     x = batch.data if isinstance(batch, Tensor) else np.asarray(batch)
-    values, _ = _forward_train(g, x, bn_momentum)
+    values, _ = _forward_train(g, x, bn_momentum, g.topo_order())
     out = values[g.nodes[g.output_id].inputs[0]]
     return out.reshape(out.shape[0], -1)
 
 
-def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1):
+def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1,
+                     order: list[str] | None = None):
     """One training step's math: loss, parameter gradients, input gradient.
 
     Returns (loss, grads, input_grad) where grads[node_id][param_name] holds
     arrays shaped like the stored parameters (conv/fc weight and bias, bn
     gamma and beta; frozen bn channels get exact zeros). Running bn
     statistics are updated in place as a side effect; weights are not.
+    order is g's topological order, sorted here when not given.
     """
     x = batch.data if isinstance(batch, Tensor) else np.asarray(batch)
     labels = np.asarray(labels)
     if labels.shape != (x.shape[0],):
         raise TrainerError(f"labels shape {labels.shape} does not match batch {x.shape[0]}")
-    values, caches = _forward_train(g, x, bn_momentum)
+    if order is None:
+        order = g.topo_order()
+    values, caches = _forward_train(g, x, bn_momentum, order)
     out_node = g.nodes[g.output_id]
     logits4 = values[out_node.inputs[0]]
     logits = logits4.reshape(logits4.shape[0], -1)
@@ -296,7 +324,7 @@ def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1):
         else:
             gmap[nid] = grad
 
-    for nid in reversed(g.topo_order()):
+    for nid in reversed(order):
         node = g.nodes[nid]
         if node.kind in ("input", "output"):
             continue
@@ -348,7 +376,7 @@ def _conv_backward(node, gy, cache):
     ph, pw = spec.pad
     gy2d = gy.transpose(1, 2, 3, 0).reshape(spec.k, -1)
     cols = batch_innermost_windows(xp, spec.r, spec.s, spec.stride).reshape(w2d.shape[1], -1)
-    gw = (gy2d @ cols.T).reshape(spec.weight_shape)
+    gw = (cols @ gy2d.T).T.reshape(spec.weight_shape)
     gcols = (w2d.T @ gy2d).reshape(spec.c, spec.r, spec.s, ho, wo, n)
     # col2im: add each tap's window gradient onto the input positions it read
     gxp = np.zeros_like(xp)
@@ -377,27 +405,23 @@ def _fc_backward(node, gy, xin):
 
 
 def _bn_backward(node, gy, cache):
-    gamma = node.params["gamma"].data.reshape(-1)
-    xc, xhat, inv, frozen = cache["xc"], cache["xhat"], cache["inv"], cache["frozen"]
+    xhat, inv, frozen = cache["xhat"], cache["inv"], cache["frozen"]
     n, c, h, w = gy.shape
-    cnt = gy.dtype.type(n * h * w)
-    ggamma = np.einsum("nchw->c", gy * xhat)
+    dt = gy.dtype
     gbeta = np.einsum("nchw->c", gy)
-    gxhat = gy * gamma[None, :, None, None]
-    # batch-statistics chain (exact): d/dx of (x - mu_B) / sqrt(var_B + eps)
-    sum_gxhat = gxhat.sum(axis=(0, 2, 3))
-    sum_gxhat_xc = (gxhat * xc).sum(axis=(0, 2, 3))
-    gvar = sum_gxhat_xc * (-0.5) * inv**3
-    gmu = -sum_gxhat * inv + gvar * (-2.0 / cnt) * xc.sum(axis=(0, 2, 3))
-    gx_batch = (gxhat * inv[None, :, None, None]
-                + (gvar * 2.0 / cnt)[None, :, None, None] * xc
-                + (gmu / cnt)[None, :, None, None])
-    # frozen channels treat the stored statistics as constants
-    gx_frozen = gxhat * inv[None, :, None, None]
-    fmask = frozen[None, :, None, None]
-    gx = np.where(fmask, gx_frozen, gx_batch)
-    ggamma = np.where(frozen, 0.0, ggamma).astype(gy.dtype)
-    gbeta = np.where(frozen, 0.0, gbeta).astype(gy.dtype)
+    ggamma = np.einsum("nchw,nchw->c", gy, xhat)
+    scale = node.params["gamma"].data.reshape(-1) * inv
+    # closed form of the batch-statistics chain, scale/N * (N*gy - gbeta -
+    # xhat*ggamma); frozen channels treat the stored statistics as
+    # constants and keep only scale*gy
+    per = scale / dt.type(n * h * w)
+    shift = np.where(frozen, 0, per * gbeta).astype(dt)
+    slope = np.where(frozen, 0, per * ggamma).astype(dt)
+    gx = gy * scale[:, None, None]
+    gx -= xhat * slope[:, None, None]
+    gx -= shift[:, None, None]
+    ggamma = np.where(frozen, 0, ggamma).astype(dt)
+    gbeta = np.where(frozen, 0, gbeta).astype(dt)
     return gx, {"gamma": ggamma.reshape(1, c, 1, 1), "beta": gbeta.reshape(1, c, 1, 1)}
 
 
@@ -419,50 +443,58 @@ def _maxpool_backward(node, gy, cache):
     return gxp[:, :, ph : ph + h, pw : pw + w]
 
 
-_LEARNABLE = {"conv": ("weight", "bias"), "fc": ("weight", "bias"), "bn": ("gamma", "beta")}
-
-
 def sgd_step(g: Graph, grads, cfg: TrainConfig, velocity: dict) -> None:
     """v <- momentum*v + grad + wd*param; param <- param - lr*v, in place.
 
     bn channels flagged frozen are excluded from both the gradient (already
-    zero) and the weight-decay pull, so they never move.
+    zero) and the weight-decay pull, so they never move. Nodes are updated
+    independently, in the order of grads. A non-finite update raises
+    TrainerError naming the node, whose parameters are then left as they
+    were.
     """
-    for nid in g.topo_order():
+    for nid, gparams in grads.items():
         node = g.nodes[nid]
-        names = _LEARNABLE.get(node.kind, ())
-        if not names or nid not in grads:
-            continue
-        for pname in names:
-            if pname not in node.params or pname not in grads[nid]:
-                continue
-            param = node.params[pname].data
+        params = dict(node.params)
+        for pname, grad in gparams.items():
+            param = params[pname].data
             dt = param.dtype
-            step = grads[nid][pname].astype(dt) + dt.type(cfg.weight_decay) * param
+            step = dt.type(cfg.weight_decay) * param
+            step += grad
             if node.kind == "bn":
-                frozen = _frozen_mask(node, param.shape[1])
-                step = np.where(frozen[None, :, None, None], 0.0, step).astype(dt)
-            key = (nid, pname)
-            v = velocity.get(key)
-            v = step if v is None else dt.type(cfg.momentum) * v + step
-            velocity[key] = v
-            node.params = dict(node.params)
-            node.params[pname] = Tensor._wrap(param - dt.type(cfg.lr) * v)
+                step[:, _frozen_mask(node, param.shape[1])] = 0
+            v = velocity.get((nid, pname))
+            if v is None:
+                v = velocity[(nid, pname)] = step
+            else:
+                v *= dt.type(cfg.momentum)
+                v += step
+            params[pname] = _updated(nid, f"{pname} update", param - dt.type(cfg.lr) * v)
+        node.params = params
 
 
 def train_epoch(g: Graph, dataset: SynthDataset, cfg: TrainConfig, epoch: int = 0,
                 velocity: dict | None = None) -> float:
-    """One epoch of SGD over the shuffled training split; returns mean loss."""
+    """One epoch of SGD over the shuffled training split; returns mean loss.
+
+    A step that meets a non-finite loss, batch statistic or parameter
+    update raises TrainerError naming the epoch and batch.
+    """
     if velocity is None:
         velocity = {}
+    topo = g.topo_order()
     order = np.random.default_rng((cfg.seed, epoch)).permutation(dataset.n_train)
     total, seen = 0.0, 0
-    for start in range(0, dataset.n_train, cfg.batch_size):
+    for b, start in enumerate(range(0, dataset.n_train, cfg.batch_size)):
         idx = order[start : start + cfg.batch_size]
         batch = dataset.train_images[idx]
         labels = dataset.train_labels[idx]
-        loss, grads, _ = forward_backward(g, batch, labels, cfg.bn_momentum)
-        sgd_step(g, grads, cfg, velocity)
+        try:
+            loss, grads, _ = forward_backward(g, batch, labels, cfg.bn_momentum, order=topo)
+            if not np.isfinite(loss):
+                raise TrainerError(f"loss is {loss} (training diverged)")
+            sgd_step(g, grads, cfg, velocity)
+        except TrainerError as exc:
+            raise TrainerError(f"epoch {epoch}, batch {b}: {exc}") from None
         total += loss * len(idx)
         seen += len(idx)
     return total / max(seen, 1)

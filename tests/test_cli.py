@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import struct
 
 import numpy as np
@@ -208,6 +209,17 @@ class TestPipeline:
         assert run("materialize", masked, "--masks", masks, "-o", final) == EXIT_OK
         out = capsys.readouterr().out
         assert "removed" in out and "not removable" in out
+
+    def test_diverged_training_exits_2_naming_epoch_batch_and_node(self, tiny, tmp_path,
+                                                                   capsys):
+        out = tmp_path / "m.fpm"
+        with np.errstate(all="ignore"):
+            rc = run("prune", tiny, "--mode", "continued", "--rate", "0.25", "--epochs", 1,
+                     "--data", "synth:seed=42,n=128", "--lr", "1e6", "-o", out)
+        assert rc == EXIT_VALIDATION == 2
+        err = capsys.readouterr().err
+        assert re.match(r"error: epoch 0, batch \d+: node '[\w.]+': .* is not finite", err), err
+        assert not out.exists()
 
     def test_high_rate_needs_explicit_flag(self, tiny, tmp_path):
         args = ["prune", str(tiny), "--mode", "continued", "--rate", "0.5",

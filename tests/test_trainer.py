@@ -99,11 +99,11 @@ def bn_graph(rng, frozen=None, dtype=F64):
     return g
 
 
-def maxpool_graph(rng, dtype=F64):
+def maxpool_graph(rng, window=(2, 2), stride=(2, 2), pad=(0, 0), dtype=F64):
     w = (rng.standard_normal((4, 3, 3, 3)) * 0.4).astype(dtype)
     nodes = [
         plain_node("in", "input", []),
-        plain_node("pool", "maxpool", ["in"], window=(2, 2), stride=(2, 2), pad=(0, 0)),
+        plain_node("pool", "maxpool", ["in"], window=window, stride=stride, pad=pad),
         conv_node("conv", ["pool"], 4, 3, weight=w, bias=rng.uniform(-0.2, 0.2, 4),
                   dtype=dtype),
     ]
@@ -345,14 +345,34 @@ class TestGradients:
         check_param(g, "bn", "beta", x, y, keep=keep)
         check_input(g, x, y)
 
-    def test_maxpool_routing(self, rng):
-        g = maxpool_graph(rng)
+    # window, stride, pad, and a tied pair (first, second) in row-major
+    # order such that every window reading the second also reads the first.
+    # The 3x3 pools overlap and read -inf padding at the border.
+    @pytest.mark.parametrize("window, stride, pad, tie", [
+        ((2, 2), (2, 2), (0, 0), ((0, 0), (0, 1))),
+        ((3, 3), (2, 2), (1, 1), ((0, 1), (0, 2))),
+        ((3, 3), (1, 1), (1, 1), ((0, 4), (0, 5))),
+    ])
+    def test_maxpool_routing(self, rng, window, stride, pad, tie):
+        g = maxpool_graph(rng, window, stride, pad)
         n = 2 * 3 * 6 * 6
         # distinct spaced values: probes never flip which entry is the max
         x = ((rng.permutation(n).astype(F64) - n / 2.0) * 0.05).reshape(2, 3, 6, 6)
         y = self.labels(rng, 2)
         check_input(g, x, y)
         check_param(g, "conv", "weight", x, y)
+        # a tie at the channel's maximum: the first tap that reaches it takes
+        # the whole gradient, which is the derivative of moving both together
+        first, second = ((0, 0) + tie[0]), ((0, 0) + tie[1])
+        x[first] = x[second] = x[0, 0].max() + 1.0
+        tied = np.zeros(x.shape, bool)
+        tied[first] = tied[second] = True
+        _, _, gx = forward_backward(g, x, y)
+        assert gx[second] == 0.0 and gx[first] != 0.0
+        joint = numeric_gradient(lambda t: forward_backward(g, x + t[0] * tied, y)[0],
+                                 np.zeros(1))
+        assert rel_err(gx[first], joint) <= 1e-4
+        check_input(g, x, y, keep=~tied)
 
     def test_add_paths(self, rng):
         g = twopath_graph(rng, "add")
@@ -555,6 +575,33 @@ class TestTrainEpoch:
         # unfrozen channels did move
         assert not np.array_equal(bn.params["gamma"].data.reshape(-1)[~fmask],
                                   np.frombuffer(before["gamma"], np.float32))
+
+    def test_diverged_training_names_epoch_batch_and_node(self):
+        from fuseprune.zoo import ZooSpec, build
+
+        g = build(ZooSpec("resnet8-tiny", seed=1))
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainerError, match=r"^epoch \d+, batch \d+: node '[\w.]+': .* is not finite"):
+            fit(g, SynthDataset(seed=1), TrainConfig(lr=1e6, epochs=2))
+
+    def test_non_finite_loss_names_epoch_and_batch(self, rng):
+        w = (rng.standard_normal((4, 3, 3, 3)) * 0.4).astype(np.float32)
+        nodes = [plain_node("in", "input", []), conv_node("conv", ["in"], 4, 3, weight=w)]
+        head(nodes, "conv", 4, 10, rng, np.float32)
+        g = make_graph(nodes, "in", "out", (1, 3, 8, 8))
+        validate(g)
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainerError, match=r"^epoch 0, batch 1: loss is nan"):
+            fit(g, SynthDataset(seed=1, n_train=64, n_test=8), TrainConfig(lr=1e30))
+
+    def test_non_finite_update_names_node_and_keeps_param(self):
+        g = small_net(0)
+        before = g.nodes["fc"].params["weight"].data
+        grads = {"fc": {"weight": np.full_like(before, 1e30)}}
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainerError, match=r"^node 'fc': weight update is not finite"):
+            sgd_step(g, grads, TrainConfig(lr=1e30), {})
+        assert g.nodes["fc"].params["weight"].data is before
 
     def test_bad_labels_rejected(self):
         g = small_net(0)
