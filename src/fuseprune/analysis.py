@@ -9,8 +9,8 @@ Three views of the same question, "where does the work go":
   whole-network speedup.
 
 Operators are grouped into compute-bound kinds (conv, fc), support kinds
-(add, relu, bn, pooling) and a residual "other" bucket; a "sys" bucket is
-always reported as 0.0 since nothing here leaves the process.
+(add, relu, bn, pooling) and a residual "other" bucket, as each kind's
+graph.OPS record says; the record also gives the kind's FLOP count.
 """
 
 from __future__ import annotations
@@ -19,22 +19,14 @@ import math
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
+from .graph import OPS, Graph, execute, validate
+from .tensor import Tensor
 
-from .graph import Graph, execute, validate
-from .tensor import ConvSpec, Tensor
-
-COMPUTE_KINDS = ("conv", "fc")
-SUPPORT_KINDS = ("add", "relu", "bn", "maxpool", "gavgpool")
-CATEGORIES = ("COP", "SOP", "other", "sys")
+CATEGORIES = ("COP", "SOP", "other")
 
 
 def categorize(kind: str) -> str:
-    if kind in COMPUTE_KINDS:
-        return "COP"
-    if kind in SUPPORT_KINDS:
-        return "SOP"
-    return "other"
+    return OPS[kind].category
 
 
 @dataclass
@@ -117,43 +109,15 @@ class CostReport:
         return "\n".join(lines) + "\n"
 
 
-def _node_flops(node, shapes) -> int:
-    kind = node.kind
-    if kind in ("input", "output", "concat"):
-        return 0
-    out = shapes[node.id]
-    n = out[0]
-    if kind == "conv":
-        spec: ConvSpec = node.attrs["spec"]
-        _, k, ho, wo = out
-        flops = n * 2 * k * spec.c * spec.r * spec.s * ho * wo
-        if spec.has_bias:
-            flops += n * k * ho * wo
-        return flops
-    if kind == "fc":
-        fout, fin = node.params["weight"].shape[:2]
-        return n * 2 * fin * fout
-    if kind in ("add", "relu"):
-        return int(np.prod(out))
-    if kind == "bn":
-        return 2 * int(np.prod(out))
-    if kind == "maxpool":
-        r, s = node.attrs["window"]
-        return int(np.prod(out)) * r * s
-    if kind == "gavgpool":
-        src = shapes[node.inputs[0]]
-        return int(np.prod(src))
-    raise ValueError(f"node {node.id!r}: no flop rule for kind {kind!r}")
-
-
 def count_flops(g: Graph) -> CostReport:
     """Static per-node FLOP counts at the graph's declared input shape."""
     shapes = validate(g)
-    nodes = [
-        NodeCost(nid, g.nodes[nid].kind, categorize(g.nodes[nid].kind),
-                 _node_flops(g.nodes[nid], shapes))
-        for nid in g.topo_order()
-    ]
+    nodes = []
+    for nid, out in shapes.items():
+        node = g.nodes[nid]
+        op = OPS[node.kind]
+        ins = [shapes[src] for src in node.inputs]
+        nodes.append(NodeCost(nid, node.kind, op.category, op.flops(node, ins, out)))
     return CostReport(nodes=nodes)
 
 

@@ -135,12 +135,6 @@ class FusionReport:
     skipped: list[dict] = field(default_factory=list)
     option: str | None = None
 
-    def removed_nodes(self) -> list[str]:
-        out = []
-        for cf in self.convs.values():
-            out.extend(cf.removed)
-        return out
-
     def to_json_obj(self) -> dict:
         return {
             "option": self.option,
@@ -347,11 +341,11 @@ def _match_add(g: Graph, consumers, add: Node) -> BlockMatch | None:
 def find_residual_blocks(g: Graph) -> list[BlockMatch]:
     """Match every residual block: x -> conv[-bn]-relu-conv[-bn] -> add(x or
     1x1-projection(x)) -> relu. Matches are disjoint and in topological order."""
-    validate(g)
+    order = validate(g)
     consumers = g.consumers()
     matches: list[BlockMatch] = []
     used: set[str] = set()
-    for nid in g.topo_order():
+    for nid in order:
         node = g.nodes[nid]
         if node.kind != "add":
             continue

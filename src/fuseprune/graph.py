@@ -7,6 +7,11 @@ in attrs["spec"] plus "weight" (and optional "bias") parameter tensors;
 bn nodes carry attrs["eps"], a per-channel attrs["frozen"] tuple of 0/1
 flags, and the four per-channel parameter tensors stored as (1, c, 1, 1).
 
+A kind is defined by its Op record in OPS, which validate, execute, save,
+load, analysis and materialize read. A new kind supplies its arity, shape
+rule, inference run, channel role and cost category, and where they apply
+its zero-channel rule, FLOP count, parameter names and attrs dump and load.
+
 Execution is a pure function of the graph and the input tensor: repeated
 calls give bit-identical results, and any valid topological order computes
 the same values. The batch dimension of the input is free; the declared
@@ -41,7 +46,8 @@ import math
 import os
 import secrets
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -60,8 +66,6 @@ from .tensor import (
     max_pool,
     relu,
 )
-
-KINDS = ("input", "output", "conv", "bn", "relu", "add", "concat", "maxpool", "gavgpool", "fc")
 
 FORMAT_MAGIC = b"FPM1"
 FORMAT_VERSION = 1
@@ -190,8 +194,197 @@ def _conv_bias(node: Node):
     return node.params["bias"].data.reshape(-1) if has_bias else None
 
 
-_ARITY = {"input": 0, "output": 1, "conv": 1, "bn": 1, "relu": 1, "add": 2,
-          "maxpool": 1, "gavgpool": 1, "fc": 1}
+# --- the op table ------------------------------------------------------------
+
+def _first(node, items, *_):
+    """The node's first input unchanged: its shape, zero marks or value."""
+    return items[0]
+
+
+def _marks(zero):
+    """A zero mask, or None when it marks no channel."""
+    return zero if zero is not None and zero.any() else None
+
+
+@dataclass(frozen=True)
+class Op:
+    """Everything the package knows of one node kind.
+
+    arity is the number of inputs, None for two or more. shape(node, input
+    shapes) and flops(node, input shapes, output shape) work on (n, c, h, w)
+    tuples. run(node, inputs, the first input's zero marks, the output's)
+    computes the output; the input has none, as execute feeds it x.
+    zeros(node, input marks, dtype) is the kind's _zero_channels rule. role
+    says what a channel that materialize deletes does on reaching the kind:
+    it "pass"es, is "absorb"ed (the kind drops the matching inputs) or is
+    "pin"ned (the channel count is fixed). category is the analysis cost
+    bucket. params names the parameters in file order, and dump/load turn
+    attrs into the .fpm manifest's JSON and back.
+    """
+
+    arity: int | None
+    shape: Callable
+    run: Callable | None
+    role: str
+    category: str
+    zeros: Callable = lambda *_: None
+    flops: Callable = lambda *_: 0
+    params: tuple[str, ...] = ()
+    dump: Callable = lambda attrs: {}
+    load: Callable = lambda raw: {}
+
+
+def _conv_shape(node: Node, ins) -> tuple[int, int, int, int]:
+    spec: ConvSpec = node.attrs["spec"]
+    n, c, h, w = ins[0]
+    if c != spec.c:
+        raise ShapeMismatch(f"node {node.id!r}: conv expects {spec.c} channels, got {c}")
+    weight = node.params.get("weight")
+    if weight is None or weight.shape != spec.weight_shape:
+        got = None if weight is None else weight.shape
+        raise ShapeMismatch(f"node {node.id!r}: weight shape {got} != {spec.weight_shape}")
+    if spec.has_bias:
+        bias = node.params.get("bias")
+        if bias is None or bias.shape != (1, spec.k, 1, 1):
+            raise ShapeMismatch(f"node {node.id!r}: bias must be (1, {spec.k}, 1, 1)")
+    ho, wo = spec.out_hw(h, w)
+    return (n, spec.k, ho, wo)
+
+
+def _conv_zeros(node: Node, zero_in, dt):
+    zero = node.params["weight"].zero_rows(zero_in[0])
+    if zero is not None and node.attrs["spec"].has_bias:
+        zero = zero & (node.params["bias"].data.reshape(-1) == 0)
+    return _marks(zero)
+
+
+def _bn_shape(node: Node, ins) -> tuple[int, int, int, int]:
+    n, c, h, w = ins[0]
+    for name in ("gamma", "beta", "mean", "var"):
+        p = node.params.get(name)
+        if p is None or p.shape != (1, c, 1, 1):
+            raise ShapeMismatch(f"node {node.id!r}: bn param {name} must be (1, {c}, 1, 1)")
+    frozen = node.attrs.get("frozen", ())
+    if frozen and len(frozen) != c:
+        raise ShapeMismatch(f"node {node.id!r}: frozen flags cover {len(frozen)} of {c} channels")
+    if not float(node.attrs.get("eps", 0.0)) > 0:
+        raise ShapeMismatch(f"node {node.id!r}: bn eps must be > 0")
+    return ins[0]
+
+
+def _bn_zeros(node: Node, zero_in, dt):
+    if zero_in[0] is None:
+        return None
+    return _marks(zero_in[0] & (bn_params(node).lam(dt) == 0))
+
+
+def _add_shape(node: Node, ins) -> tuple[int, int, int, int]:
+    if ins[0] != ins[1]:
+        raise ShapeMismatch(f"node {node.id!r}: add operands {ins[0]} vs {ins[1]}")
+    return ins[0]
+
+
+def _add_zeros(node: Node, zero_in, dt):
+    if zero_in[0] is None or zero_in[1] is None:
+        return None
+    return _marks(zero_in[0] & zero_in[1])
+
+
+def _concat_shape(node: Node, ins) -> tuple[int, int, int, int]:
+    n, _, h, w = ins[0]
+    for shp in ins[1:]:
+        if (shp[0], shp[2], shp[3]) != (n, h, w):
+            raise ShapeMismatch(f"node {node.id!r}: concat operands {ins}")
+    return (n, sum(shp[1] for shp in ins), h, w)
+
+
+_POOL_ATTRS = ("window", "stride", "pad")
+
+
+def _maxpool_shape(node: Node, ins) -> tuple[int, int, int, int]:
+    n, c, h, w = ins[0]
+    r, s = node.attrs["window"]
+    sh, sw = node.attrs["stride"]
+    ph, pw = node.attrs["pad"]
+    ho = (h + 2 * ph - r) // sh + 1
+    wo = (w + 2 * pw - s) // sw + 1
+    if ho < 1 or wo < 1:
+        raise ShapeMismatch(f"node {node.id!r}: pool output collapses to {ho}x{wo}")
+    return (n, c, ho, wo)
+
+
+def _fc_shape(node: Node, ins) -> tuple[int, int, int, int]:
+    n, c, h, w = ins[0]
+    weight = node.params.get("weight")
+    fin = c * h * w
+    if weight is None or weight.shape[1] != fin or weight.shape[2:] != (1, 1):
+        got = None if weight is None else weight.shape
+        raise ShapeMismatch(f"node {node.id!r}: fc weight {got} incompatible with input {ins[0]}")
+    return (n, weight.shape[0], 1, 1)
+
+
+def _fc_run(node: Node, args, zero_in, zero_out) -> Tensor:
+    # a 1x1 conv over the flattened input, whose channel marks cover h*w
+    # inputs each, so a masked fc multiplies what its materialization does
+    n, c, h, w = args[0].shape
+    if zero_in is not None:
+        zero_in = np.repeat(zero_in, h * w)
+    x = args[0].data.reshape(n, c * h * w, 1, 1)
+    return Tensor._wrap(conv2d_gemm(x, node.params["weight"], _conv_bias(node),
+                                    (1, 1), (0, 0), zero_in))
+
+
+OPS: dict[str, Op] = {
+    "input": Op(arity=0, shape=_first, run=None, role="pin", category="other"),
+    "output": Op(arity=1, shape=_first, run=_first, role="pin", category="other",
+                 zeros=_first),
+    "conv": Op(arity=1, shape=_conv_shape,
+               run=lambda node, args, zero_in, zero_out: conv2d(
+                   args[0], node.params["weight"], _conv_bias(node), node.attrs["spec"],
+                   zero_in, zero_out),
+               role="absorb", category="COP", zeros=_conv_zeros,
+               # per output value, c*r*s multiply-adds and the bias
+               flops=lambda node, ins, out: math.prod(out) * (
+                   2 * math.prod(node.params["weight"].shape[1:]) + node.attrs["spec"].has_bias),
+               params=("weight", "bias"), dump=lambda attrs: asdict(attrs["spec"]),
+               load=lambda raw: {"spec": ConvSpec(
+                   *(int(raw[d]) for d in ("k", "c", "r", "s")), tuple(raw["stride"]),
+                   tuple(raw["pad"]), bool(raw["has_bias"]))}),
+    "bn": Op(arity=1, shape=_bn_shape,
+             run=lambda node, args, *_: batch_norm_inference(args[0], bn_params(node)),
+             role="pass", category="SOP", zeros=_bn_zeros,
+             flops=lambda node, ins, out: 2 * math.prod(out),
+             params=("gamma", "beta", "mean", "var"),
+             dump=lambda attrs: {"eps": float(attrs["eps"]),
+                                 "frozen": list(attrs.get("frozen", ()))},
+             load=lambda raw: {"eps": float(raw["eps"]),
+                               "frozen": tuple(int(f) for f in raw.get("frozen", ()))}),
+    "relu": Op(arity=1, shape=_first, run=lambda node, args, *_: relu(args[0]),
+               role="pass", category="SOP", zeros=_first,
+               flops=lambda node, ins, out: math.prod(out)),
+    "add": Op(arity=2, shape=_add_shape,
+              run=lambda node, args, *_: elementwise_add(args[0], args[1]),
+              role="pin", category="SOP", zeros=_add_zeros,
+              flops=lambda node, ins, out: math.prod(out)),
+    "concat": Op(arity=None, shape=_concat_shape,
+                 run=lambda node, args, *_: concat_channels(args), role="pin", category="other"),
+    "maxpool": Op(arity=1, shape=_maxpool_shape,
+                  run=lambda node, args, *_: max_pool(args[0], node.attrs["window"],
+                                                      node.attrs["stride"], node.attrs["pad"]),
+                  role="pass", category="SOP", zeros=_first,
+                  flops=lambda node, ins, out: math.prod(out) * math.prod(node.attrs["window"]),
+                  dump=lambda attrs: {a: list(attrs[a]) for a in _POOL_ATTRS},
+                  load=lambda raw: {a: tuple(raw[a]) for a in _POOL_ATTRS}),
+    "gavgpool": Op(arity=1, shape=lambda node, ins: (*ins[0][:2], 1, 1),
+                   run=lambda node, args, *_: global_avg_pool(args[0]),
+                   role="pass", category="SOP", zeros=_first,
+                   flops=lambda node, ins, out: math.prod(ins[0])),
+    "fc": Op(arity=1, shape=_fc_shape, run=_fc_run, role="absorb", category="COP",
+             flops=lambda node, ins, out: out[0] * 2 * math.prod(node.params["weight"].shape[:2]),
+             params=("weight", "bias")),
+}
+
+KINDS = tuple(OPS)
 
 
 def validate(g: Graph) -> dict[str, tuple[int, int, int, int]]:
@@ -220,10 +413,10 @@ def validate(g: Graph) -> dict[str, tuple[int, int, int, int]]:
         raise GraphError(f"bad input_shape {g.input_shape}")
 
     for node in g.nodes.values():
-        want = _ARITY.get(node.kind)
-        if node.kind == "concat":
+        want = OPS[node.kind].arity
+        if want is None:
             if len(node.inputs) < 2:
-                raise GraphError(f"concat node {node.id!r} needs >= 2 inputs")
+                raise GraphError(f"{node.kind} node {node.id!r} needs >= 2 inputs")
         elif len(node.inputs) != want:
             raise GraphError(
                 f"node {node.id!r} kind {node.kind} takes {want} inputs, has {len(node.inputs)}"
@@ -251,93 +444,15 @@ def validate(g: Graph) -> dict[str, tuple[int, int, int, int]]:
     shapes: dict[str, tuple[int, int, int, int]] = {}
     for nid in order:
         node = g.nodes[nid]
+        # the input node reads the declared input shape
+        ins = [shapes[src] for src in node.inputs] or [tuple(g.input_shape)]
         try:
-            shapes[nid] = _infer_shape(g, node, shapes)
+            shapes[nid] = OPS[node.kind].shape(node, ins)
         except ShapeMismatch:
             raise
         except (GraphError, ValueError) as exc:
             raise ShapeMismatch(f"node {nid!r}: {exc}") from exc
     return shapes
-
-
-def _validated_order(g: Graph) -> list[str]:
-    """validate(g) and the topological order it computed: the keys of the
-    shapes it returns, which it fills in that order, so g is sorted once."""
-    return list(validate(g))
-
-
-def _infer_shape(g: Graph, node: Node, shapes) -> tuple[int, int, int, int]:
-    ins = [shapes[src] for src in node.inputs]
-    kind = node.kind
-    if kind == "input":
-        return tuple(g.input_shape)
-    if kind in ("output", "relu"):
-        return ins[0]
-    if kind == "conv":
-        spec: ConvSpec = node.attrs["spec"]
-        n, c, h, w = ins[0]
-        if c != spec.c:
-            raise ShapeMismatch(f"node {node.id!r}: conv expects {spec.c} channels, got {c}")
-        weight = node.params.get("weight")
-        if weight is None or weight.shape != spec.weight_shape:
-            raise ShapeMismatch(
-                f"node {node.id!r}: weight shape "
-                f"{None if weight is None else weight.shape} != {spec.weight_shape}"
-            )
-        if spec.has_bias:
-            bias = node.params.get("bias")
-            if bias is None or bias.shape != (1, spec.k, 1, 1):
-                raise ShapeMismatch(f"node {node.id!r}: bias must be (1, {spec.k}, 1, 1)")
-        ho, wo = spec.out_hw(h, w)
-        return (n, spec.k, ho, wo)
-    if kind == "bn":
-        n, c, h, w = ins[0]
-        for name in ("gamma", "beta", "mean", "var"):
-            p = node.params.get(name)
-            if p is None or p.shape != (1, c, 1, 1):
-                raise ShapeMismatch(
-                    f"node {node.id!r}: bn param {name} must be (1, {c}, 1, 1)"
-                )
-        frozen = node.attrs.get("frozen", ())
-        if frozen and len(frozen) != c:
-            raise ShapeMismatch(f"node {node.id!r}: frozen flags cover {len(frozen)} of {c} channels")
-        if not float(node.attrs.get("eps", 0.0)) > 0:
-            raise ShapeMismatch(f"node {node.id!r}: bn eps must be > 0")
-        return ins[0]
-    if kind == "add":
-        if ins[0] != ins[1]:
-            raise ShapeMismatch(f"node {node.id!r}: add operands {ins[0]} vs {ins[1]}")
-        return ins[0]
-    if kind == "concat":
-        n, _, h, w = ins[0]
-        for shp in ins[1:]:
-            if (shp[0], shp[2], shp[3]) != (n, h, w):
-                raise ShapeMismatch(f"node {node.id!r}: concat operands {ins}")
-        return (n, sum(shp[1] for shp in ins), h, w)
-    if kind == "maxpool":
-        n, c, h, w = ins[0]
-        r, s = node.attrs["window"]
-        sh, sw = node.attrs["stride"]
-        ph, pw = node.attrs["pad"]
-        ho = (h + 2 * ph - r) // sh + 1
-        wo = (w + 2 * pw - s) // sw + 1
-        if ho < 1 or wo < 1:
-            raise ShapeMismatch(f"node {node.id!r}: pool output collapses to {ho}x{wo}")
-        return (n, c, ho, wo)
-    if kind == "gavgpool":
-        n, c, _, _ = ins[0]
-        return (n, c, 1, 1)
-    if kind == "fc":
-        n, c, h, w = ins[0]
-        weight = node.params.get("weight")
-        fin = c * h * w
-        if weight is None or weight.shape[1] != fin or weight.shape[2:] != (1, 1):
-            raise ShapeMismatch(
-                f"node {node.id!r}: fc weight "
-                f"{None if weight is None else weight.shape} incompatible with input {ins[0]}"
-            )
-        return (n, weight.shape[0], 1, 1)
-    raise GraphError(f"node {node.id!r}: unhandled kind {kind}")
 
 
 def _zero_channels(node: Node, zero_in: list, dt) -> np.ndarray | None:
@@ -351,64 +466,14 @@ def _zero_channels(node: Node, zero_in: list, dt) -> np.ndarray | None:
     omega * 0 + lam, which is a zero when lam is (in the dtype the kernel
     computes lam in), relu and the pools keep zeros, and an add gives a zero
     where both operands are zero. concat, fc and the input are left
-    unmarked.
+    unmarked. Each rule is the zeros entry of the kind's OPS record.
 
     A conv's filters are judged on its live input channels only, because
     materialize deletes the others: a filter whose weights sit only on
     removed channels is all zero in the materialized model, so the masked
     model must mark it too, or the two would run GEMMs of different shapes.
     """
-    kind = node.kind
-    if kind == "conv":
-        zero = node.params["weight"].zero_rows(zero_in[0])
-        if zero is None:
-            return None
-        if node.attrs["spec"].has_bias:
-            zero = zero & (node.params["bias"].data.reshape(-1) == 0)
-    elif kind == "bn":
-        if zero_in[0] is None:
-            return None
-        zero = zero_in[0] & (bn_params(node).lam(dt) == 0)
-    elif kind in ("relu", "maxpool", "gavgpool", "output"):
-        return zero_in[0]
-    elif kind == "add":
-        if zero_in[0] is None or zero_in[1] is None:
-            return None
-        zero = zero_in[0] & zero_in[1]
-    else:
-        return None
-    return zero if zero.any() else None
-
-
-def _eval_node(node: Node, args: list[Tensor], zero_in, zero_out) -> Tensor:
-    kind = node.kind
-    if kind in ("input", "output"):
-        return args[0] if args else None
-    if kind == "conv":
-        return conv2d(args[0], node.params["weight"], _conv_bias(node), node.attrs["spec"],
-                      zero_in, zero_out)
-    if kind == "bn":
-        return batch_norm_inference(args[0], bn_params(node))
-    if kind == "relu":
-        return relu(args[0])
-    if kind == "add":
-        return elementwise_add(args[0], args[1])
-    if kind == "concat":
-        return concat_channels(args)
-    if kind == "maxpool":
-        return max_pool(args[0], node.attrs["window"], node.attrs["stride"], node.attrs["pad"])
-    if kind == "gavgpool":
-        return global_avg_pool(args[0])
-    if kind == "fc":
-        # a 1x1 conv over the flattened input, whose channel marks cover h*w
-        # inputs each, so a masked fc multiplies what its materialization does
-        n, c, h, w = args[0].shape
-        if zero_in is not None:
-            zero_in = np.repeat(zero_in, h * w)
-        x = args[0].data.reshape(n, c * h * w, 1, 1)
-        return Tensor._wrap(conv2d_gemm(x, node.params["weight"], _conv_bias(node),
-                                        (1, 1), (0, 0), zero_in))
-    raise GraphError(f"cannot execute kind {kind}")
+    return OPS[node.kind].zeros(node, zero_in, dt)
 
 
 def execute(g: Graph, x: Tensor, timings: dict[str, float] | None = None) -> Tensor:
@@ -422,7 +487,7 @@ def execute(g: Graph, x: Tensor, timings: dict[str, float] | None = None) -> Ten
     input channels and filters that _zero_channels proves exactly zero from
     the weights (see the module docstring).
     """
-    order = _validated_order(g)
+    order = validate(g)
     if tuple(x.shape[1:]) != tuple(g.input_shape[1:]):
         raise ShapeMismatch(
             f"input (c, h, w) {x.shape[1:]} does not match declared {g.input_shape[1:]}"
@@ -436,65 +501,20 @@ def execute(g: Graph, x: Tensor, timings: dict[str, float] | None = None) -> Ten
             values[nid] = x
             zeros[nid] = None
             continue
+        op = OPS[node.kind]
         args = [values[src] for src in node.inputs]
         zero_in = [zeros[src] for src in node.inputs]
-        zeros[nid] = _zero_channels(node, zero_in, dt)
+        zeros[nid] = op.zeros(node, zero_in, dt)  # _zero_channels
         if timings is None:
-            values[nid] = _eval_node(node, args, zero_in[0], zeros[nid])
+            values[nid] = op.run(node, args, zero_in[0], zeros[nid])
         else:
             t0 = time.perf_counter()
-            values[nid] = _eval_node(node, args, zero_in[0], zeros[nid])
+            values[nid] = op.run(node, args, zero_in[0], zeros[nid])
             timings[nid] = timings.get(nid, 0.0) + (time.perf_counter() - t0)
     return values[g.output_id]
 
 
 # --- serialization ---------------------------------------------------------
-
-_PARAM_ORDER = {
-    "conv": ("weight", "bias"),
-    "bn": ("gamma", "beta", "mean", "var"),
-    "fc": ("weight", "bias"),
-}
-
-
-def _attrs_to_json(node: Node) -> dict:
-    if node.kind == "conv":
-        spec: ConvSpec = node.attrs["spec"]
-        return {
-            "k": spec.k, "c": spec.c, "r": spec.r, "s": spec.s,
-            "stride": list(spec.stride), "pad": list(spec.pad),
-            "has_bias": bool(spec.has_bias),
-        }
-    if node.kind == "bn":
-        return {"eps": float(node.attrs["eps"]), "frozen": list(node.attrs.get("frozen", ()))}
-    if node.kind == "maxpool":
-        return {
-            "window": list(node.attrs["window"]),
-            "stride": list(node.attrs["stride"]),
-            "pad": list(node.attrs["pad"]),
-        }
-    return {}
-
-
-def _attrs_from_json(kind: str, raw: dict) -> dict:
-    if kind == "conv":
-        return {
-            "spec": ConvSpec(
-                k=int(raw["k"]), c=int(raw["c"]), r=int(raw["r"]), s=int(raw["s"]),
-                stride=tuple(raw["stride"]), pad=tuple(raw["pad"]),
-                has_bias=bool(raw["has_bias"]),
-            )
-        }
-    if kind == "bn":
-        return {"eps": float(raw["eps"]), "frozen": tuple(int(f) for f in raw.get("frozen", ()))}
-    if kind == "maxpool":
-        return {
-            "window": tuple(raw["window"]),
-            "stride": tuple(raw["stride"]),
-            "pad": tuple(raw["pad"]),
-        }
-    return {}
-
 
 @contextlib.contextmanager
 def atomic_write(path):
@@ -521,15 +541,14 @@ def atomic_write(path):
 
 def save(g: Graph, path) -> None:
     """Write the graph to a .fpm container (see module docstring)."""
-    order = _validated_order(g)
+    order = validate(g)
     tensor_entries = []
     chunks = []
     digest = hashlib.sha256()
     offset = 0
     for nid in order:
         node = g.nodes[nid]
-        names = _PARAM_ORDER.get(node.kind, ())
-        for pname in names:
+        for pname in OPS[node.kind].params:
             if pname not in node.params:
                 continue
             t = node.params[pname]
@@ -557,10 +576,10 @@ def save(g: Graph, path) -> None:
                 "id": nid,
                 "kind": g.nodes[nid].kind,
                 "inputs": list(g.nodes[nid].inputs),
-                "attrs": _attrs_to_json(g.nodes[nid]),
+                "attrs": OPS[g.nodes[nid].kind].dump(g.nodes[nid].attrs),
                 "params": {
                     p: f"{nid}/{p}"
-                    for p in _PARAM_ORDER.get(g.nodes[nid].kind, ())
+                    for p in OPS[g.nodes[nid].kind].params
                     if p in g.nodes[nid].params
                 },
                 "tags": list(g.nodes[nid].tags),
@@ -580,7 +599,11 @@ def save(g: Graph, path) -> None:
 
 
 def load(path) -> Graph:
-    """Read a .fpm container, verify it, and return a validated Graph."""
+    """Read a .fpm container, verify it, and return a validated Graph.
+
+    A malformed file raises ModelFormatError, also where a JSON value has
+    the wrong type; a well-formed file of an invalid graph, validate's error.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 8 or data[:4] != FORMAT_MAGIC:
@@ -597,16 +620,16 @@ def load(path) -> Graph:
     if manifest.get("version") != FORMAT_VERSION:
         raise ModelFormatError(f"{path}: unsupported version {manifest.get('version')!r}")
     blob = memoryview(data)[8 + man_len :]
-    blob_meta = manifest.get("blob", {})
-    if blob_meta.get("length") != len(blob):
-        raise ModelFormatError(
-            f"{path}: blob length {len(blob)} != declared {blob_meta.get('length')}"
-        )
-    if hashlib.sha256(blob).hexdigest() != blob_meta.get("sha256"):
-        raise ModelFormatError(f"{path}: blob checksum failure")
-
-    tensors: dict[str, Tensor] = {}
     try:
+        blob_meta = manifest.get("blob", {})
+        if blob_meta.get("length") != len(blob):
+            raise ModelFormatError(
+                f"{path}: blob length {len(blob)} != declared {blob_meta.get('length')}"
+            )
+        if hashlib.sha256(blob).hexdigest() != blob_meta.get("sha256"):
+            raise ModelFormatError(f"{path}: blob checksum failure")
+
+        tensors: dict[str, Tensor] = {}
         for entry in manifest["tensors"]:
             name = entry["name"]
             shape = tuple(int(d) for d in entry["shape"])
@@ -632,11 +655,13 @@ def load(path) -> Graph:
                         f"{path}: node {raw['id']!r} references absent tensor {tname!r}"
                     )
                 params[pname] = tensors[tname]
+            kind = raw["kind"]
             nodes[raw["id"]] = Node(
                 id=raw["id"],
-                kind=raw["kind"],
+                kind=kind,
                 inputs=list(raw.get("inputs", [])),
-                attrs=_attrs_from_json(raw["kind"], raw.get("attrs", {})),
+                # an unknown kind loads bare, for validate to name it
+                attrs=OPS[kind].load(raw.get("attrs", {})) if kind in OPS else {},
                 params=params,
                 tags=list(raw.get("tags", [])),
             )
@@ -646,9 +671,10 @@ def load(path) -> Graph:
             output_id=manifest["output_id"],
             input_shape=tuple(int(d) for d in manifest["input_shape"]),
         )
+        # a node id that is not a string fails here, as a TypeError
+        validate(g)
     except ModelFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed manifest: {exc}") from exc
-    validate(g)
     return g

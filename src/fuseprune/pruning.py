@@ -28,16 +28,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .fusion import FusionReport
-from .graph import Graph, Node, bn_params, validate
+from .graph import OPS, Graph, Node, bn_params, validate
 from .tensor import ConvSpec, Tensor
-
-TRANSPARENT_KINDS = ("bn", "relu", "maxpool", "gavgpool")
-BLOCKING_KINDS = ("add", "concat", "output")
 
 MODES = ("conservative", "continued")
 TIE_BREAKS = ("low_index",)
@@ -235,32 +232,6 @@ class MaterializeResult:
     summary: list[dict]
 
 
-def _shrink_block_reason(g: Graph, consumers, conv_id: str) -> str | None:
-    """Why this conv's channels cannot be physically removed, or None.
-
-    Walks forward through transparent kinds; an add, concat or the graph
-    output pins the channel count, while a conv or fc consumer absorbs the
-    slice and stops the walk.
-    """
-    stack = list(consumers[conv_id])
-    seen = set()
-    while stack:
-        nid = stack.pop()
-        if nid in seen:
-            continue
-        seen.add(nid)
-        kind = g.nodes[nid].kind
-        if kind in ("conv", "fc"):
-            continue
-        if kind in BLOCKING_KINDS:
-            return f"output channels are pinned by {kind} node {nid!r}"
-        if kind in TRANSPARENT_KINDS:
-            stack.extend(consumers[nid])
-        else:
-            return f"output reaches unsupported kind {kind!r}"
-    return None
-
-
 def _check_zeroized(node: Node, zero_idx: list[int]) -> None:
     w = node.params["weight"].data
     if np.any(w[zero_idx] != 0):
@@ -272,57 +243,60 @@ def _check_zeroized(node: Node, zero_idx: list[int]) -> None:
         raise InconsistentMask(f"conv {node.id!r}: zeroized filters carry nonzero bias")
 
 
-def _propagation_plan(g: Graph, consumers, shapes, conv_id: str,
-                      keep_idx: np.ndarray, zero_idx: list[int]) -> list[tuple]:
-    """Collect (node_id, action) slice instructions downstream of conv_id."""
-    plan: list[tuple] = []
+def _slice_plan(g: Graph, consumers, conv_id: str, zero_idx: list[int]) -> str | list[str]:
+    """Where conv_id's deleted channels go: the reason they cannot be
+    deleted, or the nodes downstream whose parameters lose them.
+
+    Walks forward by each kind's graph.OPS role: the channels pass through
+    bn, relu and the pools, a conv or fc absorbs them, and an add, concat or
+    the output pins them, which blocks the deletion. Every kind with two
+    inputs pins, so the walk meets no node twice. A bn on the way must map
+    the deleted channels to exact zeros (lam 0, the rule graph.execute uses
+    to prove a bn channel zero), or InconsistentMask is raised.
+    """
+    plan: list[str] = []
     stack = list(consumers[conv_id])
     while stack:
         nid = stack.pop()
         node = g.nodes[nid]
-        if node.kind == "bn":
-            # the rule graph.execute uses to prove a bn channel zero
-            lam = bn_params(node).lam(node.params["gamma"].dtype)
-            if np.any(lam[zero_idx] != 0):
-                raise InconsistentMask(
-                    f"bn {nid!r}: removed channels {zero_idx} have nonzero shift "
-                    "(beta - omega * mean); rerun a pruning epoch so masked "
-                    "channels emit exact zeros before materializing"
-                )
-            plan.append((nid, "bn"))
+        op = OPS[node.kind]
+        if op.role == "pin":
+            return f"output channels are pinned by {node.kind} node {nid!r}"
+        if op.role == "pass":
             stack.extend(consumers[nid])
-        elif node.kind in ("relu", "maxpool", "gavgpool"):
-            stack.extend(consumers[nid])
-        elif node.kind == "conv":
-            plan.append((nid, "conv"))
-        elif node.kind == "fc":
-            _, c, h, w = shapes[node.inputs[0]]
-            cols = np.array([ch * h * w + j for ch in keep_idx for j in range(h * w)], dtype=int)
-            plan.append((nid, "fc", cols))
-        else:
-            raise CouplingConflict(
-                f"conv {conv_id!r}: channel slice reached blocking node {nid!r} "
-                f"({node.kind}) that the pre-scan should have caught"
+        if op.params:
+            plan.append(nid)
+    for nid in plan:
+        node = g.nodes[nid]
+        if node.kind != "bn":
+            continue
+        lam = bn_params(node).lam(node.params["gamma"].dtype)
+        if np.any(lam[zero_idx] != 0):
+            raise InconsistentMask(
+                f"bn {nid!r}: removed channels {zero_idx} have nonzero shift "
+                "(beta - omega * mean); rerun a pruning epoch so masked "
+                "channels emit exact zeros before materializing"
             )
     return plan
 
 
-def _apply_slice(node: Node, action: tuple, keep_idx: np.ndarray) -> None:
+def _apply_slice(node: Node, keep_idx: np.ndarray, shapes) -> None:
+    """Delete the input channels not in keep_idx from a bn, conv or fc."""
     node.params = dict(node.params)
     node.attrs = dict(node.attrs)
-    if action[1] == "bn":
+    if node.kind == "bn":
         for pname in ("gamma", "beta", "mean", "var"):
             node.params[pname] = Tensor(node.params[pname].data[:, keep_idx])
         frozen = node.attrs.get("frozen", ())
         if frozen:
             node.attrs["frozen"] = tuple(frozen[i] for i in keep_idx)
-    elif action[1] == "conv":
+    elif node.kind == "conv":
         spec: ConvSpec = node.attrs["spec"]
         node.params["weight"] = Tensor._wrap(node.params["weight"].data.take(keep_idx, axis=1))
-        node.attrs["spec"] = ConvSpec(spec.k, len(keep_idx), spec.r, spec.s,
-                                      spec.stride, spec.pad, spec.has_bias)
-    elif action[1] == "fc":
-        cols = action[2]
+        node.attrs["spec"] = replace(spec, c=len(keep_idx))
+    else:  # fc: its flattened input holds each channel h*w times
+        _, c, h, w = shapes[node.inputs[0]]
+        cols = np.array([ch * h * w + j for ch in keep_idx for j in range(h * w)], dtype=int)
         node.params["weight"] = Tensor._wrap(node.params["weight"].data.take(cols, axis=1))
 
 
@@ -343,7 +317,7 @@ def materialize(g: Graph, mask: PruneMask, report: FusionReport | None = None) -
     consumers = out.consumers()
     summary: list[dict] = []
     touched: dict[str, str] = {}
-    for nid in out.topo_order():
+    for nid in shapes:
         node = out.nodes[nid]
         if node.kind != "conv" or nid not in mask.keep:
             continue
@@ -359,29 +333,27 @@ def materialize(g: Graph, mask: PruneMask, report: FusionReport | None = None) -
         _check_zeroized(node, zero_idx)
         if len(zero_idx) == spec.k:
             raise InconsistentMask(f"conv {nid!r}: mask would remove every filter")
-        reason = _shrink_block_reason(out, consumers, nid)
-        if reason is not None:
+        plan = _slice_plan(out, consumers, nid, zero_idx)
+        if isinstance(plan, str):
             summary.append({"conv": nid, "removed": 0, "kept": spec.k,
-                            "zeroized": len(zero_idx), "blocked": reason})
+                            "zeroized": len(zero_idx), "blocked": plan})
             continue
-        keep_idx = np.array([i for i, f in enumerate(flags) if f], dtype=int)
-        plan = _propagation_plan(out, consumers, shapes, nid, keep_idx, zero_idx)
-        for action in plan:
-            if action[0] in touched:
+        for target in plan:
+            if target in touched:
                 raise CouplingConflict(
-                    f"node {action[0]!r} would be sliced by both {touched[action[0]]!r} "
+                    f"node {target!r} would be sliced by both {touched[target]!r} "
                     f"and {nid!r}"
                 )
-            touched[action[0]] = nid
+            touched[target] = nid
+        keep_idx = np.array([i for i, f in enumerate(flags) if f], dtype=int)
         node.params = dict(node.params)
         node.attrs = dict(node.attrs)
         node.params["weight"] = Tensor._wrap(node.params["weight"].data[keep_idx])
         if spec.has_bias:
             node.params["bias"] = Tensor(node.params["bias"].data[:, keep_idx])
-        node.attrs["spec"] = ConvSpec(len(keep_idx), spec.c, spec.r, spec.s,
-                                      spec.stride, spec.pad, spec.has_bias)
-        for action in plan:
-            _apply_slice(out.nodes[action[0]], action, keep_idx)
+        node.attrs["spec"] = replace(spec, k=len(keep_idx))
+        for target in plan:
+            _apply_slice(out.nodes[target], keep_idx, shapes)
         summary.append({"conv": nid, "removed": len(zero_idx), "kept": len(keep_idx),
                         "zeroized": len(zero_idx), "blocked": None})
     validate(out)

@@ -532,8 +532,9 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return Tensor._wrap(x.data.mean(axis=(2, 3), keepdims=True, dtype=x.dtype))
 
 
-def max_pool(x: Tensor, window, stride, pad) -> Tensor:
-    """Max over (r, s) windows with the same index convention as conv2d."""
+def max_pool_raw(x: np.ndarray, window, stride, pad) -> tuple[np.ndarray, np.ndarray]:
+    """max_pool on an array: returns the output and x padded with -inf,
+    whose windows the trainer's backward compares with the output."""
     r, s = int(window[0]), int(window[1])
     sh, sw = int(stride[0]), int(stride[1])
     ph, pw = int(pad[0]), int(pad[1])
@@ -546,7 +547,7 @@ def max_pool(x: Tensor, window, stride, pad) -> Tensor:
         raise TensorError(f"max_pool output collapses to {ho}x{wo}")
     neg = x.dtype.type(-np.inf)
     xp = np.full((n, c, h + 2 * ph, wd + 2 * pw), neg, dtype=x.dtype)
-    xp[:, :, ph : ph + h, pw : pw + wd] = x.data
+    xp[:, :, ph : ph + h, pw : pw + wd] = x
     y = np.full((n, c, ho, wo), neg, dtype=x.dtype)
     hspan = sh * (ho - 1) + 1
     wspan = sw * (wo - 1) + 1
@@ -554,8 +555,13 @@ def max_pool(x: Tensor, window, stride, pad) -> Tensor:
         rows = xp[:, :, i : i + hspan : sh]
         for j in range(s):
             np.maximum(y, rows[:, :, :, j : j + wspan : sw], out=y)
+    return y, xp
+
+
+def max_pool(x: Tensor, window, stride, pad) -> Tensor:
+    """Max over (r, s) windows with the same index convention as conv2d."""
     # a window made entirely of padding would leave -inf behind; Tensor rejects it
-    return Tensor._wrap(y)
+    return Tensor._wrap(max_pool_raw(x.data, window, stride, pad)[0])
 
 
 def fc_raw(x2d: np.ndarray, w2d: np.ndarray, bias) -> np.ndarray:

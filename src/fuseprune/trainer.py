@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import KINDS, Graph
-from .tensor import ConvSpec, Tensor, TensorError, batch_innermost_windows, pad_batch_innermost
+from .tensor import (ConvSpec, Tensor, TensorError, batch_innermost_windows, max_pool_raw,
+                     pad_batch_innermost)
 
 
 class TrainerError(Exception):
@@ -186,7 +187,9 @@ def _forward_train(g: Graph, x: np.ndarray, bn_momentum: float, order: list[str]
         elif kind == "gavgpool":
             values[nid] = args[0].mean(axis=(2, 3), keepdims=True)
         elif kind == "maxpool":
-            values[nid] = _maxpool_forward(node, args[0], caches)
+            values[nid], xp = max_pool_raw(args[0], node.attrs["window"], node.attrs["stride"],
+                                           node.attrs["pad"])
+            caches[nid] = {"xp": xp, "y": values[nid]}
         elif kind == "conv":
             values[nid] = _conv_forward(node, args[0], caches)
         elif kind == "fc":
@@ -260,24 +263,6 @@ def _updated(nid: str, what: str, arr: np.ndarray) -> Tensor:
         return Tensor._wrap(arr)
     except TensorError:
         raise TrainerError(f"node {nid!r}: {what} is not finite (training diverged)") from None
-
-
-def _maxpool_forward(node, x, caches):
-    r, s = node.attrs["window"]
-    sh, sw = node.attrs["stride"]
-    ph, pw = node.attrs["pad"]
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
-    ho = (x.shape[2] + 2 * ph - r) // sh + 1
-    wo = (x.shape[3] + 2 * pw - s) // sw + 1
-    hspan = (ho - 1) * sh + 1
-    wspan = (wo - 1) * sw + 1
-    y = np.full((x.shape[0], x.shape[1], ho, wo), -np.inf, dtype=x.dtype)
-    for u in range(r):
-        for v in range(s):
-            window = xp[:, :, u : u + hspan : sh, v : v + wspan : sw]
-            np.maximum(y, window, out=y)
-    caches[node.id] = {"x": x, "xp": xp, "y": y, "spans": (hspan, wspan)}
-    return y
 
 
 def training_forward(g: Graph, batch, bn_momentum: float = 0.1) -> np.ndarray:
@@ -430,7 +415,7 @@ def _maxpool_backward(node, gy, cache):
     sh, sw = node.attrs["stride"]
     ph, pw = node.attrs["pad"]
     xp, y = cache["xp"], cache["y"]
-    hspan, wspan = cache["spans"]
+    hspan, wspan = (y.shape[2] - 1) * sh + 1, (y.shape[3] - 1) * sw + 1
     gxp = np.zeros_like(xp)
     remaining = np.ones_like(y, dtype=bool)
     for u in range(r):
@@ -439,8 +424,7 @@ def _maxpool_backward(node, gy, cache):
             hit = (window == y) & remaining
             gxp[:, :, u : u + hspan : sh, v : v + wspan : sw] += gy * hit
             remaining &= ~hit
-    h, w = cache["x"].shape[2:]
-    return gxp[:, :, ph : ph + h, pw : pw + w]
+    return gxp[:, :, ph : xp.shape[2] - ph, pw : xp.shape[3] - pw]
 
 
 def sgd_step(g: Graph, grads, cfg: TrainConfig, velocity: dict) -> None:

@@ -91,7 +91,6 @@ class TestCountFlops:
         report = count_flops(g)
         cats = report.category_flops()
         assert set(cats) == set(CATEGORIES)
-        assert cats["sys"] == 0.0
         assert cats["other"] == 0
         assert cats["COP"] > cats["SOP"] > 0
         assert cats["COP"] + cats["SOP"] + cats["other"] == report.total_flops
@@ -169,7 +168,6 @@ class TestProfile:
         assert report.runs_counted == 27
         shares = report.category_time_shares()
         assert abs(sum(shares.values()) - 1.0) < 1e-9
-        assert shares["sys"] == 0.0
         # conv work dominates every other single category on this engine
         assert shares["COP"] == max(shares.values())
         assert all(t >= 0 for t in report.kind_times().values())

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from fuseprune import graph
+from fuseprune.analysis import count_flops
+from fuseprune.cli import EXIT_VALIDATION, main
+from fuseprune.fusion import find_residual_blocks
 from fuseprune.graph import (
     CycleDetected,
     DanglingInput,
@@ -22,7 +25,9 @@ from fuseprune.graph import (
     save,
     validate,
 )
+from fuseprune.pruning import PruneMask, materialize
 from fuseprune.tensor import Tensor
+from fuseprune.trainer import forward_backward
 
 from conftest import bn_node, conv_node, fc_node, make_graph, plain_node
 
@@ -189,6 +194,18 @@ class TestExecute:
         save(g, tmp_path / "g.fpm")
         assert len(sorts) == 2
 
+    def test_flops_block_matching_and_materialize_sort_the_graph_once(self, rng, monkeypatch):
+        g = tiny_chain(rng)
+        sorts = []
+        topo_order = graph._topo_order
+        monkeypatch.setattr(graph, "_topo_order", lambda h: sorts.append(h) or topo_order(h))
+        count_flops(g)
+        assert len(sorts) == 1
+        find_residual_blocks(g)
+        assert len(sorts) == 2
+        materialize(g, PruneMask())
+        assert len(sorts) == 4  # the input graph, and the result once built
+
 
 class TestContainer:
     def test_roundtrip_execution_bit_exact(self, rng, tmp_path):
@@ -303,6 +320,29 @@ class TestContainer:
         with pytest.raises(ModelFormatError, match="outside the blob"):
             load(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.update(blob=[]),
+        lambda m: m["nodes"][1].update(params=[]),
+        lambda m: m["nodes"].__setitem__(1, ["c1"]),
+        lambda m: m["nodes"][1]["attrs"].update(stride=[1]),
+        lambda m: m["nodes"][1].update(inputs=[["in"]]),
+    ], ids=["blob-list", "params-list", "node-list", "stride-one-entry", "input-list"])
+    def test_wrong_json_type_rejected(self, rng, tmp_path, capsys, edit):
+        # a JSON value of the wrong type is a malformed file, not a crash
+        path = tmp_path / "m.fpm"
+        save(tiny_chain(rng), path)
+        raw = path.read_bytes()
+        man_len = int.from_bytes(raw[4:8], "little")
+        manifest = json.loads(raw[8 : 8 + man_len])
+        assert manifest["nodes"][1]["kind"] == "conv"
+        edit(manifest)
+        payload = json.dumps(manifest, separators=(",", ":")).encode()
+        path.write_bytes(b"FPM1" + len(payload).to_bytes(4, "little") + payload + raw[8 + man_len :])
+        with pytest.raises(ModelFormatError, match="malformed manifest"):
+            load(path)
+        assert main(["flops", str(path)]) == EXIT_VALIDATION
+        assert "malformed manifest" in capsys.readouterr().err
+
     def test_blob_is_little_endian_ieee(self, rng, tmp_path):
         g = tiny_chain(rng)
         path = tmp_path / "m.fpm"
@@ -315,3 +355,86 @@ class TestContainer:
         arr = np.frombuffer(blob[entry["offset"] : entry["offset"] + entry["length"]], "<f4")
         assert np.array_equal(arr.reshape(entry["shape"]), g.nodes["c1"].params["weight"].data)
         assert hashlib.sha256(blob).hexdigest() == manifest["blob"]["sha256"]
+
+
+def all_kinds_graph(rng, dtype=np.float32):
+    """One graph holding every kind in graph.KINDS.
+
+    input -> conv c1 (3->4, bias) -> bn b1 (channels 0 and 3 frozen) -> relu
+    -> maxpool 2x2/2 -> [conv c2 (4->4) + the pool: add] and conv c3 (4->2,
+    1x1), joined by concat -> gavgpool -> fc (6->3, bias) -> output. c3's
+    second filter is zero, so it is a zeroized filter that only the concat
+    reads.
+    """
+    c3 = rng.standard_normal((2, 4, 1, 1)).astype(dtype)
+    c3[1] = 0
+    nodes = [
+        plain_node("in", "input", []),
+        conv_node("c1", ["in"], 4, 3, weight=rng.standard_normal((4, 3, 3, 3)).astype(dtype),
+                  bias=rng.uniform(-0.2, 0.2, 4), dtype=dtype),
+        bn_node("b1", ["c1"], 4, gamma=rng.uniform(0.5, 1.5, 4), beta=rng.uniform(-0.2, 0.2, 4),
+                mean=rng.uniform(-0.2, 0.2, 4), var=rng.uniform(0.5, 1.5, 4),
+                frozen=(1, 0, 0, 1), dtype=dtype),
+        plain_node("r1", "relu", ["b1"]),
+        plain_node("mp", "maxpool", ["r1"], window=(2, 2), stride=(2, 2), pad=(0, 0)),
+        conv_node("c2", ["mp"], 4, 4, weight=rng.standard_normal((4, 4, 3, 3)).astype(dtype),
+                  dtype=dtype),
+        plain_node("sum", "add", ["c2", "mp"]),
+        conv_node("c3", ["mp"], 2, 4, r=1, s=1, pad=(0, 0), weight=c3, dtype=dtype),
+        plain_node("cat", "concat", ["sum", "c3"]),
+        plain_node("gap", "gavgpool", ["cat"]),
+        fc_node("fc", ["gap"], 3, 6, weight=rng.standard_normal((3, 6, 1, 1)).astype(dtype),
+                bias=rng.uniform(-0.2, 0.2, 3), dtype=dtype),
+        plain_node("out", "output", ["fc"]),
+    ]
+    return make_graph(nodes, "in", "out", (2, 3, 8, 8))
+
+
+class TestAllKinds:
+    """Every kind through validation, execution, cost, the file format,
+    training and materialization, on one graph."""
+
+    @pytest.fixture
+    def g(self, rng):
+        return all_kinds_graph(rng)
+
+    def test_holds_every_kind(self, g):
+        assert {n.kind for n in g.nodes.values()} == set(graph.KINDS) == set(graph.OPS)
+
+    def test_validate_execute_and_count_flops(self, g, rng):
+        shapes = validate(g)
+        assert shapes["cat"] == (2, 6, 4, 4) and shapes["out"] == (2, 3, 1, 1)
+        y = execute(g, Tensor(rng.standard_normal((2, 3, 8, 8)).astype(np.float32)))
+        assert y.shape == (2, 3, 1, 1) and np.all(np.isfinite(y.data))
+        report = count_flops(g)
+        assert [n.node_id for n in report.nodes] == list(shapes)
+        assert report.kind_flops()["concat"] == 0 and report.total_flops > 0
+
+    def test_save_load_save_round_trip(self, g, rng, tmp_path):
+        first, second = tmp_path / "a.fpm", tmp_path / "b.fpm"
+        save(g, first)
+        loaded = load(first)
+        save(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert loaded.nodes["b1"].attrs["frozen"] == (1, 0, 0, 1)
+        assert loaded.nodes["mp"].attrs == g.nodes["mp"].attrs
+        x = Tensor(rng.standard_normal((2, 3, 8, 8)).astype(np.float32))
+        assert execute(g, x).data.tobytes() == execute(loaded, x).data.tobytes()
+
+    def test_forward_backward_gives_finite_gradients(self, g, rng):
+        x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
+        loss, grads, gx = forward_backward(g, x, np.array([0, 2]))
+        assert np.isfinite(loss) and np.all(np.isfinite(gx))
+        assert set(grads) == {"c1", "b1", "c2", "c3", "fc"}
+        for gparams in grads.values():
+            assert all(np.all(np.isfinite(a)) for a in gparams.values())
+
+    def test_concat_blocks_materialize(self, g, rng):
+        result = materialize(g, PruneMask(keep={"c3": [True, False]}))
+        assert result.summary == [{
+            "conv": "c3", "removed": 0, "kept": 2, "zeroized": 1,
+            "blocked": "output channels are pinned by concat node 'cat'",
+        }]
+        assert result.graph.nodes["c3"].params["weight"].shape == (2, 4, 1, 1)
+        x = Tensor(rng.standard_normal((2, 3, 8, 8)).astype(np.float32))
+        assert execute(g, x).data.tobytes() == execute(result.graph, x).data.tobytes()
