@@ -54,8 +54,7 @@ from .fusion import (
     find_residual_blocks,
     fold_bn,
     fuse,
-    fuse_basic_block,
-    fuse_projection_block,
+    fuse_block,
     make_identity_weights,
     pad_conv_weights,
 )

@@ -27,7 +27,7 @@ import numpy as np
 
 from .analysis import count_flops, load_profile, profile, speedup, speedup_from_profile
 from .fusion import FusionError, FusionReport, fold_bn, fuse
-from .graph import Graph, GraphError, atomic_write, execute, load, save
+from .graph import GraphError, atomic_write, execute, graph_dtype, load, save
 from .pruning import PruneConfig, PruneError, PruneMask, dynamic_prune, materialize
 from .tensor import Tensor
 from .trainer import TrainConfig, TrainerError, make_epoch_hook, parse_dataset_spec
@@ -72,13 +72,6 @@ def read_tensor(path) -> Tensor:
             raise ValueError(f"{path}: trailing bytes after tensor data")
     data = np.frombuffer(raw, dtype=dt).reshape(shape)
     return Tensor(data.astype(data.dtype.newbyteorder("=")))
-
-
-def _graph_dtype(g: Graph) -> np.dtype:
-    for nid in g.topo_order():
-        for t in g.nodes[nid].params.values():
-            return t.dtype
-    return np.dtype(np.float32)
 
 
 def _cmd_build_model(args) -> int:
@@ -166,7 +159,7 @@ def _cmd_verify(args) -> int:
             f"input shapes differ: {lhs.input_shape} vs {rhs.input_shape}")
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
-    dt = _graph_dtype(lhs)
+    dt = graph_dtype(lhs)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.trials):
@@ -187,7 +180,7 @@ def _cmd_flops(args) -> int:
 
 def _cmd_profile(args) -> int:
     g = load(args.model)
-    dt = _graph_dtype(g)
+    dt = graph_dtype(g)
     rng = np.random.default_rng(args.seed)
     x = Tensor(rng.standard_normal((args.batch, *g.input_shape[1:])).astype(dt))
     print(profile(g, x, args.runs).to_text(), end="")

@@ -387,17 +387,12 @@ def _provably_nonneg(g: Graph, nid: str) -> bool:
     return False
 
 
-def _fuse_block(g: Graph, match: BlockMatch, with_bn: bool, assume_nonneg: bool):
+def _fuse_block(g: Graph, match: BlockMatch, assume_nonneg: bool):
     """Rewrite one matched block in place; returns FusionReport entries.
 
     All guards run and all new weights are built before the graph is
     touched, so a raise leaves g unchanged.
     """
-    if with_bn != match.with_bn:
-        raise PatternMismatch(
-            f"block {match.tag or match.add!r}: with_bn={with_bn} but the match "
-            f"{'has' if match.with_bn else 'lacks'} main-path bn nodes"
-        )
     if not assume_nonneg and not _provably_nonneg(g, match.input_id):
         raise PatternMismatch(
             f"block {match.tag or match.add!r}: input {match.input_id!r} "
@@ -549,24 +544,12 @@ def _fuse_block(g: Graph, match: BlockMatch, with_bn: bool, assume_nonneg: bool)
     return [(match.conv1, entry1), (match.conv2, entry2)]
 
 
-def fuse_basic_block(g: Graph, match: BlockMatch, with_bn: bool,
-                     assume_nonneg: bool = False) -> tuple[Graph, FusionReport]:
-    """Fuse one identity-shortcut block; returns (new graph, report)."""
-    if match.kind != "basic":
-        raise PatternMismatch(f"match {match.tag or match.add!r} is not a basic block")
+def fuse_block(g: Graph, match: BlockMatch,
+               assume_nonneg: bool = False) -> tuple[Graph, FusionReport]:
+    """Fuse one identity- or projection-shortcut block, with or without
+    main-path bn; returns (new graph, report)."""
     out = g.copy()
-    entries = _fuse_block(out, match, with_bn, assume_nonneg)
-    validate(out)
-    return out, FusionReport(convs=dict(entries))
-
-
-def fuse_projection_block(g: Graph, match: BlockMatch, with_bn: bool,
-                          assume_nonneg: bool = False) -> tuple[Graph, FusionReport]:
-    """Fuse one projection-shortcut block; returns (new graph, report)."""
-    if match.kind != "projection":
-        raise PatternMismatch(f"match {match.tag or match.add!r} is not a projection block")
-    out = g.copy()
-    entries = _fuse_block(out, match, with_bn, assume_nonneg)
+    entries = _fuse_block(out, match, assume_nonneg)
     validate(out)
     return out, FusionReport(convs=dict(entries))
 
@@ -616,9 +599,8 @@ def fuse(g: Graph, option: FusionOption | str,
     report = FusionReport(option=str(option))
     out = g.copy()
     for match in _selected_blocks(matches, option):
-        kind_with_bn = match.with_bn
         try:
-            entries = _fuse_block(out, match, kind_with_bn, assume_nonneg)
+            entries = _fuse_block(out, match, assume_nonneg)
         except NearZeroOmega as exc:
             report.skipped.append({"block": match.tag, "reason": str(exc)})
             continue

@@ -18,7 +18,7 @@ the same values. The batch dimension of the input is free; the declared
 input_shape fixes (c, h, w) and a nominal batch size used for validation.
 
 Execution also carries, node by node, the output channels that are exactly
-zero for every input, derived from the weights alone (_zero_channels), and
+zero for every input, derived from the weights alone (Op.zeros), and
 each conv leaves out of its GEMMs those input channels and its filters
 that are zero on all the others. An fc runs as a 1x1 conv over its
 flattened input, whose marks are its input channels' marks repeated over
@@ -64,6 +64,7 @@ from .tensor import (
     elementwise_add,
     global_avg_pool,
     max_pool,
+    pool_out_hw,
     relu,
 )
 
@@ -194,6 +195,16 @@ def _conv_bias(node: Node):
     return node.params["bias"].data.reshape(-1) if has_bias else None
 
 
+def graph_dtype(g: Graph, order: list[str] | None = None) -> np.dtype:
+    """The dtype of g's first parameter in topological order, which its
+    inputs must have; float32 for a graph without parameters. order is g's
+    topological order, sorted here when not given."""
+    for nid in g.topo_order() if order is None else order:
+        for t in g.nodes[nid].params.values():
+            return t.dtype
+    return np.dtype(np.float32)
+
+
 # --- the op table ------------------------------------------------------------
 
 def _first(node, items, *_):
@@ -214,11 +225,19 @@ class Op:
     shapes) and flops(node, input shapes, output shape) work on (n, c, h, w)
     tuples. run(node, inputs, the first input's zero marks, the output's)
     computes the output; the input has none, as execute feeds it x.
-    zeros(node, input marks, dtype) is the kind's _zero_channels rule. role
-    says what a channel that materialize deletes does on reaching the kind:
-    it "pass"es, is "absorb"ed (the kind drops the matching inputs) or is
-    "pin"ned (the channel count is fixed). category is the analysis cost
-    bucket. params names the parameters in file order, and dump/load turn
+
+    zeros(node, input marks, dtype) gives the output channels that are
+    exactly zero for every input, as a bool mask, or None when none are
+    known, from the weights alone. A conv's filters are judged on its live
+    input channels only, because materialize deletes the others: a filter
+    whose weights sit only on removed channels is all zero in the
+    materialized model, so the masked model must mark it too, or the two
+    would run GEMMs of different shapes.
+
+    role says what a channel that materialize deletes does on reaching the
+    kind: it "pass"es, is "absorb"ed (the kind drops the matching inputs)
+    or is "pin"ned (the channel count is fixed). category is the analysis
+    cost bucket. params names the parameters in file order, and dump/load turn
     attrs into the .fpm manifest's JSON and back.
     """
 
@@ -303,14 +322,8 @@ _POOL_ATTRS = ("window", "stride", "pad")
 
 def _maxpool_shape(node: Node, ins) -> tuple[int, int, int, int]:
     n, c, h, w = ins[0]
-    r, s = node.attrs["window"]
-    sh, sw = node.attrs["stride"]
-    ph, pw = node.attrs["pad"]
-    ho = (h + 2 * ph - r) // sh + 1
-    wo = (w + 2 * pw - s) // sw + 1
-    if ho < 1 or wo < 1:
-        raise ShapeMismatch(f"node {node.id!r}: pool output collapses to {ho}x{wo}")
-    return (n, c, ho, wo)
+    # max_pool's own check; validate reports its TensorError as ShapeMismatch
+    return (n, c, *pool_out_hw(h, w, *(node.attrs[a] for a in _POOL_ATTRS)))
 
 
 def _fc_shape(node: Node, ins) -> tuple[int, int, int, int]:
@@ -455,27 +468,6 @@ def validate(g: Graph) -> dict[str, tuple[int, int, int, int]]:
     return shapes
 
 
-def _zero_channels(node: Node, zero_in: list, dt) -> np.ndarray | None:
-    """The output channels of node that are exactly zero for every input.
-
-    A bool mask over the channels, or None when none are known to be zero.
-    zero_in holds the masks of node's inputs; only weights are read, never
-    activations. The marks are exact, not guesses: a conv filter whose bias
-    is zero and whose weights are zero on every input channel not already
-    marked gives +0 (conv2d writes it so), bn maps an exact zero to
-    omega * 0 + lam, which is a zero when lam is (in the dtype the kernel
-    computes lam in), relu and the pools keep zeros, and an add gives a zero
-    where both operands are zero. concat, fc and the input are left
-    unmarked. Each rule is the zeros entry of the kind's OPS record.
-
-    A conv's filters are judged on its live input channels only, because
-    materialize deletes the others: a filter whose weights sit only on
-    removed channels is all zero in the materialized model, so the masked
-    model must mark it too, or the two would run GEMMs of different shapes.
-    """
-    return OPS[node.kind].zeros(node, zero_in, dt)
-
-
 def execute(g: Graph, x: Tensor, timings: dict[str, float] | None = None) -> Tensor:
     """Run the graph on x (inference mode; bn uses stored statistics).
 
@@ -484,8 +476,8 @@ def execute(g: Graph, x: Tensor, timings: dict[str, float] | None = None) -> Ten
     node's kernel is added to it keyed by node id.
 
     Every conv, and every fc as a 1x1 conv, leaves out of its GEMMs the
-    input channels and filters that _zero_channels proves exactly zero from
-    the weights (see the module docstring).
+    input channels and filters that the kinds' zeros rules (Op) prove
+    exactly zero from the weights (see the module docstring).
     """
     order = validate(g)
     if tuple(x.shape[1:]) != tuple(g.input_shape[1:]):
@@ -504,7 +496,7 @@ def execute(g: Graph, x: Tensor, timings: dict[str, float] | None = None) -> Ten
         op = OPS[node.kind]
         args = [values[src] for src in node.inputs]
         zero_in = [zeros[src] for src in node.inputs]
-        zeros[nid] = op.zeros(node, zero_in, dt)  # _zero_channels
+        zeros[nid] = op.zeros(node, zero_in, dt)
         if timings is None:
             values[nid] = op.run(node, args, zero_in[0], zeros[nid])
         else:

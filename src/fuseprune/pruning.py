@@ -37,7 +37,6 @@ from .graph import OPS, Graph, Node, bn_params, validate
 from .tensor import ConvSpec, Tensor
 
 MODES = ("conservative", "continued")
-TIE_BREAKS = ("low_index",)
 
 RATE_CAP = 0.3
 
@@ -62,14 +61,11 @@ class PruneConfig:
     rate: float = 0.0
     epochs: int = 1
     mode: str = "conservative"
-    tie_break: str = "low_index"
     allow_high_rate: bool = False
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.tie_break not in TIE_BREAKS:
-            raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {self.tie_break!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         cap = 1.0 if self.allow_high_rate else RATE_CAP
@@ -131,11 +127,9 @@ def filter_l2_norms(w: Tensor) -> np.ndarray:
     return np.sqrt(np.sum(np.square(flat, dtype=np.float64), axis=1))
 
 
-def select_prune_indices(norms: np.ndarray, count: int, tie_break: str = "low_index") -> list[int]:
+def select_prune_indices(norms: np.ndarray, count: int) -> list[int]:
     """Indices of the `count` smallest norms, equal norms going to the lower
     index; returned in ascending index order."""
-    if tie_break not in TIE_BREAKS:
-        raise PruneError(f"unknown tie_break {tie_break!r}")
     norms = np.asarray(norms).reshape(-1)
     if not 0 <= count <= norms.shape[0]:
         raise PruneError(f"count {count} outside [0, {norms.shape[0]}]")
@@ -198,7 +192,7 @@ def soft_prune_epoch(g: Graph, report: FusionReport | None, cfg: PruneConfig) ->
             count = _rate_count(cfg.rate, spec.k)
         else:
             count = 0
-        idx = select_prune_indices(filter_l2_norms(node.params["weight"]), count, cfg.tie_break)
+        idx = select_prune_indices(filter_l2_norms(node.params["weight"]), count)
         if idx:
             _zeroize(g, consumers, nid, idx)
         chosen = set(idx)

@@ -34,7 +34,9 @@ count. The kernels meet it as follows:
   oracle pins bit for bit; fc_raw adds a block of inputs' products one at
   a time in input order, and _BLOCK_BYTES caps a block's buffers and
   changes no bit.
-* The trainer's conv uses conv2d_gemm's padded layout and window view.
+* The trainer runs conv2d_gemm, without zero masks, for every conv and fc
+  of its forward pass; its backward reads conv2d_gemm's padded layout and
+  window view.
 
 float32 is the working precision; float64 is supported throughout for
 high-precision runs. Mixing dtypes within one kernel call is an error.
@@ -276,17 +278,6 @@ def _filter_bias(bias, k: int, x: np.ndarray):
     return b.reshape(1, k, 1, 1)
 
 
-def conv_windows(xp: np.ndarray, r: int, s: int, stride) -> np.ndarray:
-    """Every (r, s) tap's strided window of a padded (n, c, h, w) input.
-
-    Returns a read-only (c, r, s, n, ho, wo) view without copying:
-    [t, i, j, n, oh, ow] is xp[n, t, stride[0]*oh + i, stride[1]*ow + j].
-    Reshaping it to (c*r*s, n*ho*wo) gives the im2col matrix.
-    """
-    taps = np.lib.stride_tricks.sliding_window_view(xp, (r, s), axis=(2, 3))
-    return taps[:, :, :: stride[0], :: stride[1]].transpose(1, 4, 5, 0, 2, 3)
-
-
 def pad_batch_innermost(x: np.ndarray, pad) -> np.ndarray:
     """x (n, c, h, w) zero-padded by pad and held batch innermost.
 
@@ -303,13 +294,20 @@ def pad_batch_innermost(x: np.ndarray, pad) -> np.ndarray:
 
 
 def batch_innermost_windows(xp: np.ndarray, r: int, s: int, stride) -> np.ndarray:
-    """conv_windows of a padded (c, h, w, n) input, as a (c, r, s, ho, wo, n) view.
+    """Every (r, s) tap's strided window of a padded (c, h, w, n) input.
 
-    [t, i, j, oh, ow, n] is xp[t, stride[0]*oh + i, stride[1]*ow + j, n];
-    reshaping it to (c*r*s, ho*wo*n) gives the im2col matrix with the batch
-    innermost in its columns.
+    Returns a read-only (c, r, s, ho, wo, n) view without copying:
+    [t, i, j, oh, ow, n] is xp[t, stride[0]*oh + i, stride[1]*ow + j, n].
+    Reshaping it to (c*r*s, ho*wo*n) gives the im2col matrix with the batch
+    innermost in its columns. The window must fit in xp; the view is built
+    from xp's strides in one call, about half the cost of
+    sliding_window_view, which every conv call pays.
     """
-    return conv_windows(xp.transpose(3, 0, 1, 2), r, s, stride).transpose(0, 1, 2, 4, 5, 3)
+    c, h, w, n = xp.shape
+    sc, sh, sw, sn = xp.strides
+    shape = (c, r, s, (h - r) // stride[0] + 1, (w - s) // stride[1] + 1, n)
+    return np.lib.stride_tricks.as_strided(
+        xp, shape, (sc, sh, sw, sh * stride[0], sw * stride[1], sn), writeable=False)
 
 
 def conv2d_raw(x: np.ndarray, w: np.ndarray, bias, stride, pad) -> np.ndarray:
@@ -532,19 +530,34 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return Tensor._wrap(x.data.mean(axis=(2, 3), keepdims=True, dtype=x.dtype))
 
 
+def pool_out_hw(h: int, w: int, window, stride, pad) -> tuple[int, int]:
+    """The (ho, wo) of a max_pool over an (h, w) map.
+
+    The one geometry check of the pool, which graph.validate runs too:
+    raises TensorError for a window or stride below 1, a negative pad, a
+    pad as wide as the window, which makes a window of padding alone (its
+    max would be -inf), or an output below 1x1.
+    """
+    (r, s), (sh, sw), (ph, pw) = window, stride, pad
+    if min(r, s, sh, sw) < 1 or min(ph, pw) < 0:
+        raise TensorError("max_pool window/stride must be >= 1 and pad >= 0")
+    if ph >= r or pw >= s:
+        raise TensorError(f"max_pool pad {tuple(pad)} must be below the window {tuple(window)}")
+    ho = (h + 2 * ph - r) // sh + 1
+    wo = (w + 2 * pw - s) // sw + 1
+    if ho < 1 or wo < 1:
+        raise TensorError(f"max_pool output collapses to {ho}x{wo}")
+    return ho, wo
+
+
 def max_pool_raw(x: np.ndarray, window, stride, pad) -> tuple[np.ndarray, np.ndarray]:
     """max_pool on an array: returns the output and x padded with -inf,
     whose windows the trainer's backward compares with the output."""
     r, s = int(window[0]), int(window[1])
     sh, sw = int(stride[0]), int(stride[1])
     ph, pw = int(pad[0]), int(pad[1])
-    if r < 1 or s < 1 or sh < 1 or sw < 1 or ph < 0 or pw < 0:
-        raise TensorError("max_pool window/stride must be >= 1 and pad >= 0")
     n, c, h, wd = x.shape
-    ho = (h + 2 * ph - r) // sh + 1
-    wo = (wd + 2 * pw - s) // sw + 1
-    if ho < 1 or wo < 1:
-        raise TensorError(f"max_pool output collapses to {ho}x{wo}")
+    ho, wo = pool_out_hw(h, wd, (r, s), (sh, sw), (ph, pw))
     neg = x.dtype.type(-np.inf)
     xp = np.full((n, c, h + 2 * ph, wd + 2 * pw), neg, dtype=x.dtype)
     xp[:, :, ph : ph + h, pw : pw + wd] = x
@@ -560,7 +573,6 @@ def max_pool_raw(x: np.ndarray, window, stride, pad) -> tuple[np.ndarray, np.nda
 
 def max_pool(x: Tensor, window, stride, pad) -> Tensor:
     """Max over (r, s) windows with the same index convention as conv2d."""
-    # a window made entirely of padding would leave -inf behind; Tensor rejects it
     return Tensor._wrap(max_pool_raw(x.data, window, stride, pad)[0])
 
 

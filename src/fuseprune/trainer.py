@@ -4,19 +4,21 @@ The loop exists so soft pruning can interleave real weight updates with
 masking. It is seeded end-to-end and exact enough for finite-difference
 verification.
 
-Convolutions run as im2col GEMMs in the layout of the inference kernel,
-tensor.conv2d_gemm: the padded input is held with the batch innermost,
-(c, h, w, n) (tensor.pad_batch_innermost), and the forward pass multiplies
-the (k, c*r*s) weights by its (c*r*s, ho*wo*n) window matrix
-(tensor.batch_innermost_windows, reshaped). Backward rebuilds that matrix
-from the cached padded input; caching the matrix itself would hold r*s
-times the input per conv. The weight gradient is taken as (cols @ gy.T).T:
-on the trainer's long products (k rows, ho*wo*n columns) the BLAS runs
-that orientation up to about twice as fast as gy @ cols.T. The input
-gradient is the transposed weights times the output gradient, added back
-onto the padded input one tap at a time (col2im). The accumulation order
-is the BLAS's, as in the inference conv. Results are deterministic at a
-fixed BLAS thread count.
+The forward pass runs every conv, and every fc as a 1x1 conv over the
+(n, c*h*w, 1, 1) view of its input, on the inference kernel,
+tensor.conv2d_gemm, without zero masks. Backward pads the conv's input,
+which the forward pass keeps for relu's backward anyway, into the kernel's
+batch-innermost (c, h, w, n) layout (tensor.pad_batch_innermost) and takes
+the (c*r*s, ho*wo*n) window matrix of it (tensor.batch_innermost_windows,
+reshaped); caching the matrix would hold r*s times the input per conv. The
+weight gradient is taken as (cols @ gy.T).T: on the trainer's long
+products (k rows, ho*wo*n columns) the BLAS runs that orientation up to
+about twice as fast as gy @ cols.T. The input gradient is the transposed
+weights times the output gradient, added back onto the padded input one
+tap at a time (col2im). The accumulation order is the BLAS's, as in the
+inference conv. Results are deterministic at a fixed BLAS thread count.
+A batch is cast to the graph's dtype (graph.graph_dtype) before the first
+kernel, which rejects mixed dtypes; evaluate casts the test images alike.
 
 Batch norm runs in training mode here: unfrozen channels normalize with
 the current batch's statistics (mean and two-pass biased variance, as
@@ -43,8 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import KINDS, Graph
-from .tensor import (ConvSpec, Tensor, TensorError, batch_innermost_windows, max_pool_raw,
+from .graph import KINDS, Graph, _conv_bias, graph_dtype
+from .tensor import (Tensor, TensorError, batch_innermost_windows, conv2d_gemm, max_pool_raw,
                      pad_batch_innermost)
 
 
@@ -157,9 +159,26 @@ def _frozen_mask(node, channels: int) -> np.ndarray:
     return np.asarray(frozen, dtype=bool)
 
 
+def _batch(g: Graph, batch, order: list[str]) -> np.ndarray:
+    """The batch as an array in g's dtype (graph.graph_dtype), which the
+    conv kernel requires of its input; float32 data widens to float64
+    exactly."""
+    x = batch.data if isinstance(batch, Tensor) else batch
+    return np.asarray(x, dtype=graph_dtype(g, order))
+
+
+def _as_conv(node, x):
+    """(input, stride, pad) of a conv, or of an fc as a 1x1 conv over the
+    (n, c*h*w, 1, 1) view of its input, as graph.execute runs it."""
+    if node.kind == "fc":
+        return x.reshape(x.shape[0], -1, 1, 1), (1, 1), (0, 0)
+    spec = node.attrs["spec"]
+    return x, spec.stride, spec.pad
+
+
 def _forward_train(g: Graph, x: np.ndarray, bn_momentum: float, order: list[str]):
     """Training-mode forward pass over the topological order; returns node
-    outputs plus backward caches.
+    outputs plus the bn and maxpool backward caches.
 
     Side effect: unfrozen bn channels fold this batch's statistics into the
     stored running mean/var with the given momentum.
@@ -183,44 +202,20 @@ def _forward_train(g: Graph, x: np.ndarray, bn_momentum: float, order: list[str]
             values[nid] = args[0] + args[1]
         elif kind == "concat":
             values[nid] = np.concatenate(args, axis=1)
-            caches[nid] = {"widths": [a.shape[1] for a in args]}
         elif kind == "gavgpool":
             values[nid] = args[0].mean(axis=(2, 3), keepdims=True)
         elif kind == "maxpool":
             values[nid], xp = max_pool_raw(args[0], node.attrs["window"], node.attrs["stride"],
                                            node.attrs["pad"])
-            caches[nid] = {"xp": xp, "y": values[nid]}
-        elif kind == "conv":
-            values[nid] = _conv_forward(node, args[0], caches)
-        elif kind == "fc":
-            values[nid] = _fc_forward(node, args[0])
+            caches[nid] = {"xp": xp}
+        elif kind in ("conv", "fc"):
+            xin, stride, pad = _as_conv(node, args[0])
+            values[nid] = conv2d_gemm(xin, node.params["weight"], _conv_bias(node), stride, pad)
         elif kind == "bn":
             values[nid] = _bn_forward_train(node, args[0], bn_momentum, caches)
         else:  # pragma: no cover
             raise TrainerError(f"unhandled kind {kind}")
     return values, caches
-
-
-def _conv_forward(node, x, caches):
-    spec: ConvSpec = node.attrs["spec"]
-    w2d = node.params["weight"].data.reshape(spec.k, -1)
-    xp = pad_batch_innermost(x, spec.pad)
-    ho, wo = spec.out_hw(x.shape[2], x.shape[3])
-    cols = batch_innermost_windows(xp, spec.r, spec.s, spec.stride).reshape(w2d.shape[1], -1)
-    y2d = w2d @ cols
-    if spec.has_bias:
-        y2d += node.params["bias"].data.reshape(-1, 1)
-    caches[node.id] = {"xp": xp}
-    return np.ascontiguousarray(y2d.reshape(spec.k, ho, wo, x.shape[0]).transpose(3, 0, 1, 2))
-
-
-def _fc_forward(node, x):
-    w2d = node.params["weight"].data.reshape(node.params["weight"].shape[:2])
-    flat = x.reshape(x.shape[0], -1)
-    y = flat @ w2d.T
-    if "bias" in node.params:
-        y = y + node.params["bias"].data.reshape(-1)
-    return y.reshape(x.shape[0], w2d.shape[0], 1, 1)
 
 
 def _bn_forward_train(node, x, bn_momentum, caches):
@@ -272,8 +267,8 @@ def training_forward(g: Graph, batch, bn_momentum: float = 0.1) -> np.ndarray:
     with the batch's own statistics (and fold them into the running
     estimates in place).
     """
-    x = batch.data if isinstance(batch, Tensor) else np.asarray(batch)
-    values, _ = _forward_train(g, x, bn_momentum, g.topo_order())
+    order = g.topo_order()
+    values, _ = _forward_train(g, _batch(g, batch, order), bn_momentum, order)
     out = values[g.nodes[g.output_id].inputs[0]]
     return out.reshape(out.shape[0], -1)
 
@@ -286,14 +281,15 @@ def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1,
     arrays shaped like the stored parameters (conv/fc weight and bias, bn
     gamma and beta; frozen bn channels get exact zeros). Running bn
     statistics are updated in place as a side effect; weights are not.
-    order is g's topological order, sorted here when not given.
+    The batch is cast to g's dtype, and input_grad has that dtype. order is
+    g's topological order, sorted here when not given.
     """
-    x = batch.data if isinstance(batch, Tensor) else np.asarray(batch)
+    if order is None:
+        order = g.topo_order()
+    x = _batch(g, batch, order)
     labels = np.asarray(labels)
     if labels.shape != (x.shape[0],):
         raise TrainerError(f"labels shape {labels.shape} does not match batch {x.shape[0]}")
-    if order is None:
-        order = g.topo_order()
     values, caches = _forward_train(g, x, bn_momentum, order)
     out_node = g.nodes[g.output_id]
     logits4 = values[out_node.inputs[0]]
@@ -325,7 +321,8 @@ def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1,
             push(node.inputs[1], gy)
         elif kind == "concat":
             ofs = 0
-            for src, width in zip(node.inputs, caches[nid]["widths"]):
+            for src in node.inputs:
+                width = values[src].shape[1]
                 push(src, gy[:, ofs : ofs + width])
                 ofs += width
         elif kind == "gavgpool":
@@ -333,15 +330,11 @@ def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1,
             scale = gy.dtype.type(1.0 / (xin.shape[2] * xin.shape[3]))
             push(node.inputs[0], np.broadcast_to(gy * scale, xin.shape).copy())
         elif kind == "maxpool":
-            push(node.inputs[0], _maxpool_backward(node, gy, caches[nid]))
-        elif kind == "conv":
-            gx, gparams = _conv_backward(node, gy, caches[nid])
-            grads[nid] = gparams
-            push(node.inputs[0], gx)
-        elif kind == "fc":
-            gx, gparams = _fc_backward(node, gy, values[node.inputs[0]])
-            grads[nid] = gparams
-            push(node.inputs[0], gx)
+            push(node.inputs[0], _maxpool_backward(node, gy, caches[nid]["xp"], values[nid]))
+        elif kind in ("conv", "fc"):
+            xin = values[node.inputs[0]]
+            gx, grads[nid] = _conv_backward(node, gy, *_as_conv(node, xin))
+            push(node.inputs[0], gx.reshape(xin.shape))
         elif kind == "bn":
             gx, gparams = _bn_backward(node, gy, caches[nid])
             grads[nid] = gparams
@@ -351,41 +344,32 @@ def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1,
     return loss, grads, gmap.get(g.input_id, np.zeros_like(x))
 
 
-def _conv_backward(node, gy, cache):
-    spec: ConvSpec = node.attrs["spec"]
-    w2d = node.params["weight"].data.reshape(spec.k, -1)
-    xp = cache["xp"]
+def _conv_backward(node, gy, x, stride, pad):
+    """(input gradient, parameter gradients) of a conv, or of an fc, run on
+    the 1x1-conv view of its input that _as_conv gives: x, stride and pad
+    are the kernel's operands in the forward pass."""
+    weight = node.params["weight"]
+    k, c, r, s = weight.shape
+    w2d = weight.data.reshape(k, -1)
+    xp = pad_batch_innermost(x, pad)
     _, hp, wp, n = xp.shape
     ho, wo = gy.shape[2:]
-    sh, sw = spec.stride
-    ph, pw = spec.pad
-    gy2d = gy.transpose(1, 2, 3, 0).reshape(spec.k, -1)
-    cols = batch_innermost_windows(xp, spec.r, spec.s, spec.stride).reshape(w2d.shape[1], -1)
-    gw = (cols @ gy2d.T).T.reshape(spec.weight_shape)
-    gcols = (w2d.T @ gy2d).reshape(spec.c, spec.r, spec.s, ho, wo, n)
+    sh, sw = stride
+    ph, pw = pad
+    gy2d = gy.transpose(1, 2, 3, 0).reshape(k, -1)
+    cols = batch_innermost_windows(xp, r, s, stride).reshape(w2d.shape[1], -1)
+    gw = (cols @ gy2d.T).T.reshape(weight.shape)
+    gcols = (w2d.T @ gy2d).reshape(c, r, s, ho, wo, n)
     # col2im: add each tap's window gradient onto the input positions it read
     gxp = np.zeros_like(xp)
     hspan, wspan = (ho - 1) * sh + 1, (wo - 1) * sw + 1
-    for u in range(spec.r):
-        for v in range(spec.s):
+    for u in range(r):
+        for v in range(s):
             gxp[:, u : u + hspan : sh, v : v + wspan : sw] += gcols[:, u, v]
     gx = np.ascontiguousarray(gxp[:, ph : hp - ph, pw : wp - pw].transpose(3, 0, 1, 2))
     gparams = {"weight": gw}
-    if spec.has_bias:
-        gparams["bias"] = gy.sum(axis=(0, 2, 3)).reshape(1, spec.k, 1, 1)
-    return gx, gparams
-
-
-def _fc_backward(node, gy, xin):
-    w = node.params["weight"]
-    w2d = w.data.reshape(w.shape[:2])
-    gy2 = gy.reshape(gy.shape[0], -1)
-    flat = xin.reshape(xin.shape[0], -1)
-    gw = (gy2.T @ flat).reshape(w.shape)
-    gx = (gy2 @ w2d).reshape(xin.shape)
-    gparams = {"weight": gw}
-    if "bias" in node.params:
-        gparams["bias"] = gy2.sum(axis=0).reshape(node.params["bias"].shape)
+    if _conv_bias(node) is not None:
+        gparams["bias"] = gy.sum(axis=(0, 2, 3)).reshape(node.params["bias"].shape)
     return gx, gparams
 
 
@@ -410,11 +394,13 @@ def _bn_backward(node, gy, cache):
     return gx, {"gamma": ggamma.reshape(1, c, 1, 1), "beta": gbeta.reshape(1, c, 1, 1)}
 
 
-def _maxpool_backward(node, gy, cache):
+def _maxpool_backward(node, gy, xp, y):
+    """The input gradient of a maxpool whose -inf padded input was xp and
+    whose output was y: each output's gradient goes to the first tap, in
+    row-major order, that holds the maximum."""
     r, s = node.attrs["window"]
     sh, sw = node.attrs["stride"]
     ph, pw = node.attrs["pad"]
-    xp, y = cache["xp"], cache["y"]
     hspan, wspan = (y.shape[2] - 1) * sh + 1, (y.shape[3] - 1) * sw + 1
     gxp = np.zeros_like(xp)
     remaining = np.ones_like(y, dtype=bool)
@@ -485,14 +471,16 @@ def train_epoch(g: Graph, dataset: SynthDataset, cfg: TrainConfig, epoch: int = 
 
 
 def evaluate(g: Graph, dataset: SynthDataset, batch_size: int = 64) -> float:
-    """Inference-mode top-1 accuracy on the test split."""
+    """Inference-mode top-1 accuracy on the test split, whose images are
+    cast to g's dtype as forward_backward casts a batch."""
     from .graph import execute
 
+    dt = graph_dtype(g)
     correct = 0
     for start in range(0, dataset.n_test, batch_size):
         images = dataset.test_images[start : start + batch_size]
         labels = dataset.test_labels[start : start + batch_size]
-        y = execute(g, Tensor(images))
+        y = execute(g, Tensor(images, dt))
         pred = y.data.reshape(y.shape[0], -1).argmax(axis=1)
         correct += int((pred == labels).sum())
     return correct / dataset.n_test

@@ -59,7 +59,6 @@ class ZooSpec:
     input_shape: tuple[int, int, int, int] | None = None
     classes: int | None = None
     dtype: str = "f32"
-    init: str = "kaiming"
     seed: int = 0
 
     def __post_init__(self):
@@ -67,8 +66,6 @@ class ZooSpec:
             raise ValueError(f"unknown family {self.family!r}; have {sorted(FAMILIES)}")
         if self.dtype not in DTYPE_FROM_NAME:
             raise ValueError(f"unknown dtype {self.dtype!r}")
-        if self.init != "kaiming":
-            raise ValueError(f"unknown init rule {self.init!r}")
         if self.input_shape is not None:
             self.input_shape = tuple(int(d) for d in self.input_shape)
             if len(self.input_shape) != 4 or any(d < 1 for d in self.input_shape):

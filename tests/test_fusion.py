@@ -17,8 +17,7 @@ from fuseprune.fusion import (
     find_residual_blocks,
     fold_bn,
     fuse,
-    fuse_basic_block,
-    fuse_projection_block,
+    fuse_block,
     make_identity_weights,
     pad_conv_weights,
 )
@@ -207,7 +206,7 @@ class TestBasicFusion:
     def test_shapes_and_report(self, rng):
         g = random_residual_block_graph(rng)
         (m,) = find_residual_blocks(g)
-        fused, report = fuse_basic_block(g, m, with_bn=True)
+        fused, report = fuse_block(g, m)
         s1 = fused.node("conv1").attrs["spec"]
         assert (s1.k, s1.c) == (8, 4)
         assert fused.node("conv1").params["weight"].shape == (8, 4, 3, 3)
@@ -234,7 +233,7 @@ class TestBasicFusion:
         # exactly 1 and add exactly 0, so the passthrough is bit-exact
         g = random_residual_block_graph(rng, dtype=dtype)
         (m,) = find_residual_blocks(g)
-        fused, _ = fuse_basic_block(g, m, with_bn=True)
+        fused, _ = fuse_block(g, m)
         bn = fused.node("bn1")
         p = BnParams(gamma=bn.params["gamma"].data, beta=bn.params["beta"].data,
                      mean=bn.params["mean"].data, var=bn.params["var"].data,
@@ -248,7 +247,7 @@ class TestBasicFusion:
         rng = np.random.default_rng(7)
         g = random_residual_block_graph(rng, with_bn=with_bn, dtype=dtype)
         (m,) = find_residual_blocks(g)
-        fused, _ = fuse_basic_block(g, m, with_bn=with_bn)
+        fused, _ = fuse_block(g, m)
         assert_equivalent(g, fused, rng, dtype=dtype)
 
     def test_bias_carried_through(self, rng):
@@ -262,7 +261,7 @@ class TestBasicFusion:
                 rng.uniform(-0.2, 0.2, (1, spec.k, 1, 1)).astype(np.float32))
         validate(g)
         (m,) = find_residual_blocks(g)
-        fused, _ = fuse_basic_block(g, m, with_bn=False)
+        fused, _ = fuse_block(g, m)
         b1 = fused.node("conv1").params["bias"].data.reshape(-1)
         assert b1.shape == (8,)
         assert np.all(b1[4:] == 0)
@@ -277,8 +276,8 @@ class TestBasicFusion:
         (m,) = find_residual_blocks(g)
         assert m.input_id == "in"
         with pytest.raises(PatternMismatch):
-            fuse_basic_block(g, m, with_bn=True)
-        fused, _ = fuse_basic_block(g, m, with_bn=True, assume_nonneg=True)
+            fuse_block(g, m)
+        fused, _ = fuse_block(g, m, assume_nonneg=True)
         x = rand_input(rng, (1, 4, 6, 6), nonneg=True)
         np.testing.assert_allclose(execute(g, x).data, execute(fused, x).data,
                                    rtol=1e-4, atol=1e-5)
@@ -286,12 +285,6 @@ class TestBasicFusion:
         xs = Tensor(-np.abs(rand_input(rng, (1, 4, 6, 6)).data) - 0.1)
         diff = np.abs(execute(g, xs).data - execute(fused, xs).data).max()
         assert diff > 1e-3
-
-    def test_wrong_kind_rejected(self, rng):
-        g = random_residual_block_graph(rng, projection=True)
-        (m,) = find_residual_blocks(g)
-        with pytest.raises(PatternMismatch):
-            fuse_basic_block(g, m, with_bn=True)
 
     def test_unequal_kernels_rejected(self, rng):
         g = random_residual_block_graph(rng).copy()
@@ -301,7 +294,7 @@ class TestBasicFusion:
         validate(g)
         (m,) = find_residual_blocks(g)
         with pytest.raises(NonOddKernel):
-            fuse_basic_block(g, m, with_bn=True)
+            fuse_block(g, m)
         assert "add" in g.nodes  # untouched on failure
 
 
@@ -309,7 +302,7 @@ class TestProjectionFusion:
     def test_shapes_and_report(self, rng):
         g = random_residual_block_graph(rng, projection=True)
         (m,) = find_residual_blocks(g)
-        fused, report = fuse_projection_block(g, m, with_bn=True)
+        fused, report = fuse_block(g, m)
         s1 = fused.node("conv1").attrs["spec"]
         assert (s1.k, s1.c, s1.stride) == (8, 4, (2, 2))
         s2 = fused.node("conv2").attrs["spec"]
@@ -327,13 +320,13 @@ class TestProjectionFusion:
         rng = np.random.default_rng(11)
         g = random_residual_block_graph(rng, projection=True, with_bn=with_bn, dtype=dtype)
         (m,) = find_residual_blocks(g)
-        fused, _ = fuse_projection_block(g, m, with_bn=with_bn)
+        fused, _ = fuse_block(g, m)
         assert_equivalent(g, fused, rng, dtype=dtype)
 
     def test_stride_one_projection(self, rng):
         g = random_residual_block_graph(rng, projection=True, stride=(1, 1))
         (m,) = find_residual_blocks(g)
-        fused, _ = fuse_projection_block(g, m, with_bn=True)
+        fused, _ = fuse_block(g, m)
         assert_equivalent(g, fused, rng)
 
     def test_shortcut_bias_without_bn(self, rng):
@@ -344,7 +337,7 @@ class TestProjectionFusion:
         node.params["bias"] = Tensor(rng.uniform(-0.3, 0.3, (1, 4, 1, 1)).astype(np.float32))
         validate(g)
         (m,) = find_residual_blocks(g)
-        fused, _ = fuse_projection_block(g, m, with_bn=False)
+        fused, _ = fuse_block(g, m)
         assert fused.node("conv2").attrs["spec"].has_bias
         assert_equivalent(g, fused, rng)
 
@@ -357,7 +350,7 @@ class TestProjectionFusion:
         validate(g)
         (m,) = find_residual_blocks(g)
         with pytest.raises(PatternMismatch):
-            fuse_projection_block(g, m, with_bn=True)
+            fuse_block(g, m)
 
     def test_shortcut_stride_mismatch_rejected(self, rng):
         g = random_residual_block_graph(rng, projection=True, stride=(1, 1)).copy()
@@ -375,7 +368,7 @@ class TestProjectionFusion:
         matches = find_residual_blocks(g)
         assert len(matches) == 1
         with pytest.raises(StrideMismatch):
-            fuse_projection_block(g, matches[0], with_bn=True)
+            fuse_block(g, matches[0])
 
 
 class TestFuseDriver:

@@ -49,6 +49,16 @@ def tiny_chain(rng, dtype=np.float32):
     return make_graph(nodes, "in", "out", (1, 3, 8, 8))
 
 
+def pool_graph(window=(2, 2), stride=(2, 2), pad=(0, 0)):
+    """input (1, 2, 4, 4) -> maxpool -> output."""
+    nodes = [
+        plain_node("in", "input", []),
+        plain_node("pool", "maxpool", ["in"], window=window, stride=stride, pad=pad),
+        plain_node("out", "output", ["pool"]),
+    ]
+    return make_graph(nodes, "in", "out", (1, 2, 4, 4))
+
+
 class TestValidate:
     def test_shapes_inferred(self, rng):
         g = tiny_chain(rng)
@@ -342,6 +352,32 @@ class TestContainer:
             load(path)
         assert main(["flops", str(path)]) == EXIT_VALIDATION
         assert "malformed manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("attrs", [
+        {"window": (0, 0)}, {"window": (2, 0)}, {"stride": (0, 1)}, {"pad": (-1, 0)},
+        {"pad": (0, 2)}, {"window": (7, 7)},
+    ], ids=["window-0", "window-col-0", "stride-0", "pad-negative", "pad-fills-window",
+            "collapses"])
+    def test_bad_maxpool_geometry_rejected(self, tmp_path, capsys, attrs):
+        # validate runs max_pool's own check, so it cannot infer a shape
+        # (window 0 on a 4x4 map gave 5x5) for a pool execute would reject,
+        # and a file holding one does not load; a pad as wide as the window
+        # gives windows of padding alone, whose -inf execute rejected
+        with pytest.raises(ShapeMismatch, match="node 'pool': max_pool"):
+            validate(pool_graph(**attrs))
+        path = tmp_path / "m.fpm"
+        save(pool_graph(), path)
+        raw = path.read_bytes()
+        man_len = int.from_bytes(raw[4:8], "little")
+        manifest = json.loads(raw[8 : 8 + man_len])
+        assert manifest["nodes"][1]["kind"] == "maxpool"
+        manifest["nodes"][1]["attrs"].update({k: list(v) for k, v in attrs.items()})
+        payload = json.dumps(manifest, separators=(",", ":")).encode()
+        path.write_bytes(b"FPM1" + len(payload).to_bytes(4, "little") + payload + raw[8 + man_len :])
+        with pytest.raises(ShapeMismatch, match="max_pool"):
+            load(path)
+        assert main(["flops", str(path)]) == EXIT_VALIDATION
+        assert "node 'pool'" in capsys.readouterr().err
 
     def test_blob_is_little_endian_ieee(self, rng, tmp_path):
         g = tiny_chain(rng)

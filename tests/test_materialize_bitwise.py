@@ -1,16 +1,17 @@
 """Graph-level tests of the bitwise promise: masked == materialized, byte for byte.
 
 graph.execute marks the channels that are exactly zero from the weights
-alone (graph._zero_channels), and every conv leaves them out of its GEMMs.
-A masked model and its materialization then run the same GEMMs on the same
-compacted operands, so their outputs agree bit for bit. These tests check
-that over the whole zoo and, on hand-built graphs, the cases the marks must
-get right: a blocked conv that keeps its zero filters, a filter that is
-zero by chance, which is dead only where the following bn's shift is zero,
-and an fc that reads a spatial map, where each channel's mark covers h*w
-of its inputs. The zoo sweep drives resnet18 and resnet34 through stage-4
-convs on 1x1 maps (2x2 for their stride-2 conv), where conv2d_gemm drops
-the taps that read only padding, on both sides.
+alone (the zeros rule of each kind's graph.OPS record), and every conv
+leaves them out of its GEMMs. A masked model and its materialization then
+run the same GEMMs on the same compacted operands, so their outputs agree
+bit for bit. These tests check that over the whole zoo and, on hand-built
+graphs, the cases the marks must get right: a blocked conv that keeps its
+zero filters, a filter that is zero by chance, which is dead only where
+the following bn's shift is zero, and an fc that reads a spatial map,
+where each channel's mark covers h*w of its inputs. The zoo sweep drives
+resnet18 and resnet34 through stage-4 convs on 1x1 maps (2x2 for their
+stride-2 conv), where conv2d_gemm drops the taps that read only padding,
+on both sides.
 """
 
 from __future__ import annotations
@@ -58,12 +59,12 @@ def same_bytes(a: Tensor, b: Tensor) -> bool:
 
 
 def zero_marks(g, x):
-    """graph._zero_channels for every node of g, as execute derives them."""
+    """The zero-channel marks of every node of g, as execute derives them."""
     marks = {}
     for nid in g.topo_order():
         node = g.nodes[nid]
         marks[nid] = (None if node.kind == "input" else
-                      graph._zero_channels(node, [marks[s] for s in node.inputs], x.dtype))
+                      graph.OPS[node.kind].zeros(node, [marks[s] for s in node.inputs], x.dtype))
     return marks
 
 

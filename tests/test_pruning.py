@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fuseprune.fusion import find_residual_blocks, fold_bn, fuse, fuse_basic_block
+from fuseprune.fusion import find_residual_blocks, fold_bn, fuse, fuse_block
 from fuseprune.graph import execute, save, validate
 from fuseprune.pruning import (
     InconsistentMask,
@@ -112,8 +112,6 @@ class TestConfig:
             PruneConfig(epochs=0)
         with pytest.raises(ValueError):
             PruneConfig(mode="hard")
-        with pytest.raises(ValueError):
-            PruneConfig(tie_break="random")
 
 
 class TestSoftPrune:
@@ -165,7 +163,7 @@ class TestSoftPrune:
     def test_fused_convs_restore_width_and_are_exempt(self, rng):
         g = random_residual_block_graph(rng)
         (m,) = find_residual_blocks(g)
-        fused, report = fuse_basic_block(g, m, with_bn=True)
+        fused, report = fuse_block(g, m)
         # append a non-fused conv after the block
         fused = fused.copy()
         w3 = rng.standard_normal((10, 4, 3, 3)).astype(np.float32) * 0.3
@@ -200,7 +198,7 @@ class TestSoftPrune:
     def test_stale_report_rejected(self, rng):
         g = random_residual_block_graph(rng)
         (m,) = find_residual_blocks(g)
-        fused, report = fuse_basic_block(g, m, with_bn=True)
+        fused, report = fuse_block(g, m)
         report.convs["conv1"].n = 99
         with pytest.raises(PruneError):
             soft_prune_epoch(fused.copy(), report, PruneConfig())
@@ -384,7 +382,7 @@ class TestMaterialize:
     def test_frozen_flags_sliced(self, rng):
         g = random_residual_block_graph(rng)
         (m,) = find_residual_blocks(g)
-        fused, report = fuse_basic_block(g, m, with_bn=True)
+        fused, report = fuse_block(g, m)
         masked, mask = dynamic_prune(fused, report, PruneConfig(mode="conservative"))
         res = materialize(masked, mask, report)
         bn1 = res.graph.node("bn1")

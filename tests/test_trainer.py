@@ -560,6 +560,24 @@ class TestTrainEpoch:
         loss = train_epoch(g, ds, self.cfg(batch_size=16))
         assert np.isfinite(loss)
 
+    def test_f64_graph_fits_and_evaluates_on_f32_data(self):
+        from fuseprune.zoo import ZooSpec, build
+
+        # the synthetic images are f32; training and evaluate cast them to
+        # the graph's dtype, exactly, so the f64 graph stays f64
+        g = build(ZooSpec("resnet8-tiny", dtype="f64", seed=2))
+        ds = SynthDataset(seed=2, n_train=64, n_test=32)
+        assert ds.train_images.dtype == np.float32
+        losses = fit(g, ds, self.cfg(epochs=1))
+        assert np.isfinite(losses[0])
+        assert 0 <= evaluate(g, ds) <= 1
+        assert {t.dtype for n in g.nodes.values() for t in n.params.values()} == {np.dtype(F64)}
+        step = [forward_backward(g.copy(), batch, ds.train_labels[:8])
+                for batch in (ds.train_images[:8], ds.train_images[:8].astype(F64))]
+        assert step[0][0] == step[1][0] and step[0][2].dtype == F64
+        assert all(step[0][1][nid][p].tobytes() == step[1][1][nid][p].tobytes()
+                   for nid in step[0][1] for p in step[0][1][nid])
+
     def test_frozen_channels_bitwise_stable_across_epoch(self):
         frozen = [1, 0, 1, 0, 0, 1, 0, 0]
         g = small_net(5, frozen=frozen)

@@ -1,9 +1,10 @@
-"""Direct tests of the trainer's im2col convolution, forward and backward.
+"""Direct tests of the trainer's convolution, forward and backward.
 
-The trainer's conv leaves its accumulation order to the BLAS, so its
-forward output is compared with the brute-force oracle, and its input,
-weight and bias gradients with central finite differences of the float64
-loss sum(y * gy), by tolerances derived from the dtype. The geometries
+The trainer runs its forward pass on tensor.conv2d_gemm and its backward
+as im2col GEMMs and col2im. Both leave the accumulation order to the BLAS,
+so the forward output is compared with the brute-force oracle, and the
+input, weight and bias gradients with central finite differences of the
+float64 loss sum(y * gy), by tolerances derived from the dtype. The geometries
 cover what the im2col/col2im index arithmetic can get wrong: strides that
 leave input rows unread, 1x1 kernels, a single filter, non-square kernels,
 and padding on one or both axes.
@@ -14,9 +15,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fuseprune.trainer import _conv_backward, _conv_forward
+from fuseprune.trainer import _conv_backward, _forward_train
 
-from conftest import conv_node
+from conftest import conv_node, make_graph, plain_node
 from oracles import conv2d_brute, numeric_gradient
 from test_trainer import rel_err
 
@@ -53,14 +54,15 @@ def draw(name, dt):
 
 
 def forward(x, w, b, stride, pad):
-    """(node, y, cache) of one training-mode conv."""
+    """(node, y, x) of one training-mode conv: the trainer's forward pass
+    over input -> conv -> output."""
     k, c, r, s = w.shape
-    # Tensor freezes the array it is given; copy so the caller's stays writable
-    node = conv_node("conv", ["in"], k, c, r=r, s=s, stride=stride, pad=pad, weight=w.copy(),
-                     bias=None if b is None else b.copy(), dtype=w.dtype)
-    caches = {}
-    y = _conv_forward(node, x, caches)
-    return node, y, caches["conv"]
+    node = conv_node("conv", ["in"], k, c, r=r, s=s, stride=stride, pad=pad, weight=w,
+                     bias=b, dtype=w.dtype)
+    g = make_graph([plain_node("in", "input", []), node, plain_node("out", "output", ["conv"])],
+                   "in", "out", (1, *x.shape[1:]))
+    values, _ = _forward_train(g, x, 0.1, ["in", "conv", "out"])
+    return node, values["conv"], x
 
 
 @pytest.mark.parametrize("dt", DTYPES)
@@ -80,7 +82,7 @@ def test_gradients_match_finite_differences(name, dt):
     x, w, b, stride, pad = draw(name, dt)
     node, y, cache = forward(x, w, b, stride, pad)
     gy = np.random.default_rng(99).standard_normal(y.shape).astype(dt)
-    gx, gparams = _conv_backward(node, gy, cache)
+    gx, gparams = _conv_backward(node, gy, cache, stride, pad)
     assert gx.dtype == dt and gx.shape == x.shape
     assert set(gparams) == ({"weight", "bias"} if b is not None else {"weight"})
 
@@ -107,7 +109,7 @@ def test_unread_rows_and_columns_get_no_gradient(dt):
     for name, rows in (("stride2-uneven", [5]), ("projection-1x1-stride2", [1, 3, 5])):
         x, w, b, stride, pad = draw(name, dt)
         node, y, cache = forward(x, w, b, stride, pad)
-        gx, _ = _conv_backward(node, np.ones_like(y), cache)
+        gx, _ = _conv_backward(node, np.ones_like(y), cache, stride, pad)
         assert np.all(gx[:, :, rows, :] == 0) and np.all(gx[:, :, :, rows] == 0), name
         read = np.setdiff1d(np.arange(x.shape[2]), rows)
         assert np.all(gx[:, :, read][:, :, :, read] != 0), name
