@@ -17,13 +17,6 @@ from .tensor import (
     Tensor,
     TensorError,
     batch_norm_inference,
-    concat_channels,
-    conv2d,
-    elementwise_add,
-    fully_connected,
-    global_avg_pool,
-    max_pool,
-    relu,
 )
 from .graph import (
     CycleDetected,

@@ -8,14 +8,18 @@ bn nodes carry attrs["eps"], a per-channel attrs["frozen"] tuple of 0/1
 flags, and the four per-channel parameter tensors stored as (1, c, 1, 1).
 
 A kind is defined by its Op record in OPS, which validate, execute, save,
-load, analysis and materialize read. A new kind supplies its arity, shape
-rule, inference run, channel role and cost category, and where they apply
-its zero-channel rule, FLOP count, parameter names and attrs dump and load.
+load, analysis, materialize and the trainer's forward pass read. A new kind
+supplies its arity, shape rule, run, channel role and cost category, and
+where they apply its zero-channel rule, FLOP count, parameter names and
+attrs dump and load. Each run takes and returns numpy arrays, and each
+attrs load checks the JSON types it reads.
 
 Execution is a pure function of the graph and the input tensor: repeated
 calls give bit-identical results, and any valid topological order computes
 the same values. The batch dimension of the input is free; the declared
 input_shape fixes (c, h, w) and a nominal batch size used for validation.
+The nodes pass plain arrays, and execute wraps only the output in a
+Tensor, which checks it for NaN and Inf.
 
 Execution also carries, node by node, the output channels that are exactly
 zero for every input, derived from the weights alone (Op.zeros), and
@@ -58,14 +62,9 @@ from .tensor import (
     ConvSpec,
     Tensor,
     batch_norm_inference,
-    concat_channels,
-    conv2d,
     conv2d_gemm,
-    elementwise_add,
-    global_avg_pool,
-    max_pool,
+    max_pool_raw,
     pool_out_hw,
-    relu,
 )
 
 FORMAT_MAGIC = b"FPM1"
@@ -223,8 +222,10 @@ class Op:
 
     arity is the number of inputs, None for two or more. shape(node, input
     shapes) and flops(node, input shapes, output shape) work on (n, c, h, w)
-    tuples. run(node, inputs, the first input's zero marks, the output's)
-    computes the output; the input has none, as execute feeds it x.
+    tuples. run(node, input arrays, the first input's zero marks, the
+    output's) returns the output as a new array: execute passes the marks,
+    and the trainer's forward passes None for both. The input kind has no
+    run, as execute feeds it x's array.
 
     zeros(node, input marks, dtype) gives the output channels that are
     exactly zero for every input, as a bool mask, or None when none are
@@ -336,33 +337,64 @@ def _fc_shape(node: Node, ins) -> tuple[int, int, int, int]:
     return (n, weight.shape[0], 1, 1)
 
 
-def _fc_run(node: Node, args, zero_in, zero_out) -> Tensor:
+def _conv_run(node: Node, args, zero_in, zero_out) -> np.ndarray:
+    spec: ConvSpec = node.attrs["spec"]
+    return conv2d_gemm(args[0], node.params["weight"], _conv_bias(node), spec.stride, spec.pad,
+                       zero_in, zero_out)
+
+
+def _fc_run(node: Node, args, zero_in, zero_out) -> np.ndarray:
     # a 1x1 conv over the flattened input, whose channel marks cover h*w
     # inputs each, so a masked fc multiplies what its materialization does
     n, c, h, w = args[0].shape
     if zero_in is not None:
         zero_in = np.repeat(zero_in, h * w)
-    x = args[0].data.reshape(n, c * h * w, 1, 1)
-    return Tensor._wrap(conv2d_gemm(x, node.params["weight"], _conv_bias(node),
-                                    (1, 1), (0, 0), zero_in))
+    return conv2d_gemm(args[0].reshape(n, c * h * w, 1, 1), node.params["weight"],
+                       _conv_bias(node), (1, 1), (0, 0), zero_in)
+
+
+def _checked(key, value, ok, what):
+    """value, the JSON value of attr key, when ok(value) holds; a TypeError
+    naming the attr otherwise, which load reports as a malformed manifest."""
+    if not ok(value):
+        raise TypeError(f"attr {key!r} must be {what}, got {value!r}")
+    return value
+
+
+def _is_int(v) -> bool:
+    return type(v) is int  # a JSON integer: bool is a subclass of int
+
+
+def _pair(raw, key) -> tuple[int, int]:
+    return tuple(_checked(key, raw[key], lambda v: isinstance(v, list) and len(v) == 2
+                          and all(_is_int(i) for i in v), "a pair of integers"))
+
+
+def _conv_load(raw) -> dict:
+    k, c, r, s = (_checked(d, raw[d], _is_int, "an integer") for d in ("k", "c", "r", "s"))
+    has_bias = _checked("has_bias", raw["has_bias"], lambda v: isinstance(v, bool),
+                        "true or false")
+    return {"spec": ConvSpec(k, c, r, s, _pair(raw, "stride"), _pair(raw, "pad"), has_bias)}
+
+
+def _bn_load(raw) -> dict:
+    eps = _checked("eps", raw["eps"], lambda v: _is_int(v) or isinstance(v, float), "a number")
+    frozen = _checked("frozen", raw.get("frozen", []), lambda v: isinstance(v, list) and all(
+        _is_int(f) and f in (0, 1) for f in v), "a list of 0/1 flags")
+    return {"eps": float(eps), "frozen": tuple(frozen)}
 
 
 OPS: dict[str, Op] = {
     "input": Op(arity=0, shape=_first, run=None, role="pin", category="other"),
     "output": Op(arity=1, shape=_first, run=_first, role="pin", category="other",
                  zeros=_first),
-    "conv": Op(arity=1, shape=_conv_shape,
-               run=lambda node, args, zero_in, zero_out: conv2d(
-                   args[0], node.params["weight"], _conv_bias(node), node.attrs["spec"],
-                   zero_in, zero_out),
-               role="absorb", category="COP", zeros=_conv_zeros,
+    "conv": Op(arity=1, shape=_conv_shape, run=_conv_run, role="absorb", category="COP",
+               zeros=_conv_zeros,
                # per output value, c*r*s multiply-adds and the bias
                flops=lambda node, ins, out: math.prod(out) * (
                    2 * math.prod(node.params["weight"].shape[1:]) + node.attrs["spec"].has_bias),
                params=("weight", "bias"), dump=lambda attrs: asdict(attrs["spec"]),
-               load=lambda raw: {"spec": ConvSpec(
-                   *(int(raw[d]) for d in ("k", "c", "r", "s")), tuple(raw["stride"]),
-                   tuple(raw["pad"]), bool(raw["has_bias"]))}),
+               load=_conv_load),
     "bn": Op(arity=1, shape=_bn_shape,
              run=lambda node, args, *_: batch_norm_inference(args[0], bn_params(node)),
              role="pass", category="SOP", zeros=_bn_zeros,
@@ -370,26 +402,27 @@ OPS: dict[str, Op] = {
              params=("gamma", "beta", "mean", "var"),
              dump=lambda attrs: {"eps": float(attrs["eps"]),
                                  "frozen": list(attrs.get("frozen", ()))},
-             load=lambda raw: {"eps": float(raw["eps"]),
-                               "frozen": tuple(int(f) for f in raw.get("frozen", ()))}),
-    "relu": Op(arity=1, shape=_first, run=lambda node, args, *_: relu(args[0]),
+             load=_bn_load),
+    "relu": Op(arity=1, shape=_first,
+               run=lambda node, args, *_: np.maximum(args[0], args[0].dtype.type(0)),
                role="pass", category="SOP", zeros=_first,
                flops=lambda node, ins, out: math.prod(out)),
     "add": Op(arity=2, shape=_add_shape,
-              run=lambda node, args, *_: elementwise_add(args[0], args[1]),
+              run=lambda node, args, *_: args[0] + args[1],
               role="pin", category="SOP", zeros=_add_zeros,
               flops=lambda node, ins, out: math.prod(out)),
     "concat": Op(arity=None, shape=_concat_shape,
-                 run=lambda node, args, *_: concat_channels(args), role="pin", category="other"),
+                 run=lambda node, args, *_: np.concatenate(args, axis=1), role="pin",
+                 category="other"),
     "maxpool": Op(arity=1, shape=_maxpool_shape,
-                  run=lambda node, args, *_: max_pool(args[0], node.attrs["window"],
-                                                      node.attrs["stride"], node.attrs["pad"]),
+                  run=lambda node, args, *_: max_pool_raw(
+                      args[0], *(node.attrs[a] for a in _POOL_ATTRS)),
                   role="pass", category="SOP", zeros=_first,
                   flops=lambda node, ins, out: math.prod(out) * math.prod(node.attrs["window"]),
                   dump=lambda attrs: {a: list(attrs[a]) for a in _POOL_ATTRS},
-                  load=lambda raw: {a: tuple(raw[a]) for a in _POOL_ATTRS}),
+                  load=lambda raw: {a: _pair(raw, a) for a in _POOL_ATTRS}),
     "gavgpool": Op(arity=1, shape=lambda node, ins: (*ins[0][:2], 1, 1),
-                   run=lambda node, args, *_: global_avg_pool(args[0]),
+                   run=lambda node, args, *_: args[0].mean(axis=(2, 3), keepdims=True),
                    role="pass", category="SOP", zeros=_first,
                    flops=lambda node, ins, out: math.prod(ins[0])),
     "fc": Op(arity=1, shape=_fc_shape, run=_fc_run, role="absorb", category="COP",
@@ -478,19 +511,24 @@ def execute(g: Graph, x: Tensor, timings: dict[str, float] | None = None) -> Ten
     Every conv, and every fc as a 1x1 conv, leaves out of its GEMMs the
     input channels and filters that the kinds' zeros rules (Op) prove
     exactly zero from the weights (see the module docstring).
+
+    The nodes pass plain arrays; only the output becomes a Tensor, so the
+    output is the one value checked for NaN and Inf (TensorError). A
+    non-finite value inside the graph that a later node maps to a finite
+    one, such as a -inf that a relu makes 0, does not raise.
     """
     order = validate(g)
     if tuple(x.shape[1:]) != tuple(g.input_shape[1:]):
         raise ShapeMismatch(
             f"input (c, h, w) {x.shape[1:]} does not match declared {g.input_shape[1:]}"
         )
-    values: dict[str, Tensor] = {}
+    values: dict[str, np.ndarray] = {}
     zeros: dict[str, np.ndarray | None] = {}
     dt = x.dtype
     for nid in order:
         node = g.nodes[nid]
         if node.kind == "input":
-            values[nid] = x
+            values[nid] = x.data
             zeros[nid] = None
             continue
         op = OPS[node.kind]
@@ -503,7 +541,7 @@ def execute(g: Graph, x: Tensor, timings: dict[str, float] | None = None) -> Ten
             t0 = time.perf_counter()
             values[nid] = op.run(node, args, zero_in[0], zeros[nid])
             timings[nid] = timings.get(nid, 0.0) + (time.perf_counter() - t0)
-    return values[g.output_id]
+    return Tensor._wrap(values[g.output_id])
 
 
 # --- serialization ---------------------------------------------------------

@@ -13,8 +13,8 @@ exactly zero in both inference and training forward passes while leaving
 gamma_k alone, so gradients still reach the filter and it can recover.
 It is also what makes physical removal exact: graph.execute proves such a
 channel zero from the weights and leaves it out of every conv's GEMMs, so
-the masked model runs the GEMMs its materialization runs, and the fc adds
-its exact-zero products to an in-order sum where they change nothing.
+the masked model runs the GEMMs its materialization runs; the fc, a 1x1
+conv over its flattened input, leaves out the zero inputs alike.
 
 Materialization deletes the zeroized filters for real: conv rows, the
 following bn's channels, and the matching input channels (or fc columns)

@@ -2,41 +2,37 @@
 
 Every activation and weight in this package is a rank-4 array laid out as
 (n, c, h, w) in row-major order with w fastest. The kernels here are pure
-functions, and their results depend only on their inputs.
+functions on numpy arrays, and their results depend only on their inputs.
+Tensor, the immutable array of finite values, holds the weights, and
+graph.execute's input and output; activations between nodes stay plain
+arrays.
 
 Determinism contract. Materializing a pruned model must reproduce the
 masked model bit for bit. That promise rests on the graph, not on any
 summation order inside a kernel: graph.execute works out, from the weights
-alone, which channels are exactly zero, and conv2d leaves them out of its
-GEMMs on both sides. The masked model and its materialization then make the
-same BLAS calls on the same compacted operands, so the only thing assumed
-of the BLAS is that identical calls give identical bits at a fixed thread
-count. The kernels meet it as follows:
+alone, which channels are exactly zero, and conv2d_gemm leaves them out of
+its GEMMs on both sides. The masked model and its materialization then make
+the same BLAS calls on the same compacted operands, so the only thing
+assumed of the BLAS is that identical calls give identical bits at a fixed
+thread count. The kernels meet it as follows:
 
-* conv2d, the convolution graphs execute, runs conv2d_gemm: im2col GEMMs
-  over the live input channels and the live filters, one per band of
-  output rows. Dead filters are written back as +0 at full width, so every
-  other kernel sees the same shapes as before. The order of the c*r*s
-  terms of a dot product is the BLAS's.
+* conv2d_gemm, the convolution graphs execute, runs im2col GEMMs over the
+  live input channels and the live filters, one per band of output rows.
+  Dead filters are written back as +0 at full width, so every other kernel
+  sees the same shapes as before. The order of the c*r*s terms of a dot
+  product is the BLAS's.
 * Dead taps. conv2d_gemm also leaves out the kernel taps that read only
   padding: live_taps works out their hull from the geometry alone, so a
   masked model and its materialization, which share every geometry, drop
   the same taps. The dropped terms are w * (+0). A weight Tensor keeps its
   tap-restricted copy per window, so no call gathers it twice.
-* conv2d_raw keeps the full sequential (input channel, kernel row, kernel
-  column) order. It is the reference the brute-force oracle pins bit for
-  bit, and conv2d_gemm is tested against it and the oracle.
 * graph.execute runs every fc as a 1x1-conv GEMM (conv2d_gemm) over the
   (n, c*h*w, 1, 1) view of its input, compacted by the input channels'
   zero marks repeated over h*w, so a masked fc multiplies the operands its
-  materialization does. fc_raw, which accumulates sequentially over
-  inputs, and fully_connected on it are the reference the brute-force
-  oracle pins bit for bit; fc_raw adds a block of inputs' products one at
-  a time in input order, and _BLOCK_BYTES caps a block's buffers and
-  changes no bit.
-* The trainer runs conv2d_gemm, without zero masks, for every conv and fc
-  of its forward pass; its backward reads conv2d_gemm's padded layout and
-  window view.
+  materialization does.
+* The trainer runs the same per-kind forward as graph.execute, without
+  zero masks, for every kind but bn; its conv backward reads conv2d_gemm's
+  padded layout and window view.
 
 float32 is the working precision; float64 is supported throughout for
 high-precision runs. Mixing dtypes within one kernel call is an error.
@@ -310,47 +306,10 @@ def batch_innermost_windows(xp: np.ndarray, r: int, s: int, stride) -> np.ndarra
         xp, shape, (sc, sh, sw, sh * stride[0], sw * stride[1], sn), writeable=False)
 
 
-def conv2d_raw(x: np.ndarray, w: np.ndarray, bias, stride, pad) -> np.ndarray:
-    """Reference 2-D convolution (cross-correlation) with zero padding.
-
-    y(n, k, ho, wo) = sum over (t, i, j) of
-        x(n, t, sh*ho + i - ph, sw*wo + j - pw) * w(k, t, i, j)
-    with out-of-range x reads taken as zero, accumulated sequentially in
-    (t, i, j) order from +0; the per-filter bias, when present, is added
-    once after the summation. Every step is one elementwise numpy call, so
-    the full order is fixed and the result equals a scalar loop written in
-    the same order bit for bit. It is the specification that conv2d_gemm
-    is tested against; graph execution uses conv2d_gemm.
-    """
-    n, c, h, wd = x.shape
-    k, _, r, s = w.shape
-    sh, sw = stride
-    ph, pw = pad
-    dt, ho, wo = _conv_geometry(x, w, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    y = np.zeros((n, k, ho, wo), dtype=dt)
-    tmp = np.empty_like(y)
-    hspan = sh * (ho - 1) + 1
-    wspan = sw * (wo - 1) + 1
-    for t in range(c):
-        xt = xp[:, t]
-        for i in range(r):
-            rows = xt[:, i : i + hspan : sh]
-            for j in range(s):
-                window = rows[:, :, j : j + wspan : sw]
-                np.multiply(window[:, None, :, :], w[:, t, i, j][None, :, None, None], out=tmp)
-                y += tmp
-    b = _filter_bias(bias, k, x)
-    if b is not None:
-        y += b
-    return y
-
-
-# Caps the window matrix of one conv2d_gemm GEMM and the products fc_raw
-# forms per block of inputs: larger buffers spill out of cache and slow the
-# kernels down. conv2d_gemm sizes its bands from the compacted K, so
-# deleting channels or dead taps can change a band but never makes two
-# calls on equal operands differ.
+# Caps the window matrix of one conv2d_gemm GEMM: a larger one spills out
+# of cache and slows the kernel down. conv2d_gemm sizes its bands from the
+# compacted K, so deleting channels or dead taps can change a band but
+# never makes two calls on equal operands differ.
 _BLOCK_BYTES = 512 * 1024
 
 
@@ -386,16 +345,22 @@ def _gather_taps(w: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
 
 def conv2d_gemm(x: np.ndarray, w, bias, stride, pad,
                 zero_in=None, zero_out=None) -> np.ndarray:
-    """2-D convolution as im2col GEMMs; conv2d_raw's semantics.
+    """2-D convolution (cross-correlation) with zero padding, as im2col GEMMs.
+
+    y(n, k, ho, wo) = sum over (t, i, j) of
+        x(n, t, stride[0]*ho + i - pad[0], stride[1]*wo + j - pad[1]) * w(k, t, i, j)
+    with out-of-range x reads taken as zero, plus bias(k) when a length-k
+    bias is given. It raises TensorError for a weight whose input channels
+    differ from x's, an output below 1x1, a bias of the wrong length, or
+    operands of mixed dtypes.
 
     The (k', c'*r'*s') matrix of the live filters over the live input
     channels and live taps multiplies the (c'*r'*s', ho*wo*n) matrix of
     those channels' input windows at those taps; the bias, when present, is
-    added once at the end. Inputs are validated and rejected exactly as by
-    conv2d_raw. The window matrix is built and multiplied a band of output
-    rows at a time, as many rows as fit in _BLOCK_BYTES (one band for most
-    layers at batch 1); the band depends only on c', r', s', wo, n and the
-    dtype.
+    added once at the end. The window matrix is built and multiplied a band
+    of output rows at a time, as many rows as fit in _BLOCK_BYTES (one band
+    for most layers at batch 1); the band depends only on c', r', s', wo, n
+    and the dtype.
 
     The live taps are the hull live_taps works out from the geometry alone
     (h, w, r, s, stride, pad, ho, wo): a 3x3 pad-1 conv on a 1x1 map
@@ -420,8 +385,8 @@ def conv2d_gemm(x: np.ndarray, w, bias, stride, pad,
     and at stride 1 its rows are copied as runs of wo*n contiguous elements;
     each band's product is transposed into the (n, k, ho, wo) output.
 
-    Results agree with conv2d_raw to rounding, not bit for bit: the order of
-    the c'*r'*s' terms of each dot product is the BLAS's.
+    The order of the c'*r'*s' terms of each dot product is the BLAS's, so
+    results agree with a sequential sum to rounding, not bit for bit.
     """
     weight = w if isinstance(w, Tensor) else None
     if weight is not None:
@@ -468,66 +433,12 @@ def conv2d_gemm(x: np.ndarray, w, bias, stride, pad,
     return y
 
 
-def conv2d(x: Tensor, w: Tensor, bias, spec: ConvSpec, zero_in=None, zero_out=None) -> Tensor:
-    """Convolve x with w under the given spec using conv2d_gemm.
-
-    bias is a length-k array or None. zero_in and zero_out are conv2d_gemm's
-    optional masks of all-zero input channels and dead filters, which
-    graph.execute derives from the weights so that a masked model and its
-    materialization run the same GEMMs. Where the geometry leaves kernel
-    taps that read only padding, w keeps the weights of the others cached
-    (Tensor.taps).
-    """
-    if w.shape != spec.weight_shape:
-        raise TensorError(f"weight shape {w.shape} does not match {spec}")
-    if x.shape[1] != spec.c:
-        raise TensorError(f"input has {x.shape[1]} channels, spec expects {spec.c}")
-    if spec.has_bias and bias is None:
-        raise TensorError("spec declares a bias but none was given")
-    if not spec.has_bias and bias is not None:
-        raise TensorError("spec declares no bias but one was given")
-    spec.out_hw(x.shape[2], x.shape[3])
-    return Tensor._wrap(conv2d_gemm(x.data, w, bias, spec.stride, spec.pad,
-                                    zero_in, zero_out))
-
-
-def batch_norm_inference(x: Tensor, p: BnParams) -> Tensor:
+def batch_norm_inference(x: np.ndarray, p: BnParams) -> np.ndarray:
     """Per-channel affine y = omega * x + lam in x's dtype."""
     if p.channels != x.shape[1]:
         raise TensorError(f"bn covers {p.channels} channels, tensor has {x.shape[1]}")
     dt = x.dtype
-    omega = p.omega(dt).reshape(1, -1, 1, 1)
-    lam = p.lam(dt).reshape(1, -1, 1, 1)
-    return Tensor._wrap(x.data * omega + lam)
-
-
-def elementwise_add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise TensorError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    _check_same_dtype(a.data, b.data)
-    return Tensor._wrap(a.data + b.data)
-
-
-def relu(x: Tensor) -> Tensor:
-    return Tensor._wrap(np.maximum(x.data, x.dtype.type(0)))
-
-
-def concat_channels(tensors) -> Tensor:
-    """Concatenate along the channel axis; n, h, w and dtype must agree."""
-    tensors = list(tensors)
-    if len(tensors) < 2:
-        raise TensorError("concat needs at least two inputs")
-    first = tensors[0]
-    for t in tensors[1:]:
-        if (t.shape[0], t.shape[2], t.shape[3]) != (first.shape[0], first.shape[2], first.shape[3]):
-            raise TensorError(f"concat non-channel dims differ: {first.shape} vs {t.shape}")
-    _check_same_dtype(*[t.data for t in tensors])
-    return Tensor._wrap(np.concatenate([t.data for t in tensors], axis=1))
-
-
-def global_avg_pool(x: Tensor) -> Tensor:
-    """Mean over the spatial dims: (n, c, h, w) -> (n, c, 1, 1)."""
-    return Tensor._wrap(x.data.mean(axis=(2, 3), keepdims=True, dtype=x.dtype))
+    return x * p.omega(dt).reshape(1, -1, 1, 1) + p.lam(dt).reshape(1, -1, 1, 1)
 
 
 def pool_out_hw(h: int, w: int, window, stride, pad) -> tuple[int, int]:
@@ -550,9 +461,10 @@ def pool_out_hw(h: int, w: int, window, stride, pad) -> tuple[int, int]:
     return ho, wo
 
 
-def max_pool_raw(x: np.ndarray, window, stride, pad) -> tuple[np.ndarray, np.ndarray]:
-    """max_pool on an array: returns the output and x padded with -inf,
-    whose windows the trainer's backward compares with the output."""
+def max_pool_raw(x: np.ndarray, window, stride, pad) -> np.ndarray:
+    """Max over (r, s) windows of x padded with -inf, with the index
+    convention of conv2d_gemm: output (oh, ow) reads padded rows
+    stride[0]*oh + [0, r) and columns stride[1]*ow + [0, s)."""
     r, s = int(window[0]), int(window[1])
     sh, sw = int(stride[0]), int(stride[1])
     ph, pw = int(pad[0]), int(pad[1])
@@ -568,66 +480,4 @@ def max_pool_raw(x: np.ndarray, window, stride, pad) -> tuple[np.ndarray, np.nda
         rows = xp[:, :, i : i + hspan : sh]
         for j in range(s):
             np.maximum(y, rows[:, :, :, j : j + wspan : sw], out=y)
-    return y, xp
-
-
-def max_pool(x: Tensor, window, stride, pad) -> Tensor:
-    """Max over (r, s) windows with the same index convention as conv2d."""
-    return Tensor._wrap(max_pool_raw(x.data, window, stride, pad)[0])
-
-
-def fc_raw(x2d: np.ndarray, w2d: np.ndarray, bias) -> np.ndarray:
-    """Reference dense layer on flattened rows, accumulated sequentially
-    over inputs.
-
-    y(n, o) = sum over t of x(n, t) * w(o, t), bias added after the sum.
-    The summation order is fixed, so it equals the brute-force oracle bit
-    for bit and removing an all-zero input column leaves the surviving
-    partial sums unchanged: the (n, out) products of a block of inputs are
-    formed in one broadcast multiply and added to the sum one input at a
-    time, in input order, whatever the block length. Graph execution runs
-    fc as a 1x1-conv GEMM instead (see the module docstring).
-    """
-    n, fin = x2d.shape
-    fout, fin_w = w2d.shape
-    if fin != fin_w:
-        raise TensorError(f"fc expects {fin_w} inputs, got {fin}")
-    dt = _check_same_dtype(x2d, w2d)
-    y = np.zeros((n, fout), dtype=dt)
-    block = max(1, min(fin, _BLOCK_BYTES // (n * fout * dt.itemsize)))
-    stack = np.empty((block + 1, n, fout), dtype=dt)
-    xt, wt = x2d.T, w2d.T
-    for t in range(0, fin, block):
-        m = min(block, fin - t)
-        np.multiply(xt[t : t + m, :, None], wt[t : t + m, None, :], out=stack[1 : m + 1])
-        if m == 1:
-            y += stack[1]
-            continue
-        # reducing over the leading axis of the C-contiguous stack adds whole
-        # (n, fout) slices in index order: the bits of m sequential adds
-        stack[0] = y
-        np.add.reduce(stack[: m + 1], axis=0, out=y)
-    if bias is not None:
-        b = np.asarray(bias).reshape(-1)
-        if b.shape[0] != fout:
-            raise TensorError(f"fc bias length {b.shape[0]} != output count {fout}")
-        _check_same_dtype(x2d, b)
-        y += b[None, :]
     return y
-
-
-def fully_connected(x: Tensor, w: Tensor, bias) -> Tensor:
-    """Flatten x to (n, c*h*w) and apply fc_raw; output is (n, out, 1, 1).
-
-    The reference for the fc of graph.execute, which runs conv2d_gemm on
-    the (n, c*h*w, 1, 1) view of x instead.
-    """
-    n = x.shape[0]
-    fin = x.shape[1] * x.shape[2] * x.shape[3]
-    fout, fin_w, one_a, one_b = w.shape
-    if (one_a, one_b) != (1, 1):
-        raise TensorError(f"fc weight must be (out, in, 1, 1); got {w.shape}")
-    if fin != fin_w:
-        raise TensorError(f"fc weight expects {fin_w} inputs, tensor flattens to {fin}")
-    y = fc_raw(x.data.reshape(n, fin), w.data.reshape(fout, fin_w), bias)
-    return Tensor._wrap(y.reshape(n, fout, 1, 1))

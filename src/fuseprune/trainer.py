@@ -4,10 +4,11 @@ The loop exists so soft pruning can interleave real weight updates with
 masking. It is seeded end-to-end and exact enough for finite-difference
 verification.
 
-The forward pass runs every conv, and every fc as a 1x1 conv over the
-(n, c*h*w, 1, 1) view of its input, on the inference kernel,
-tensor.conv2d_gemm, without zero masks. Backward pads the conv's input,
-which the forward pass keeps for relu's backward anyway, into the kernel's
+The forward pass runs every kind but bn through its inference forward,
+graph.OPS[kind].run, without zero masks: every conv, and every fc as a
+1x1 conv over the (n, c*h*w, 1, 1) view of its input, runs on
+tensor.conv2d_gemm. Backward pads the conv's input, which the forward
+pass keeps for relu's backward anyway, into the kernel's
 batch-innermost (c, h, w, n) layout (tensor.pad_batch_innermost) and takes
 the (c*r*s, ho*wo*n) window matrix of it (tensor.batch_innermost_windows,
 reshaped); caching the matrix would hold r*s times the input per conv. The
@@ -30,7 +31,8 @@ amount of training. Backward is the closed form of the batch-statistics
 chain (Ioffe & Szegedy, arXiv 1502.03167),
 dx = gamma*inv/N * (N*gy - sum(gy) - xhat*sum(gy*xhat)), whose two sums
 are also the beta and gamma gradients; frozen channels take gamma*inv*gy.
-relu backs propagate via 1[x > 0].
+relu backs propagate via 1[x > 0]. The maxpool backward pads the pool's
+input with -inf again, so the forward pass caches nothing but bn's terms.
 
 train_epoch sorts the graph once and every step of the epoch reuses the
 order. A step whose loss, batch statistics or parameter update is not
@@ -45,9 +47,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import KINDS, Graph, _conv_bias, graph_dtype
-from .tensor import (Tensor, TensorError, batch_innermost_windows, conv2d_gemm, max_pool_raw,
-                     pad_batch_innermost)
+from .graph import OPS, Graph, _conv_bias, graph_dtype
+from .tensor import Tensor, TensorError, batch_innermost_windows, pad_batch_innermost
 
 
 class TrainerError(Exception):
@@ -178,43 +179,26 @@ def _as_conv(node, x):
 
 def _forward_train(g: Graph, x: np.ndarray, bn_momentum: float, order: list[str]):
     """Training-mode forward pass over the topological order; returns node
-    outputs plus the bn and maxpool backward caches.
+    outputs plus the bn backward caches.
 
-    Side effect: unfrozen bn channels fold this batch's statistics into the
-    stored running mean/var with the given momentum.
+    bn normalizes with batch statistics (_bn_forward_train); every other
+    kind runs its inference forward, graph.OPS[kind].run, without zero
+    masks. Side effect: unfrozen bn channels fold this batch's statistics
+    into the stored running mean/var with the given momentum.
     """
     values: dict[str, np.ndarray] = {}
     caches: dict[str, dict] = {}
     for nid in order:
         node = g.nodes[nid]
-        kind = node.kind
-        if kind not in KINDS:
-            raise TrainerError(f"node {nid!r}: kind {kind!r} unsupported in training mode")
-        if kind == "input":
-            values[nid] = x
-            continue
+        if node.kind not in OPS:
+            raise TrainerError(f"node {nid!r}: kind {node.kind!r} unsupported in training mode")
         args = [values[src] for src in node.inputs]
-        if kind == "output":
-            values[nid] = args[0]
-        elif kind == "relu":
-            values[nid] = np.maximum(args[0], args[0].dtype.type(0))
-        elif kind == "add":
-            values[nid] = args[0] + args[1]
-        elif kind == "concat":
-            values[nid] = np.concatenate(args, axis=1)
-        elif kind == "gavgpool":
-            values[nid] = args[0].mean(axis=(2, 3), keepdims=True)
-        elif kind == "maxpool":
-            values[nid], xp = max_pool_raw(args[0], node.attrs["window"], node.attrs["stride"],
-                                           node.attrs["pad"])
-            caches[nid] = {"xp": xp}
-        elif kind in ("conv", "fc"):
-            xin, stride, pad = _as_conv(node, args[0])
-            values[nid] = conv2d_gemm(xin, node.params["weight"], _conv_bias(node), stride, pad)
-        elif kind == "bn":
+        if node.kind == "input":
+            values[nid] = x
+        elif node.kind == "bn":
             values[nid] = _bn_forward_train(node, args[0], bn_momentum, caches)
-        else:  # pragma: no cover
-            raise TrainerError(f"unhandled kind {kind}")
+        else:
+            values[nid] = OPS[node.kind].run(node, args, None, None)
     return values, caches
 
 
@@ -330,7 +314,7 @@ def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1,
             scale = gy.dtype.type(1.0 / (xin.shape[2] * xin.shape[3]))
             push(node.inputs[0], np.broadcast_to(gy * scale, xin.shape).copy())
         elif kind == "maxpool":
-            push(node.inputs[0], _maxpool_backward(node, gy, caches[nid]["xp"], values[nid]))
+            push(node.inputs[0], _maxpool_backward(node, gy, values[node.inputs[0]], values[nid]))
         elif kind in ("conv", "fc"):
             xin = values[node.inputs[0]]
             gx, grads[nid] = _conv_backward(node, gy, *_as_conv(node, xin))
@@ -394,13 +378,14 @@ def _bn_backward(node, gy, cache):
     return gx, {"gamma": ggamma.reshape(1, c, 1, 1), "beta": gbeta.reshape(1, c, 1, 1)}
 
 
-def _maxpool_backward(node, gy, xp, y):
-    """The input gradient of a maxpool whose -inf padded input was xp and
-    whose output was y: each output's gradient goes to the first tap, in
-    row-major order, that holds the maximum."""
+def _maxpool_backward(node, gy, x, y):
+    """The input gradient of a maxpool whose input was x and whose output
+    was y: each output's gradient goes to the first tap, in row-major order,
+    that holds the maximum. x is padded with -inf, as max_pool_raw pads it."""
     r, s = node.attrs["window"]
     sh, sw = node.attrs["stride"]
     ph, pw = node.attrs["pad"]
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
     hspan, wspan = (y.shape[2] - 1) * sh + 1, (y.shape[3] - 1) * sw + 1
     gxp = np.zeros_like(xp)
     remaining = np.ones_like(y, dtype=bool)

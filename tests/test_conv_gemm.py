@@ -1,4 +1,5 @@
-"""Direct tests of conv2d_gemm, the im2col GEMM conv kernel, and of fc_raw.
+"""Direct tests of conv2d_gemm, the im2col GEMM conv kernel, and of the
+reference fc_raw (reference_kernels.py).
 
 conv2d_gemm leaves the order of the c*r*s terms of each dot product to the
 BLAS, so it is compared with the brute-force oracle by a tolerance derived
@@ -21,10 +22,10 @@ tolerance, and that a weight Tensor caches one tap-restricted copy per
 window and none when every tap is live.
 
 fc_raw forms a block of inputs' products at once and adds them in input
-order. The block length follows tensor._BLOCK_BYTES and must change no
-bit: it is compared bit for bit with the sequential oracle under block
-lengths of one, a partial last block and a single block, and removal must
-stay exact when it changes the block length.
+order. The block length follows reference_kernels._BLOCK_BYTES and must
+change no bit: it is compared bit for bit with the sequential oracle under
+block lengths of one, a partial last block and a single block, and removal
+must stay exact when it changes the block length.
 """
 
 from __future__ import annotations
@@ -39,17 +40,15 @@ import pytest
 
 from fuseprune import tensor
 from fuseprune.tensor import (
-    ConvSpec,
     Tensor,
     TensorError,
-    conv2d,
     conv2d_gemm,
-    conv2d_raw,
-    fc_raw,
     live_taps,
 )
 
+import reference_kernels
 from oracles import conv2d_brute, fc_brute
+from reference_kernels import conv2d_raw, fc_raw
 
 DTYPES = (np.float32, np.float64)
 # Error bound for a dot product of the sizes used here, relative to the sum
@@ -404,13 +403,13 @@ def test_all_live_taps_make_no_copy_and_no_cache(monkeypatch):
     w = Tensor(rand(rng, (4, 3, 3, 3), np.float32))
     x = Tensor(rand(rng, (2, 3, 5, 5), np.float32))
     for stride in ((1, 1), (2, 2)):
-        conv2d(x, w, None, ConvSpec(4, 3, 3, 3, stride=stride, pad=(1, 1)))
+        conv2d_gemm(x.data, w, None, stride, (1, 1))
         conv2d_gemm(x.data, w.data, None, stride, (1, 1))
     assert gathered == [] and w._cache is None
     # a 1x1 map does gather, once for the Tensor and on every array call
     one = Tensor(rand(rng, (2, 3, 1, 1), np.float32))
     for _ in range(2):
-        conv2d(one, w, None, ConvSpec(4, 3, 3, 3, pad=(1, 1)))
+        conv2d_gemm(one.data, w, None, (1, 1), (1, 1))
         conv2d_gemm(one.data, w.data, None, (1, 1), (1, 1))
     assert len(gathered) == 3
 
@@ -422,14 +421,13 @@ def test_one_weight_caches_a_window_per_map_size(dt):
     rng = np.random.default_rng(22)
     w = rand(rng, (6, 4, 3, 3), dt)
     weight = Tensor(w)
-    spec = ConvSpec(6, 4, 3, 3, stride=(2, 2), pad=(1, 1))
     first = {}
     for hw in (1, 2, 3, 1, 2):
         x = rand(rng, (2, 4, hw, hw), dt)
-        got = conv2d(Tensor(x), weight, None, spec).data
+        got = conv2d_gemm(x, weight, None, (2, 2), (1, 1))
         assert_near_brute(got, x, w, None, (2, 2), (1, 1), dt)
         if hw in first:
-            assert bits_equal(conv2d(Tensor(first[hw]), weight, None, spec).data,
+            assert bits_equal(conv2d_gemm(first[hw], weight, None, (2, 2), (1, 1)),
                               conv2d_gemm(first[hw], w, None, (2, 2), (1, 1)))
         first.setdefault(hw, x)
     windows = [v for key, v in weight._cache.items() if key[0] == "taps"]
@@ -459,7 +457,8 @@ def test_rejects_what_the_reference_rejects(kernel, x_shape, w_shape, bias, pad,
 _THREAD_PROBE = """
 import hashlib, sys
 import numpy as np
-from fuseprune.tensor import conv2d_gemm, fc_raw
+from fuseprune.tensor import conv2d_gemm
+from reference_kernels import fc_raw
 rng = np.random.default_rng(9)
 digest = hashlib.sha256()
 # three input sizes; the first and the last are split into bands of output
@@ -478,8 +477,9 @@ sys.stdout.write(digest.hexdigest())
 
 def _probe_digest(**env_overrides):
     env = dict(os.environ, **env_overrides)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    here = Path(__file__).resolve().parent
+    paths = (str(here.parent / "src"), str(here), env.get("PYTHONPATH", ""))
+    env["PYTHONPATH"] = os.pathsep.join(paths)
     return subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, check=True,
                           capture_output=True, text=True, timeout=120).stdout
 
@@ -504,7 +504,8 @@ def test_fc_blocks_match_sequential_oracle(monkeypatch, dt, block_bytes):
         w = rand(rng, (3, fin), dt)
         b = rand(rng, 3, dt)
         if block_bytes is not None:
-            monkeypatch.setattr(tensor, "_BLOCK_BYTES", block_bytes * 6 * np.dtype(dt).itemsize)
+            monkeypatch.setattr(reference_kernels, "_BLOCK_BYTES",
+                                block_bytes * 6 * np.dtype(dt).itemsize)
         assert bits_equal(fc_raw(x, w, b), fc_brute(x, w, b)), fin
 
 
@@ -517,7 +518,7 @@ def test_fc_removal_is_bit_exact_when_the_block_length_changes(monkeypatch, dt):
     keep_in = [t for t in range(40) if t not in (0, 7, 8, 31)]
     keep_out = [0, 2, 3, 6, 9]
     # 7 inputs per block for 5 outputs, 3 for all 10
-    monkeypatch.setattr(tensor, "_BLOCK_BYTES", 7 * 3 * 5 * np.dtype(dt).itemsize)
+    monkeypatch.setattr(reference_kernels, "_BLOCK_BYTES", 7 * 3 * 5 * np.dtype(dt).itemsize)
     full = fc_raw(x, w, None)
     assert bits_equal(fc_raw(x[:, keep_in], w[:, keep_in], None), full)
     assert bits_equal(fc_raw(x, w[keep_out], None), np.ascontiguousarray(full[:, keep_out]))

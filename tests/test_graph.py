@@ -26,7 +26,7 @@ from fuseprune.graph import (
     validate,
 )
 from fuseprune.pruning import PruneMask, materialize
-from fuseprune.tensor import Tensor
+from fuseprune.tensor import Tensor, TensorError
 from fuseprune.trainer import forward_backward
 
 from conftest import bn_node, conv_node, fc_node, make_graph, plain_node
@@ -76,6 +76,21 @@ class TestValidate:
         ]
         g = make_graph(nodes, "in", "out", (1, 3, 32, 32))
         assert validate(g)["c"] == (1, 16, 32, 32)
+
+    def test_conv_weight_and_bias_checked_against_spec(self):
+        def graph_of(conv):
+            return make_graph([plain_node("in", "input", []), conv,
+                               plain_node("out", "output", ["c"])], "in", "out", (1, 2, 4, 4))
+
+        assert validate(graph_of(conv_node("c", ["in"], 3, 2)))["c"] == (1, 3, 4, 4)
+        wrong_weight = conv_node("c", ["in"], 3, 2)
+        wrong_weight.params["weight"] = Tensor(np.zeros((3, 2, 1, 1), np.float32))
+        with pytest.raises(ShapeMismatch, match="node 'c': weight shape"):
+            validate(graph_of(wrong_weight))
+        no_bias = conv_node("c", ["in"], 3, 2, bias=np.zeros(3))
+        del no_bias.params["bias"]
+        with pytest.raises(ShapeMismatch, match="node 'c': bias must be"):
+            validate(graph_of(no_bias))
 
     def test_add_mismatch_names_node(self, rng):
         nodes = [
@@ -184,6 +199,27 @@ class TestExecute:
         g = make_graph(nodes, "in", "out", (1, 2, 3, 3))
         x = Tensor(np.abs(np.random.default_rng(1).standard_normal((1, 2, 3, 3))).astype(np.float32))
         assert np.array_equal(execute(g, x).data, x.data)
+
+    def test_only_the_output_is_checked_for_finite_values(self):
+        # a conv whose f32 sums overflow to inf, through a relu that keeps it
+        nodes = [
+            plain_node("in", "input", []),
+            conv_node("c", ["in"], 1, 2, r=1, s=1, pad=(0, 0),
+                      weight=np.full((1, 2, 1, 1), 3e38, np.float32)),
+            plain_node("r", "relu", ["c"]),
+            plain_node("out", "output", ["r"]),
+        ]
+        g = make_graph(nodes, "in", "out", (1, 2, 2, 2))
+        with pytest.raises(TensorError, match="NaN or Inf"), np.errstate(over="ignore"):
+            execute(g, Tensor(np.ones((1, 2, 2, 2), np.float32)))
+
+    def test_input_to_output_returns_x(self):
+        g = make_graph([plain_node("in", "input", []), plain_node("out", "output", ["in"])],
+                       "in", "out", (1, 2, 3, 3))
+        x = Tensor(np.arange(18, dtype=np.float32).reshape(1, 2, 3, 3))
+        y = execute(g, x)
+        assert isinstance(y, Tensor) and not y.data.flags.writeable
+        assert y.dtype == x.dtype and np.array_equal(y.data, x.data)
 
     def test_validate_keys_run_in_topological_order(self, rng):
         g = tiny_chain(rng)
@@ -352,6 +388,33 @@ class TestContainer:
             load(path)
         assert main(["flops", str(path)]) == EXIT_VALIDATION
         assert "malformed manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nid,key,value", [
+        ("c2", "has_bias", "false"),
+        ("c3", "k", 2.7),
+        ("c3", "r", True),
+        ("c1", "stride", [1.0, 1.0]),
+        ("mp", "window", [2.5, 2.5]),
+        ("b1", "eps", "1e-5"),
+        ("b1", "frozen", [1, 0, 0, 2]),
+        ("b1", "frozen", [True, False, False, True]),
+    ], ids=["has-bias-string", "k-float", "r-bool", "stride-floats", "window-floats",
+            "eps-string", "frozen-2", "frozen-bools"])
+    def test_wrong_attr_type_rejected(self, rng, tmp_path, capsys, nid, key, value):
+        # each of these loaded, as a truncated, coerced or float value, or
+        # failed later with a misleading ShapeMismatch
+        path = tmp_path / "m.fpm"
+        save(all_kinds_graph(rng), path)
+        raw = path.read_bytes()
+        man_len = int.from_bytes(raw[4:8], "little")
+        manifest = json.loads(raw[8 : 8 + man_len])
+        next(n for n in manifest["nodes"] if n["id"] == nid)["attrs"][key] = value
+        payload = json.dumps(manifest, separators=(",", ":")).encode()
+        path.write_bytes(b"FPM1" + len(payload).to_bytes(4, "little") + payload + raw[8 + man_len :])
+        with pytest.raises(ModelFormatError, match=f"malformed manifest: attr '{key}' must be"):
+            load(path)
+        assert main(["flops", str(path)]) == EXIT_VALIDATION
+        assert f"attr '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("attrs", [
         {"window": (0, 0)}, {"window": (2, 0)}, {"stride": (0, 1)}, {"pad": (-1, 0)},

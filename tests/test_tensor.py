@@ -5,24 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuseprune.graph import OPS, Node, ShapeMismatch, validate
 from fuseprune.tensor import (
     BnParams,
-    ConvSpec,
     Tensor,
     TensorError,
     batch_norm_inference,
-    concat_channels,
-    conv2d,
-    conv2d_raw,
-    elementwise_add,
-    fc_raw,
-    fully_connected,
-    global_avg_pool,
-    max_pool,
-    relu,
+    max_pool_raw,
 )
 
+from conftest import make_graph, plain_node
 from oracles import bn_brute, conv2d_brute, fc_brute, maxpool_brute
+from reference_kernels import conv2d_raw, fc_raw
 
 
 class TestTensorType:
@@ -120,16 +114,6 @@ class TestConv2d:
         want = conv2d_brute(x, w, b, stride, pad)
         assert np.array_equal(got, want)
 
-    def test_conv2d_wrapper_validates(self):
-        x = Tensor(np.zeros((1, 2, 4, 4), dtype=np.float32))
-        w = Tensor(np.zeros((3, 2, 3, 3), dtype=np.float32))
-        spec = ConvSpec(k=3, c=2, r=3, s=3, pad=(1, 1))
-        assert conv2d(x, w, None, spec).shape == (1, 3, 4, 4)
-        with pytest.raises(TensorError):
-            conv2d(x, w, None, ConvSpec(k=3, c=3, r=3, s=3))
-        with pytest.raises(TensorError):
-            conv2d(x, w, np.zeros(3, np.float32), spec)  # spec says no bias
-
     def test_output_collapse_rejected(self):
         x = np.zeros((1, 1, 2, 2), dtype=np.float32)
         w = np.zeros((1, 1, 5, 5), dtype=np.float32)
@@ -151,21 +135,21 @@ class TestBatchNorm:
         p = BnParams(gamma=np.ones(3, np.float32), beta=np.zeros(3, np.float32),
                      mean=np.zeros(3, np.float32),
                      var=np.full(3, np.float32(1) - np.float32(eps)), eps=eps)
-        y = batch_norm_inference(x, p)
-        assert np.array_equal(y.data, x.data)
+        y = batch_norm_inference(x.data, p)
+        assert np.array_equal(y, x.data)
 
     def test_hand_case_omega_one(self):
         # gamma=2, beta=1, mean=0, var=3, eps=1 -> omega = 2/sqrt(4) = 1, y = x + 1
         x = Tensor(np.arange(8, dtype=np.float64).reshape(1, 1, 2, 4))
         p = BnParams(gamma=[2.0], beta=[1.0], mean=[0.0], var=[3.0], eps=1.0)
-        y = batch_norm_inference(x, p)
-        assert np.array_equal(y.data, x.data + 1.0)
+        y = batch_norm_inference(x.data, p)
+        assert np.array_equal(y, x.data + 1.0)
 
     def test_x_equals_mean_gives_beta(self):
         x = Tensor(np.full((1, 2, 2, 2), 5.0, dtype=np.float64))
         p = BnParams(gamma=[3.0, 4.0], beta=[0.25, -0.5], mean=[5.0, 5.0], var=[2.0, 7.0])
-        y = batch_norm_inference(x, p)
-        assert np.allclose(y.data[0, 0], 0.25) and np.allclose(y.data[0, 1], -0.5)
+        y = batch_norm_inference(x.data, p)
+        assert np.allclose(y[0, 0], 0.25) and np.allclose(y[0, 1], -0.5)
 
     def test_matches_brute(self):
         rng = np.random.default_rng(9)
@@ -175,59 +159,69 @@ class TestBatchNorm:
         mean = rng.standard_normal(4).astype(np.float32)
         var = rng.uniform(0.2, 2.0, 4).astype(np.float32)
         p = BnParams(gamma=gamma, beta=beta, mean=mean, var=var, eps=1e-5)
-        got = batch_norm_inference(Tensor(x), p)
+        got = batch_norm_inference(x, p)
         want = bn_brute(x, gamma, beta, mean, var, 1e-5)
-        assert np.array_equal(got.data, want)
+        assert np.array_equal(got, want)
 
     def test_rejects_bad_params(self):
         with pytest.raises(TensorError):
             BnParams(gamma=[1.0], beta=[0.0], mean=[0.0], var=[-0.1])
         with pytest.raises(TensorError):
             BnParams(gamma=[1.0], beta=[0.0], mean=[0.0], var=[1.0], eps=0.0)
-        x = Tensor(np.zeros((1, 2, 2, 2), dtype=np.float32))
+        x = np.zeros((1, 2, 2, 2), dtype=np.float32)
         p = BnParams(gamma=[1.0], beta=[0.0], mean=[0.0], var=[1.0])
         with pytest.raises(TensorError):
             batch_norm_inference(x, p)
 
 
+def run(kind, *args):
+    """The kind's graph forward, OPS[kind].run, on arrays and without zero
+    marks, for the kinds that read no attrs or params."""
+    return OPS[kind].run(plain_node(kind, kind, []), list(args), None, None)
+
+
 class TestElementwiseAndPool:
     def test_add_and_relu(self):
-        a = Tensor(np.array([[[[1.0, -2.0]]]], dtype=np.float32))
-        b = Tensor(np.array([[[[0.5, 0.5]]]], dtype=np.float32))
-        assert np.array_equal(elementwise_add(a, b).data, [[[[1.5, -1.5]]]])
-        assert np.array_equal(relu(a).data, [[[[1.0, 0.0]]]])
-        with pytest.raises(TensorError):
-            elementwise_add(a, Tensor(np.zeros((1, 1, 1, 3), dtype=np.float32)))
+        a = np.array([[[[1.0, -2.0]]]], dtype=np.float32)
+        b = np.array([[[[0.5, 0.5]]]], dtype=np.float32)
+        assert np.array_equal(run("add", a, b), [[[[1.5, -1.5]]]])
+        assert np.array_equal(run("relu", a), [[[[1.0, 0.0]]]])
+        # the add's operand shapes are checked once, by validate
+        g = make_graph([plain_node("in", "input", []), plain_node("cat", "concat", ["in", "in"]),
+                        plain_node("sum", "add", ["in", "cat"]),
+                        plain_node("out", "output", ["sum"])], "in", "out", (1, 1, 1, 2))
+        with pytest.raises(ShapeMismatch):
+            validate(g)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), parts=st.lists(st.integers(1, 4), min_size=2, max_size=4))
     def test_concat_slice_roundtrip(self, seed, parts):
         rng = np.random.default_rng(seed)
-        tensors = [Tensor(rng.standard_normal((2, c, 3, 3)).astype(np.float32)) for c in parts]
-        cat = concat_channels(tensors)
+        tensors = [rng.standard_normal((2, c, 3, 3)).astype(np.float32) for c in parts]
+        cat = run("concat", *tensors)
         assert cat.shape[1] == sum(parts)
         start = 0
         for t in tensors:
             c = t.shape[1]
-            assert np.array_equal(cat.data[:, start : start + c], t.data)
+            assert np.array_equal(cat[:, start : start + c], t)
             start += c
 
     def test_global_avg_pool(self):
-        x = Tensor(np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4))
-        assert np.array_equal(global_avg_pool(x).data, [[[[7.5]]]])
+        x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
+        assert np.array_equal(run("gavgpool", x), [[[[7.5]]]])
 
     def test_max_pool_matches_brute(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((2, 3, 7, 7)).astype(np.float32)
-        got = max_pool(Tensor(x), (3, 3), (2, 2), (1, 1))
+        got = max_pool_raw(x, (3, 3), (2, 2), (1, 1))
         want = maxpool_brute(x, (3, 3), (2, 2), (1, 1))
         assert got.shape == (2, 3, 4, 4)
-        assert np.array_equal(got.data, want)
+        assert np.array_equal(got, want)
 
     def test_max_pool_bad_window(self):
-        x = Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32))
+        x = np.zeros((1, 1, 4, 4), dtype=np.float32)
         with pytest.raises(TensorError):
-            max_pool(x, (0, 2), (1, 1), (0, 0))
+            max_pool_raw(x, (0, 2), (1, 1), (0, 0))
 
 
 class TestFullyConnected:
@@ -246,13 +240,18 @@ class TestFullyConnected:
         keep = [0, 1, 2, 4, 5]
         assert np.array_equal(fc_raw(x, w, None), fc_raw(x[:, keep], w[:, keep], None))
 
-    def test_wrapper_flattens(self):
+    def test_graph_fc_flattens(self):
+        # the graph's fc is a GEMM, so it meets the sequential oracle within
+        # f32 rounding of its 12 terms, not bit for bit
         rng = np.random.default_rng(23)
-        x = Tensor(rng.standard_normal((2, 3, 2, 2)).astype(np.float32))
+        x = rng.standard_normal((2, 3, 2, 2)).astype(np.float32)
         w = Tensor(rng.standard_normal((5, 12, 1, 1)).astype(np.float32))
-        y = fully_connected(x, w, None)
+        fc = Node("fc", "fc", ["x"], params={"weight": w})
+        y = OPS["fc"].run(fc, [x], None, None)
         assert y.shape == (2, 5, 1, 1)
-        want = fc_brute(x.data.reshape(2, 12), w.data.reshape(5, 12), None)
-        assert np.array_equal(y.data.reshape(2, 5), want)
+        want = fc_brute(x.reshape(2, 12), w.data.reshape(5, 12), None)
+        scale = fc_brute(np.abs(x).reshape(2, 12), np.abs(w.data).reshape(5, 12), None)
+        assert np.all(np.abs(y.reshape(2, 5) - want) <= 1e-5 * scale)
+        fc.params = {"weight": Tensor(np.zeros((5, 9, 1, 1), np.float32))}
         with pytest.raises(TensorError):
-            fully_connected(x, Tensor(np.zeros((5, 9, 1, 1), np.float32)), None)
+            OPS["fc"].run(fc, [x], None, None)

@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fuseprune.tensor import ConvSpec, Tensor, conv2d, relu
+from fuseprune.graph import execute
+from fuseprune.tensor import Tensor
+
+from conftest import conv_node, make_graph, plain_node
 
 
 @pytest.mark.parametrize("dt", (np.float32, np.float64))
@@ -27,9 +30,13 @@ def test_dtype_argument_converts_a_copy():
 
 
 def test_kernel_outputs_are_read_only():
+    # execute wraps its output, whichever kind computed it
     x = Tensor(np.ones((1, 2, 4, 4), np.float32))
-    w = Tensor(np.ones((3, 2, 3, 3), np.float32))
-    for y in (relu(x), conv2d(x, w, None, ConvSpec(3, 2, 3, 3, pad=(1, 1)))):
+    w = np.ones((3, 2, 3, 3), np.float32)
+    for last in (plain_node("y", "relu", ["in"]), conv_node("y", ["in"], 3, 2, weight=w)):
+        g = make_graph([plain_node("in", "input", []), last, plain_node("out", "output", ["y"])],
+                       "in", "out", (1, 2, 4, 4))
+        y = execute(g, x)
         assert not y.data.flags.writeable
 
 
