@@ -1,38 +1,43 @@
 """Dense 4-D tensors and deterministic kernels.
 
-Every activation and weight in this package is a rank-4 array laid out as
-(n, c, h, w) in row-major order with w fastest. The kernels here are pure
+Weights are rank-4 arrays laid out as (k, c, r, s) in row-major order, and
+a Tensor, the immutable array of finite values, holds them. Activations are
+held batch innermost, as (c, h, w, n) arrays in row-major order with the
+batch fastest: graph.execute transposes its (n, c, h, w) input Tensor into
+that layout once, runs every node on it, and transposes the output back
+once, and the trainer does the same. The native kernels (conv2d_chwn,
+batch_norm_chwn, max_pool_chwn) work on that layout; conv2d_gemm,
+batch_norm_inference and max_pool_raw are their (n, c, h, w) forms, one
+transposing copy on each side of the same arithmetic. The kernels are pure
 functions on numpy arrays, and their results depend only on their inputs.
-Tensor, the immutable array of finite values, holds the weights, and
-graph.execute's input and output; activations between nodes stay plain
-arrays.
 
 Determinism contract. Materializing a pruned model must reproduce the
 masked model bit for bit. That promise rests on the graph, not on any
 summation order inside a kernel: graph.execute works out, from the weights
-alone, which channels are exactly zero, and conv2d_gemm leaves them out of
+alone, which channels are exactly zero, and conv2d_chwn leaves them out of
 its GEMMs on both sides. The masked model and its materialization then make
 the same BLAS calls on the same compacted operands, so the only thing
 assumed of the BLAS is that identical calls give identical bits at a fixed
 thread count. The kernels meet it as follows:
 
-* conv2d_gemm, the convolution graphs execute, runs im2col GEMMs over the
-  live input channels and the live filters, one per band of output rows.
+* conv2d_chwn, the convolution graphs execute, runs im2col GEMMs over the
+  live input channels and the live filters, one per band of output rows,
+  each written into a (k', ho, wo, n) buffer of the live filters alone.
   Dead filters are written back as +0 at full width, so every other kernel
   sees the same shapes as before. The order of the c*r*s terms of a dot
   product is the BLAS's.
-* Dead taps. conv2d_gemm also leaves out the kernel taps that read only
+* Dead taps. conv2d_chwn also leaves out the kernel taps that read only
   padding: live_taps works out their hull from the geometry alone, so a
   masked model and its materialization, which share every geometry, drop
   the same taps. The dropped terms are w * (+0). A weight Tensor keeps its
   tap-restricted copy per window, so no call gathers it twice.
-* graph.execute runs every fc as a 1x1-conv GEMM (conv2d_gemm) over the
-  (n, c*h*w, 1, 1) view of its input, compacted by the input channels'
+* graph.execute runs every fc as a 1x1-conv GEMM (conv2d_chwn) over the
+  (c*h*w, 1, 1, n) view of its input, compacted by the input channels'
   zero marks repeated over h*w, so a masked fc multiplies the operands its
   materialization does.
 * The trainer runs the same per-kind forward as graph.execute, without
-  zero masks, for every kind but bn; its conv backward reads conv2d_gemm's
-  padded layout and window view.
+  zero masks, for every kind but bn; its conv backward pads and windows
+  its input as conv2d_chwn does (pad_hw, batch_innermost_windows).
 
 float32 is the working precision; float64 is supported throughout for
 high-precision runs. Mixing dtypes within one kernel call is an error.
@@ -40,6 +45,7 @@ high-precision runs. Mixing dtypes within one kernel call is an error.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +130,7 @@ class Tensor:
         """A read-only C-ordered copy of this conv weight's [:, :, rows, cols]
         (slices with a start and a stop), kept per window.
 
-        conv2d_gemm multiplies only the taps that read a real input; caching
+        conv2d_chwn multiplies only the taps that read a real input; caching
         the slice spares it a gather that reads the whole weight on every
         call.
         """
@@ -251,7 +257,8 @@ def _check_same_dtype(*arrays):
 
 
 def _conv_geometry(x: np.ndarray, w: np.ndarray, stride, pad):
-    """Validate a raw conv call and return (dtype, ho, wo)."""
+    """Validate a raw conv call on an (n, c, h, w) input and return (dtype,
+    ho, wo)."""
     _, c, h, wd = x.shape
     _, cw, r, s = w.shape
     if cw != c:
@@ -274,18 +281,19 @@ def _filter_bias(bias, k: int, x: np.ndarray):
     return b.reshape(1, k, 1, 1)
 
 
-def pad_batch_innermost(x: np.ndarray, pad) -> np.ndarray:
-    """x (n, c, h, w) zero-padded by pad and held batch innermost.
+def pad_hw(x: np.ndarray, pad, value=0) -> np.ndarray:
+    """x (c, h, w, n) padded by pad on both spatial axes with value.
 
-    Returns a new (c, h + 2*ph, w + 2*pw, n) array, filled by one
-    transposing copy into zeros. With the batch innermost, one output row
-    of a tap's window reads wo*n contiguous elements at stride 1, where the
-    (n, c, h, w) layout gives runs of wo.
+    Returns a new (c, h + 2*ph, w + 2*pw, n) array, or x itself when pad is
+    (0, 0). The batch stays innermost, so one output row of a tap's window
+    reads wo*n contiguous elements at stride 1.
     """
-    n, c, h, wd = x.shape
     ph, pw = pad
-    xp = np.zeros((c, h + 2 * ph, wd + 2 * pw, n), dtype=x.dtype)
-    xp[:, ph : ph + h, pw : pw + wd] = x.transpose(1, 2, 3, 0)
+    if ph == 0 and pw == 0:
+        return x
+    c, h, wd, n = x.shape
+    xp = np.full((c, h + 2 * ph, wd + 2 * pw, n), value, dtype=x.dtype)
+    xp[:, ph : ph + h, pw : pw + wd] = x
     return xp
 
 
@@ -306,8 +314,8 @@ def batch_innermost_windows(xp: np.ndarray, r: int, s: int, stride) -> np.ndarra
         xp, shape, (sc, sh, sw, sh * stride[0], sw * stride[1], sn), writeable=False)
 
 
-# Caps the window matrix of one conv2d_gemm GEMM: a larger one spills out
-# of cache and slows the kernel down. conv2d_gemm sizes its bands from the
+# Caps the window matrix of one conv2d_chwn GEMM: a larger one spills out
+# of cache and slows the kernel down. conv2d_chwn sizes its bands from the
 # compacted K, so deleting channels or dead taps can change a band but
 # never makes two calls on equal operands differ.
 _BLOCK_BYTES = 512 * 1024
@@ -343,12 +351,23 @@ def _gather_taps(w: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
         k, c, rows.stop - rows.start, cols.stop - cols.start)
 
 
-def conv2d_gemm(x: np.ndarray, w, bias, stride, pad,
-                zero_in=None, zero_out=None) -> np.ndarray:
-    """2-D convolution (cross-correlation) with zero padding, as im2col GEMMs.
+def _chwn(x: np.ndarray) -> np.ndarray:
+    """The (c, h, w, n) view of an (n, c, h, w) array."""
+    return x.transpose(1, 2, 3, 0)
 
-    y(n, k, ho, wo) = sum over (t, i, j) of
-        x(n, t, stride[0]*ho + i - pad[0], stride[1]*wo + j - pad[1]) * w(k, t, i, j)
+
+def _nchw(y: np.ndarray) -> np.ndarray:
+    """A C-ordered (n, c, h, w) copy of a (c, h, w, n) array."""
+    return np.ascontiguousarray(y.transpose(3, 0, 1, 2))
+
+
+def conv2d_chwn(x: np.ndarray, w, bias, stride, pad,
+                zero_in=None, zero_out=None) -> np.ndarray:
+    """2-D convolution (cross-correlation) with zero padding, as im2col GEMMs,
+    from a (c, h, w, n) input to a new (k, ho, wo, n) output.
+
+    y(k, ho, wo, n) = sum over (t, i, j) of
+        x(t, stride[0]*ho + i - pad[0], stride[1]*wo + j - pad[1], n) * w(k, t, i, j)
     with out-of-range x reads taken as zero, plus bias(k) when a length-k
     bias is given. It raises TensorError for a weight whose input channels
     differ from x's, an output below 1x1, a bias of the wrong length, or
@@ -360,7 +379,8 @@ def conv2d_gemm(x: np.ndarray, w, bias, stride, pad,
     added once at the end. The window matrix is built and multiplied a band
     of output rows at a time, as many rows as fit in _BLOCK_BYTES (one band
     for most layers at batch 1); the band depends only on c', r', s', wo, n
-    and the dtype.
+    and the dtype. Each band's product is written by the GEMM straight into
+    its rows of the (k', ho, wo, n) output, with no transposing copy.
 
     The live taps are the hull live_taps works out from the geometry alone
     (h, w, r, s, stride, pad, ho, wo): a 3x3 pad-1 conv on a 1x1 map
@@ -371,19 +391,19 @@ def conv2d_gemm(x: np.ndarray, w, bias, stride, pad,
 
     zero_in and zero_out are optional length-c and length-k bool masks.
     zero_in marks input channels the caller knows to be all exactly zero:
-    they are left out of the GEMMs, which changes the result only by
-    rounding. zero_out marks filters whose bias is zero and whose weights
-    are zero on every live input channel: they are left out of the GEMMs
-    and their outputs are written as +0. Two calls whose live channels,
-    filters and taps hold the same values therefore make the same GEMMs,
-    whatever else sits beside them, and that is what keeps materialization
-    bit-identical (see the module docstring). With either mask the live
-    weights are copied out of the (tap-restricted) weights on every call.
+    they are left out of the GEMMs (a leading-axis take of x), which changes
+    the result only by rounding. zero_out marks filters whose bias is zero
+    and whose weights are zero on every live input channel: they are left
+    out of the GEMMs and their outputs are written as +0. Two calls whose
+    live channels, filters and taps hold the same values therefore make the
+    same GEMMs, whatever else sits beside them, and that is what keeps
+    materialization bit-identical (see the module docstring). With either
+    mask the live weights are copied out of the (tap-restricted) weights on
+    every call.
 
-    The input is padded once into a (c', h, w, n) buffer
-    (pad_batch_innermost), so the window matrix's columns run (ho, wo, n)
-    and at stride 1 its rows are copied as runs of wo*n contiguous elements;
-    each band's product is transposed into the (n, k, ho, wo) output.
+    The input is padded on its spatial axes (pad_hw) and read as is at pad
+    0, so the window matrix's columns run (ho, wo, n) and at stride 1 its
+    rows are copied as runs of wo*n contiguous elements.
 
     The order of the c'*r'*s' terms of each dot product is the BLAS's, so
     results agree with a sequential sum to rounding, not bit for bit.
@@ -391,9 +411,10 @@ def conv2d_gemm(x: np.ndarray, w, bias, stride, pad,
     weight = w if isinstance(w, Tensor) else None
     if weight is not None:
         w = weight.data
-    n, _, h, wd = x.shape
+    _, h, wd, n = x.shape
     k, _, r, s = w.shape
-    dt, ho, wo = _conv_geometry(x, w, stride, pad)
+    # the checks shared with the reference kernels take (n, c, h, w) operands
+    dt, ho, wo = _conv_geometry(x.transpose(3, 0, 1, 2), w, stride, pad)
     b = _filter_bias(bias, k, x)
     tap_rows = live_taps(h, r, stride[0], pad[0], ho)
     tap_cols = live_taps(wd, s, stride[1], pad[1], wo)
@@ -407,17 +428,14 @@ def conv2d_gemm(x: np.ndarray, w, bias, stride, pad,
         w = w.take(live_out, axis=0)
     if zero_in is not None:
         live_in = np.flatnonzero(~zero_in)
-        x, w = x.take(live_in, axis=1), w.take(live_in, axis=1)
+        x, w = x.take(live_in, axis=0), w.take(live_in, axis=1)
     rows, c = w.shape[:2]
     depth = c * hull[0] * hull[1]
-    windows = batch_innermost_windows(pad_batch_innermost(x, pad), r, s, stride)
+    windows = batch_innermost_windows(pad_hw(x, pad), r, s, stride)
     windows = windows[:, tap_rows, tap_cols]
     w2d = w.reshape(rows, depth)
-    if zero_out is None:
-        y = np.empty((n, k, ho, wo), dtype=dt)
-        live_out = slice(None)
-    else:
-        y = np.zeros((n, k, ho, wo), dtype=dt)
+    y = np.empty((rows, ho, wo, n), dtype=dt)
+    y2d = y.reshape(rows, ho * wo * n)
     band = max(1, min(ho, _BLOCK_BYTES // max(1, depth * wo * n * dt.itemsize)))
     for oh in range(0, ho, band):
         m = min(band, ho - oh)
@@ -425,31 +443,52 @@ def conv2d_gemm(x: np.ndarray, w, bias, stride, pad,
         # tap), so the BLAS sees the layout a kernel of those taps alone
         # gives; freed before the next band's is made, so that one reuses
         # its memory instead of faulting in fresh pages
-        prod = w2d @ np.ascontiguousarray(
-            windows[:, :, :, oh : oh + m].reshape(depth, m * wo * n))
-        y[:, live_out, oh : oh + m] = prod.reshape(rows, m, wo, n).transpose(3, 0, 1, 2)
+        np.matmul(w2d, np.ascontiguousarray(
+            windows[:, :, :, oh : oh + m].reshape(depth, m * wo * n)),
+            out=y2d[:, oh * wo * n : (oh + m) * wo * n])
+    if zero_out is not None:
+        full = np.zeros((k, ho, wo, n), dtype=dt)
+        full[live_out] = y
+        y = full
     if b is not None:
-        y += b
+        y += b.reshape(k, 1, 1, 1)
     return y
 
 
-def batch_norm_inference(x: np.ndarray, p: BnParams) -> np.ndarray:
-    """Per-channel affine y = omega * x + lam in x's dtype."""
-    if p.channels != x.shape[1]:
-        raise TensorError(f"bn covers {p.channels} channels, tensor has {x.shape[1]}")
+def conv2d_gemm(x: np.ndarray, w, bias, stride, pad,
+                zero_in=None, zero_out=None) -> np.ndarray:
+    """conv2d_chwn on an (n, c, h, w) input, returning a new (n, k, ho, wo)
+    array: the same GEMMs, with one transposing copy on each side."""
+    return _nchw(conv2d_chwn(_chwn(x), w, bias, stride, pad, zero_in, zero_out))
+
+
+def batch_norm_chwn(x: np.ndarray, p: BnParams) -> np.ndarray:
+    """Per-channel affine y = omega * x + lam in x's dtype, on a (c, h, w, n)
+    array."""
+    if p.channels != x.shape[0]:
+        raise TensorError(f"bn covers {p.channels} channels, tensor has {x.shape[0]}")
     dt = x.dtype
-    return x * p.omega(dt).reshape(1, -1, 1, 1) + p.lam(dt).reshape(1, -1, 1, 1)
+    return x * p.omega(dt).reshape(-1, 1, 1, 1) + p.lam(dt).reshape(-1, 1, 1, 1)
+
+
+def batch_norm_inference(x: np.ndarray, p: BnParams) -> np.ndarray:
+    """batch_norm_chwn on an (n, c, h, w) array."""
+    return _nchw(batch_norm_chwn(_chwn(x), p))
 
 
 def pool_out_hw(h: int, w: int, window, stride, pad) -> tuple[int, int]:
     """The (ho, wo) of a max_pool over an (h, w) map.
 
     The one geometry check of the pool, which graph.validate runs too:
-    raises TensorError for a window or stride below 1, a negative pad, a
-    pad as wide as the window, which makes a window of padding alone (its
-    max would be -inf), or an output below 1x1.
+    raises TensorError for a window, stride or pad that is not an integer,
+    a window or stride below 1, a negative pad, a pad as wide as the
+    window, which makes a window of padding alone (its max would be -inf),
+    or an output below 1x1.
     """
     (r, s), (sh, sw), (ph, pw) = window, stride, pad
+    if not all(isinstance(v, numbers.Integral) for v in (r, s, sh, sw, ph, pw)):
+        raise TensorError(f"max_pool window/stride/pad must be integers; got "
+                          f"{tuple(window)}, {tuple(stride)}, {tuple(pad)}")
     if min(r, s, sh, sw) < 1 or min(ph, pw) < 0:
         raise TensorError("max_pool window/stride must be >= 1 and pad >= 0")
     if ph >= r or pw >= s:
@@ -461,23 +500,25 @@ def pool_out_hw(h: int, w: int, window, stride, pad) -> tuple[int, int]:
     return ho, wo
 
 
-def max_pool_raw(x: np.ndarray, window, stride, pad) -> np.ndarray:
-    """Max over (r, s) windows of x padded with -inf, with the index
-    convention of conv2d_gemm: output (oh, ow) reads padded rows
+def max_pool_chwn(x: np.ndarray, window, stride, pad) -> np.ndarray:
+    """Max over (r, s) windows of a (c, h, w, n) array padded with -inf, with
+    the index convention of conv2d_chwn: output (oh, ow) reads padded rows
     stride[0]*oh + [0, r) and columns stride[1]*ow + [0, s)."""
-    r, s = int(window[0]), int(window[1])
-    sh, sw = int(stride[0]), int(stride[1])
-    ph, pw = int(pad[0]), int(pad[1])
-    n, c, h, wd = x.shape
-    ho, wo = pool_out_hw(h, wd, (r, s), (sh, sw), (ph, pw))
+    _, h, wd, _ = x.shape
+    ho, wo = pool_out_hw(h, wd, window, stride, pad)
+    (r, s), (sh, sw) = window, stride
     neg = x.dtype.type(-np.inf)
-    xp = np.full((n, c, h + 2 * ph, wd + 2 * pw), neg, dtype=x.dtype)
-    xp[:, :, ph : ph + h, pw : pw + wd] = x
-    y = np.full((n, c, ho, wo), neg, dtype=x.dtype)
+    xp = pad_hw(x, pad, neg)
+    y = np.full((x.shape[0], ho, wo, x.shape[3]), neg, dtype=x.dtype)
     hspan = sh * (ho - 1) + 1
     wspan = sw * (wo - 1) + 1
     for i in range(r):
-        rows = xp[:, :, i : i + hspan : sh]
+        rows = xp[:, i : i + hspan : sh]
         for j in range(s):
-            np.maximum(y, rows[:, :, :, j : j + wspan : sw], out=y)
+            np.maximum(y, rows[:, :, j : j + wspan : sw], out=y)
     return y
+
+
+def max_pool_raw(x: np.ndarray, window, stride, pad) -> np.ndarray:
+    """max_pool_chwn on an (n, c, h, w) array."""
+    return _nchw(max_pool_chwn(_chwn(x), window, stride, pad))

@@ -4,22 +4,28 @@ The loop exists so soft pruning can interleave real weight updates with
 masking. It is seeded end-to-end and exact enough for finite-difference
 verification.
 
+Every activation and gradient is held batch innermost, (c, h, w, n), the
+layout graph.execute runs in: a batch is transposed into it once and cast
+to the graph's dtype (graph.graph_dtype) before the first kernel, which
+rejects mixed dtypes, and the input gradient is transposed back once.
+evaluate casts the test images alike.
+
 The forward pass runs every kind but bn through its inference forward,
 graph.OPS[kind].run, without zero masks: every conv, and every fc as a
-1x1 conv over the (n, c*h*w, 1, 1) view of its input, runs on
-tensor.conv2d_gemm. Backward pads the conv's input, which the forward
-pass keeps for relu's backward anyway, into the kernel's
-batch-innermost (c, h, w, n) layout (tensor.pad_batch_innermost) and takes
-the (c*r*s, ho*wo*n) window matrix of it (tensor.batch_innermost_windows,
-reshaped); caching the matrix would hold r*s times the input per conv. The
-weight gradient is taken as (cols @ gy.T).T: on the trainer's long
-products (k rows, ho*wo*n columns) the BLAS runs that orientation up to
-about twice as fast as gy @ cols.T. The input gradient is the transposed
-weights times the output gradient, added back onto the padded input one
-tap at a time (col2im). The accumulation order is the BLAS's, as in the
-inference conv. Results are deterministic at a fixed BLAS thread count.
-A batch is cast to the graph's dtype (graph.graph_dtype) before the first
-kernel, which rejects mixed dtypes; evaluate casts the test images alike.
+1x1 conv over the (c*h*w, 1, 1, n) view of its input, runs on
+tensor.conv2d_chwn. The conv backward pads the conv's input, which the
+forward pass keeps for relu's backward anyway (tensor.pad_hw, the
+kernel's own padding), and takes the (c*r*s, ho*wo*n) window matrix of it
+(tensor.batch_innermost_windows, reshaped); caching the matrix would hold
+r*s times the input per conv. The output gradient is already the
+(k, ho*wo*n) matrix the GEMMs need. The weight gradient is taken as
+(cols @ gy.T).T: on the trainer's long products (k rows, ho*wo*n columns)
+the BLAS runs that orientation up to about twice as fast as gy @ cols.T.
+The input gradient is the transposed weights times the output gradient,
+added back onto the padded input one tap at a time (col2im). The fc
+backward is two plain GEMMs on the (c*h*w, n) view of its input. The
+accumulation order is the BLAS's, as in the inference conv. Results are
+deterministic at a fixed BLAS thread count.
 
 Batch norm runs in training mode here: unfrozen channels normalize with
 the current batch's statistics (mean and two-pass biased variance, as
@@ -48,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import OPS, Graph, _conv_bias, graph_dtype
-from .tensor import Tensor, TensorError, batch_innermost_windows, pad_batch_innermost
+from .tensor import Tensor, TensorError, batch_innermost_windows, pad_hw
 
 
 class TrainerError(Exception):
@@ -161,25 +167,22 @@ def _frozen_mask(node, channels: int) -> np.ndarray:
 
 
 def _batch(g: Graph, batch, order: list[str]) -> np.ndarray:
-    """The batch as an array in g's dtype (graph.graph_dtype), which the
-    conv kernel requires of its input; float32 data widens to float64
-    exactly."""
-    x = batch.data if isinstance(batch, Tensor) else batch
-    return np.asarray(x, dtype=graph_dtype(g, order))
+    """The (n, c, h, w) batch as a new (c, h, w, n) array in g's dtype
+    (graph.graph_dtype), which the conv kernel requires of its input;
+    float32 data widens to float64 exactly."""
+    x = np.asarray(batch.data if isinstance(batch, Tensor) else batch)
+    return np.array(x.transpose(1, 2, 3, 0), dtype=graph_dtype(g, order), order="C")
 
 
-def _as_conv(node, x):
-    """(input, stride, pad) of a conv, or of an fc as a 1x1 conv over the
-    (n, c*h*w, 1, 1) view of its input, as graph.execute runs it."""
-    if node.kind == "fc":
-        return x.reshape(x.shape[0], -1, 1, 1), (1, 1), (0, 0)
-    spec = node.attrs["spec"]
-    return x, spec.stride, spec.pad
+def _logits(y: np.ndarray) -> np.ndarray:
+    """The (n, features) view of a (c, h, w, n) network output."""
+    return y.reshape(-1, y.shape[-1]).T
 
 
 def _forward_train(g: Graph, x: np.ndarray, bn_momentum: float, order: list[str]):
-    """Training-mode forward pass over the topological order; returns node
-    outputs plus the bn backward caches.
+    """Training-mode forward pass of a (c, h, w, n) input over the
+    topological order; returns the (c, h, w, n) node outputs plus the bn
+    backward caches.
 
     bn normalizes with batch statistics (_bn_forward_train); every other
     kind runs its inference forward, graph.OPS[kind].run, without zero
@@ -204,23 +207,23 @@ def _forward_train(g: Graph, x: np.ndarray, bn_momentum: float, order: list[str]
 
 def _bn_forward_train(node, x, bn_momentum, caches):
     dt = x.dtype
-    n, c, h, w = x.shape
+    c, h, w, n = x.shape
     frozen = _frozen_mask(node, c)
     eps = dt.type(node.attrs["eps"])
     cnt = dt.type(n * h * w)
-    gamma = node.params["gamma"].data.reshape(c, 1, 1)
-    beta = node.params["beta"].data.reshape(c, 1, 1)
+    gamma = node.params["gamma"].data.reshape(c, 1, 1, 1)
+    beta = node.params["beta"].data.reshape(c, 1, 1, 1)
     stored_mean = node.params["mean"].data.reshape(-1)
     stored_var = node.params["var"].data.reshape(-1)
-    batch_mean = np.einsum("nchw->c", x) / cnt
+    batch_mean = np.einsum("chwn->c", x) / cnt
     use_mean = np.where(frozen, stored_mean, batch_mean)
-    xhat = x - use_mean[:, None, None]
+    xhat = x - use_mean[:, None, None, None]
     # biased two-pass variance; xhat still holds x - mean here, which on the
     # frozen channels is off the batch mean, but those use the stored var
-    batch_var = np.einsum("nchw,nchw->c", xhat, xhat) / cnt
+    batch_var = np.einsum("chwn,chwn->c", xhat, xhat) / cnt
     use_var = np.where(frozen, stored_var, batch_var)
     inv = (1.0 / np.sqrt(use_var + eps)).astype(dt)
-    xhat *= inv[:, None, None]
+    xhat *= inv[:, None, None, None]
     y = gamma * xhat
     y += beta
     # fold the batch statistics into the running estimates (unfrozen only)
@@ -253,8 +256,7 @@ def training_forward(g: Graph, batch, bn_momentum: float = 0.1) -> np.ndarray:
     """
     order = g.topo_order()
     values, _ = _forward_train(g, _batch(g, batch, order), bn_momentum, order)
-    out = values[g.nodes[g.output_id].inputs[0]]
-    return out.reshape(out.shape[0], -1)
+    return np.ascontiguousarray(_logits(values[g.nodes[g.output_id].inputs[0]]))
 
 
 def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1,
@@ -272,15 +274,14 @@ def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1,
         order = g.topo_order()
     x = _batch(g, batch, order)
     labels = np.asarray(labels)
-    if labels.shape != (x.shape[0],):
-        raise TrainerError(f"labels shape {labels.shape} does not match batch {x.shape[0]}")
+    if labels.shape != (x.shape[-1],):
+        raise TrainerError(f"labels shape {labels.shape} does not match batch {x.shape[-1]}")
     values, caches = _forward_train(g, x, bn_momentum, order)
     out_node = g.nodes[g.output_id]
     logits4 = values[out_node.inputs[0]]
-    logits = logits4.reshape(logits4.shape[0], -1)
-    loss, dlogits = softmax_cross_entropy(logits, labels)
+    loss, dlogits = softmax_cross_entropy(_logits(logits4), labels)
 
-    gmap: dict[str, np.ndarray] = {out_node.inputs[0]: dlogits.reshape(logits4.shape)}
+    gmap: dict[str, np.ndarray] = {out_node.inputs[0]: dlogits.T.reshape(logits4.shape)}
     grads: dict[str, dict[str, np.ndarray]] = {}
 
     def push(nid: str, grad: np.ndarray) -> None:
@@ -306,41 +307,53 @@ def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1,
         elif kind == "concat":
             ofs = 0
             for src in node.inputs:
-                width = values[src].shape[1]
-                push(src, gy[:, ofs : ofs + width])
+                width = values[src].shape[0]
+                push(src, gy[ofs : ofs + width])
                 ofs += width
         elif kind == "gavgpool":
             xin = values[node.inputs[0]]
-            scale = gy.dtype.type(1.0 / (xin.shape[2] * xin.shape[3]))
+            scale = gy.dtype.type(1.0 / (xin.shape[1] * xin.shape[2]))
             push(node.inputs[0], np.broadcast_to(gy * scale, xin.shape).copy())
         elif kind == "maxpool":
             push(node.inputs[0], _maxpool_backward(node, gy, values[node.inputs[0]], values[nid]))
-        elif kind in ("conv", "fc"):
-            xin = values[node.inputs[0]]
-            gx, grads[nid] = _conv_backward(node, gy, *_as_conv(node, xin))
-            push(node.inputs[0], gx.reshape(xin.shape))
+        elif kind == "conv":
+            spec = node.attrs["spec"]
+            gx, grads[nid] = _conv_backward(node, gy, values[node.inputs[0]], spec.stride,
+                                            spec.pad)
+            push(node.inputs[0], gx)
+        elif kind == "fc":
+            gx, grads[nid] = _fc_backward(node, gy, values[node.inputs[0]])
+            push(node.inputs[0], gx)
         elif kind == "bn":
             gx, gparams = _bn_backward(node, gy, caches[nid])
             grads[nid] = gparams
             push(node.inputs[0], gx)
         else:  # pragma: no cover
             raise TrainerError(f"unhandled kind {kind}")
-    return loss, grads, gmap.get(g.input_id, np.zeros_like(x))
+    gx = gmap.get(g.input_id, np.zeros_like(x))
+    return loss, grads, np.ascontiguousarray(gx.transpose(3, 0, 1, 2))
+
+
+def _with_bias_grad(node, gy, gparams):
+    """gparams plus, for a conv or fc with a bias, the bias gradient: gy
+    (k, ho, wo, n) summed per filter."""
+    if _conv_bias(node) is not None:
+        gparams["bias"] = gy.sum(axis=(1, 2, 3)).reshape(node.params["bias"].shape)
+    return gparams
 
 
 def _conv_backward(node, gy, x, stride, pad):
-    """(input gradient, parameter gradients) of a conv, or of an fc, run on
-    the 1x1-conv view of its input that _as_conv gives: x, stride and pad
-    are the kernel's operands in the forward pass."""
+    """(input gradient, parameter gradients) of a conv whose (c, h, w, n)
+    input was x, given the (k, ho, wo, n) output gradient gy."""
     weight = node.params["weight"]
     k, c, r, s = weight.shape
     w2d = weight.data.reshape(k, -1)
-    xp = pad_batch_innermost(x, pad)
+    xp = pad_hw(x, pad)
     _, hp, wp, n = xp.shape
-    ho, wo = gy.shape[2:]
+    _, ho, wo, _ = gy.shape
     sh, sw = stride
     ph, pw = pad
-    gy2d = gy.transpose(1, 2, 3, 0).reshape(k, -1)
+    gy2d = gy.reshape(k, -1)
     cols = batch_innermost_windows(xp, r, s, stride).reshape(w2d.shape[1], -1)
     gw = (cols @ gy2d.T).T.reshape(weight.shape)
     gcols = (w2d.T @ gy2d).reshape(c, r, s, ho, wo, n)
@@ -350,19 +363,27 @@ def _conv_backward(node, gy, x, stride, pad):
     for u in range(r):
         for v in range(s):
             gxp[:, u : u + hspan : sh, v : v + wspan : sw] += gcols[:, u, v]
-    gx = np.ascontiguousarray(gxp[:, ph : hp - ph, pw : wp - pw].transpose(3, 0, 1, 2))
-    gparams = {"weight": gw}
-    if _conv_bias(node) is not None:
-        gparams["bias"] = gy.sum(axis=(0, 2, 3)).reshape(node.params["bias"].shape)
-    return gx, gparams
+    return gxp[:, ph : hp - ph, pw : wp - pw], _with_bias_grad(node, gy, {"weight": gw})
+
+
+def _fc_backward(node, gy, x):
+    """(input gradient, parameter gradients) of an fc whose (c, h, w, n)
+    input was x: two plain GEMMs on the (c*h*w, n) view of x, given the
+    (k, 1, 1, n) output gradient gy."""
+    weight = node.params["weight"]
+    n = x.shape[-1]
+    gy2d = gy.reshape(-1, n)
+    gw = (gy2d @ x.reshape(-1, n).T).reshape(weight.shape)
+    gx = (weight.data.reshape(gy2d.shape[0], -1).T @ gy2d).reshape(x.shape)
+    return gx, _with_bias_grad(node, gy, {"weight": gw})
 
 
 def _bn_backward(node, gy, cache):
     xhat, inv, frozen = cache["xhat"], cache["inv"], cache["frozen"]
-    n, c, h, w = gy.shape
+    c, h, w, n = gy.shape
     dt = gy.dtype
-    gbeta = np.einsum("nchw->c", gy)
-    ggamma = np.einsum("nchw,nchw->c", gy, xhat)
+    gbeta = np.einsum("chwn->c", gy)
+    ggamma = np.einsum("chwn,chwn->c", gy, xhat)
     scale = node.params["gamma"].data.reshape(-1) * inv
     # closed form of the batch-statistics chain, scale/N * (N*gy - gbeta -
     # xhat*ggamma); frozen channels treat the stored statistics as
@@ -370,32 +391,33 @@ def _bn_backward(node, gy, cache):
     per = scale / dt.type(n * h * w)
     shift = np.where(frozen, 0, per * gbeta).astype(dt)
     slope = np.where(frozen, 0, per * ggamma).astype(dt)
-    gx = gy * scale[:, None, None]
-    gx -= xhat * slope[:, None, None]
-    gx -= shift[:, None, None]
+    gx = gy * scale[:, None, None, None]
+    gx -= xhat * slope[:, None, None, None]
+    gx -= shift[:, None, None, None]
     ggamma = np.where(frozen, 0, ggamma).astype(dt)
     gbeta = np.where(frozen, 0, gbeta).astype(dt)
     return gx, {"gamma": ggamma.reshape(1, c, 1, 1), "beta": gbeta.reshape(1, c, 1, 1)}
 
 
 def _maxpool_backward(node, gy, x, y):
-    """The input gradient of a maxpool whose input was x and whose output
-    was y: each output's gradient goes to the first tap, in row-major order,
-    that holds the maximum. x is padded with -inf, as max_pool_raw pads it."""
+    """The input gradient of a maxpool whose (c, h, w, n) input was x and
+    whose output was y: each output's gradient goes to the first tap, in
+    row-major order, that holds the maximum. x is padded with -inf, as
+    max_pool_chwn pads it."""
     r, s = node.attrs["window"]
     sh, sw = node.attrs["stride"]
     ph, pw = node.attrs["pad"]
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
-    hspan, wspan = (y.shape[2] - 1) * sh + 1, (y.shape[3] - 1) * sw + 1
+    xp = pad_hw(x, (ph, pw), -np.inf)
+    hspan, wspan = (y.shape[1] - 1) * sh + 1, (y.shape[2] - 1) * sw + 1
     gxp = np.zeros_like(xp)
     remaining = np.ones_like(y, dtype=bool)
     for u in range(r):
         for v in range(s):
-            window = xp[:, :, u : u + hspan : sh, v : v + wspan : sw]
+            window = xp[:, u : u + hspan : sh, v : v + wspan : sw]
             hit = (window == y) & remaining
-            gxp[:, :, u : u + hspan : sh, v : v + wspan : sw] += gy * hit
+            gxp[:, u : u + hspan : sh, v : v + wspan : sw] += gy * hit
             remaining &= ~hit
-    return gxp[:, :, ph : xp.shape[2] - ph, pw : xp.shape[3] - pw]
+    return gxp[:, ph : xp.shape[1] - ph, pw : xp.shape[2] - pw]
 
 
 def sgd_step(g: Graph, grads, cfg: TrainConfig, velocity: dict) -> None:

@@ -172,6 +172,17 @@ class TestExecute:
         y2 = execute(g, x)
         assert np.array_equal(y1.data, y2.data)
 
+    def test_value_read_twice_by_one_node(self, rng):
+        # execute releases a value after its last reader, which here reads
+        # it twice; a second input of the graph's own input reads it too
+        nodes = [plain_node("in", "input", []), plain_node("r", "relu", ["in"]),
+                 plain_node("a", "add", ["r", "r"]), plain_node("b", "add", ["a", "in"]),
+                 plain_node("out", "output", ["b"])]
+        g = make_graph(nodes, "in", "out", (1, 2, 3, 3))
+        x = rng.standard_normal((2, 2, 3, 3)).astype(np.float32)
+        y = execute(g, Tensor(x))
+        assert np.array_equal(y.data, (np.maximum(x, 0) + np.maximum(x, 0)) + x)
+
     def test_insertion_order_does_not_matter(self, rng):
         g = tiny_chain(rng)
         x = Tensor(rng.standard_normal((1, 3, 8, 8)).astype(np.float32))
@@ -441,6 +452,16 @@ class TestContainer:
             load(path)
         assert main(["flops", str(path)]) == EXIT_VALIDATION
         assert "node 'pool'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("attrs", [
+        {"window": (2.5, 2.5)}, {"stride": (2, 1.5)}, {"pad": (0.5, 0)},
+    ], ids=["window", "stride", "pad"])
+    def test_non_integer_maxpool_geometry_rejected_in_memory(self, attrs):
+        # the file boundary rejects these as malformed JSON types; validate
+        # must too, or it infers float dims (1.0 x 1.0 for a 2.5 window) that
+        # execute does not produce
+        with pytest.raises(ShapeMismatch, match="node 'pool': max_pool"):
+            validate(pool_graph(**attrs))
 
     def test_blob_is_little_endian_ieee(self, rng, tmp_path):
         g = tiny_chain(rng)

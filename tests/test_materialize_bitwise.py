@@ -10,7 +10,7 @@ zero filters, a filter that is zero by chance, which is dead only where
 the following bn's shift is zero, and an fc that reads a spatial map,
 where each channel's mark covers h*w of its inputs. The zoo sweep drives
 resnet18 and resnet34 through stage-4 convs on 1x1 maps (2x2 for their
-stride-2 conv), where conv2d_gemm drops the taps that read only padding,
+stride-2 conv), where conv2d_chwn drops the taps that read only padding,
 on both sides.
 """
 
@@ -101,6 +101,22 @@ def test_zoo_masked_equals_materialized(family, dtype):
             removed += sum(rec["removed"] for rec in res.summary)
             blocked += sum(1 for rec in res.summary if rec["blocked"])
     assert removed > 0 and blocked > 0
+
+
+@pytest.mark.parametrize("dtype", ("f32", "f64"))
+def test_odd_batch_masked_equals_materialized(dtype):
+    # the activations are (c, h, w, n), so a conv's GEMM has ho*wo*n columns;
+    # at batch 5 they are 320, 80 and 20 on the 8x8, 4x4 and 2x2 maps and 5
+    # for the fc, and the last two end in a partial 16-wide block
+    g = build(ZooSpec("resnet8-tiny", input_shape=(1, 3, 8, 8), dtype=dtype, seed=3))
+    x = Tensor(np.random.default_rng(4).standard_normal((5, 3, 8, 8)) * INPUT_SCALE,
+               DTYPE_FROM_NAME[dtype])
+    for option in ("0/3", "3/3"):
+        fused, report = fuse(g, option)
+        masked, res = pruned_pair(fused, report, "continued", 0.3)
+        assert sum(rec["removed"] for rec in res.summary) > 0
+        assert_same_live_counts(masked, res.graph, x)
+        assert same_bytes(execute(masked, x), execute(res.graph, x)), option
 
 
 def test_blocked_conv_is_compacted_on_both_sides():

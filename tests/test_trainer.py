@@ -20,6 +20,8 @@ from fuseprune.trainer import (
     parse_dataset_spec,
     sgd_step,
     softmax_cross_entropy,
+    _forward_train,
+    _maxpool_backward,
     train_epoch,
     training_forward,
 )
@@ -278,6 +280,22 @@ class TestGradients:
         check_param(g, "fc", "bias", x, y)
         check_input(g, x, y)
 
+    def test_fc_over_a_spatial_map(self, rng):
+        # the fc reads all 3*6*5 values of a non-square map: its backward
+        # takes the (c*h*w, n) view of a (c, h, w, n) input, whose row order
+        # must be the weight's (c, h, w) order
+        nodes = [plain_node("in", "input", []),
+                 fc_node("fc", ["in"], 5, 90, weight=rng.standard_normal((5, 90, 1, 1)) * 0.3,
+                         bias=rng.uniform(-0.2, 0.2, 5), dtype=F64),
+                 plain_node("out", "output", ["fc"])]
+        g = make_graph(nodes, "in", "out", (1, 3, 6, 5))
+        validate(g)
+        x = rng.standard_normal((3, 3, 6, 5))
+        y = self.labels(rng, 3)
+        check_param(g, "fc", "weight", x, y)
+        check_param(g, "fc", "bias", x, y)
+        check_input(g, x, y)
+
     def test_conv_params_and_input(self, rng):
         g = conv_graph(rng)
         x = rng.standard_normal((2, 3, 6, 6))
@@ -373,6 +391,27 @@ class TestGradients:
                                  np.zeros(1))
         assert rel_err(gx[first], joint) <= 1e-4
         check_input(g, x, y, keep=~tied)
+
+    def test_maxpool_backward_skips_padding_at_a_zero_maximum(self, rng):
+        # relu -> 3x3/2 pad-1 maxpool on a 4x4 map: the top-left window's
+        # real entries are all negative before the relu, so its maximum is
+        # exactly 0, which a tap of zero padding would equal too; the
+        # gradient must land on the window's first real zero, never on padding
+        nodes = [plain_node("in", "input", []), plain_node("relu", "relu", ["in"]),
+                 plain_node("pool", "maxpool", ["relu"], window=(3, 3), stride=(2, 2),
+                            pad=(1, 1)),
+                 plain_node("out", "output", ["pool"])]
+        g = make_graph(nodes, "in", "out", (1, 1, 4, 4))
+        x = rng.uniform(0.5, 1.5, (1, 1, 4, 4))
+        x[0, 0, :2, :2] = -1.0
+        # the trainer's arrays are (c, h, w, n); [0, 0, 0, 0] is the top-left
+        # value of the one channel of the one image in either layout
+        values, _ = _forward_train(g, x.transpose(1, 2, 3, 0), 0.1, g.topo_order())
+        assert values["pool"][0, 0, 0, 0] == 0.0
+        gy = rng.uniform(0.5, 1.5, values["pool"].shape)
+        gx = _maxpool_backward(g.nodes["pool"], gy, values["relu"], values["pool"])
+        assert gx[0, 0, 0, 0] == gy[0, 0, 0, 0]
+        assert np.isclose(gx.sum(), gy.sum())
 
     def test_add_paths(self, rng):
         g = twopath_graph(rng, "add")

@@ -49,15 +49,16 @@ def forward(x, stats):
     node = bn_node("bn", ["in"], FROZEN.size, frozen=FROZEN.astype(int).tolist(),
                    dtype=x.dtype, **stats)
     caches = {}
-    y = _bn_forward_train(node, x, 0.1, caches)
-    return node, y, caches["bn"]
+    y = _bn_forward_train(node, x.transpose(1, 2, 3, 0), 0.1, caches)
+    return node, y.transpose(3, 0, 1, 2), caches["bn"]
 
 
 @pytest.mark.parametrize("dt", DTYPES)
 def test_gradients_match_finite_differences(dt):
     x, stats, gy = draw(dt)
     node, y, cache = forward(x, stats)
-    gx, gparams = _bn_backward(node, gy, cache)
+    gx, gparams = _bn_backward(node, gy.transpose(1, 2, 3, 0), cache)
+    gx = gx.transpose(3, 0, 1, 2)
     assert gx.dtype == dt and gx.shape == x.shape
     assert cache["inv"][ZERO] == dt(1 / np.sqrt(dt(1e-5)))
 

@@ -1,6 +1,6 @@
 """Direct tests of the trainer's convolution, forward and backward.
 
-The trainer runs its forward pass on tensor.conv2d_gemm and its backward
+The trainer runs its forward pass on tensor.conv2d_chwn and its backward
 as im2col GEMMs and col2im. Both leave the accumulation order to the BLAS,
 so the forward output is compared with the brute-force oracle, and the
 input, weight and bias gradients with central finite differences of the
@@ -61,8 +61,8 @@ def forward(x, w, b, stride, pad):
                      bias=b, dtype=w.dtype)
     g = make_graph([plain_node("in", "input", []), node, plain_node("out", "output", ["conv"])],
                    "in", "out", (1, *x.shape[1:]))
-    values, _ = _forward_train(g, x, 0.1, ["in", "conv", "out"])
-    return node, values["conv"], x
+    values, _ = _forward_train(g, x.transpose(1, 2, 3, 0), 0.1, ["in", "conv", "out"])
+    return node, values["conv"].transpose(3, 0, 1, 2), x
 
 
 @pytest.mark.parametrize("dt", DTYPES)
@@ -72,7 +72,7 @@ def test_forward_matches_brute(name, dt):
     _, y, _ = forward(x, w, b, stride, pad)
     want = conv2d_brute(x, w, b, stride, pad)
     scale = conv2d_brute(np.abs(x), np.abs(w), None if b is None else np.abs(b), stride, pad)
-    assert y.dtype == dt and y.shape == want.shape and y.flags.c_contiguous
+    assert y.dtype == dt and y.shape == want.shape and y.transpose(1, 2, 3, 0).flags.c_contiguous
     assert np.all(np.abs(y - want) <= FWD_TOL[dt] * scale)
 
 
@@ -82,7 +82,9 @@ def test_gradients_match_finite_differences(name, dt):
     x, w, b, stride, pad = draw(name, dt)
     node, y, cache = forward(x, w, b, stride, pad)
     gy = np.random.default_rng(99).standard_normal(y.shape).astype(dt)
-    gx, gparams = _conv_backward(node, gy, cache, stride, pad)
+    gx, gparams = _conv_backward(node, gy.transpose(1, 2, 3, 0), cache.transpose(1, 2, 3, 0),
+                                 stride, pad)
+    gx = gx.transpose(3, 0, 1, 2)
     assert gx.dtype == dt and gx.shape == x.shape
     assert set(gparams) == ({"weight", "bias"} if b is not None else {"weight"})
 
@@ -109,7 +111,9 @@ def test_unread_rows_and_columns_get_no_gradient(dt):
     for name, rows in (("stride2-uneven", [5]), ("projection-1x1-stride2", [1, 3, 5])):
         x, w, b, stride, pad = draw(name, dt)
         node, y, cache = forward(x, w, b, stride, pad)
-        gx, _ = _conv_backward(node, np.ones_like(y), cache, stride, pad)
+        gx, _ = _conv_backward(node, np.ones_like(y).transpose(1, 2, 3, 0),
+                               cache.transpose(1, 2, 3, 0), stride, pad)
+        gx = gx.transpose(3, 0, 1, 2)
         assert np.all(gx[:, :, rows, :] == 0) and np.all(gx[:, :, :, rows] == 0), name
         read = np.setdiff1d(np.arange(x.shape[2]), rows)
         assert np.all(gx[:, :, read][:, :, :, read] != 0), name
