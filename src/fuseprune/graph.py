@@ -39,7 +39,10 @@ attributes, tags, and a tensor table of name/shape/dtype/offset/length),
 then one raw blob of little-endian IEEE-754 values concatenated in
 manifest order. The manifest carries a format version and a SHA-256
 checksum of the blob. save writes a new file beside the target and renames
-it into place, so a failed save leaves any earlier file whole.
+it into place, so a failed save leaves any earlier file whole. load
+requires JSON integers for the dims, offsets, lengths and input_shape, a
+list of node ids for each node's inputs, and tensors that tile the blob in
+table order, as save writes them.
 """
 
 from __future__ import annotations
@@ -357,11 +360,12 @@ def _fc_run(node: Node, args, zero_in, zero_out) -> np.ndarray:
                        _conv_bias(node), (1, 1), (0, 0), zero_in)
 
 
-def _checked(key, value, ok, what):
-    """value, the JSON value of attr key, when ok(value) holds; a TypeError
-    naming the attr otherwise, which load reports as a malformed manifest."""
+def _checked(key, value, ok, what, where="attr"):
+    """value, the JSON value of key, when ok(value) holds; a TypeError
+    naming where it sits otherwise, which load reports as a malformed
+    manifest."""
     if not ok(value):
-        raise TypeError(f"attr {key!r} must be {what}, got {value!r}")
+        raise TypeError(f"{where} {key!r} must be {what}, got {value!r}")
     return value
 
 
@@ -369,9 +373,13 @@ def _is_int(v) -> bool:
     return type(v) is int  # a JSON integer: bool is a subclass of int
 
 
+def _is_ints(v) -> bool:
+    return isinstance(v, list) and all(_is_int(i) for i in v)
+
+
 def _pair(raw, key) -> tuple[int, int]:
-    return tuple(_checked(key, raw[key], lambda v: isinstance(v, list) and len(v) == 2
-                          and all(_is_int(i) for i in v), "a pair of integers"))
+    return tuple(_checked(key, raw[key], lambda v: _is_ints(v) and len(v) == 2,
+                          "a pair of integers"))
 
 
 def _conv_load(raw) -> dict:
@@ -675,15 +683,22 @@ def load(path) -> Graph:
             raise ModelFormatError(f"{path}: blob checksum failure")
 
         tensors: dict[str, Tensor] = {}
+        end = 0  # save writes the tensors back to back, in table order
         for entry in manifest["tensors"]:
             name = entry["name"]
-            shape = tuple(int(d) for d in entry["shape"])
+            where = f"tensor {name!r} field"
+            shape = tuple(_checked("shape", entry["shape"], _is_ints, "a list of integers", where))
             dtype = DTYPE_FROM_NAME.get(entry["dtype"])
             if dtype is None:
                 raise ModelFormatError(f"{path}: tensor {name!r} has unknown dtype {entry['dtype']!r}")
-            start, length = int(entry["offset"]), int(entry["length"])
+            start, length = (_checked(key, entry[key], _is_int, "an integer", where)
+                             for key in ("offset", "length"))
             if start < 0 or length < 0 or start + length > len(blob):
                 raise ModelFormatError(f"{path}: tensor {name!r} lies outside the blob")
+            if start != end:
+                raise ModelFormatError(f"{path}: tensor {name!r} starts at byte {start}, not "
+                                       f"{end}: the tensors must tile the blob in table order")
+            end += length
             count = math.prod(shape)
             if count * dtype.itemsize != length:
                 raise ModelFormatError(f"{path}: tensor {name!r} length/shape mismatch")
@@ -691,6 +706,9 @@ def load(path) -> Graph:
             # Tensor copies, so no tensor keeps the file's buffer alive
             arr = np.frombuffer(blob, le, count, offset=start).reshape(shape)
             tensors[name] = Tensor(arr, dtype)
+        if end != len(blob):
+            raise ModelFormatError(
+                f"{path}: the tensors cover {end} of the blob's {len(blob)} bytes")
         nodes: dict[str, Node] = {}
         for raw in manifest["nodes"]:
             params = {}
@@ -701,10 +719,13 @@ def load(path) -> Graph:
                     )
                 params[pname] = tensors[tname]
             kind = raw["kind"]
+            inputs = _checked("inputs", raw.get("inputs", []), lambda v: isinstance(v, list)
+                              and all(isinstance(i, str) for i in v), "a list of node ids",
+                              f"node {raw['id']!r} field")
             nodes[raw["id"]] = Node(
                 id=raw["id"],
                 kind=kind,
-                inputs=list(raw.get("inputs", [])),
+                inputs=list(inputs),
                 # an unknown kind loads bare, for validate to name it
                 attrs=OPS[kind].load(raw.get("attrs", {})) if kind in OPS else {},
                 params=params,
@@ -714,7 +735,8 @@ def load(path) -> Graph:
             nodes=nodes,
             input_id=manifest["input_id"],
             output_id=manifest["output_id"],
-            input_shape=tuple(int(d) for d in manifest["input_shape"]),
+            input_shape=tuple(_checked("input_shape", manifest["input_shape"], _is_ints,
+                                       "a list of integers", "field")),
         )
         # a node id that is not a string fails here, as a TypeError
         validate(g)

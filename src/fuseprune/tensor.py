@@ -36,8 +36,10 @@ thread count. The kernels meet it as follows:
   zero marks repeated over h*w, so a masked fc multiplies the operands its
   materialization does.
 * The trainer runs the same per-kind forward as graph.execute, without
-  zero masks, for every kind but bn; its conv backward pads and windows
-  its input as conv2d_chwn does (pad_hw, batch_innermost_windows).
+  zero masks, for every kind but bn. Its conv backward, which also serves
+  the fc, pads and windows its input as conv2d_chwn does (pad_hw,
+  batch_innermost_windows) for the weight gradient, and runs conv2d_chwn
+  itself, without masks, for the input gradient.
 
 float32 is the working precision; float64 is supported throughout for
 high-precision runs. Mixing dtypes within one kernel call is an error.

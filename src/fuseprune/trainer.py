@@ -13,19 +13,25 @@ evaluate casts the test images alike.
 The forward pass runs every kind but bn through its inference forward,
 graph.OPS[kind].run, without zero masks: every conv, and every fc as a
 1x1 conv over the (c*h*w, 1, 1, n) view of its input, runs on
-tensor.conv2d_chwn. The conv backward pads the conv's input, which the
-forward pass keeps for relu's backward anyway (tensor.pad_hw, the
-kernel's own padding), and takes the (c*r*s, ho*wo*n) window matrix of it
+tensor.conv2d_chwn. The backward takes an fc as that same 1x1 conv, so one
+conv backward serves both. It pads the conv's input, which the forward
+pass keeps for relu's backward anyway (tensor.pad_hw, the kernel's own
+padding), and takes the (c*r*s, ho*wo*n) window matrix of it
 (tensor.batch_innermost_windows, reshaped); caching the matrix would hold
 r*s times the input per conv. The output gradient is already the
 (k, ho*wo*n) matrix the GEMMs need. The weight gradient is taken as
 (cols @ gy.T).T: on the trainer's long products (k rows, ho*wo*n columns)
 the BLAS runs that orientation up to about twice as fast as gy @ cols.T.
-The input gradient is the transposed weights times the output gradient,
-added back onto the padded input one tap at a time (col2im). The fc
-backward is two plain GEMMs on the (c*h*w, n) view of its input. The
-accumulation order is the BLAS's, as in the inference conv. Results are
-deterministic at a fixed BLAS thread count.
+The input gradient is the full convolution of the zero-stuffed output
+gradient with the flipped, transposed weights (the transposed-convolution
+identity; Dumoulin & Visin, arXiv 1603.07285), run on conv2d_chwn itself:
+output (oh, ow) goes to (stride*oh + r - 1 - pad, stride*ow + s - 1 - pad)
+of a zeroed (k, h + r - 1, w + s - 1, n) buffer, whose stride-1, pad-0
+conv is the (c, h, w, n) gradient. An output that lands outside the buffer
+read only padding and sends no gradient. At stride 2 the GEMM multiplies
+the stuffed zeros too, about four times the multiply-adds that carry
+gradient. The accumulation order is the BLAS's, as in the inference conv.
+Results are deterministic at a fixed BLAS thread count.
 
 Batch norm runs in training mode here: unfrozen channels normalize with
 the current batch's statistics (mean and two-pass biased variance, as
@@ -48,13 +54,14 @@ the node, for statistics and updates).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import OPS, Graph, _conv_bias, graph_dtype
-from .tensor import Tensor, TensorError, batch_innermost_windows, pad_hw
+from .tensor import Tensor, TensorError, batch_innermost_windows, conv2d_chwn, pad_hw
 
 
 class TrainerError(Exception):
@@ -72,6 +79,9 @@ class TrainConfig:
     bn_momentum: float = 0.1
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.lr, self.momentum, self.weight_decay,
+                                              self.bn_momentum)):
+            raise ValueError("lr, momentum, weight_decay and bn_momentum must be finite")
         if not self.lr > 0:
             raise ValueError("lr must be > 0")
         if self.batch_size < 1:
@@ -269,6 +279,11 @@ def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1,
     statistics are updated in place as a side effect; weights are not.
     The batch is cast to g's dtype, and input_grad has that dtype. order is
     g's topological order, sorted here when not given.
+
+    labels must hold one integer in [0, features) per image, where features
+    is the length of the flattened logits; other labels raise TrainerError.
+    Their range is checked once the forward pass has given the logits, and
+    so after it has updated the running statistics.
     """
     if order is None:
         order = g.topo_order()
@@ -276,9 +291,15 @@ def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1,
     labels = np.asarray(labels)
     if labels.shape != (x.shape[-1],):
         raise TrainerError(f"labels shape {labels.shape} does not match batch {x.shape[-1]}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise TrainerError(f"labels must be integers, got {labels.dtype}")
     values, caches = _forward_train(g, x, bn_momentum, order)
     out_node = g.nodes[g.output_id]
     logits4 = values[out_node.inputs[0]]
+    features = math.prod(logits4.shape[:3])
+    if labels.min() < 0 or labels.max() >= features:
+        raise TrainerError(f"labels span [{labels.min()}, {labels.max()}], outside the graph's "
+                           f"{features} classes [0, {features})")
     loss, dlogits = softmax_cross_entropy(_logits(logits4), labels)
 
     gmap: dict[str, np.ndarray] = {out_node.inputs[0]: dlogits.T.reshape(logits4.shape)}
@@ -316,14 +337,14 @@ def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1,
             push(node.inputs[0], np.broadcast_to(gy * scale, xin.shape).copy())
         elif kind == "maxpool":
             push(node.inputs[0], _maxpool_backward(node, gy, values[node.inputs[0]], values[nid]))
-        elif kind == "conv":
-            spec = node.attrs["spec"]
-            gx, grads[nid] = _conv_backward(node, gy, values[node.inputs[0]], spec.stride,
-                                            spec.pad)
-            push(node.inputs[0], gx)
-        elif kind == "fc":
-            gx, grads[nid] = _fc_backward(node, gy, values[node.inputs[0]])
-            push(node.inputs[0], gx)
+        elif kind in ("conv", "fc"):
+            xin = values[node.inputs[0]]
+            if kind == "conv":
+                args = xin, node.attrs["spec"].stride, node.attrs["spec"].pad
+            else:  # a 1x1 conv over the (c*h*w, 1, 1, n) view of its input
+                args = xin.reshape(-1, 1, 1, xin.shape[-1]), (1, 1), (0, 0)
+            gx, grads[nid] = _conv_backward(node, gy, *args)
+            push(node.inputs[0], gx.reshape(xin.shape))
         elif kind == "bn":
             gx, gparams = _bn_backward(node, gy, caches[nid])
             grads[nid] = gparams
@@ -334,12 +355,15 @@ def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1,
     return loss, grads, np.ascontiguousarray(gx.transpose(3, 0, 1, 2))
 
 
-def _with_bias_grad(node, gy, gparams):
-    """gparams plus, for a conv or fc with a bias, the bias gradient: gy
-    (k, ho, wo, n) summed per filter."""
-    if _conv_bias(node) is not None:
-        gparams["bias"] = gy.sum(axis=(1, 2, 3)).reshape(node.params["bias"].shape)
-    return gparams
+def _stuffed(size: int, kernel: int, stride: int, pad: int, out: int):
+    """(the outputs, their buffer positions) along one axis, as slices:
+    output o goes to stride*o + kernel - 1 - pad of the size + kernel - 1
+    buffer; one that lands outside it read only padding and is left out."""
+    shift = kernel - 1 - pad
+    first = max(0, -(shift // stride))
+    stop = min(out, (size - 1 + pad) // stride + 1)
+    at = stride * first + shift
+    return slice(first, stop), slice(at, at + stride * (stop - first), stride)
 
 
 def _conv_backward(node, gy, x, stride, pad):
@@ -347,35 +371,18 @@ def _conv_backward(node, gy, x, stride, pad):
     input was x, given the (k, ho, wo, n) output gradient gy."""
     weight = node.params["weight"]
     k, c, r, s = weight.shape
-    w2d = weight.data.reshape(k, -1)
-    xp = pad_hw(x, pad)
-    _, hp, wp, n = xp.shape
-    _, ho, wo, _ = gy.shape
-    sh, sw = stride
-    ph, pw = pad
+    _, h, wd, n = x.shape
     gy2d = gy.reshape(k, -1)
-    cols = batch_innermost_windows(xp, r, s, stride).reshape(w2d.shape[1], -1)
-    gw = (cols @ gy2d.T).T.reshape(weight.shape)
-    gcols = (w2d.T @ gy2d).reshape(c, r, s, ho, wo, n)
-    # col2im: add each tap's window gradient onto the input positions it read
-    gxp = np.zeros_like(xp)
-    hspan, wspan = (ho - 1) * sh + 1, (wo - 1) * sw + 1
-    for u in range(r):
-        for v in range(s):
-            gxp[:, u : u + hspan : sh, v : v + wspan : sw] += gcols[:, u, v]
-    return gxp[:, ph : hp - ph, pw : wp - pw], _with_bias_grad(node, gy, {"weight": gw})
-
-
-def _fc_backward(node, gy, x):
-    """(input gradient, parameter gradients) of an fc whose (c, h, w, n)
-    input was x: two plain GEMMs on the (c*h*w, n) view of x, given the
-    (k, 1, 1, n) output gradient gy."""
-    weight = node.params["weight"]
-    n = x.shape[-1]
-    gy2d = gy.reshape(-1, n)
-    gw = (gy2d @ x.reshape(-1, n).T).reshape(weight.shape)
-    gx = (weight.data.reshape(gy2d.shape[0], -1).T @ gy2d).reshape(x.shape)
-    return gx, _with_bias_grad(node, gy, {"weight": gw})
+    cols = batch_innermost_windows(pad_hw(x, pad), r, s, stride).reshape(c * r * s, -1)
+    grads = {"weight": (cols @ gy2d.T).T.reshape(weight.shape)}
+    if _conv_bias(node) is not None:
+        grads["bias"] = gy.sum(axis=(1, 2, 3)).reshape(node.params["bias"].shape)
+    oh, at_h = _stuffed(h, r, stride[0], pad[0], gy.shape[1])
+    ow, at_w = _stuffed(wd, s, stride[1], pad[1], gy.shape[2])
+    stuffed = np.zeros((k, h + r - 1, wd + s - 1, n), dtype=gy.dtype)
+    stuffed[:, at_h, at_w] = gy[:, oh, ow]
+    flipped = weight.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    return conv2d_chwn(stuffed, flipped, None, (1, 1), (0, 0)), grads
 
 
 def _bn_backward(node, gy, cache):

@@ -221,6 +221,20 @@ class TestPipeline:
         assert re.match(r"error: epoch 0, batch \d+: node '[\w.]+': .* is not finite", err), err
         assert not out.exists()
 
+    def test_labels_beyond_the_model_classes_exit_2(self, tmp_path, capsys):
+        # the dataset has 10 classes and the model 5; this crashed with an
+        # IndexError traceback and exit 1
+        model, out = tmp_path / "five.fpm", tmp_path / "m.fpm"
+        assert run("build-model", "resnet8-tiny", "--seed", 1, "--classes", 5,
+                   "-o", model) == EXIT_OK
+        rc = run("prune", model, "--mode", "continued", "--rate", "0.25", "--epochs", 1,
+                 "--data", "synth:seed=1,n=64", "-o", out)
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert re.match(r"error: epoch 0, batch 0: labels span \[\d, \d\], outside the "
+                        r"graph's 5 classes \[0, 5\)", err), err
+        assert not out.exists()
+
     def test_high_rate_needs_explicit_flag(self, tiny, tmp_path):
         args = ["prune", str(tiny), "--mode", "continued", "--rate", "0.5",
                 "-o", str(tmp_path / "m.fpm")]

@@ -383,9 +383,19 @@ class TestContainer:
         lambda m: m["nodes"].__setitem__(1, ["c1"]),
         lambda m: m["nodes"][1]["attrs"].update(stride=[1]),
         lambda m: m["nodes"][1].update(inputs=[["in"]]),
-    ], ids=["blob-list", "params-list", "node-list", "stride-one-entry", "input-list"])
+        lambda m: m["nodes"][1].update(inputs="in"),
+        lambda m: m["tensors"][1].update(offset=True),
+        lambda m: m["tensors"][0]["shape"].__setitem__(0, 4.5),
+        lambda m: m["input_shape"].__setitem__(1, 3.9),
+        lambda m: m["input_shape"].__setitem__(1, "3"),
+    ], ids=["blob-list", "params-list", "node-list", "stride-one-entry", "input-list",
+            "inputs-string", "offset-bool", "dim-float", "input-shape-float",
+            "input-shape-string"])
     def test_wrong_json_type_rejected(self, rng, tmp_path, capsys, edit):
-        # a JSON value of the wrong type is a malformed file, not a crash
+        # a JSON value of the wrong type is a malformed file, not a crash;
+        # a string's inputs were split into characters (a GraphError), and
+        # the others loaded: a tensor read from byte 1 for an offset of true,
+        # a dim or input_shape entry truncated or coerced to an integer
         path = tmp_path / "m.fpm"
         save(tiny_chain(rng), path)
         raw = path.read_bytes()
@@ -399,6 +409,31 @@ class TestContainer:
             load(path)
         assert main(["flops", str(path)]) == EXIT_VALIDATION
         assert "malformed manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,extra,match", [
+        (lambda m: m["tensors"][2].update(offset=432), b"",
+         "tensor 'b1/beta' starts at byte 432, not 448"),
+        (lambda m: m["tensors"].insert(1, m["tensors"].pop(2)), b"",
+         "tensor 'b1/beta' starts at byte 448, not 432"),
+        (lambda m: None, bytes(8), "the tensors cover 536 of the blob's 544 bytes"),
+    ], ids=["aliased-tensor", "out-of-order-table", "trailing-bytes"])
+    def test_tensors_must_tile_the_blob(self, rng, tmp_path, capsys, edit, extra, match):
+        # each loaded: a tensor read twice, a table save never writes, and
+        # blob bytes read by no tensor
+        path = tmp_path / "m.fpm"
+        save(tiny_chain(rng), path)
+        raw = path.read_bytes()
+        man_len = int.from_bytes(raw[4:8], "little")
+        manifest = json.loads(raw[8 : 8 + man_len])
+        edit(manifest)
+        blob = raw[8 + man_len :] + extra
+        manifest["blob"] = {"length": len(blob), "sha256": hashlib.sha256(blob).hexdigest()}
+        payload = json.dumps(manifest, separators=(",", ":")).encode()
+        path.write_bytes(b"FPM1" + len(payload).to_bytes(4, "little") + payload + blob)
+        with pytest.raises(ModelFormatError, match=match):
+            load(path)
+        assert main(["flops", str(path)]) == EXIT_VALIDATION
+        assert match in capsys.readouterr().err
 
     @pytest.mark.parametrize("nid,key,value", [
         ("c2", "has_bias", "false"),

@@ -559,6 +559,11 @@ class TestSgdStep:
             TrainConfig(bn_momentum=0.0)
         with pytest.raises(ValueError):
             TrainConfig(momentum=-0.1)
+        # non-finite values passed every bound and failed only at the
+        # first update
+        for bad in (dict(lr=np.inf), dict(momentum=np.nan), dict(weight_decay=np.inf)):
+            with pytest.raises(ValueError, match="must be finite"):
+                TrainConfig(**bad)
 
 
 class TestTrainEpoch:
@@ -664,6 +669,18 @@ class TestTrainEpoch:
         g = small_net(0)
         with pytest.raises(TrainerError):
             forward_backward(g, np.zeros((4, 3, 8, 8), np.float32), np.zeros(3, np.int64))
+
+    @pytest.mark.parametrize("labels,match", [
+        ([0, 1, 10, 2], r"labels span \[0, 10\], outside the graph's 10 classes \[0, 10\)"),
+        ([0, -1, 1, 2], r"labels span \[-1, 2\], outside the graph's 10 classes"),
+        ([0.0, 1.0, 2.0, 3.0], "labels must be integers, got float64"),
+    ], ids=["label-equals-classes", "label-minus-1", "float-labels"])
+    def test_out_of_range_labels_rejected(self, labels, match):
+        # a label of 10 indexed past the logits (an IndexError), and -1
+        # silently scored the last class
+        g = small_net(0)
+        with pytest.raises(TrainerError, match=match):
+            forward_backward(g, np.zeros((4, 3, 8, 8), np.float32), np.array(labels))
 
 
 class TestDynamicPruneIntegration:

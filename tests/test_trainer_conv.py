@@ -1,13 +1,16 @@
 """Direct tests of the trainer's convolution, forward and backward.
 
-The trainer runs its forward pass on tensor.conv2d_chwn and its backward
-as im2col GEMMs and col2im. Both leave the accumulation order to the BLAS,
-so the forward output is compared with the brute-force oracle, and the
-input, weight and bias gradients with central finite differences of the
-float64 loss sum(y * gy), by tolerances derived from the dtype. The geometries
-cover what the im2col/col2im index arithmetic can get wrong: strides that
-leave input rows unread, 1x1 kernels, a single filter, non-square kernels,
-and padding on one or both axes.
+The trainer runs its forward pass on tensor.conv2d_chwn, its weight
+gradient as an im2col GEMM, and its input gradient as conv2d_chwn of the
+zero-stuffed output gradient with the flipped, transposed weights. All
+leave the accumulation order to the BLAS, so the forward output is
+compared with the brute-force oracle, and the input, weight and bias
+gradients with central finite differences of the float64 loss
+sum(y * gy), by tolerances derived from the dtype. The geometries cover
+what the im2col and stuffing index arithmetic can get wrong: strides that
+leave input rows unread or gaps wider than the kernel, 1x1 kernels, a
+padding wider than the kernel reaches, a single filter, a batch of one,
+non-square kernels, and padding on one or both axes.
 """
 
 from __future__ import annotations
@@ -41,6 +44,13 @@ CASES = {
     "non-square": (2, 2, 3, 5, 6, 2, 3, (1, 2), (1, 0), True),
     "pad0": (1, 3, 2, 5, 5, 3, 3, (1, 1), (0, 0), True),
     "pad2-stride2": (2, 2, 3, 5, 4, 3, 3, (2, 1), (2, 1), False),
+    # pad > r - 1: the border outputs read only padding, so the first
+    # output's stuffed gradient would land before the buffer; at stride 2 the
+    # first one kept lands at row 1
+    "unit-kernel-pad1": (2, 3, 2, 4, 4, 1, 1, (2, 1), (1, 1), True),
+    # the stride leaves gaps wider than the kernel: rows 2, 5 and 6 are unread
+    "wide-gaps-stride3": (2, 2, 3, 7, 7, 2, 2, (3, 3), (0, 0), False),
+    "unit-batch-stride2-pad1": (1, 3, 2, 5, 5, 3, 3, (2, 2), (1, 1), True),
 }
 
 
