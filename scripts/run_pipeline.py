@@ -71,8 +71,8 @@ def main(argv=None):
     args = parse_args(argv if argv is not None else sys.argv[1:])
     t0 = time.monotonic()
 
-    dataset = SynthDataset(seed=args.data_seed)
     g = build(ZooSpec(family=args.family, seed=args.model_seed))
+    dataset = SynthDataset(seed=args.data_seed, shape=tuple(g.input_shape[1:]))
     print(f"model {args.family} ({len(g.nodes)} nodes), "
           f"dataset synth:seed={args.data_seed} "
           f"({dataset.n_train} train / {dataset.n_test} test)")

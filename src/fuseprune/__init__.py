@@ -52,7 +52,6 @@ from .fusion import (
     pad_conv_weights,
 )
 from .pruning import (
-    CouplingConflict,
     InconsistentMask,
     MaterializeResult,
     PruneConfig,

@@ -112,7 +112,7 @@ def _cmd_prune(args) -> int:
                       allow_high_rate=args.allow_high_rate)
     hook = None
     if args.data:
-        dataset = parse_dataset_spec(args.data)
+        dataset = parse_dataset_spec(args.data, tuple(g.input_shape[1:]))
         tcfg = TrainConfig(lr=args.lr, momentum=args.momentum,
                            weight_decay=args.weight_decay,
                            batch_size=args.batch_size, seed=args.seed)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, Node, _conv_bias, bn_params, validate
+from .graph import Graph, Node, _checked, _conv_bias, _is_int, atomic_write, bn_params, validate
 from .tensor import ConvSpec, Tensor
 
 OMEGA_MIN = 1e-3
@@ -153,30 +153,51 @@ class FusionReport:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "FusionReport":
-        return cls(
-            convs={
-                nid: ConvFusion(
-                    m=int(raw["m"]), n=int(raw["n"]),
-                    provenance=list(raw["provenance"]),
-                    channel_provenance=list(raw.get("channel_provenance", [])),
-                    block=raw.get("block"), removed=list(raw.get("removed", [])),
-                )
-                for nid, raw in obj.get("convs", {}).items()
-            },
-            skipped=list(obj.get("skipped", [])),
-            option=obj.get("option"),
-        )
+    def from_json_obj(cls, obj) -> "FusionReport":
+        """The report a report file's JSON holds: ValueError unless each conv
+        entry has integer m and n and lists of strings for its provenance,
+        channel_provenance and removed fields, skipped is a list of objects
+        and option a string or null."""
+        try:
+            return cls(
+                convs={nid: _conv_fusion(nid, raw) for nid, raw in obj.get("convs", {}).items()},
+                skipped=list(_checked("skipped", obj.get("skipped", []), lambda v: isinstance(
+                    v, list) and all(isinstance(e, dict) for e in v), "a list of objects",
+                    "field")),
+                option=_checked("option", obj.get("option"), _is_str_or_null,
+                                "a string or null", "field"),
+            )
+        except (AttributeError, TypeError) as exc:
+            raise ValueError(f"malformed fusion report: {exc}") from exc
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_obj(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with atomic_write(path) as fh:
+            fh.write((json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n").encode())
 
     @classmethod
     def load(cls, path) -> "FusionReport":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json_obj(json.load(fh))
+
+
+def _is_str_or_null(v) -> bool:
+    return v is None or isinstance(v, str)
+
+
+def _conv_fusion(nid: str, raw: dict) -> ConvFusion:
+    where = f"conv {nid!r} field"
+
+    def labels(key, value):
+        return list(_checked(key, value, lambda v: isinstance(v, list) and all(
+            isinstance(i, str) for i in v), "a list of strings", where))
+
+    m, n = (_checked(key, raw.get(key), _is_int, "an integer", where) for key in ("m", "n"))
+    return ConvFusion(
+        m=m, n=n, provenance=labels("provenance", raw.get("provenance")),
+        channel_provenance=labels("channel_provenance", raw.get("channel_provenance", [])),
+        block=_checked("block", raw.get("block"), _is_str_or_null, "a string or null", where),
+        removed=labels("removed", raw.get("removed", [])),
+    )
 
 
 @dataclass

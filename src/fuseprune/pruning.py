@@ -16,12 +16,16 @@ channel zero from the weights and leaves it out of every conv's GEMMs, so
 the masked model runs the GEMMs its materialization runs; the fc, a 1x1
 conv over its flattened input, leaves out the zero inputs alike.
 
-Materialization deletes the zeroized filters for real: conv rows, the
-following bn's channels, and the matching input channels (or fc columns)
-of downstream consumers, walking transparently through relu and pooling.
-A conv whose output reaches an add, concat or the graph output keeps its
-zero filters in place instead, because those consumers fix the channel
-count; the result records that decision per conv.
+Materialization deletes the zeroized filters for real, in one reverse
+and one forward pass over the topological order that read only each
+kind's graph.OPS role and zeros rule. A deleted channel passes through bn,
+relu and the pools, each of whose zeros rules (the rule graph.execute
+skips channels by) must still mark it exactly zero, and a conv or fc
+absorbs it: bn channels and frozen flags, conv input channels and fc
+columns go with it. A conv whose output reaches an add, concat or the
+graph output keeps its zero filters in place instead, because those
+consumers fix the channel count; the result records that decision per
+conv.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fusion import FusionReport
-from .graph import OPS, Graph, Node, bn_params, validate
+from .graph import OPS, Graph, Node, _checked, _is_ints, atomic_write, graph_dtype, validate
 from .tensor import ConvSpec, Tensor
 
 MODES = ("conservative", "continued")
@@ -46,14 +50,10 @@ class PruneError(Exception):
 
 
 class InconsistentMask(PruneError):
-    """Mask disagrees with the graph (lengths, non-zero 'zeroized' filters,
-    or bn channels that would leak a nonzero constant if removed)."""
-
-
-class CouplingConflict(PruneError):
-    """Two different producers demanded incompatible channel slices of the
-    same consumer. Cannot happen on supported topologies; never resolved
-    silently."""
+    """Mask disagrees with the graph: lengths, non-zero 'zeroized' filters,
+    or a deleted channel that a passing kind's zeros rule no longer marks
+    zero, such as a bn channel with a nonzero shift, whose constant would
+    be lost if removed."""
 
 
 @dataclass
@@ -98,24 +98,40 @@ class PruneMask:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "PruneMask":
-        return cls(
-            keep={nid: [bool(f) for f in flags] for nid, flags in obj.get("keep", {}).items()},
-            history=[
-                {nid: [int(i) for i in idx] for nid, idx in epoch.items()}
-                for epoch in obj.get("history", [])
-            ],
-        )
+    def from_json_obj(cls, obj) -> "PruneMask":
+        """The mask a mask file's JSON holds: ValueError unless keep maps
+        conv ids to lists of 0/1 or true/false flags and history is a list
+        of objects mapping conv ids to lists of integers."""
+        try:
+            keep = obj.get("keep", {}).items()
+            history = _checked("history", obj.get("history", []), lambda v: isinstance(v, list),
+                               "a list", "field")
+            return cls(
+                keep={nid: [bool(f) for f in _checked(nid, flags, _is_flags,
+                                                      "a list of 0/1 or true/false flags",
+                                                      "keep entry")]
+                      for nid, flags in keep},
+                history=[
+                    {nid: list(_checked(nid, idx, _is_ints, "a list of integers", "history entry"))
+                     for nid, idx in epoch.items()}
+                    for epoch in history
+                ],
+            )
+        except (AttributeError, TypeError) as exc:
+            raise ValueError(f"malformed mask: {exc}") from exc
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_obj(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with atomic_write(path) as fh:
+            fh.write((json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n").encode())
 
     @classmethod
     def load(cls, path) -> "PruneMask":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json_obj(json.load(fh))
+
+
+def _is_flags(v) -> bool:
+    return isinstance(v, list) and all(type(f) in (bool, int) and f in (0, 1) for f in v)
 
 
 def filter_l2_norms(w: Tensor) -> np.ndarray:
@@ -237,118 +253,116 @@ def _check_zeroized(node: Node, zero_idx: list[int]) -> None:
         raise InconsistentMask(f"conv {node.id!r}: zeroized filters carry nonzero bias")
 
 
-def _slice_plan(g: Graph, consumers, conv_id: str, zero_idx: list[int]) -> str | list[str]:
-    """Where conv_id's deleted channels go: the reason they cannot be
-    deleted, or the nodes downstream whose parameters lose them.
+def _pins(g: Graph, order: list[str], consumers) -> dict[str, Node | None]:
+    """For every node, the node that fixes its channel count, or None.
 
-    Walks forward by each kind's graph.OPS role: the channels pass through
-    bn, relu and the pools, a conv or fc absorbs them, and an add, concat or
-    the output pins them, which blocks the deletion. Every kind with two
-    inputs pins, so the walk meets no node twice. A bn on the way must map
-    the deleted channels to exact zeros (lam 0, the rule graph.execute uses
-    to prove a bn channel zero), or InconsistentMask is raised.
+    One reverse pass by graph.OPS role: a "pin" consumer (add, concat, the
+    output) pins the node, a "pass" consumer (bn, relu, the pools) hands on
+    its own pin, and an "absorb" consumer (conv, fc) takes the channels.
+    Consumers are tried last first, which names the pin a depth-first walk
+    from the node meets first.
     """
-    plan: list[str] = []
-    stack = list(consumers[conv_id])
-    while stack:
-        nid = stack.pop()
-        node = g.nodes[nid]
-        op = OPS[node.kind]
-        if op.role == "pin":
-            return f"output channels are pinned by {node.kind} node {nid!r}"
-        if op.role == "pass":
-            stack.extend(consumers[nid])
-        if op.params:
-            plan.append(nid)
-    for nid in plan:
-        node = g.nodes[nid]
-        if node.kind != "bn":
-            continue
-        lam = bn_params(node).lam(node.params["gamma"].dtype)
-        if np.any(lam[zero_idx] != 0):
-            raise InconsistentMask(
-                f"bn {nid!r}: removed channels {zero_idx} have nonzero shift "
-                "(beta - omega * mean); rerun a pruning epoch so masked "
-                "channels emit exact zeros before materializing"
-            )
-    return plan
+    pins: dict[str, Node | None] = {}
+    for nid in reversed(order):
+        pins[nid] = None
+        for cid in reversed(consumers[nid]):
+            role = OPS[g.nodes[cid].kind].role
+            pins[nid] = g.nodes[cid] if role == "pin" else pins[cid] if role == "pass" else None
+            if pins[nid] is not None:
+                break
+    return pins
 
 
-def _apply_slice(node: Node, keep_idx: np.ndarray, shapes) -> None:
-    """Delete the input channels not in keep_idx from a bn, conv or fc."""
+def _drop_inputs(node: Node, gone: np.ndarray) -> None:
+    """Delete the input channels that gone marks from a bn, conv or fc."""
+    keep_idx = np.flatnonzero(~gone)
     node.params = dict(node.params)
     node.attrs = dict(node.attrs)
     if node.kind == "bn":
         for pname in ("gamma", "beta", "mean", "var"):
-            node.params[pname] = Tensor(node.params[pname].data[:, keep_idx])
+            node.params[pname] = Tensor._wrap(node.params[pname].data.take(keep_idx, axis=1))
         frozen = node.attrs.get("frozen", ())
         if frozen:
             node.attrs["frozen"] = tuple(frozen[i] for i in keep_idx)
-    elif node.kind == "conv":
-        spec: ConvSpec = node.attrs["spec"]
-        node.params["weight"] = Tensor._wrap(node.params["weight"].data.take(keep_idx, axis=1))
-        node.attrs["spec"] = replace(spec, c=len(keep_idx))
+        return
+    weight = node.params["weight"].data
+    if node.kind == "conv":
+        node.attrs["spec"] = replace(node.attrs["spec"], c=len(keep_idx))
     else:  # fc: its flattened input holds each channel h*w times
-        _, c, h, w = shapes[node.inputs[0]]
-        cols = np.array([ch * h * w + j for ch in keep_idx for j in range(h * w)], dtype=int)
-        node.params["weight"] = Tensor._wrap(node.params["weight"].data.take(cols, axis=1))
+        keep_idx = np.flatnonzero(~np.repeat(gone, weight.shape[1] // gone.size))
+    node.params["weight"] = Tensor._wrap(weight.take(keep_idx, axis=1))
+
+
+def _drop_filters(node: Node, flags: list[bool], pin: Node | None,
+                  summary: list[dict]) -> np.ndarray | None:
+    """Delete a conv's zeroized filters, after checking the mask against
+    it, unless pin fixes its channel count; the deleted filters as a bool
+    mask, or None."""
+    spec: ConvSpec = node.attrs["spec"]
+    if len(flags) != spec.k:
+        raise InconsistentMask(
+            f"conv {node.id!r}: mask covers {len(flags)} filters, conv has {spec.k}"
+        )
+    zero_idx = [i for i, f in enumerate(flags) if not f]
+    if not zero_idx:
+        return None
+    _check_zeroized(node, zero_idx)
+    if len(zero_idx) == spec.k:
+        raise InconsistentMask(f"conv {node.id!r}: mask would remove every filter")
+    removed = 0 if pin is not None else len(zero_idx)
+    summary.append({"conv": node.id, "removed": removed, "kept": spec.k - removed,
+                    "zeroized": len(zero_idx), "blocked": None if pin is None else
+                    f"output channels are pinned by {pin.kind} node {pin.id!r}"})
+    if pin is not None:
+        return None
+    keep_idx = np.flatnonzero(flags)
+    node.params = dict(node.params)
+    node.params["weight"] = Tensor._wrap(node.params["weight"].data.take(keep_idx, axis=0))
+    if spec.has_bias:
+        node.params["bias"] = Tensor._wrap(node.params["bias"].data.take(keep_idx, axis=1))
+    node.attrs = dict(node.attrs)
+    node.attrs["spec"] = replace(spec, k=len(keep_idx))
+    return ~np.asarray(flags, dtype=bool)
 
 
 def materialize(g: Graph, mask: PruneMask, report: FusionReport | None = None) -> MaterializeResult:
     """Physically delete zeroized filters; bit-exact by construction.
 
-    Every conv in the mask is checked first (lengths, actual zeros, bn
-    shifts), then filters, bn channels and downstream input channels or fc
-    columns are removed in one pass. Convs whose channel count is pinned by
-    an add, concat or the output keep their zero filters; the summary says
-    so per conv. The input graph is never mutated.
+    One pass in topological order carries each node's deleted output
+    channels. A conv in the mask is checked (lengths, actual zeros, not
+    every filter) and loses its zeroized filters, unless an add, concat or
+    the output pins its channel count (_pins): then it keeps them and the
+    summary says so. The deleted channels pass through a "pass" kind, whose
+    zeros rule must still mark them exactly zero (InconsistentMask
+    otherwise), and a bn, conv or fc drops them from its parameters. The
+    input graph is never mutated; report is not read.
     """
-    shapes = validate(g)
+    order = list(validate(g))
     for nid in mask.keep:
         if nid not in g.nodes or g.nodes[nid].kind != "conv":
             raise InconsistentMask(f"mask covers {nid!r}, which is not a conv in the graph")
     out = g.copy()
-    consumers = out.consumers()
+    pins = _pins(out, order, out.consumers())
+    dt = graph_dtype(out, order)
     summary: list[dict] = []
-    touched: dict[str, str] = {}
-    for nid in shapes:
+    gone: dict[str, np.ndarray | None] = {}
+    for nid in order:
         node = out.nodes[nid]
-        if node.kind != "conv" or nid not in mask.keep:
-            continue
-        spec: ConvSpec = node.attrs["spec"]
-        flags = mask.keep[nid]
-        if len(flags) != spec.k:
-            raise InconsistentMask(
-                f"conv {nid!r}: mask covers {len(flags)} filters, conv has {spec.k}"
-            )
-        zero_idx = [i for i, f in enumerate(flags) if not f]
-        if not zero_idx:
-            continue
-        _check_zeroized(node, zero_idx)
-        if len(zero_idx) == spec.k:
-            raise InconsistentMask(f"conv {nid!r}: mask would remove every filter")
-        plan = _slice_plan(out, consumers, nid, zero_idx)
-        if isinstance(plan, str):
-            summary.append({"conv": nid, "removed": 0, "kept": spec.k,
-                            "zeroized": len(zero_idx), "blocked": plan})
-            continue
-        for target in plan:
-            if target in touched:
-                raise CouplingConflict(
-                    f"node {target!r} would be sliced by both {touched[target]!r} "
-                    f"and {nid!r}"
+        op = OPS[node.kind]
+        drop = None if op.role == "pin" else gone[node.inputs[0]]
+        if drop is not None and op.role == "pass":
+            marks = op.zeros(node, [drop], dt)
+            held = np.flatnonzero(drop if marks is None else drop & ~marks)
+            if held.size:
+                raise InconsistentMask(
+                    f"{node.kind} {nid!r}: removed channels {held.tolist()} are not exact "
+                    "zeros here (a bn needs a zero shift, beta - omega * mean); rerun a "
+                    "pruning epoch so masked channels emit exact zeros before materializing"
                 )
-            touched[target] = nid
-        keep_idx = np.array([i for i, f in enumerate(flags) if f], dtype=int)
-        node.params = dict(node.params)
-        node.attrs = dict(node.attrs)
-        node.params["weight"] = Tensor._wrap(node.params["weight"].data[keep_idx])
-        if spec.has_bias:
-            node.params["bias"] = Tensor(node.params["bias"].data[:, keep_idx])
-        node.attrs["spec"] = replace(spec, k=len(keep_idx))
-        for target in plan:
-            _apply_slice(out.nodes[target], keep_idx, shapes)
-        summary.append({"conv": nid, "removed": len(zero_idx), "kept": len(keep_idx),
-                        "zeroized": len(zero_idx), "blocked": None})
+        if drop is not None and op.params:
+            _drop_inputs(node, drop)
+        gone[nid] = drop if op.role == "pass" else None
+        if nid in mask.keep:
+            gone[nid] = _drop_filters(node, mask.keep[nid], pins[nid], summary)
     validate(out)
     return MaterializeResult(graph=out, summary=summary)

@@ -142,8 +142,9 @@ class SynthDataset:
 _DATASET_RE = re.compile(r"synth:seed=(\d+)(?:,n=(\d+))?")
 
 
-def parse_dataset_spec(text: str) -> SynthDataset:
-    """Parse `synth:seed=<u64>[,n=<count>]` into a dataset."""
+def parse_dataset_spec(text: str, shape: tuple[int, int, int] = (3, 8, 8)) -> SynthDataset:
+    """Parse `synth:seed=<u64>[,n=<count>]` into a dataset of (c, h, w)
+    shape images."""
     m = _DATASET_RE.fullmatch(text.strip())
     if not m:
         raise ValueError(f"cannot parse dataset spec {text!r}; want synth:seed=<u64>[,n=<count>]")
@@ -152,8 +153,8 @@ def parse_dataset_spec(text: str) -> SynthDataset:
         n = int(m.group(2))
         if n < 2:
             raise ValueError("dataset size must be >= 2")
-        return SynthDataset(seed=seed, n_train=n, n_test=max(1, n // 4))
-    return SynthDataset(seed=seed)
+        return SynthDataset(seed=seed, shape=shape, n_train=n, n_test=max(1, n // 4))
+    return SynthDataset(seed=seed, shape=shape)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -277,8 +278,10 @@ def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1,
     arrays shaped like the stored parameters (conv/fc weight and bias, bn
     gamma and beta; frozen bn channels get exact zeros). Running bn
     statistics are updated in place as a side effect; weights are not.
-    The batch is cast to g's dtype, and input_grad has that dtype. order is
-    g's topological order, sorted here when not given.
+    The batch is cast to g's dtype, and input_grad has that dtype; its
+    images must have the (c, h, w) of g's input_shape, as graph.execute
+    requires, or TrainerError is raised. order is g's topological order,
+    sorted here when not given.
 
     labels must hold one integer in [0, features) per image, where features
     is the length of the flattened logits; other labels raise TrainerError.
@@ -288,6 +291,9 @@ def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1,
     if order is None:
         order = g.topo_order()
     x = _batch(g, batch, order)
+    if x.shape[:3] != tuple(g.input_shape[1:]):
+        raise TrainerError(f"batch images are (c, h, w) {x.shape[:3]}, the graph takes "
+                           f"{tuple(g.input_shape[1:])}")
     labels = np.asarray(labels)
     if labels.shape != (x.shape[-1],):
         raise TrainerError(f"labels shape {labels.shape} does not match batch {x.shape[-1]}")

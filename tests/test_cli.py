@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import struct
@@ -18,8 +19,11 @@ from fuseprune.cli import (
     read_tensor,
     write_tensor,
 )
-from fuseprune.graph import execute, load
+from fuseprune.fusion import FusionReport
+from fuseprune.graph import execute, load, save
+from fuseprune.pruning import PruneConfig, PruneMask, dynamic_prune
 from fuseprune.tensor import Tensor
+from fuseprune.trainer import TrainConfig, make_epoch_hook, parse_dataset_spec
 
 
 def run(*argv):
@@ -235,11 +239,69 @@ class TestPipeline:
                         r"graph's 5 classes \[0, 5\)", err), err
         assert not out.exists()
 
+    def test_data_takes_the_model_input_shape(self, tmp_path):
+        # resnet20 takes 3x32x32 images; the data was 3x8x8, which trained
+        # and saved a model that evaluation then rejected
+        model, out, api = tmp_path / "r20.fpm", tmp_path / "m.fpm", tmp_path / "api.fpm"
+        assert run("build-model", "resnet20", "--seed", 1, "-o", model) == EXIT_OK
+        assert run("prune", model, "--mode", "conservative", "--data", "synth:seed=1,n=8",
+                   "-o", out) == EXIT_OK
+        hook = make_epoch_hook(parse_dataset_spec("synth:seed=1,n=8", (3, 32, 32)), TrainConfig(
+            lr=0.05, momentum=0.9, weight_decay=1e-4, batch_size=32, seed=0))
+        masked, _ = dynamic_prune(load(model), None, PruneConfig(mode="conservative"), hook)
+        save(masked, api)
+        assert out.read_bytes() == api.read_bytes()
+
     def test_high_rate_needs_explicit_flag(self, tiny, tmp_path):
         args = ["prune", str(tiny), "--mode", "continued", "--rate", "0.5",
                 "-o", str(tmp_path / "m.fpm")]
         assert main(args) == EXIT_VALIDATION
         assert main(args + ["--allow-high-rate"]) == EXIT_OK
+
+
+class TestSideFiles:
+    """Mask and fusion-report files of the wrong JSON shape exit 2."""
+
+    @pytest.fixture
+    def pruned(self, tiny, tmp_path):
+        masked, masks = tmp_path / "masked.fpm", tmp_path / "masks.rep"
+        assert run("prune", tiny, "--mode", "continued", "--rate", "0.25",
+                   "-o", masked, "--masks", masks) == EXIT_OK
+        return masked, masks
+
+    def test_well_formed_files_round_trip_byte_for_byte(self, tiny, pruned, tmp_path):
+        _, masks = pruned
+        rep = tmp_path / "fusion.rep"
+        assert run("fuse", tiny, "--option", "3/3", "-o", tmp_path / "f.fpm",
+                   "--report", rep) == EXIT_OK
+        for cls, path in ((PruneMask, masks), (FusionReport, rep)):
+            again = tmp_path / "again"
+            cls.load(path).save(again)
+            assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("obj", [
+        {"keep": {"conv1": 5}}, [1, 2], {"keep": []},
+        {"keep": {"conv1": [1] * 7 + ["x"]}}, {"keep": {"conv1": [1] * 7 + [2]}},
+    ], ids=["flags-not-a-list", "top-level-list", "keep-a-list", "flag-x", "flag-2"])
+    def test_malformed_mask_exits_2(self, pruned, tmp_path, capsys, obj):
+        # the first three crashed with a traceback (exit 1); "x" and 2 read as "keep"
+        masked, masks = pruned
+        masks.write_text(json.dumps(obj))
+        out = tmp_path / "final.fpm"
+        assert run("materialize", masked, "--masks", masks, "-o", out) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: malformed mask: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("obj", [
+        {"convs": 3}, [], {"convs": {"conv1": {"m": 8, "provenance": ["original"] * 8}}},
+    ], ids=["convs-a-number", "top-level-list", "entry-without-n"])
+    def test_malformed_report_exits_2(self, tiny, tmp_path, capsys, obj):
+        rep, out = tmp_path / "fusion.rep", tmp_path / "m.fpm"
+        rep.write_text(json.dumps(obj))
+        assert run("prune", tiny, "--mode", "conservative", "--report", rep,
+                   "-o", out) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: malformed fusion report: ")
+        assert not out.exists()
 
 
 class TestReportsAndSpeedup:

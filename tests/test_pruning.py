@@ -412,3 +412,73 @@ class TestMaterialize:
         bn.params["beta"] = Tensor(beta)
         with pytest.raises(InconsistentMask):
             materialize(masked, mask)
+
+    def test_fan_out_through_bn_and_relu_reaches_both_convs(self, rng):
+        # the stem's deleted channels pass bn and relu, then two convs absorb them
+        k = 6
+        rand = lambda *shape: (rng.standard_normal(shape) * 0.4).astype(np.float32)
+        nodes = [
+            plain_node("in", "input", []),
+            conv_node("stem", ["in"], k, 3, weight=rand(k, 3, 3, 3)),
+            bn_node("bn", ["stem"], k, gamma=rng.uniform(0.5, 1.5, k),
+                    beta=rng.uniform(-0.4, 0.4, k), mean=rng.uniform(-0.4, 0.4, k),
+                    var=rng.uniform(0.5, 1.5, k)),
+            plain_node("relu", "relu", ["bn"]),
+            conv_node("left", ["relu"], 4, k, weight=rand(4, k, 3, 3)),
+            conv_node("right", ["relu"], 4, k, weight=rand(4, k, 3, 3), bias=rand(4)),
+            plain_node("add", "add", ["left", "right"]),
+            plain_node("gap", "gavgpool", ["add"]),
+            fc_node("fc", ["gap"], 3, 4, weight=rand(3, 4, 1, 1)),
+            plain_node("out", "output", ["fc"]),
+        ]
+        g = make_graph(nodes, "in", "out", (1, 3, 5, 5))
+        masked, mask = dynamic_prune(g, None, PruneConfig(rate=0.3, mode="continued"))
+        res = materialize(masked, mask)
+        assert [rec["conv"] for rec in res.summary if not rec["blocked"]] == ["stem"]
+        kept = k - len(mask.zeroed("stem"))
+        assert kept == 5
+        for nid in ("left", "right"):
+            assert res.graph.node(nid).params["weight"].shape == (4, kept, 3, 3)
+        assert res.graph.node("bn").params["beta"].shape == (1, kept, 1, 1)
+        x = Tensor(rng.standard_normal((3, 3, 5, 5)).astype(np.float32))
+        assert execute(masked, x).data.tobytes() == execute(res.graph, x).data.tobytes()
+
+    def _pool_then_bn(self, rng, shift):
+        # stem -> relu -> maxpool -> bn -> conv: the bn does not read the
+        # stem, so zeroizing the stem leaves its shift as it was
+        k = 5
+        rand = lambda *shape: (rng.standard_normal(shape) * 0.4).astype(np.float32)
+        w = rand(k, 3, 3, 3)
+        w[[1, 3]] = 0
+        beta, mean = rng.uniform(-0.4, 0.4, k), rng.uniform(-0.4, 0.4, k)
+        beta[[1, 3]] = 0
+        mean[[1, 3]] = 0
+        beta[3] = shift
+        nodes = [
+            plain_node("in", "input", []),
+            conv_node("stem", ["in"], k, 3, weight=w),
+            plain_node("relu", "relu", ["stem"]),
+            plain_node("pool", "maxpool", ["relu"], window=(2, 2), stride=(2, 2), pad=(0, 0)),
+            bn_node("bn", ["pool"], k, gamma=rng.uniform(0.5, 1.5, k), beta=beta, mean=mean,
+                    var=rng.uniform(0.5, 1.5, k)),
+            conv_node("conv", ["bn"], 4, k, weight=rand(4, k, 3, 3)),
+            plain_node("gap", "gavgpool", ["conv"]),
+            fc_node("fc", ["gap"], 3, 4, weight=rand(3, 4, 1, 1)),
+            plain_node("out", "output", ["fc"]),
+        ]
+        mask = PruneMask(keep={"stem": [True, False, True, False, True],
+                               "conv": [True] * 4})
+        return make_graph(nodes, "in", "out", (1, 3, 6, 6)), mask
+
+    def test_zero_shift_bn_after_a_pool_materializes_bitwise(self, rng):
+        g, mask = self._pool_then_bn(rng, shift=0.0)
+        res = materialize(g, mask)
+        assert res.graph.node("bn").params["gamma"].shape == (1, 3, 1, 1)
+        assert res.graph.node("conv").params["weight"].shape == (4, 3, 3, 3)
+        x = Tensor(rng.standard_normal((2, 3, 6, 6)).astype(np.float32))
+        assert execute(g, x).data.tobytes() == execute(res.graph, x).data.tobytes()
+
+    def test_nonzero_shift_bn_after_a_pool_rejected(self, rng):
+        g, mask = self._pool_then_bn(rng, shift=0.25)
+        with pytest.raises(InconsistentMask, match=r"'bn'.*rerun a pruning epoch"):
+            materialize(g, mask)

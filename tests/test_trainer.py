@@ -217,6 +217,11 @@ class TestSynthDataset:
         ds = parse_dataset_spec("synth:seed=7,n=100")
         assert (ds.seed, ds.n_train, ds.n_test) == (7, 100, 25)
 
+    def test_parse_spec_in_a_given_image_shape(self):
+        ds = parse_dataset_spec("synth:seed=7,n=100", (1, 4, 6))
+        assert ds.train_images.shape == (100, 1, 4, 6)
+        assert ds.test_images.shape == (25, 1, 4, 6)
+
     def test_parse_errors(self):
         for bad in ("", "synth:", "synth:seed=x", "mnist", "synth:n=4", "synth:seed=1,n=1"):
             with pytest.raises(ValueError):
@@ -681,6 +686,16 @@ class TestTrainEpoch:
         g = small_net(0)
         with pytest.raises(TrainerError, match=match):
             forward_backward(g, np.zeros((4, 3, 8, 8), np.float32), np.array(labels))
+
+    def test_batch_of_another_image_shape_rejected(self):
+        # small_net takes 3x8x8; a 3x16x16 batch trained without complaint,
+        # though graph.execute rejects it
+        g = small_net(0)
+        before = weights_blob(g)
+        with pytest.raises(TrainerError, match=r"\(c, h, w\) \(3, 16, 16\), the graph "
+                           r"takes \(3, 8, 8\)"):
+            forward_backward(g, np.zeros((4, 3, 16, 16), np.float32), np.zeros(4, np.int64))
+        assert weights_blob(g) == before
 
 
 class TestDynamicPruneIntegration:
