@@ -85,6 +85,20 @@ class CostReport:
             return None
         return {cat: t / self.total_time for cat, t in times.items()}
 
+    def to_json_obj(self) -> dict:
+        """Per node its id, kind, category and FLOPs, plus its mean seconds
+        in a profile; the FLOP total, and the runs a profile counted."""
+        nodes = []
+        for n in self.nodes:
+            rec = {"id": n.node_id, "kind": n.kind, "category": n.category, "flops": n.flops}
+            if n.mean_time is not None:
+                rec["seconds"] = n.mean_time
+            nodes.append(rec)
+        out = {"nodes": nodes, "total_flops": self.total_flops}
+        if self.runs_counted:
+            out["runs_counted"] = self.runs_counted
+        return out
+
     def to_text(self) -> str:
         """Structured text: comment lines for humans, `label value` lines for
         machines (the uncommented lines parse back via load_profile)."""

@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 validation/usage failure, 3 equivalence failure,
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import struct
 import sys
@@ -173,8 +174,15 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if worst <= args.tol else EXIT_EQUIVALENCE
 
 
+def _print_report(report, as_json: bool) -> None:
+    if as_json:
+        print(json.dumps(report.to_json_obj()))
+    else:
+        print(report.to_text(), end="")
+
+
 def _cmd_flops(args) -> int:
-    print(count_flops(load(args.model)).to_text(), end="")
+    _print_report(count_flops(load(args.model)), args.json)
     return EXIT_OK
 
 
@@ -183,7 +191,7 @@ def _cmd_profile(args) -> int:
     dt = graph_dtype(g)
     rng = np.random.default_rng(args.seed)
     x = Tensor(rng.standard_normal((args.batch, *g.input_shape[1:])).astype(dt))
-    print(profile(g, x, args.runs).to_text(), end="")
+    _print_report(profile(g, x, args.runs), args.json)
     return EXIT_OK
 
 
@@ -270,6 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flops", help="static per-node FLOP report")
     p.add_argument("model")
+    p.add_argument("--json", action="store_true", help="print one JSON document")
     p.set_defaults(func=_cmd_flops)
 
     p = sub.add_parser("profile", help="wall-time profile of the reference engine")
@@ -277,6 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--batch", type=int, default=1)
+    p.add_argument("--json", action="store_true", help="print one JSON document")
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("speedup", help="serial-fraction speedup model")

@@ -7,12 +7,12 @@ in attrs["spec"] plus "weight" (and optional "bias") parameter tensors;
 bn nodes carry attrs["eps"], a per-channel attrs["frozen"] tuple of 0/1
 flags, and the four per-channel parameter tensors stored as (1, c, 1, 1).
 
-A kind is defined by its Op record in OPS, which validate, execute, save,
+A kind is defined by its Op record in OPS, which validate, compile, save,
 load, analysis, materialize and the trainer's forward pass read. A new kind
-supplies its arity, shape rule, run, channel role and cost category, and
-where they apply its zero-channel rule, FLOP count, parameter names and
-attrs dump and load. Each run takes and returns numpy arrays, and each
-attrs load checks the JSON types it reads.
+supplies its arity, shape rule, prepare, channel role and cost category,
+and where they apply its zero-channel rule, FLOP count, parameter names and
+attrs dump and load. Each prepared forward takes and returns numpy arrays,
+and each attrs load checks the JSON types it reads.
 
 Execution is a pure function of the graph and the input tensor: repeated
 calls give bit-identical results, and any valid topological order computes
@@ -23,8 +23,20 @@ transposes x once into that layout and the output once back to
 (n, c, h, w), and wraps only the output in a Tensor, which checks it for
 NaN and Inf.
 
-Execution also carries, node by node, the output channels that are exactly
-zero for every input, derived from the weights alone (Op.zeros), and
+compile(g) does once what depends on the graph alone, as deployment
+frameworks prepare a trained model once and then run it: it validates g,
+sorts it, derives the zero marks and prepares every node (bn's omega and
+lam, each conv's and fc's live weight matrix, bias and geometry). The
+resulting Plan is immutable and holds no per-call buffer; Plan.run does
+only what depends on x. execute keeps the plan on the graph and compiles
+again whenever the graph's snapshot, its ids, input_shape and each node's
+kind, inputs, attrs and params, differs from the plan's. Every edit the
+package makes replaces a value (a Tensor, an attrs value, an inputs list),
+so it shows in the snapshot; an attrs value must be replaced, never
+mutated in place.
+
+compile also derives, node by node, the output channels that are exactly
+zero for every input, from the weights alone (Op.zeros), and
 each conv leaves out of its GEMMs those input channels and its filters
 that are zero on all the others. An fc runs as a 1x1 conv over its
 flattened input, whose marks are its input channels' marks repeated over
@@ -57,6 +69,7 @@ import secrets
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,10 +79,11 @@ from .tensor import (
     BnParams,
     ConvSpec,
     Tensor,
-    batch_norm_chwn,
-    conv2d_chwn,
+    TensorError,
     max_pool_chwn,
     pool_out_hw,
+    prepare_batch_norm,
+    prepare_conv,
 )
 
 FORMAT_MAGIC = b"FPM1"
@@ -127,6 +141,8 @@ class Graph:
     input_id: str
     output_id: str
     input_shape: tuple[int, int, int, int]
+    # the Plan execute last compiled; it checks itself against the graph
+    _plan: "Plan | None" = field(default=None, init=False, compare=False, repr=False)
 
     def node(self, node_id: str) -> Node:
         try:
@@ -199,14 +215,21 @@ def _conv_bias(node: Node):
     return node.params["bias"].data.reshape(-1) if has_bias else None
 
 
+def _params_dtype(g: Graph, order: list[str]) -> np.dtype | None:
+    """The dtype of g's first parameter in the topological order given, or
+    None for a graph without parameters."""
+    for nid in order:
+        for t in g.nodes[nid].params.values():
+            return t.dtype
+    return None
+
+
 def graph_dtype(g: Graph, order: list[str] | None = None) -> np.dtype:
     """The dtype of g's first parameter in topological order, which its
     inputs must have; float32 for a graph without parameters. order is g's
     topological order, sorted here when not given."""
-    for nid in g.topo_order() if order is None else order:
-        for t in g.nodes[nid].params.values():
-            return t.dtype
-    return np.dtype(np.float32)
+    dt = _params_dtype(g, g.topo_order() if order is None else order)
+    return np.dtype(np.float32) if dt is None else dt
 
 
 # --- the op table ------------------------------------------------------------
@@ -227,11 +250,14 @@ class Op:
 
     arity is the number of inputs, None for two or more. shape(node, input
     shapes) and flops(node, input shapes, output shape) work on (n, c, h, w)
-    tuples. run(node, input arrays, the first input's zero marks, the
-    output's) takes its inputs as batch-innermost (c, h, w, n) arrays and
-    returns the output as a new (c, h, w, n) array: execute passes the
-    marks, and the trainer's forward passes None for both. The input kind
-    has no run, as execute feeds it x's array.
+    tuples. prepare(node, the inputs' (c, h, w), the first input's zero
+    marks, the output's, dtype) does once what the node's forward needs of
+    its weights and geometry, and returns the function that runs it: it
+    takes the list of input arrays, batch-innermost (c, h, w, n), and
+    returns the output as a new (c, h, w, n) array. compile prepares every
+    node with its marks; run prepares and applies in one, without marks,
+    which is the trainer's forward. The input kind has no prepare, as the
+    plan feeds it x's array.
 
     zeros(node, input marks, dtype) gives the output channels that are
     exactly zero for every input, as a bool mask, or None when none are
@@ -250,7 +276,7 @@ class Op:
 
     arity: int | None
     shape: Callable
-    run: Callable | None
+    prepare: Callable | None
     role: str
     category: str
     zeros: Callable = lambda *_: None
@@ -258,6 +284,17 @@ class Op:
     params: tuple[str, ...] = ()
     dump: Callable = lambda attrs: {}
     load: Callable = lambda raw: {}
+
+    def run(self, node: Node, args, zero_in=None, zero_out=None) -> np.ndarray:
+        """The node's output for the (c, h, w, n) arrays args: prepare for
+        their (c, h, w) and dtype, applied to them."""
+        return self.prepare(node, [a.shape[:3] for a in args], zero_in, zero_out,
+                            args[0].dtype)(args)
+
+
+def _fixed(fn):
+    """The prepare of a kind whose forward fn(args) needs nothing prepared."""
+    return lambda *_: fn
 
 
 def _conv_shape(node: Node, ins) -> tuple[int, int, int, int]:
@@ -343,21 +380,33 @@ def _fc_shape(node: Node, ins) -> tuple[int, int, int, int]:
     return (n, weight.shape[0], 1, 1)
 
 
-def _conv_run(node: Node, args, zero_in, zero_out) -> np.ndarray:
+def _conv_prepare(node: Node, ins, zero_in, zero_out, dt):
     spec: ConvSpec = node.attrs["spec"]
-    return conv2d_chwn(args[0], node.params["weight"], _conv_bias(node), spec.stride, spec.pad,
-                       zero_in, zero_out)
+    conv = prepare_conv(node.params["weight"], _conv_bias(node), spec.stride, spec.pad, ins[0],
+                        dt, zero_in, zero_out)
+    return lambda args: conv(args[0])
 
 
-def _fc_run(node: Node, args, zero_in, zero_out) -> np.ndarray:
+def _fc_prepare(node: Node, ins, zero_in, zero_out, dt):
     # the GEMM w2d @ x.reshape(c*h*w, n), run as a 1x1 conv over the
     # (c*h*w, 1, 1, n) view of the input, whose channel marks cover h*w
     # inputs each, so a masked fc multiplies what its materialization does
-    c, h, w, n = args[0].shape
+    c, h, w = ins[0]
     if zero_in is not None:
         zero_in = np.repeat(zero_in, h * w)
-    return conv2d_chwn(args[0].reshape(c * h * w, 1, 1, n), node.params["weight"],
-                       _conv_bias(node), (1, 1), (0, 0), zero_in)
+    conv = prepare_conv(node.params["weight"], _conv_bias(node), (1, 1), (0, 0),
+                        (c * h * w, 1, 1), dt, zero_in)
+    return lambda args: conv(args[0].reshape(c * h * w, 1, 1, args[0].shape[3]))
+
+
+def _bn_prepare(node: Node, ins, zero_in, zero_out, dt):
+    bn = prepare_batch_norm(bn_params(node), ins[0][0], dt)
+    return lambda args: bn(args[0])
+
+
+def _maxpool_prepare(node: Node, ins, *_):
+    window, stride, pad = (node.attrs[a] for a in _POOL_ATTRS)
+    return lambda args: max_pool_chwn(args[0], window, stride, pad)
 
 
 def _checked(key, value, ok, what, where="attr"):
@@ -397,18 +446,17 @@ def _bn_load(raw) -> dict:
 
 
 OPS: dict[str, Op] = {
-    "input": Op(arity=0, shape=_first, run=None, role="pin", category="other"),
-    "output": Op(arity=1, shape=_first, run=_first, role="pin", category="other",
-                 zeros=_first),
-    "conv": Op(arity=1, shape=_conv_shape, run=_conv_run, role="absorb", category="COP",
-               zeros=_conv_zeros,
+    "input": Op(arity=0, shape=_first, prepare=None, role="pin", category="other"),
+    "output": Op(arity=1, shape=_first, prepare=_fixed(lambda args: args[0]), role="pin",
+                 category="other", zeros=_first),
+    "conv": Op(arity=1, shape=_conv_shape, prepare=_conv_prepare, role="absorb",
+               category="COP", zeros=_conv_zeros,
                # per output value, c*r*s multiply-adds and the bias
                flops=lambda node, ins, out: math.prod(out) * (
                    2 * math.prod(node.params["weight"].shape[1:]) + node.attrs["spec"].has_bias),
                params=("weight", "bias"), dump=lambda attrs: asdict(attrs["spec"]),
                load=_conv_load),
-    "bn": Op(arity=1, shape=_bn_shape,
-             run=lambda node, args, *_: batch_norm_chwn(args[0], bn_params(node)),
+    "bn": Op(arity=1, shape=_bn_shape, prepare=_bn_prepare,
              role="pass", category="SOP", zeros=_bn_zeros,
              flops=lambda node, ins, out: 2 * math.prod(out),
              params=("gamma", "beta", "mean", "var"),
@@ -416,28 +464,25 @@ OPS: dict[str, Op] = {
                                  "frozen": list(attrs.get("frozen", ()))},
              load=_bn_load),
     "relu": Op(arity=1, shape=_first,
-               run=lambda node, args, *_: np.maximum(args[0], args[0].dtype.type(0)),
+               prepare=_fixed(lambda args: np.maximum(args[0], args[0].dtype.type(0))),
                role="pass", category="SOP", zeros=_first,
                flops=lambda node, ins, out: math.prod(out)),
-    "add": Op(arity=2, shape=_add_shape,
-              run=lambda node, args, *_: args[0] + args[1],
+    "add": Op(arity=2, shape=_add_shape, prepare=_fixed(lambda args: args[0] + args[1]),
               role="pin", category="SOP", zeros=_add_zeros,
               flops=lambda node, ins, out: math.prod(out)),
     "concat": Op(arity=None, shape=_concat_shape,
-                 run=lambda node, args, *_: np.concatenate(args, axis=0), role="pin",
+                 prepare=_fixed(lambda args: np.concatenate(args, axis=0)), role="pin",
                  category="other"),
-    "maxpool": Op(arity=1, shape=_maxpool_shape,
-                  run=lambda node, args, *_: max_pool_chwn(
-                      args[0], *(node.attrs[a] for a in _POOL_ATTRS)),
+    "maxpool": Op(arity=1, shape=_maxpool_shape, prepare=_maxpool_prepare,
                   role="pass", category="SOP", zeros=_first,
                   flops=lambda node, ins, out: math.prod(out) * math.prod(node.attrs["window"]),
                   dump=lambda attrs: {a: list(attrs[a]) for a in _POOL_ATTRS},
                   load=lambda raw: {a: _pair(raw, a) for a in _POOL_ATTRS}),
     "gavgpool": Op(arity=1, shape=lambda node, ins: (*ins[0][:2], 1, 1),
-                   run=lambda node, args, *_: args[0].mean(axis=(1, 2), keepdims=True),
+                   prepare=_fixed(lambda args: args[0].mean(axis=(1, 2), keepdims=True)),
                    role="pass", category="SOP", zeros=_first,
                    flops=lambda node, ins, out: math.prod(ins[0])),
-    "fc": Op(arity=1, shape=_fc_shape, run=_fc_run, role="absorb", category="COP",
+    "fc": Op(arity=1, shape=_fc_shape, prepare=_fc_prepare, role="absorb", category="COP",
              flops=lambda node, ins, out: out[0] * 2 * math.prod(node.params["weight"].shape[:2]),
              params=("weight", "bias")),
 }
@@ -513,12 +558,119 @@ def validate(g: Graph) -> dict[str, tuple[int, int, int, int]]:
     return shapes
 
 
+class Step(NamedTuple):
+    """One node of a Plan: its id, the ids it reads, its prepared forward
+    and the ids whose last reader it is."""
+
+    node_id: str
+    inputs: tuple[str, ...]
+    run: Callable
+    frees: tuple[str, ...]
+
+
+def _snapshot(g: Graph) -> tuple:
+    """Everything of g that a Plan depends on, as plain tuples: the ids and
+    input_shape, and per node, in dict order, its key, id, kind, inputs,
+    attrs items and params items. Tensors compare by identity, as they are
+    immutable, and every other attrs value by equality."""
+    return (g.input_id, g.output_id, tuple(g.input_shape),
+            tuple((nid, n.id, n.kind, tuple(n.inputs), tuple(n.attrs.items()),
+                   tuple(n.params.items())) for nid, n in g.nodes.items()))
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A graph compiled for execution: validated, sorted, its zero marks
+    derived and every node prepared (Op.prepare). Immutable, and it keeps
+    no state from one run to the next, so one plan may run many inputs.
+
+    snapshot is _snapshot of the graph it was compiled from. dtype is the
+    graph's parameter dtype, which inputs must have, or None for a graph
+    without parameters, which runs any supported dtype.
+    """
+
+    snapshot: tuple
+    input_id: str
+    output_id: str
+    input_chw: tuple[int, int, int]
+    dtype: np.dtype | None
+    steps: tuple[Step, ...]
+
+    def run(self, x: Tensor, timings: dict[str, float] | None = None) -> Tensor:
+        """The compiled graph's output for x (see execute)."""
+        if tuple(x.shape[1:]) != self.input_chw:
+            raise ShapeMismatch(
+                f"input (c, h, w) {x.shape[1:]} does not match declared {self.input_chw}")
+        if self.dtype is not None and x.dtype != self.dtype:
+            raise TensorError(f"mixed dtypes in one kernel call: {x.dtype} vs {self.dtype}")
+        values = {self.input_id: np.ascontiguousarray(x.data.transpose(1, 2, 3, 0))}
+        for nid, inputs, run, frees in self.steps:
+            args = [values[src] for src in inputs]
+            if timings is None:
+                values[nid] = run(args)
+            else:
+                t0 = time.perf_counter()
+                values[nid] = run(args)
+                timings[nid] = timings.get(nid, 0.0) + (time.perf_counter() - t0)
+            for src in frees:
+                del values[src]
+        # _wrap's contiguous copy is the one transpose back to (n, c, h, w)
+        return Tensor._wrap(values[self.output_id].transpose(3, 0, 1, 2))
+
+
+def compile(g: Graph) -> Plan:
+    """Validate g once and prepare every node for execution.
+
+    Each node's zero marks are derived from the weights (Op.zeros) and its
+    forward prepared with them (Op.prepare): bn's omega and lam, and each
+    conv's and fc's live weight matrix, bias and geometry, are computed
+    here, so a run does only what depends on the input. Raises what validate
+    raises, and TensorError for a graph whose parameters mix dtypes.
+    """
+    snapshot = _snapshot(g)
+    shapes = validate(g)
+    order = list(shapes)
+    dtype = _params_dtype(g, order)
+    dt = np.dtype(np.float32) if dtype is None else dtype
+    # each value is dropped once its last reader has run, so the next runs'
+    # arrays reuse memory that is still mapped and cached rather than fresh
+    # pages: on a 2-vCPU host, holding every activation to the end made an
+    # execute of resnet20 (3x8x8, batch 32) about a quarter slower
+    last_reader = {src: nid for nid in order for src in g.nodes[nid].inputs}
+    zeros: dict[str, np.ndarray | None] = {g.input_id: None}
+    steps = []
+    for nid in order:
+        if nid == g.input_id:
+            continue
+        node = g.nodes[nid]
+        op = OPS[node.kind]
+        zero_in = [zeros[src] for src in node.inputs]
+        zeros[nid] = op.zeros(node, zero_in, dt)
+        run = op.prepare(node, [shapes[src][1:] for src in node.inputs], zero_in[0],
+                         zeros[nid], dt)
+        frees = tuple(src for src in dict.fromkeys(node.inputs) if last_reader[src] == nid)
+        steps.append(Step(nid, tuple(node.inputs), run, frees))
+    return Plan(snapshot, g.input_id, g.output_id, tuple(g.input_shape[1:]), dtype, tuple(steps))
+
+
 def execute(g: Graph, x: Tensor, timings: dict[str, float] | None = None) -> Tensor:
     """Run the graph on x (inference mode; bn uses stored statistics).
 
     The batch dimension of x is free; channels and spatial dims must match
-    the declared input_shape. When `timings` is given, the wall time of each
-    node's kernel is added to it keyed by node id.
+    the declared input_shape (ShapeMismatch), and in a graph with
+    parameters x must have their dtype (TensorError). When `timings` is
+    given, the wall time of each node's kernel is added to it keyed by node
+    id, for every node but the input.
+
+    execute runs g's compiled Plan, which it keeps on g and compiles anew
+    whenever g's snapshot differs from the plan's: when an id, the
+    input_shape or any node's key, id, kind, inputs, attrs items or params
+    items changed. So the graph may be edited in place between calls,
+    provided every edit replaces a value rather than mutating one: a new
+    Tensor, a new attrs value (a ConvSpec, a frozen tuple), a new inputs
+    list or an edit of the list itself. An attrs value mutated in place,
+    such as a list edited where it sits, is not seen. Graph.copy() does not
+    carry the plan.
 
     Every conv, and every fc as a 1x1 conv, leaves out of its GEMMs the
     input channels and filters that the kinds' zeros rules (Op) prove
@@ -531,40 +683,10 @@ def execute(g: Graph, x: Tensor, timings: dict[str, float] | None = None) -> Ten
     non-finite value inside the graph that a later node maps to a finite
     one, such as a -inf that a relu makes 0, does not raise.
     """
-    order = validate(g)
-    if tuple(x.shape[1:]) != tuple(g.input_shape[1:]):
-        raise ShapeMismatch(
-            f"input (c, h, w) {x.shape[1:]} does not match declared {g.input_shape[1:]}"
-        )
-    values: dict[str, np.ndarray] = {}
-    zeros: dict[str, np.ndarray | None] = {}
-    dt = x.dtype
-    # each value is dropped once its last reader has run, so the next runs'
-    # arrays reuse memory that is still mapped and cached rather than fresh
-    # pages: on a 2-vCPU host, holding every activation to the end made an
-    # execute of resnet20 (3x8x8, batch 32) about a quarter slower
-    last_reader = {src: nid for nid in order for src in g.nodes[nid].inputs}
-    for nid in order:
-        node = g.nodes[nid]
-        if node.kind == "input":
-            values[nid] = np.ascontiguousarray(x.data.transpose(1, 2, 3, 0))
-            zeros[nid] = None
-            continue
-        op = OPS[node.kind]
-        args = [values[src] for src in node.inputs]
-        zero_in = [zeros[src] for src in node.inputs]
-        zeros[nid] = op.zeros(node, zero_in, dt)
-        if timings is None:
-            values[nid] = op.run(node, args, zero_in[0], zeros[nid])
-        else:
-            t0 = time.perf_counter()
-            values[nid] = op.run(node, args, zero_in[0], zeros[nid])
-            timings[nid] = timings.get(nid, 0.0) + (time.perf_counter() - t0)
-        for src in node.inputs:
-            if last_reader[src] == nid:
-                values.pop(src, None)
-    # _wrap's contiguous copy is the one transpose back to (n, c, h, w)
-    return Tensor._wrap(values[g.output_id].transpose(3, 0, 1, 2))
+    plan = g._plan
+    if plan is None or plan.snapshot != _snapshot(g):
+        plan = g._plan = compile(g)
+    return plan.run(x, timings)
 
 
 # --- serialization ---------------------------------------------------------

@@ -181,14 +181,26 @@ def _zeroize(g: Graph, consumers, conv_id: str, idx: list[int]) -> None:
             cons.params[pname] = Tensor(arr)
 
 
+def _check_report(g: Graph, report: FusionReport | None) -> None:
+    """PruneError naming every conv id of the report that is not a conv node
+    of g: a report of another graph would otherwise prune nothing, silently."""
+    if report is None:
+        return
+    ghosts = [nid for nid in report.convs if nid not in g.nodes or g.nodes[nid].kind != "conv"]
+    if ghosts:
+        raise PruneError(f"fusion report lists convs {ghosts} that are not conv nodes of the graph")
+
+
 def soft_prune_epoch(g: Graph, report: FusionReport | None, cfg: PruneConfig) -> PruneMask:
     """Zeroize this epoch's selection in place and return the mask.
 
     Fused convs (in the report) lose their n - m lowest-norm filters; other
     convs lose floor(rate * n) in continued mode and none in conservative
     mode. Filters zeroized earlier compete with their current norms, so a
-    regrown filter can escape. fc nodes are never pruned.
+    regrown filter can escape. fc nodes are never pruned. A report that
+    lists a conv id that is not a conv node of g raises PruneError.
     """
+    _check_report(g, report)
     consumers = g.consumers()
     keep: dict[str, list[bool]] = {}
     selection: dict[str, list[int]] = {}
@@ -225,6 +237,7 @@ def dynamic_prune(g: Graph, report: FusionReport | None, cfg: PruneConfig,
     the update (degenerate schedule). Returns the masked graph (a copy; the
     input is untouched) and the mask with the full selection history.
     """
+    _check_report(g, report)  # before the first epoch's training, not after
     out = g.copy()
     history: list[dict[str, list[int]]] = []
     mask = PruneMask()

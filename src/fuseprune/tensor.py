@@ -26,6 +26,11 @@ thread count. The kernels meet it as follows:
   Dead filters are written back as +0 at full width, so every other kernel
   sees the same shapes as before. The order of the c*r*s terms of a dot
   product is the BLAS's.
+* conv2d_chwn is prepare_conv and its application in one. graph.compile
+  keeps the prepared conv, the live weight matrix made once per graph, and
+  every execute applies it, so a compiled graph makes the same BLAS calls
+  on the same operands as conv2d_chwn on that input; prepare_batch_norm
+  splits bn's omega and lam from its affine alike.
 * Dead taps. conv2d_chwn also leaves out the kernel taps that read only
   padding: live_taps works out their hull from the geometry alone, so a
   masked model and its materialization, which share every geometry, drop
@@ -47,8 +52,10 @@ high-precision runs. Mixing dtypes within one kernel call is an error.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,11 +125,20 @@ class Tensor:
         skip, an optional bool mask over axis 1, leaves the entries it marks
         out of the test: for a conv weight and the input channels known to
         be zero, the result marks the filters that read nothing else. Each
-        result is kept per skip mask.
+        result is kept per skip mask. With a skip mask the test reads the
+        (axis 0, axis 1) table of slices that hold a nonzero, made once per
+        Tensor: each further mask then reads k*c flags, not the weights, and
+        the first costs about half of copying the unskipped weights out.
         """
+        def nonzero():
+            k, c = self.shape[:2]
+            return (self.data.reshape(k, c, -1) != 0).any(axis=2)
+
         def make():
-            data = self.data if skip is None else self.data[:, ~skip]
-            zero = ~data.reshape(self.shape[0], -1).any(axis=1)
+            if skip is None:
+                zero = ~self.data.reshape(self.shape[0], -1).any(axis=1)
+            else:
+                zero = ~self._cached("nonzero", nonzero)[:, ~skip].any(axis=1)
             zero.setflags(write=False)
             return zero if zero.any() else None
 
@@ -250,18 +266,10 @@ class BnParams:
         return b - self.omega(dt) * m
 
 
-def _check_same_dtype(*arrays):
-    dt = arrays[0].dtype
-    for a in arrays[1:]:
-        if a.dtype != dt:
-            raise TensorError(f"mixed dtypes in one kernel call: {dt} vs {a.dtype}")
-    return dt
-
-
-def _conv_geometry(x: np.ndarray, w: np.ndarray, stride, pad):
-    """Validate a raw conv call on an (n, c, h, w) input and return (dtype,
-    ho, wo)."""
-    _, c, h, wd = x.shape
+def _conv_geometry(chw, dt, w: np.ndarray, stride, pad) -> tuple[int, int]:
+    """Validate a conv of a (c, h, w) input of dtype dt by a (k, c, r, s)
+    weight and return (ho, wo)."""
+    c, h, wd = chw
     _, cw, r, s = w.shape
     if cw != c:
         raise TensorError(f"conv weight expects {cw} input channels, tensor has {c}")
@@ -269,17 +277,20 @@ def _conv_geometry(x: np.ndarray, w: np.ndarray, stride, pad):
     wo = (wd + 2 * pad[1] - s) // stride[1] + 1
     if ho < 1 or wo < 1:
         raise TensorError(f"conv output collapses to {ho}x{wo}")
-    return _check_same_dtype(x, w), ho, wo
+    if w.dtype != dt:
+        raise TensorError(f"mixed dtypes in one kernel call: {dt} vs {w.dtype}")
+    return ho, wo
 
 
-def _filter_bias(bias, k: int, x: np.ndarray):
-    """The per-filter bias as a (1, k, 1, 1) array in x's dtype, or None."""
+def _filter_bias(bias, k: int, dt):
+    """The per-filter bias as a (1, k, 1, 1) array of dtype dt, or None."""
     if bias is None:
         return None
     b = np.asarray(bias).reshape(-1)
     if b.shape[0] != k:
         raise TensorError(f"bias length {b.shape[0]} != filter count {k}")
-    _check_same_dtype(x, b)
+    if b.dtype != dt:
+        raise TensorError(f"mixed dtypes in one kernel call: {dt} vs {b.dtype}")
     return b.reshape(1, k, 1, 1)
 
 
@@ -302,18 +313,22 @@ def pad_hw(x: np.ndarray, pad, value=0) -> np.ndarray:
 def batch_innermost_windows(xp: np.ndarray, r: int, s: int, stride) -> np.ndarray:
     """Every (r, s) tap's strided window of a padded (c, h, w, n) input.
 
-    Returns a read-only (c, r, s, ho, wo, n) view without copying:
+    Returns a read-only (c, r, s, ho, wo, n) view without copying (xp is
+    made C-contiguous first if it is not):
     [t, i, j, oh, ow, n] is xp[t, stride[0]*oh + i, stride[1]*ow + j, n].
     Reshaping it to (c*r*s, ho*wo*n) gives the im2col matrix with the batch
-    innermost in its columns. The window must fit in xp; the view is built
-    from xp's strides in one call, about half the cost of
-    sliding_window_view, which every conv call pays.
+    innermost in its columns. The window must fit in xp; the view is an
+    ndarray over xp's buffer with xp's strides, which numpy checks against
+    the buffer's size: about a seventh of the cost of as_strided and a
+    fourteenth of sliding_window_view's, which every conv call pays.
     """
+    xp = np.ascontiguousarray(xp)
     c, h, w, n = xp.shape
     sc, sh, sw, sn = xp.strides
     shape = (c, r, s, (h - r) // stride[0] + 1, (w - s) // stride[1] + 1, n)
-    return np.lib.stride_tricks.as_strided(
-        xp, shape, (sc, sh, sw, sh * stride[0], sw * stride[1], sn), writeable=False)
+    view = np.ndarray(shape, xp.dtype, xp, 0, (sc, sh, sw, sh * stride[0], sw * stride[1], sn))
+    view.flags.writeable = False
+    return view
 
 
 # Caps the window matrix of one conv2d_chwn GEMM: a larger one spills out
@@ -363,10 +378,99 @@ def _nchw(y: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(y.transpose(3, 0, 1, 2))
 
 
+def prepare_conv(w, bias, stride, pad, chw, dtype,
+                 zero_in=None, zero_out=None) -> "PreparedConv":
+    """The part of conv2d_chwn that depends on the weights and the input's
+    (c, h, w) and dtype alone, for any batch size: the checks, the output
+    geometry, the live taps and the live weights as one (k', c'*r'*s')
+    matrix. Applying the result to a (c, h, w, n) input runs the GEMMs.
+
+    Without masks the matrix is a view of the (tap-restricted) weights; with
+    either mask it is a copy of the live filters over the live channels,
+    made here once rather than on every application.
+    """
+    weight = w if isinstance(w, Tensor) else None
+    if weight is not None:
+        w = weight.data
+    dt = np.dtype(dtype)
+    k, _, r, s = w.shape
+    ho, wo = _conv_geometry(chw, dt, w, stride, pad)
+    b = _filter_bias(bias, k, dt)
+    tap_rows = live_taps(chw[1], r, stride[0], pad[0], ho)
+    tap_cols = live_taps(chw[2], s, stride[1], pad[1], wo)
+    if (tap_rows.stop - tap_rows.start, tap_cols.stop - tap_cols.start) != (r, s):
+        w = (weight.taps(tap_rows, tap_cols) if weight is not None
+             else _gather_taps(w, tap_rows, tap_cols))
+    # take, unlike fancy indexing on axis 1, copies straight into C order
+    live_out = live_in = None
+    if zero_out is not None:
+        live_out = np.flatnonzero(~zero_out)
+        w = w.take(live_out, axis=0)
+    if zero_in is not None:
+        live_in = np.flatnonzero(~zero_in)
+        w = w.take(live_in, axis=1)
+    return PreparedConv(w2d=w.reshape(w.shape[0], math.prod(w.shape[1:])), k=k, ho=ho, wo=wo,
+                        r=r, s=s, stride=tuple(stride), pad=tuple(pad), tap_rows=tap_rows,
+                        tap_cols=tap_cols, live_in=live_in, live_out=live_out,
+                        bias=None if b is None else b.reshape(k, 1, 1, 1))
+
+
+class PreparedConv(NamedTuple):
+    """A conv made ready by prepare_conv: calling it on a (c, h, w, n) input
+    of the prepared (c, h, w) and dtype returns the new (k, ho, wo, n)
+    output. It holds nothing that one call leaves for the next. (A named
+    tuple: immutable, and about a fifth of a frozen dataclass's cost to
+    build, which the trainer pays on every conv2d_chwn call.)"""
+
+    w2d: np.ndarray
+    k: int
+    ho: int
+    wo: int
+    r: int
+    s: int
+    stride: tuple[int, int]
+    pad: tuple[int, int]
+    tap_rows: slice
+    tap_cols: slice
+    live_in: np.ndarray | None
+    live_out: np.ndarray | None
+    bias: np.ndarray | None
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        w2d, k, ho, wo, r, s, stride, pad, tap_rows, tap_cols, live_in, live_out, bias = self
+        if live_in is not None:
+            x = x.take(live_in, axis=0)
+        n = x.shape[3]
+        rows, depth = w2d.shape
+        dt = w2d.dtype
+        windows = batch_innermost_windows(pad_hw(x, pad), r, s, stride)[:, tap_rows, tap_cols]
+        y = np.empty((rows, ho, wo, n), dtype=dt)
+        y2d = y.reshape(rows, ho * wo * n)
+        band = max(1, min(ho, _BLOCK_BYTES // max(1, depth * wo * n * dt.itemsize)))
+        for oh in range(0, ho, band):
+            m = min(band, ho - oh)
+            # a copy even where a reshape could be a strided view (a single
+            # tap), so the BLAS sees the layout a kernel of those taps alone
+            # gives; freed before the next band's is made, so that one reuses
+            # its memory instead of faulting in fresh pages
+            np.matmul(w2d, np.ascontiguousarray(
+                windows[:, :, :, oh : oh + m].reshape(depth, m * wo * n)),
+                out=y2d[:, oh * wo * n : (oh + m) * wo * n])
+        if live_out is not None:
+            full = np.zeros((k, ho, wo, n), dtype=dt)
+            full[live_out] = y
+            y = full
+        if bias is not None:
+            y += bias
+        return y
+
+
 def conv2d_chwn(x: np.ndarray, w, bias, stride, pad,
                 zero_in=None, zero_out=None) -> np.ndarray:
     """2-D convolution (cross-correlation) with zero padding, as im2col GEMMs,
-    from a (c, h, w, n) input to a new (k, ho, wo, n) output.
+    from a (c, h, w, n) input to a new (k, ho, wo, n) output: prepare_conv
+    for x's (c, h, w) and dtype, applied to x. graph.compile keeps the
+    prepared conv and applies it on every execute.
 
     y(k, ho, wo, n) = sum over (t, i, j) of
         x(t, stride[0]*ho + i - pad[0], stride[1]*wo + j - pad[1], n) * w(k, t, i, j)
@@ -389,7 +493,7 @@ def conv2d_chwn(x: np.ndarray, w, bias, stride, pad,
     multiplies its center tap only. w is a (k, c, r, s) array or a weight
     Tensor. When the hull is a strict part of the kernel, a Tensor gives
     the weights of those taps from its cache (Tensor.taps) and an array is
-    gathered anew on every call.
+    gathered anew on every prepare.
 
     zero_in and zero_out are optional length-c and length-k bool masks.
     zero_in marks input channels the caller knows to be all exactly zero:
@@ -400,8 +504,8 @@ def conv2d_chwn(x: np.ndarray, w, bias, stride, pad,
     live channels, filters and taps hold the same values therefore make the
     same GEMMs, whatever else sits beside them, and that is what keeps
     materialization bit-identical (see the module docstring). With either
-    mask the live weights are copied out of the (tap-restricted) weights on
-    every call.
+    mask the live weights are copied out of the (tap-restricted) weights by
+    each prepare.
 
     The input is padded on its spatial axes (pad_hw) and read as is at pad
     0, so the window matrix's columns run (ho, wo, n) and at stride 1 its
@@ -410,51 +514,7 @@ def conv2d_chwn(x: np.ndarray, w, bias, stride, pad,
     The order of the c'*r'*s' terms of each dot product is the BLAS's, so
     results agree with a sequential sum to rounding, not bit for bit.
     """
-    weight = w if isinstance(w, Tensor) else None
-    if weight is not None:
-        w = weight.data
-    _, h, wd, n = x.shape
-    k, _, r, s = w.shape
-    # the checks shared with the reference kernels take (n, c, h, w) operands
-    dt, ho, wo = _conv_geometry(x.transpose(3, 0, 1, 2), w, stride, pad)
-    b = _filter_bias(bias, k, x)
-    tap_rows = live_taps(h, r, stride[0], pad[0], ho)
-    tap_cols = live_taps(wd, s, stride[1], pad[1], wo)
-    hull = tap_rows.stop - tap_rows.start, tap_cols.stop - tap_cols.start
-    if hull != (r, s):
-        w = (weight.taps(tap_rows, tap_cols) if weight is not None
-             else _gather_taps(w, tap_rows, tap_cols))
-    # take, unlike fancy indexing on axis 1, copies straight into C order
-    if zero_out is not None:
-        live_out = np.flatnonzero(~zero_out)
-        w = w.take(live_out, axis=0)
-    if zero_in is not None:
-        live_in = np.flatnonzero(~zero_in)
-        x, w = x.take(live_in, axis=0), w.take(live_in, axis=1)
-    rows, c = w.shape[:2]
-    depth = c * hull[0] * hull[1]
-    windows = batch_innermost_windows(pad_hw(x, pad), r, s, stride)
-    windows = windows[:, tap_rows, tap_cols]
-    w2d = w.reshape(rows, depth)
-    y = np.empty((rows, ho, wo, n), dtype=dt)
-    y2d = y.reshape(rows, ho * wo * n)
-    band = max(1, min(ho, _BLOCK_BYTES // max(1, depth * wo * n * dt.itemsize)))
-    for oh in range(0, ho, band):
-        m = min(band, ho - oh)
-        # a copy even where a reshape could be a strided view (a single
-        # tap), so the BLAS sees the layout a kernel of those taps alone
-        # gives; freed before the next band's is made, so that one reuses
-        # its memory instead of faulting in fresh pages
-        np.matmul(w2d, np.ascontiguousarray(
-            windows[:, :, :, oh : oh + m].reshape(depth, m * wo * n)),
-            out=y2d[:, oh * wo * n : (oh + m) * wo * n])
-    if zero_out is not None:
-        full = np.zeros((k, ho, wo, n), dtype=dt)
-        full[live_out] = y
-        y = full
-    if b is not None:
-        y += b.reshape(k, 1, 1, 1)
-    return y
+    return prepare_conv(w, bias, stride, pad, x.shape[:3], x.dtype, zero_in, zero_out)(x)
 
 
 def conv2d_gemm(x: np.ndarray, w, bias, stride, pad,
@@ -464,13 +524,20 @@ def conv2d_gemm(x: np.ndarray, w, bias, stride, pad,
     return _nchw(conv2d_chwn(_chwn(x), w, bias, stride, pad, zero_in, zero_out))
 
 
+def prepare_batch_norm(p: BnParams, channels: int, dtype):
+    """batch_norm_chwn's omega and lam for a (channels, h, w, n) input of
+    dtype, computed once: returns the function of x that applies them."""
+    if p.channels != channels:
+        raise TensorError(f"bn covers {p.channels} channels, tensor has {channels}")
+    omega = p.omega(dtype).reshape(-1, 1, 1, 1)
+    lam = p.lam(dtype).reshape(-1, 1, 1, 1)
+    return lambda x: x * omega + lam
+
+
 def batch_norm_chwn(x: np.ndarray, p: BnParams) -> np.ndarray:
     """Per-channel affine y = omega * x + lam in x's dtype, on a (c, h, w, n)
     array."""
-    if p.channels != x.shape[0]:
-        raise TensorError(f"bn covers {p.channels} channels, tensor has {x.shape[0]}")
-    dt = x.dtype
-    return x * p.omega(dt).reshape(-1, 1, 1, 1) + p.lam(dt).reshape(-1, 1, 1, 1)
+    return prepare_batch_norm(p, x.shape[0], x.dtype)(x)
 
 
 def batch_norm_inference(x: np.ndarray, p: BnParams) -> np.ndarray:

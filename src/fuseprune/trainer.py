@@ -212,7 +212,7 @@ def _forward_train(g: Graph, x: np.ndarray, bn_momentum: float, order: list[str]
         elif node.kind == "bn":
             values[nid] = _bn_forward_train(node, args[0], bn_momentum, caches)
         else:
-            values[nid] = OPS[node.kind].run(node, args, None, None)
+            values[nid] = OPS[node.kind].run(node, args)
     return values, caches
 
 

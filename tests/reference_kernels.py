@@ -12,7 +12,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from fuseprune.tensor import TensorError, _check_same_dtype, _conv_geometry, _filter_bias
+from fuseprune.tensor import TensorError, _conv_geometry, _filter_bias
+
+
+def _check_same_dtype(*arrays):
+    """The arrays' common dtype; TensorError when they mix dtypes, as the
+    package's kernels raise."""
+    dt = arrays[0].dtype
+    for a in arrays[1:]:
+        if a.dtype != dt:
+            raise TensorError(f"mixed dtypes in one kernel call: {dt} vs {a.dtype}")
+    return dt
+
 
 # Caps the products fc_raw forms per block of inputs; the block length
 # changes no bit.
@@ -34,7 +45,8 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, bias, stride, pad) -> np.ndarray:
     k, _, r, s = w.shape
     sh, sw = stride
     ph, pw = pad
-    dt, ho, wo = _conv_geometry(x, w, stride, pad)
+    dt = x.dtype
+    ho, wo = _conv_geometry(x.shape[1:], dt, w, stride, pad)
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     y = np.zeros((n, k, ho, wo), dtype=dt)
     tmp = np.empty_like(y)
@@ -48,7 +60,7 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, bias, stride, pad) -> np.ndarray:
                 window = rows[:, :, j : j + wspan : sw]
                 np.multiply(window[:, None, :, :], w[:, t, i, j][None, :, None, None], out=tmp)
                 y += tmp
-    b = _filter_bias(bias, k, x)
+    b = _filter_bias(bias, k, dt)
     if b is not None:
         y += b
     return y

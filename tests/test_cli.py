@@ -20,7 +20,7 @@ from fuseprune.cli import (
     write_tensor,
 )
 from fuseprune.fusion import FusionReport
-from fuseprune.graph import execute, load, save
+from fuseprune.graph import execute, load, save, validate
 from fuseprune.pruning import PruneConfig, PruneMask, dynamic_prune
 from fuseprune.tensor import Tensor
 from fuseprune.trainer import TrainConfig, make_epoch_hook, parse_dataset_spec
@@ -303,6 +303,21 @@ class TestSideFiles:
         assert capsys.readouterr().err.startswith("error: malformed fusion report: ")
         assert not out.exists()
 
+    def test_report_naming_no_conv_exits_2(self, tiny, tmp_path, capsys):
+        # a well-formed report whose one entry names no node of the model
+        # used to exit 0 with "0 filters currently zeroized"
+        rep, out = tmp_path / "ghost.rep", tmp_path / "m.fpm"
+        assert run("fuse", tiny, "--option", "1/3", "-o", tmp_path / "f.fpm",
+                   "--report", rep) == EXIT_OK
+        obj = json.loads(rep.read_text())
+        obj["convs"] = {"ghost": next(iter(obj["convs"].values()))}
+        rep.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run("prune", tiny, "--mode", "conservative", "--report", rep,
+                   "-o", out) == EXIT_VALIDATION
+        assert "['ghost']" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReportsAndSpeedup:
     def test_flops_output(self, tiny, capsys):
@@ -310,6 +325,21 @@ class TestReportsAndSpeedup:
         out = capsys.readouterr().out
         assert "# total_flops" in out
         assert any(line.startswith("conv ") for line in out.splitlines())
+
+    @pytest.mark.parametrize("argv", [("flops",), ("profile", "--runs", 3)])
+    def test_json_reports_every_node(self, tiny, capsys, argv):
+        assert run(argv[0], tiny, *argv[1:], "--json") == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        g = load(tiny)
+        assert [n["id"] for n in doc["nodes"]] == list(validate(g))
+        for n in doc["nodes"]:
+            assert n["kind"] == g.nodes[n["id"]].kind
+            assert n["category"] in ("COP", "SOP", "other") and n["flops"] >= 0
+            # a profile times every node but the input, which runs no kernel
+            assert ("seconds" in n) == (argv[0] == "profile")
+            assert n.get("seconds", 0.0) >= 0.0
+        assert doc["total_flops"] == sum(n["flops"] for n in doc["nodes"]) > 0
+        assert doc.get("runs_counted") == (2 if argv[0] == "profile" else None)
 
     def test_speedup_direct(self, capsys):
         assert run("speedup", "--p", "0.5", "--a", "2") == EXIT_OK

@@ -1,5 +1,6 @@
 """Graph IR tests: validation, execution semantics, container roundtrips."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -25,7 +26,7 @@ from fuseprune.graph import (
     save,
     validate,
 )
-from fuseprune.pruning import PruneMask, materialize
+from fuseprune.pruning import PruneConfig, PruneMask, materialize, soft_prune_epoch
 from fuseprune.tensor import Tensor, TensorError
 from fuseprune.trainer import forward_backward
 
@@ -262,6 +263,132 @@ class TestExecute:
         assert len(sorts) == 2
         materialize(g, PruneMask())
         assert len(sorts) == 4  # the input graph, and the result once built
+
+
+def add_chain(rng):
+    """input -> conv(3->4) -> relu -> add(conv, relu) -> gavgpool -> fc(4->2)
+    -> output: the add can be rewired to (relu, relu) and stay valid."""
+    nodes = [
+        plain_node("in", "input", []),
+        conv_node("c1", ["in"], 4, 3, weight=rng.standard_normal((4, 3, 3, 3)).astype(np.float32)),
+        plain_node("r1", "relu", ["c1"]),
+        plain_node("a", "add", ["c1", "r1"]),
+        plain_node("gap", "gavgpool", ["a"]),
+        fc_node("fc", ["gap"], 2, 4, weight=rng.standard_normal((2, 4, 1, 1)).astype(np.float32)),
+        plain_node("out", "output", ["fc"]),
+    ]
+    return make_graph(nodes, "in", "out", (1, 3, 8, 8))
+
+
+def _replace_weight(g):
+    c1 = g.nodes["c1"]
+    c1.params["weight"] = Tensor(c1.params["weight"].data * 2)  # as sgd_step and _zeroize do
+
+
+def _replace_spec(g):
+    spec = g.nodes["c1"].attrs["spec"]
+    g.nodes["c1"].attrs["spec"] = dataclasses.replace(spec, pad=(0, 0))  # as materialize does
+
+
+def _reassign_inputs(g):
+    g.nodes["a"].inputs = ["r1", "r1"]
+
+
+def _edit_inputs_in_place(g):
+    g.nodes["a"].inputs[0] = "r1"
+
+
+def _delete_node(g):
+    del g.nodes["r1"]  # and rewire its reader, as fold_bn and fuse_block do
+    g.nodes["a"].inputs[1] = "c1"
+
+
+def _change_input_shape(g):
+    g.input_shape = (1, 3, 6, 6)
+    return Tensor(np.random.default_rng(5).standard_normal((2, 3, 6, 6)).astype(np.float32))
+
+
+def _soft_prune(g):
+    soft_prune_epoch(g, None, PruneConfig(rate=0.3, mode="continued"))
+
+
+class TestPlanCache:
+    """execute compiles a graph once, keeps the plan on it and compiles again
+    after any edit the snapshot shows."""
+
+    @pytest.mark.parametrize("edit", [
+        _replace_weight, _replace_spec, _reassign_inputs, _edit_inputs_in_place, _delete_node,
+        _change_input_shape, _soft_prune])
+    def test_an_edit_in_place_gives_a_fresh_execute(self, rng, edit):
+        g = add_chain(rng)
+        x = Tensor(rng.standard_normal((2, 3, 8, 8)).astype(np.float32))
+        before = execute(g, x)
+        execute(g, x)
+        x = edit(g) or x
+        after = execute(g, x)
+        assert after.data.tobytes() == execute(g.copy(), x).data.tobytes()
+        assert after.data.tobytes() != before.data.tobytes()  # the edit changed the output
+
+    def test_a_deleted_node_left_dangling_raises(self, rng):
+        g = add_chain(rng)
+        x = Tensor(rng.standard_normal((1, 3, 8, 8)).astype(np.float32))
+        execute(g, x)
+        del g.nodes["r1"]
+        with pytest.raises(DanglingInput):
+            execute(g, x)
+
+    def test_validate_runs_once_per_graph_state(self, rng, monkeypatch):
+        g = tiny_chain(rng)
+        calls = []
+        real_validate = graph.validate
+        monkeypatch.setattr(graph, "validate", lambda h: calls.append(h) or real_validate(h))
+        x = Tensor(rng.standard_normal((1, 3, 8, 8)).astype(np.float32))
+        outs = {execute(g, x).data.tobytes() for _ in range(3)}
+        assert len(calls) == 1 and len(outs) == 1
+        mask = soft_prune_epoch(g, None, PruneConfig(rate=0.3, mode="continued"))
+        assert mask.zeroed("c1")
+        execute(g, x)
+        execute(g, x)
+        assert len(calls) == 2
+        execute(g.copy(), x)  # a copy carries no plan
+        assert len(calls) == 3
+
+    def test_the_plan_is_no_part_of_equality_or_repr(self, rng):
+        g = tiny_chain(rng)
+        text = repr(g)
+        execute(g, Tensor(rng.standard_normal((1, 3, 8, 8)).astype(np.float32)))
+        assert g._plan is not None and g.copy()._plan is None
+        assert g == g.copy() and repr(g) == text
+
+    def test_a_compiled_graph_rejects_what_execute_rejected(self, rng):
+        g = tiny_chain(rng)
+        execute(g, Tensor(rng.standard_normal((1, 3, 8, 8)).astype(np.float32)))
+        with pytest.raises(ShapeMismatch):
+            execute(g, Tensor(np.zeros((1, 3, 9, 8), np.float32)))
+        with pytest.raises(TensorError, match="mixed dtypes"):
+            execute(g, Tensor(np.zeros((1, 3, 8, 8), np.float64)))
+        # the fc's f32 sums overflow to inf: only the output is checked
+        fc = g.nodes["fc"]
+        fc.params["weight"] = Tensor(np.full((2, 4, 1, 1), 3e38, np.float32))
+        with pytest.raises(TensorError, match="NaN or Inf"), np.errstate(over="ignore"):
+            execute(g, Tensor(np.ones((1, 3, 8, 8), np.float32)))
+
+    def test_a_graph_without_parameters_runs_any_dtype(self):
+        g = make_graph([plain_node("in", "input", []), plain_node("r", "relu", ["in"]),
+                        plain_node("out", "output", ["r"])], "in", "out", (1, 2, 3, 3))
+        for dt in (np.float32, np.float64):
+            x = np.arange(-9, 9, dtype=dt).reshape(1, 2, 3, 3)
+            assert np.array_equal(execute(g, Tensor(x)).data, np.maximum(x, 0))
+
+    def test_timings_get_every_node_but_the_input(self, rng):
+        g = tiny_chain(rng)
+        x = Tensor(rng.standard_normal((1, 3, 8, 8)).astype(np.float32))
+        timings: dict[str, float] = {}
+        execute(g, x, timings)
+        once = dict(timings)
+        execute(g, x, timings)
+        assert set(timings) == set(g.nodes) - {g.input_id}
+        assert all(timings[nid] > once[nid] > 0 for nid in timings)
 
 
 class TestContainer:

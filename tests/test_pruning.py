@@ -203,6 +203,20 @@ class TestSoftPrune:
         with pytest.raises(PruneError):
             soft_prune_epoch(fused.copy(), report, PruneConfig())
 
+    def test_report_entries_that_name_no_conv_rejected(self, rng):
+        # a report of another graph used to prune nothing and raise nothing
+        g = random_residual_block_graph(rng)
+        (m,) = find_residual_blocks(g)
+        fused, report = fuse_block(g, m)
+        report.convs["ghost"] = report.convs.pop("conv1")
+        report.convs[m.relu1] = report.convs["ghost"]
+        with pytest.raises(PruneError, match=rf"\['ghost', '{m.relu1}'\]"):
+            soft_prune_epoch(fused.copy(), report, PruneConfig())
+        hooked = []
+        with pytest.raises(PruneError, match="not conv nodes"):
+            dynamic_prune(fused, report, PruneConfig(), lambda g, epoch: hooked.append(epoch))
+        assert hooked == []  # rejected before any training
+
 
 class TestDynamicPrune:
     def test_single_epoch_noop_hook_equals_one_pass(self, rng):

@@ -31,3 +31,22 @@ def test_run_pipeline_runs():
     assert proc.returncode in (0, 1), proc.stderr
     assert "Traceback" not in proc.stderr
     assert "bit-identical: True" in proc.stdout
+
+
+def test_output_digests_runs():
+    proc = run_script("output_digests.py", "--family", "resnet8-tiny")
+    assert proc.returncode == 0, proc.stderr
+    digests = {}
+    for line in proc.stdout.splitlines():
+        family, dtype, variant, what, sha = line.split()
+        assert family == "resnet8-tiny" and len(sha) == 64
+        digests[dtype, variant, what] = sha
+    variants = ("orig", "fused", "masked", "materialized", "deployed")
+    assert set(digests) == {(d, v, w) for d in ("f32", "f64") for v in variants
+                            for w in ("fpm", "b1", "b32")}
+    # the bitwise promise, seen through the digests: materialize changes
+    # the file but no output bit
+    for dtype in ("f32", "f64"):
+        assert digests[dtype, "masked", "fpm"] != digests[dtype, "materialized", "fpm"]
+        for b in ("b1", "b32"):
+            assert digests[dtype, "masked", b] == digests[dtype, "materialized", b]
