@@ -19,7 +19,8 @@ printouts are equal, so a claim of bitwise-unchanged results is one diff:
 
 The bits depend on the BLAS and its thread count, so compare runs made
 with the same OPENBLAS_NUM_THREADS (or its equivalent) on one machine.
-The larger families run at --hw (default 32) rather than at 224x224.
+Every model and input is drawn from seed SEED, and the larger families run
+at HW x HW rather than at 224x224.
 """
 
 from __future__ import annotations
@@ -40,22 +41,21 @@ from fuseprune.zoo import FAMILIES, ZooSpec, build
 
 BATCHES = (1, 32)
 DTYPES = ("f32", "f64")
+SEED = 0
+HW = 32
 
 
 def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--family", action="append", choices=sorted(FAMILIES),
                     help="a zoo family; repeat for several (default: all five)")
-    ap.add_argument("--seed", type=int, default=0, help="model and input seed")
-    ap.add_argument("--hw", type=int, default=32,
-                    help="input height and width, capped by the family's own (default 32)")
     return ap.parse_args(argv)
 
 
-def variants(family: str, dtype: str, seed: int, hw: int) -> dict:
+def variants(family: str, dtype: str) -> dict:
     """The five graphs of one family and dtype, in pipeline order."""
-    hw = min(hw, FAMILIES[family].input_shape[2])
-    orig = build(ZooSpec(family, input_shape=(1, 3, hw, hw), dtype=dtype, seed=seed))
+    hw = min(HW, FAMILIES[family].input_shape[2])
+    orig = build(ZooSpec(family, input_shape=(1, 3, hw, hw), dtype=dtype, seed=SEED))
     stages = len(FAMILIES[family].stages)
     fused, report = fuse(orig, f"{stages}/{stages}")
     masked = fused.copy()
@@ -74,9 +74,9 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         for family in args.family or list(FAMILIES):
             for dtype in DTYPES:
-                graphs = variants(family, dtype, args.seed, args.hw)
+                graphs = variants(family, dtype)
                 shape = graphs["orig"].input_shape[1:]
-                rng = np.random.default_rng(args.seed)
+                rng = np.random.default_rng(SEED)
                 inputs = {n: Tensor((rng.standard_normal((n, *shape)) * 0.1)
                                     .astype(DTYPE_FROM_NAME[dtype])) for n in BATCHES}
                 for name, g in graphs.items():

@@ -28,12 +28,12 @@ frameworks prepare a trained model once and then run it: it validates g,
 sorts it, derives the zero marks and prepares every node (bn's omega and
 lam, each conv's and fc's live weight matrix, bias and geometry). The
 resulting Plan is immutable and holds no per-call buffer; Plan.run does
-only what depends on x. execute keeps the plan on the graph and compiles
-again whenever the graph's snapshot, its ids, input_shape and each node's
-kind, inputs, attrs and params, differs from the plan's. Every edit the
-package makes replaces a value (a Tensor, an attrs value, an inputs list),
-so it shows in the snapshot; an attrs value must be replaced, never
-mutated in place.
+only what depends on x. execute keeps the plan on the graph from the
+second execute of an unchanged graph on, and compiles again whenever the
+graph's snapshot, its ids, input_shape and each node's kind, inputs,
+attrs and params, differs from the plan's. Every edit the package makes
+replaces a value (a Tensor, an attrs value, an inputs list), so it shows
+in the snapshot; an attrs value must be replaced, never mutated in place.
 
 compile also derives, node by node, the output channels that are exactly
 zero for every input, from the weights alone (Op.zeros), and
@@ -141,8 +141,10 @@ class Graph:
     input_id: str
     output_id: str
     input_shape: tuple[int, int, int, int]
-    # the Plan execute last compiled; it checks itself against the graph
+    # the Plan execute keeps, which checks itself against the graph, and the
+    # identity snapshot of the last execute that compiled without keeping one
     _plan: "Plan | None" = field(default=None, init=False, compare=False, repr=False)
+    _unkept: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def node(self, node_id: str) -> Node:
         try:
@@ -578,6 +580,14 @@ def _snapshot(g: Graph) -> tuple:
                    tuple(n.params.items())) for nid, n in g.nodes.items()))
 
 
+def _identities(snapshot: tuple) -> tuple:
+    """snapshot with each Tensor replaced by its id, so that holding it keeps
+    no weights alive."""
+    *ids, nodes = snapshot
+    return (*ids, tuple((*node, tuple((k, id(t)) for k, t in params))
+                        for *node, params in nodes))
+
+
 @dataclass(frozen=True)
 class Plan:
     """A graph compiled for execution: validated, sorted, its zero marks
@@ -670,7 +680,10 @@ def execute(g: Graph, x: Tensor, timings: dict[str, float] | None = None) -> Ten
     Tensor, a new attrs value (a ConvSpec, a frozen tuple), a new inputs
     list or an edit of the list itself. An attrs value mutated in place,
     such as a list edited where it sits, is not seen. Graph.copy() does not
-    carry the plan.
+    carry the plan. A new plan is kept only when the previous execute saw
+    the same snapshot: a graph executed once, or edited between every two
+    executes, holds no prepared weights, and a graph run repeatedly
+    compiles twice before its plan is kept.
 
     Every conv, and every fc as a 1x1 conv, leaves out of its GEMMs the
     input channels and filters that the kinds' zeros rules (Op) prove
@@ -683,9 +696,14 @@ def execute(g: Graph, x: Tensor, timings: dict[str, float] | None = None) -> Ten
     non-finite value inside the graph that a later node maps to a finite
     one, such as a -inf that a relu makes 0, does not raise.
     """
+    snapshot = _snapshot(g)
     plan = g._plan
-    if plan is None or plan.snapshot != _snapshot(g):
-        plan = g._plan = compile(g)
+    if plan is None or plan.snapshot != snapshot:
+        plan = compile(g)
+        # a Tensor's id can be reused once it is freed, which at worst keeps
+        # this plan, compiled from g as it is now, one execute early
+        seen = _identities(snapshot)
+        g._plan, g._unkept = (plan, None) if g._unkept == seen else (None, seen)
     return plan.run(x, timings)
 
 

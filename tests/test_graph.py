@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -313,8 +314,8 @@ def _soft_prune(g):
 
 
 class TestPlanCache:
-    """execute compiles a graph once, keeps the plan on it and compiles again
-    after any edit the snapshot shows."""
+    """execute keeps a graph's plan from its second execute on and compiles
+    again after any edit the snapshot shows."""
 
     @pytest.mark.parametrize("edit", [
         _replace_weight, _replace_spec, _reassign_inputs, _edit_inputs_in_place, _delete_node,
@@ -337,26 +338,44 @@ class TestPlanCache:
         with pytest.raises(DanglingInput):
             execute(g, x)
 
-    def test_validate_runs_once_per_graph_state(self, rng, monkeypatch):
+    def test_validate_runs_until_the_plan_is_kept(self, rng, monkeypatch):
         g = tiny_chain(rng)
         calls = []
         real_validate = graph.validate
         monkeypatch.setattr(graph, "validate", lambda h: calls.append(h) or real_validate(h))
         x = Tensor(rng.standard_normal((1, 3, 8, 8)).astype(np.float32))
-        outs = {execute(g, x).data.tobytes() for _ in range(3)}
-        assert len(calls) == 1 and len(outs) == 1
+        outs = {execute(g, x).data.tobytes() for _ in range(5)}
+        assert len(calls) == 2 and len(outs) == 1  # kept from the second execute on
         mask = soft_prune_epoch(g, None, PruneConfig(rate=0.3, mode="continued"))
         assert mask.zeroed("c1")
-        execute(g, x)
-        execute(g, x)
-        assert len(calls) == 2
+        for _ in range(3):
+            execute(g, x)
+        assert len(calls) == 4
         execute(g.copy(), x)  # a copy carries no plan
-        assert len(calls) == 3
+        assert len(calls) == 5
+
+    def test_only_a_graph_executed_again_keeps_a_plan(self, rng):
+        g = tiny_chain(rng)
+        x = Tensor(rng.standard_normal((1, 3, 8, 8)).astype(np.float32))
+        old = g.nodes["c1"].params["weight"]
+        refs = sys.getrefcount(old)
+        execute(g, x)
+        assert g._plan is None and sys.getrefcount(old) == refs  # a one-shot execute holds nothing
+        execute(g, x)
+        assert g._plan is not None and sys.getrefcount(old) > refs
+        g.nodes["c1"].params["weight"] = Tensor(old.data * 2)
+        execute(g, x)
+        # the stale plan went, and with it the replaced weights
+        assert g._plan is None and sys.getrefcount(old) == refs - 1
+        execute(g, x)
+        assert g._plan is not None
 
     def test_the_plan_is_no_part_of_equality_or_repr(self, rng):
         g = tiny_chain(rng)
         text = repr(g)
-        execute(g, Tensor(rng.standard_normal((1, 3, 8, 8)).astype(np.float32)))
+        x = Tensor(rng.standard_normal((1, 3, 8, 8)).astype(np.float32))
+        execute(g, x)
+        execute(g, x)
         assert g._plan is not None and g.copy()._plan is None
         assert g == g.copy() and repr(g) == text
 
