@@ -1,4 +1,4 @@
-"""Print the SHA-256 of every execute output and every .fpm of the pipeline.
+"""Print the SHA-256 of every execute output, training step and .fpm of the pipeline.
 
 For each zoo family and dtype the script builds the model, fuses every
 stage, soft-prunes one epoch in continued mode at rate 0.3, materializes
@@ -10,8 +10,19 @@ file and per output:
     <family> <dtype> <variant> fpm <sha256>
     <family> <dtype> <variant> b<batch> <sha256>
 
-Two trees give the same outputs and files bit for bit exactly when their
-printouts are equal, so a claim of bitwise-unchanged results is one diff:
+It then trains on a seeded synthetic set of TRAIN_IMAGES images, in
+batches of TRAIN_BATCH, and prints two more lines: the digest of one
+forward_backward on the fused graph (the loss, every parameter gradient
+in order, and the input gradient), and that of the .fpm of the fused graph
+after one fit epoch and one dynamic_prune epoch in continued mode at rate
+0.3:
+
+    <family> <dtype> fused grads <sha256>
+    <family> <dtype> trained fpm <sha256>
+
+Two trees give the same outputs, gradients and files bit for bit exactly
+when their printouts are equal, so a claim of bitwise-unchanged results is
+one diff:
 
     PYTHONPATH=src python3 scripts/output_digests.py > new.txt
     (cd ../parent && PYTHONPATH=src python3 scripts/output_digests.py) > old.txt
@@ -27,22 +38,26 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import tempfile
 
 import numpy as np
 
-from fuseprune.fusion import fold_bn, fuse
-from fuseprune.graph import execute, save
-from fuseprune.pruning import PruneConfig, materialize, soft_prune_epoch
+from fuseprune.fusion import FusionReport, fold_bn, fuse
+from fuseprune.graph import execute, save, validate
+from fuseprune.pruning import PruneConfig, dynamic_prune, materialize, soft_prune_epoch
 from fuseprune.tensor import DTYPE_FROM_NAME, Tensor
+from fuseprune.trainer import SynthDataset, TrainConfig, fit, forward_backward, make_epoch_hook
 from fuseprune.zoo import FAMILIES, ZooSpec, build
 
 BATCHES = (1, 32)
 DTYPES = ("f32", "f64")
 SEED = 0
 HW = 32
+TRAIN_IMAGES = 64
+TRAIN_BATCH = 32
 
 
 def parse_args(argv):
@@ -52,8 +67,9 @@ def parse_args(argv):
     return ap.parse_args(argv)
 
 
-def variants(family: str, dtype: str) -> dict:
-    """The five graphs of one family and dtype, in pipeline order."""
+def variants(family: str, dtype: str) -> tuple[dict, FusionReport]:
+    """The five graphs of one family and dtype, in pipeline order, and the
+    fusion report."""
     hw = min(HW, FAMILIES[family].input_shape[2])
     orig = build(ZooSpec(family, input_shape=(1, 3, hw, hw), dtype=dtype, seed=SEED))
     stages = len(FAMILIES[family].stages)
@@ -62,11 +78,40 @@ def variants(family: str, dtype: str) -> dict:
     mask = soft_prune_epoch(masked, report, PruneConfig(rate=0.3, mode="continued"))
     materialized = materialize(masked, mask, report).graph
     return {"orig": orig, "fused": fused, "masked": masked, "materialized": materialized,
-            "deployed": fold_bn(materialized)}
+            "deployed": fold_bn(materialized)}, report
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def file_sha256(g, path) -> str:
+    save(g, path)
+    with open(path, "rb") as fh:
+        return sha256(fh.read())
+
+
+def training(fused, report: FusionReport, path) -> tuple[str, str]:
+    """The digests of one forward_backward on a copy of fused and of the
+    .fpm of fused after one fit epoch and one dynamic_prune epoch."""
+    shape = tuple(fused.input_shape[1:])
+    classes = math.prod(validate(fused)[fused.output_id][1:])
+    data = SynthDataset(seed=SEED, shape=shape, classes=classes, n_train=TRAIN_IMAGES,
+                        n_test=1)
+    loss, grads, gx = forward_backward(fused.copy(), data.train_images[:TRAIN_BATCH],
+                                       data.train_labels[:TRAIN_BATCH])
+    digest = hashlib.sha256(np.float64(loss).tobytes())
+    for nid, gparams in grads.items():
+        for name, grad in gparams.items():
+            digest.update(f"{nid}/{name}".encode())
+            digest.update(grad.tobytes())
+    digest.update(gx.tobytes())
+    trained = fused.copy()
+    fit(trained, data, TrainConfig(batch_size=TRAIN_BATCH, seed=SEED))
+    pruned, _ = dynamic_prune(trained, report, PruneConfig(rate=0.3, mode="continued"),
+                              make_epoch_hook(data, TrainConfig(lr=0.05, batch_size=TRAIN_BATCH,
+                                                                seed=SEED)))
+    return digest.hexdigest(), file_sha256(pruned, path)
 
 
 def main(argv=None):
@@ -74,19 +119,21 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         for family in args.family or list(FAMILIES):
             for dtype in DTYPES:
-                graphs = variants(family, dtype)
+                graphs, report = variants(family, dtype)
                 shape = graphs["orig"].input_shape[1:]
                 rng = np.random.default_rng(SEED)
                 inputs = {n: Tensor((rng.standard_normal((n, *shape)) * 0.1)
                                     .astype(DTYPE_FROM_NAME[dtype])) for n in BATCHES}
                 for name, g in graphs.items():
                     path = os.path.join(tmp, f"{name}.fpm")
-                    save(g, path)
-                    with open(path, "rb") as fh:
-                        print(f"{family} {dtype} {name} fpm {sha256(fh.read())}")
+                    print(f"{family} {dtype} {name} fpm {file_sha256(g, path)}")
                     for n, x in inputs.items():
                         y = execute(g, x)
                         print(f"{family} {dtype} {name} b{n} {sha256(y.data.tobytes())}")
+                grads, trained = training(graphs["fused"], report,
+                                          os.path.join(tmp, "trained.fpm"))
+                print(f"{family} {dtype} fused grads {grads}")
+                print(f"{family} {dtype} trained fpm {trained}")
     return 0
 
 

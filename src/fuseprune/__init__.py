@@ -16,7 +16,6 @@ from .tensor import (
     ConvSpec,
     Tensor,
     TensorError,
-    batch_norm_inference,
 )
 from .graph import (
     CycleDetected,

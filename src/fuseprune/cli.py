@@ -28,7 +28,7 @@ import numpy as np
 
 from .analysis import count_flops, load_profile, profile, speedup, speedup_from_profile
 from .fusion import FusionError, FusionReport, fold_bn, fuse
-from .graph import GraphError, atomic_write, execute, graph_dtype, load, save
+from .graph import GraphError, atomic_write, execute, graph_dtype, load, save, validate
 from .pruning import PruneConfig, PruneError, PruneMask, dynamic_prune, materialize
 from .tensor import Tensor
 from .trainer import TrainConfig, TrainerError, make_epoch_hook, parse_dataset_spec
@@ -113,7 +113,9 @@ def _cmd_prune(args) -> int:
                       allow_high_rate=args.allow_high_rate)
     hook = None
     if args.data:
-        dataset = parse_dataset_spec(args.data, tuple(g.input_shape[1:]))
+        # the images take the model's (c, h, w), the labels its output features
+        classes = math.prod(validate(g)[g.output_id][1:])
+        dataset = parse_dataset_spec(args.data, tuple(g.input_shape[1:]), classes)
         tcfg = TrainConfig(lr=args.lr, momentum=args.momentum,
                            weight_decay=args.weight_decay,
                            batch_size=args.batch_size, seed=args.seed)

@@ -8,11 +8,12 @@ bn nodes carry attrs["eps"], a per-channel attrs["frozen"] tuple of 0/1
 flags, and the four per-channel parameter tensors stored as (1, c, 1, 1).
 
 A kind is defined by its Op record in OPS, which validate, compile, save,
-load, analysis, materialize and the trainer's forward pass read. A new kind
-supplies its arity, shape rule, prepare, channel role and cost category,
-and where they apply its zero-channel rule, FLOP count, parameter names and
-attrs dump and load. Each prepared forward takes and returns numpy arrays,
-and each attrs load checks the JSON types it reads.
+load, analysis, materialize and the trainer's forward and backward read. A
+new kind supplies its arity, shape rule, prepare, channel role, cost
+category and backward, and where they apply its training forward,
+zero-channel rule, FLOP count, parameter names and attrs dump and load.
+Each forward and backward takes and returns numpy arrays, and each attrs
+load checks the JSON types it reads.
 
 Execution is a pure function of the graph and the input tensor: repeated
 calls give bit-identical results, and any valid topological order computes
@@ -80,7 +81,11 @@ from .tensor import (
     ConvSpec,
     Tensor,
     TensorError,
+    batch_norm_train_backward,
+    batch_norm_train_chwn,
+    conv2d_chwn_backward,
     max_pool_chwn,
+    max_pool_chwn_backward,
     pool_out_hw,
     prepare_batch_norm,
     prepare_conv,
@@ -258,8 +263,16 @@ class Op:
     takes the list of input arrays, batch-innermost (c, h, w, n), and
     returns the output as a new (c, h, w, n) array. compile prepares every
     node with its marks; run prepares and applies in one, without marks,
-    which is the trainer's forward. The input kind has no prepare, as the
-    plan feeds it x's array.
+    which the training forward defaults to. The input kind's forward passes
+    its one argument through; the plan and the trainer feed it the batch.
+
+    train(node, args, momentum), the training forward, returns the output,
+    the cache its backward reads and a dict of the parameter arrays it
+    replaces: run's output, None and none, but for bn its batch-statistics
+    output and new running mean and var. backward(node, gy, args, y, cache)
+    returns the gradients of the inputs, in order, and a dict of those of
+    the parameters, shaped like them, given the gradient gy of the output
+    y. Every kind but the input has one.
 
     zeros(node, input marks, dtype) gives the output channels that are
     exactly zero for every input, as a bool mask, or None when none are
@@ -278,7 +291,7 @@ class Op:
 
     arity: int | None
     shape: Callable
-    prepare: Callable | None
+    prepare: Callable
     role: str
     category: str
     zeros: Callable = lambda *_: None
@@ -286,6 +299,8 @@ class Op:
     params: tuple[str, ...] = ()
     dump: Callable = lambda attrs: {}
     load: Callable = lambda raw: {}
+    train: Callable = lambda node, args, momentum: (OPS[node.kind].run(node, args), None, {})
+    backward: Callable | None = None
 
     def run(self, node: Node, args, zero_in=None, zero_out=None) -> np.ndarray:
         """The node's output for the (c, h, w, n) arrays args: prepare for
@@ -297,6 +312,9 @@ class Op:
 def _fixed(fn):
     """The prepare of a kind whose forward fn(args) needs nothing prepared."""
     return lambda *_: fn
+
+
+_passed = _fixed(lambda args: args[0])
 
 
 def _conv_shape(node: Node, ins) -> tuple[int, int, int, int]:
@@ -389,21 +407,58 @@ def _conv_prepare(node: Node, ins, zero_in, zero_out, dt):
     return lambda args: conv(args[0])
 
 
+def _conv_grads(node: Node, gy, x, view, stride, pad):
+    """The backward of a conv or fc node whose (c, h, w, n) input x runs as
+    the unmasked conv of view at that stride and pad."""
+    gx, gw = conv2d_chwn_backward(gy, view, node.params["weight"].data, stride, pad)
+    grads = {"weight": gw}
+    if _conv_bias(node) is not None:
+        grads["bias"] = gy.sum(axis=(1, 2, 3)).reshape(node.params["bias"].shape)
+    return [gx.reshape(x.shape)], grads
+
+
+def _fc_input(x):
+    """The (c*h*w, 1, 1, n) view of an fc's (c, h, w, n) input: an fc is the
+    GEMM w2d @ x.reshape(c*h*w, n), which runs, forward and backward, as a
+    1x1 conv (stride 1, pad 0) over this view."""
+    return x.reshape(-1, 1, 1, x.shape[-1])
+
+
 def _fc_prepare(node: Node, ins, zero_in, zero_out, dt):
-    # the GEMM w2d @ x.reshape(c*h*w, n), run as a 1x1 conv over the
-    # (c*h*w, 1, 1, n) view of the input, whose channel marks cover h*w
-    # inputs each, so a masked fc multiplies what its materialization does
+    # a channel's marks cover its h*w inputs of the view, so a masked fc
+    # multiplies what its materialization does
     c, h, w = ins[0]
     if zero_in is not None:
         zero_in = np.repeat(zero_in, h * w)
     conv = prepare_conv(node.params["weight"], _conv_bias(node), (1, 1), (0, 0),
                         (c * h * w, 1, 1), dt, zero_in)
-    return lambda args: conv(args[0].reshape(c * h * w, 1, 1, args[0].shape[3]))
+    return lambda args: conv(_fc_input(args[0]))
 
 
 def _bn_prepare(node: Node, ins, zero_in, zero_out, dt):
     bn = prepare_batch_norm(bn_params(node), ins[0][0], dt)
     return lambda args: bn(args[0])
+
+
+def _bn_train(node: Node, args, momentum):
+    c = args[0].shape[0]
+    frozen = np.asarray(node.attrs.get("frozen") or [0] * c, dtype=bool)
+    y, cache, mean, var = batch_norm_train_chwn(
+        args[0], *(node.params[p].data.reshape(-1) for p in ("gamma", "beta", "mean", "var")),
+        node.attrs["eps"], frozen, momentum)
+    return y, cache, {"mean": mean.reshape(1, c, 1, 1), "var": var.reshape(1, c, 1, 1)}
+
+
+def _bn_backward(node: Node, gy, args, y, cache):
+    gx, ggamma, gbeta = batch_norm_train_backward(gy, node.params["gamma"].data.reshape(-1),
+                                                  cache)
+    c = gy.shape[0]
+    return [gx], {"gamma": ggamma.reshape(1, c, 1, 1), "beta": gbeta.reshape(1, c, 1, 1)}
+
+
+def _gavgpool_backward(node: Node, gy, args, y, cache):
+    scale = gy.dtype.type(1.0 / math.prod(args[0].shape[1:3]))
+    return [np.broadcast_to(gy * scale, args[0].shape).copy()], {}
 
 
 def _maxpool_prepare(node: Node, ins, *_):
@@ -448,18 +503,19 @@ def _bn_load(raw) -> dict:
 
 
 OPS: dict[str, Op] = {
-    "input": Op(arity=0, shape=_first, prepare=None, role="pin", category="other"),
-    "output": Op(arity=1, shape=_first, prepare=_fixed(lambda args: args[0]), role="pin",
-                 category="other", zeros=_first),
+    "input": Op(arity=0, shape=_first, prepare=_passed, role="pin", category="other"),
+    "output": Op(arity=1, shape=_first, prepare=_passed, role="pin", category="other",
+                 zeros=_first, backward=lambda node, gy, *_: ([gy], {})),
     "conv": Op(arity=1, shape=_conv_shape, prepare=_conv_prepare, role="absorb",
                category="COP", zeros=_conv_zeros,
                # per output value, c*r*s multiply-adds and the bias
                flops=lambda node, ins, out: math.prod(out) * (
                    2 * math.prod(node.params["weight"].shape[1:]) + node.attrs["spec"].has_bias),
                params=("weight", "bias"), dump=lambda attrs: asdict(attrs["spec"]),
-               load=_conv_load),
+               load=_conv_load, backward=lambda node, gy, args, *_: _conv_grads(
+                   node, gy, args[0], args[0], node.attrs["spec"].stride, node.attrs["spec"].pad)),
     "bn": Op(arity=1, shape=_bn_shape, prepare=_bn_prepare,
-             role="pass", category="SOP", zeros=_bn_zeros,
+             role="pass", category="SOP", zeros=_bn_zeros, train=_bn_train, backward=_bn_backward,
              flops=lambda node, ins, out: 2 * math.prod(out),
              params=("gamma", "beta", "mean", "var"),
              dump=lambda attrs: {"eps": float(attrs["eps"]),
@@ -468,25 +524,33 @@ OPS: dict[str, Op] = {
     "relu": Op(arity=1, shape=_first,
                prepare=_fixed(lambda args: np.maximum(args[0], args[0].dtype.type(0))),
                role="pass", category="SOP", zeros=_first,
-               flops=lambda node, ins, out: math.prod(out)),
+               flops=lambda node, ins, out: math.prod(out),
+               backward=lambda node, gy, args, *_: ([gy * (args[0] > 0)], {})),
     "add": Op(arity=2, shape=_add_shape, prepare=_fixed(lambda args: args[0] + args[1]),
               role="pin", category="SOP", zeros=_add_zeros,
-              flops=lambda node, ins, out: math.prod(out)),
+              flops=lambda node, ins, out: math.prod(out),
+              backward=lambda node, gy, *_: ([gy, gy], {})),
     "concat": Op(arity=None, shape=_concat_shape,
                  prepare=_fixed(lambda args: np.concatenate(args, axis=0)), role="pin",
-                 category="other"),
+                 category="other",
+                 backward=lambda node, gy, args, *_: (
+                     np.split(gy, np.cumsum([a.shape[0] for a in args[:-1]])), {})),
     "maxpool": Op(arity=1, shape=_maxpool_shape, prepare=_maxpool_prepare,
                   role="pass", category="SOP", zeros=_first,
                   flops=lambda node, ins, out: math.prod(out) * math.prod(node.attrs["window"]),
                   dump=lambda attrs: {a: list(attrs[a]) for a in _POOL_ATTRS},
-                  load=lambda raw: {a: _pair(raw, a) for a in _POOL_ATTRS}),
+                  load=lambda raw: {a: _pair(raw, a) for a in _POOL_ATTRS},
+                  backward=lambda node, gy, args, y, _: ([max_pool_chwn_backward(
+                      gy, args[0], y, *(node.attrs[a] for a in _POOL_ATTRS))], {})),
     "gavgpool": Op(arity=1, shape=lambda node, ins: (*ins[0][:2], 1, 1),
                    prepare=_fixed(lambda args: args[0].mean(axis=(1, 2), keepdims=True)),
                    role="pass", category="SOP", zeros=_first,
-                   flops=lambda node, ins, out: math.prod(ins[0])),
+                   flops=lambda node, ins, out: math.prod(ins[0]),
+                   backward=_gavgpool_backward),
     "fc": Op(arity=1, shape=_fc_shape, prepare=_fc_prepare, role="absorb", category="COP",
              flops=lambda node, ins, out: out[0] * 2 * math.prod(node.params["weight"].shape[:2]),
-             params=("weight", "bias")),
+             params=("weight", "bias"), backward=lambda node, gy, args, *_: _conv_grads(
+                 node, gy, args[0], _fc_input(args[0]), (1, 1), (0, 0))),
 }
 
 KINDS = tuple(OPS)

@@ -5,11 +5,11 @@ a Tensor, the immutable array of finite values, holds them. Activations are
 held batch innermost, as (c, h, w, n) arrays in row-major order with the
 batch fastest: graph.execute transposes its (n, c, h, w) input Tensor into
 that layout once, runs every node on it, and transposes the output back
-once, and the trainer does the same. The native kernels (conv2d_chwn,
-batch_norm_chwn, max_pool_chwn) work on that layout; conv2d_gemm,
-batch_norm_inference and max_pool_raw are their (n, c, h, w) forms, one
-transposing copy on each side of the same arithmetic. The kernels are pure
-functions on numpy arrays, and their results depend only on their inputs.
+once, and the trainer does the same. The kernels (conv2d_chwn,
+batch_norm_chwn, max_pool_chwn) and the training math beside each (bn's
+training forward and the backwards) work on that layout. The kernels are
+pure functions on numpy arrays, and their results depend only on their
+inputs.
 
 Determinism contract. Materializing a pruned model must reproduce the
 masked model bit for bit. That promise rests on the graph, not on any
@@ -40,11 +40,11 @@ thread count. The kernels meet it as follows:
   (c*h*w, 1, 1, n) view of its input, compacted by the input channels'
   zero marks repeated over h*w, so a masked fc multiplies the operands its
   materialization does.
-* The trainer runs the same per-kind forward as graph.execute, without
-  zero masks, for every kind but bn. Its conv backward, which also serves
-  the fc, pads and windows its input as conv2d_chwn does (pad_hw,
-  batch_innermost_windows) for the weight gradient, and runs conv2d_chwn
-  itself, without masks, for the input gradient.
+* The trainer runs graph.execute's per-kind forward without zero masks,
+  but bn's batch_norm_train_chwn. conv2d_chwn_backward, which also serves
+  the fc, pads and windows its input as conv2d_chwn does for the weight
+  gradient, and runs conv2d_chwn itself, without masks, for the input
+  gradient, so training too is deterministic at a fixed thread count.
 
 float32 is the working precision; float64 is supported throughout for
 high-precision runs. Mixing dtypes within one kernel call is an error.
@@ -368,16 +368,6 @@ def _gather_taps(w: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
         k, c, rows.stop - rows.start, cols.stop - cols.start)
 
 
-def _chwn(x: np.ndarray) -> np.ndarray:
-    """The (c, h, w, n) view of an (n, c, h, w) array."""
-    return x.transpose(1, 2, 3, 0)
-
-
-def _nchw(y: np.ndarray) -> np.ndarray:
-    """A C-ordered (n, c, h, w) copy of a (c, h, w, n) array."""
-    return np.ascontiguousarray(y.transpose(3, 0, 1, 2))
-
-
 def prepare_conv(w, bias, stride, pad, chw, dtype,
                  zero_in=None, zero_out=None) -> "PreparedConv":
     """The part of conv2d_chwn that depends on the weights and the input's
@@ -517,11 +507,40 @@ def conv2d_chwn(x: np.ndarray, w, bias, stride, pad,
     return prepare_conv(w, bias, stride, pad, x.shape[:3], x.dtype, zero_in, zero_out)(x)
 
 
-def conv2d_gemm(x: np.ndarray, w, bias, stride, pad,
-                zero_in=None, zero_out=None) -> np.ndarray:
-    """conv2d_chwn on an (n, c, h, w) input, returning a new (n, k, ho, wo)
-    array: the same GEMMs, with one transposing copy on each side."""
-    return _nchw(conv2d_chwn(_chwn(x), w, bias, stride, pad, zero_in, zero_out))
+def _stuffed(size: int, kernel: int, stride: int, pad: int, out: int):
+    """(the outputs, their buffer positions) along one axis, as slices:
+    output o goes to stride*o + kernel - 1 - pad of the size + kernel - 1
+    buffer; one that lands outside it read only padding and is left out."""
+    shift = kernel - 1 - pad
+    first = max(0, -(shift // stride))
+    stop = min(out, (size - 1 + pad) // stride + 1)
+    at = stride * first + shift
+    return slice(first, stop), slice(at, at + stride * (stop - first), stride)
+
+
+def conv2d_chwn_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, stride, pad):
+    """(input gradient, weight gradient) of the unmasked conv2d_chwn(x, w,
+    ..., stride, pad), given the (k, ho, wo, n) output gradient gy.
+
+    The weight gradient is (cols @ gy.T).T over x's window matrix, made
+    again (caching it would hold r*s times the input per conv), as the BLAS
+    runs that orientation up to twice as fast as gy @ cols.T. The input
+    gradient is conv2d_chwn of the zero-stuffed gy with the flipped,
+    transposed weights (Dumoulin & Visin, arXiv 1603.07285): output (oh,
+    ow) goes to (stride*oh + r-1 - pad, stride*ow + s-1 - pad) of a zeroed
+    (k, h + r - 1, w + s - 1, n) buffer, or nowhere if it read only
+    padding. At stride 2 the GEMM multiplies the stuffed zeros too.
+    """
+    k, c, r, s = w.shape
+    _, h, wd, n = x.shape
+    cols = batch_innermost_windows(pad_hw(x, pad), r, s, stride).reshape(c * r * s, -1)
+    gw = (cols @ gy.reshape(k, -1).T).T.reshape(w.shape)
+    oh, at_h = _stuffed(h, r, stride[0], pad[0], gy.shape[1])
+    ow, at_w = _stuffed(wd, s, stride[1], pad[1], gy.shape[2])
+    stuffed = np.zeros((k, h + r - 1, wd + s - 1, n), dtype=gy.dtype)
+    stuffed[:, at_h, at_w] = gy[:, oh, ow]
+    flipped = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    return conv2d_chwn(stuffed, flipped, None, (1, 1), (0, 0)), gw
 
 
 def prepare_batch_norm(p: BnParams, channels: int, dtype):
@@ -540,9 +559,52 @@ def batch_norm_chwn(x: np.ndarray, p: BnParams) -> np.ndarray:
     return prepare_batch_norm(p, x.shape[0], x.dtype)(x)
 
 
-def batch_norm_inference(x: np.ndarray, p: BnParams) -> np.ndarray:
-    """batch_norm_chwn on an (n, c, h, w) array."""
-    return _nchw(batch_norm_chwn(_chwn(x), p))
+def batch_norm_train_chwn(x: np.ndarray, gamma, beta, mean, var, eps, frozen, momentum):
+    """Training-mode batch norm of a (c, h, w, n) array, given 1-D gamma,
+    beta and stored mean and var (unchecked: a BnParams would add about a
+    fifth to the call). Returns y, the cache batch_norm_train_backward
+    reads, and the new running mean and var: channels the bool mask frozen
+    leaves out normalize with the batch's mean and two-pass biased variance
+    and fold them in with the momentum; frozen channels use and keep the
+    stored ones (fusion's exact-identity channels)."""
+    dt = x.dtype
+    c, h, w, n = x.shape
+    cnt = dt.type(n * h * w)
+    batch_mean = np.einsum("chwn->c", x) / cnt
+    xhat = x - np.where(frozen, mean, batch_mean)[:, None, None, None]
+    # biased two-pass variance; xhat still holds x - mean here, which on the
+    # frozen channels is off the batch mean, but those use the stored var
+    batch_var = np.einsum("chwn,chwn->c", xhat, xhat) / cnt
+    inv = (1.0 / np.sqrt(np.where(frozen, var, batch_var) + dt.type(eps))).astype(dt)
+    xhat *= inv[:, None, None, None]
+    y = gamma.reshape(c, 1, 1, 1) * xhat
+    y += beta.reshape(c, 1, 1, 1)
+    m = dt.type(momentum)
+    new_mean = np.where(frozen, mean, (1 - m) * mean + m * batch_mean).astype(dt)
+    new_var = np.where(frozen, var, (1 - m) * var + m * batch_var).astype(dt)
+    return y, {"xhat": xhat, "inv": inv, "frozen": frozen}, new_mean, new_var
+
+
+def batch_norm_train_backward(gy: np.ndarray, gamma: np.ndarray, cache):
+    """(input, gamma and beta gradients) of batch_norm_train_chwn, given the
+    (c, h, w, n) output gradient gy, the 1-D gamma and the forward's cache:
+    dx = gamma*inv/N * (N*gy - sum(gy) - xhat*sum(gy*xhat)), the closed form
+    of the batch-statistics chain (Ioffe & Szegedy, arXiv 1502.03167), whose
+    sums are the beta and gamma gradients; frozen channels take gamma*inv*gy
+    and zero parameter gradients."""
+    xhat, inv, frozen = cache["xhat"], cache["inv"], cache["frozen"]
+    c, h, w, n = gy.shape
+    dt = gy.dtype
+    gbeta = np.einsum("chwn->c", gy)
+    ggamma = np.einsum("chwn,chwn->c", gy, xhat)
+    scale = gamma * inv
+    per = scale / dt.type(n * h * w)
+    shift = np.where(frozen, 0, per * gbeta).astype(dt)
+    slope = np.where(frozen, 0, per * ggamma).astype(dt)
+    gx = gy * scale[:, None, None, None]
+    gx -= xhat * slope[:, None, None, None]
+    gx -= shift[:, None, None, None]
+    return gx, np.where(frozen, 0, ggamma).astype(dt), np.where(frozen, 0, gbeta).astype(dt)
 
 
 def pool_out_hw(h: int, w: int, window, stride, pad) -> tuple[int, int]:
@@ -588,6 +650,20 @@ def max_pool_chwn(x: np.ndarray, window, stride, pad) -> np.ndarray:
     return y
 
 
-def max_pool_raw(x: np.ndarray, window, stride, pad) -> np.ndarray:
-    """max_pool_chwn on an (n, c, h, w) array."""
-    return _nchw(max_pool_chwn(_chwn(x), window, stride, pad))
+def max_pool_chwn_backward(gy: np.ndarray, x: np.ndarray, y: np.ndarray, window, stride,
+                           pad) -> np.ndarray:
+    """The input gradient of max_pool_chwn(x, window, stride, pad), whose
+    output was y, given the output gradient gy: each output's gradient goes
+    to the first tap, in row-major order, that holds the maximum, in x
+    padded with -inf again, so no padding tap takes one."""
+    (r, s), (sh, sw), (ph, pw) = window, stride, pad
+    xp = pad_hw(x, (ph, pw), -np.inf)
+    hspan, wspan = (y.shape[1] - 1) * sh + 1, (y.shape[2] - 1) * sw + 1
+    gxp = np.zeros_like(xp)
+    remaining = np.ones_like(y, dtype=bool)
+    for u in range(r):
+        for v in range(s):
+            hit = (xp[:, u : u + hspan : sh, v : v + wspan : sw] == y) & remaining
+            gxp[:, u : u + hspan : sh, v : v + wspan : sw] += gy * hit
+            remaining &= ~hit
+    return gxp[:, ph : xp.shape[1] - ph, pw : xp.shape[2] - pw]

@@ -1,18 +1,59 @@
-"""Reference kernels with a fixed, sequential summation order.
+"""Reference kernels with a fixed, sequential summation order, and the
+(n, c, h, w) forms of the package's kernels.
 
-The brute-force oracles in oracles.py pin these bit for bit, and the
-package's kernels are tested against them: conv2d_raw is the specification
-that tensor.conv2d_gemm is compared with, and fc_raw shows that a
+The brute-force oracles in oracles.py pin the reference kernels bit for
+bit, and the package's kernels are tested against them: conv2d_raw is the
+specification that conv2d_gemm is compared with, and fc_raw shows that a
 sequential fc is unchanged by removing all-zero inputs. They validate their
 operands with the package's own checks, so a test can compare the errors
 two kernels raise.
+
+conv2d_gemm, batch_norm_inference and max_pool_raw run the package's
+batch-innermost kernels (tensor.conv2d_chwn, batch_norm_chwn,
+max_pool_chwn) on (n, c, h, w) arrays: the same arithmetic, with one
+transposing copy on each side.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fuseprune.tensor import TensorError, _conv_geometry, _filter_bias
+from fuseprune.tensor import (
+    BnParams,
+    TensorError,
+    _conv_geometry,
+    _filter_bias,
+    batch_norm_chwn,
+    conv2d_chwn,
+    max_pool_chwn,
+)
+
+
+def _chwn(x: np.ndarray) -> np.ndarray:
+    """The (c, h, w, n) view of an (n, c, h, w) array."""
+    return x.transpose(1, 2, 3, 0)
+
+
+def _nchw(y: np.ndarray) -> np.ndarray:
+    """A C-ordered (n, c, h, w) copy of a (c, h, w, n) array."""
+    return np.ascontiguousarray(y.transpose(3, 0, 1, 2))
+
+
+def conv2d_gemm(x: np.ndarray, w, bias, stride, pad,
+                zero_in=None, zero_out=None) -> np.ndarray:
+    """conv2d_chwn on an (n, c, h, w) input, returning a new (n, k, ho, wo)
+    array: the same GEMMs, with one transposing copy on each side."""
+    return _nchw(conv2d_chwn(_chwn(x), w, bias, stride, pad, zero_in, zero_out))
+
+
+def batch_norm_inference(x: np.ndarray, p: BnParams) -> np.ndarray:
+    """batch_norm_chwn on an (n, c, h, w) array."""
+    return _nchw(batch_norm_chwn(_chwn(x), p))
+
+
+def max_pool_raw(x: np.ndarray, window, stride, pad) -> np.ndarray:
+    """max_pool_chwn on an (n, c, h, w) array."""
+    return _nchw(max_pool_chwn(_chwn(x), window, stride, pad))
 
 
 def _check_same_dtype(*arrays):

@@ -42,13 +42,12 @@ from fuseprune import tensor
 from fuseprune.tensor import (
     Tensor,
     TensorError,
-    conv2d_gemm,
     live_taps,
 )
 
 import reference_kernels
 from oracles import conv2d_brute, fc_brute
-from reference_kernels import conv2d_raw, fc_raw
+from reference_kernels import conv2d_gemm, conv2d_raw, fc_raw
 
 DTYPES = (np.float32, np.float64)
 # Error bound for a dot product of the sizes used here, relative to the sum
@@ -457,8 +456,7 @@ def test_rejects_what_the_reference_rejects(kernel, x_shape, w_shape, bias, pad,
 _THREAD_PROBE = """
 import hashlib, sys
 import numpy as np
-from fuseprune.tensor import conv2d_gemm
-from reference_kernels import fc_raw
+from reference_kernels import conv2d_gemm, fc_raw
 rng = np.random.default_rng(9)
 digest = hashlib.sha256()
 # three input sizes; the first and the last are split into bands of output

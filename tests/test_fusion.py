@@ -22,10 +22,11 @@ from fuseprune.fusion import (
     pad_conv_weights,
 )
 from fuseprune.graph import execute, validate
-from fuseprune.tensor import BnParams, ConvSpec, Tensor, batch_norm_inference, conv2d_gemm
+from fuseprune.tensor import BnParams, ConvSpec, Tensor
 from fuseprune.zoo import ZooSpec, build
 
 from conftest import bn_node, conv_node, make_graph, plain_node, random_residual_block_graph
+from reference_kernels import batch_norm_inference, conv2d_gemm
 
 
 def rand_input(rng, shape, dtype=np.float32, nonneg=False):

@@ -42,8 +42,9 @@ def test_output_digests_runs():
         assert family == "resnet8-tiny" and len(sha) == 64
         digests[dtype, variant, what] = sha
     variants = ("orig", "fused", "masked", "materialized", "deployed")
-    assert set(digests) == {(d, v, w) for d in ("f32", "f64") for v in variants
-                            for w in ("fpm", "b1", "b32")}
+    lines = [(v, w) for v in variants for w in ("fpm", "b1", "b32")]
+    lines += [("fused", "grads"), ("trained", "fpm")]
+    assert set(digests) == {(d, v, w) for d in ("f32", "f64") for v, w in lines}
     # the bitwise promise, seen through the digests: materialize changes
     # the file but no output bit
     for dtype in ("f32", "f64"):

@@ -10,13 +10,11 @@ from fuseprune.tensor import (
     BnParams,
     Tensor,
     TensorError,
-    batch_norm_inference,
-    max_pool_raw,
 )
 
 from conftest import make_graph, plain_node
 from oracles import bn_brute, conv2d_brute, fc_brute, maxpool_brute
-from reference_kernels import conv2d_raw, fc_raw
+from reference_kernels import batch_norm_inference, conv2d_raw, fc_raw, max_pool_raw
 
 
 class TestTensorType:

@@ -3,10 +3,12 @@ checks for every op kind, SGD semantics, and frozen-channel safety."""
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
-from fuseprune.graph import execute, validate
+from fuseprune.graph import OPS, execute, validate
 from fuseprune.pruning import PruneConfig, dynamic_prune
 from fuseprune.tensor import Tensor
 from fuseprune.trainer import (
@@ -21,7 +23,6 @@ from fuseprune.trainer import (
     sgd_step,
     softmax_cross_entropy,
     _forward_train,
-    _maxpool_backward,
     train_epoch,
     training_forward,
 )
@@ -414,7 +415,8 @@ class TestGradients:
         values, _ = _forward_train(g, x.transpose(1, 2, 3, 0), 0.1, g.topo_order())
         assert values["pool"][0, 0, 0, 0] == 0.0
         gy = rng.uniform(0.5, 1.5, values["pool"].shape)
-        gx = _maxpool_backward(g.nodes["pool"], gy, values["relu"], values["pool"])
+        (gx,), _ = OPS["maxpool"].backward(g.nodes["pool"], gy, [values["relu"]], values["pool"],
+                                           None)
         assert gx[0, 0, 0, 0] == gy[0, 0, 0, 0]
         assert np.isclose(gx.sum(), gy.sum())
 
@@ -577,6 +579,21 @@ class TestTrainEpoch:
                     epochs=4, seed=0)
         base.update(kw)
         return TrainConfig(**base)
+
+    def test_training_releases_the_weights_a_kept_plan_held(self):
+        # a graph executed twice, as by evaluate, keeps a plan; training
+        # replaced every parameter, but the stale plan held all the old
+        # Tensors until the next execute
+        g = small_net(1)
+        x = Tensor(np.zeros((2, 3, 8, 8), np.float32))
+        old = [t for node in g.nodes.values() for t in node.params.values()]
+        refs = [sys.getrefcount(t) for t in old]
+        execute(g, x)
+        execute(g, x)
+        assert g._plan is not None
+        train_epoch(g, SynthDataset(seed=1, n_train=32, n_test=4), self.cfg())
+        assert g._plan is None
+        assert [sys.getrefcount(t) for t in old] == [r - 1 for r in refs]
 
     def test_loss_decreases_and_accuracy_improves(self):
         g = small_net(1)

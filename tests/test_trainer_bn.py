@@ -7,7 +7,7 @@ all zero, whose batch variance is 0 so that inv = 1 / sqrt(eps). That is
 the state of a bn behind a soft-pruned filter, and the gradient reaching
 the zeroized filter decides whether it grows back.
 
-The direct tests run _bn_forward_train/_bn_backward in float32 and float64
+The direct tests run OPS["bn"].train and backward in float32 and float64
 against central differences of the float64 loss sum(y * gy), within
 test_trainer_conv.GRAD_TOL. They use a step of 1e-6: a probe of size h on
 the zero channel gives it a variance of about h^2 / N, which bends the
@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fuseprune.graph import validate
-from fuseprune.trainer import _bn_backward, _bn_forward_train, forward_backward
+from fuseprune.graph import OPS, validate
+from fuseprune.trainer import forward_backward
 
 from conftest import bn_node, conv_node, make_graph, plain_node
 from oracles import numeric_gradient
@@ -48,16 +48,15 @@ def forward(x, stats):
     """(node, y, cache) of one training-mode bn with the given parameters."""
     node = bn_node("bn", ["in"], FROZEN.size, frozen=FROZEN.astype(int).tolist(),
                    dtype=x.dtype, **stats)
-    caches = {}
-    y = _bn_forward_train(node, x.transpose(1, 2, 3, 0), 0.1, caches)
-    return node, y.transpose(3, 0, 1, 2), caches["bn"]
+    y, cache, _ = OPS["bn"].train(node, [x.transpose(1, 2, 3, 0)], 0.1)
+    return node, y.transpose(3, 0, 1, 2), cache
 
 
 @pytest.mark.parametrize("dt", DTYPES)
 def test_gradients_match_finite_differences(dt):
     x, stats, gy = draw(dt)
     node, y, cache = forward(x, stats)
-    gx, gparams = _bn_backward(node, gy.transpose(1, 2, 3, 0), cache)
+    (gx,), gparams = OPS["bn"].backward(node, gy.transpose(1, 2, 3, 0), None, None, cache)
     gx = gx.transpose(3, 0, 1, 2)
     assert gx.dtype == dt and gx.shape == x.shape
     assert cache["inv"][ZERO] == dt(1 / np.sqrt(dt(1e-5)))

@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fuseprune.trainer import _conv_backward, _forward_train
+from fuseprune.graph import OPS
+from fuseprune.trainer import _forward_train
 
 from conftest import conv_node, make_graph, plain_node
 from oracles import conv2d_brute, numeric_gradient
@@ -92,8 +93,8 @@ def test_gradients_match_finite_differences(name, dt):
     x, w, b, stride, pad = draw(name, dt)
     node, y, cache = forward(x, w, b, stride, pad)
     gy = np.random.default_rng(99).standard_normal(y.shape).astype(dt)
-    gx, gparams = _conv_backward(node, gy.transpose(1, 2, 3, 0), cache.transpose(1, 2, 3, 0),
-                                 stride, pad)
+    (gx,), gparams = OPS["conv"].backward(node, gy.transpose(1, 2, 3, 0),
+                                          [cache.transpose(1, 2, 3, 0)], None, None)
     gx = gx.transpose(3, 0, 1, 2)
     assert gx.dtype == dt and gx.shape == x.shape
     assert set(gparams) == ({"weight", "bias"} if b is not None else {"weight"})
@@ -121,8 +122,8 @@ def test_unread_rows_and_columns_get_no_gradient(dt):
     for name, rows in (("stride2-uneven", [5]), ("projection-1x1-stride2", [1, 3, 5])):
         x, w, b, stride, pad = draw(name, dt)
         node, y, cache = forward(x, w, b, stride, pad)
-        gx, _ = _conv_backward(node, np.ones_like(y).transpose(1, 2, 3, 0),
-                               cache.transpose(1, 2, 3, 0), stride, pad)
+        (gx,), _ = OPS["conv"].backward(node, np.ones_like(y).transpose(1, 2, 3, 0),
+                                        [cache.transpose(1, 2, 3, 0)], None, None)
         gx = gx.transpose(3, 0, 1, 2)
         assert np.all(gx[:, :, rows, :] == 0) and np.all(gx[:, :, :, rows] == 0), name
         read = np.setdiff1d(np.arange(x.shape[2]), rows)
