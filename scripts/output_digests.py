@@ -10,6 +10,15 @@ file and per output:
     <family> <dtype> <variant> fpm <sha256>
     <family> <dtype> <variant> b<batch> <sha256>
 
+A sixth graph takes the path the five never reach: orig with every bn's
+parameters drawn from the seeded rng, its bn folded into the convs and then
+fused at every stage, fuse(fold_bn(g)), so that fusion meets blocks
+without bn whose convs carry nonzero biases. It prints its file and its
+batch-1 output:
+
+    <family> <dtype> folded-fused fpm <sha256>
+    <family> <dtype> folded-fused b1 <sha256>
+
 It then trains on a seeded synthetic set of TRAIN_IMAGES images, in
 batches of TRAIN_BATCH, and prints two more lines: the digest of one
 forward_backward on the fused graph (the loss, every parameter gradient
@@ -46,7 +55,7 @@ import tempfile
 import numpy as np
 
 from fuseprune.fusion import FusionReport, fold_bn, fuse
-from fuseprune.graph import execute, save, validate
+from fuseprune.graph import Graph, execute, save, validate
 from fuseprune.pruning import PruneConfig, dynamic_prune, materialize, soft_prune_epoch
 from fuseprune.tensor import DTYPE_FROM_NAME, Tensor
 from fuseprune.trainer import SynthDataset, TrainConfig, fit, forward_backward, make_epoch_hook
@@ -79,6 +88,20 @@ def variants(family: str, dtype: str) -> tuple[dict, FusionReport]:
     materialized = materialize(masked, mask, report).graph
     return {"orig": orig, "fused": fused, "masked": masked, "materialized": materialized,
             "deployed": fold_bn(materialized)}, report
+
+
+def folded_fused(orig, stages: int) -> Graph:
+    """fuse(fold_bn(g)) at every stage, g being orig with each bn's gamma,
+    beta, mean and var drawn from the seeded rng."""
+    g = orig.copy()
+    rng = np.random.default_rng(SEED)
+    for node in g.nodes.values():
+        if node.kind == "bn":
+            shape, dtype = node.params["gamma"].shape, node.params["gamma"].dtype
+            for name, lo, hi in (("gamma", 0.5, 1.5), ("beta", -0.3, 0.3),
+                                 ("mean", -0.3, 0.3), ("var", 0.5, 1.5)):
+                node.params[name] = Tensor(rng.uniform(lo, hi, shape).astype(dtype))
+    return fuse(fold_bn(g), f"{stages}/{stages}")[0]
 
 
 def sha256(data: bytes) -> str:
@@ -130,6 +153,11 @@ def main(argv=None):
                     for n, x in inputs.items():
                         y = execute(g, x)
                         print(f"{family} {dtype} {name} b{n} {sha256(y.data.tobytes())}")
+                g = folded_fused(graphs["orig"], len(FAMILIES[family].stages))
+                path = os.path.join(tmp, "folded-fused.fpm")
+                print(f"{family} {dtype} folded-fused fpm {file_sha256(g, path)}")
+                y = execute(g, inputs[1])
+                print(f"{family} {dtype} folded-fused b1 {sha256(y.data.tobytes())}")
                 grads, trained = training(graphs["fused"], report,
                                           os.path.join(tmp, "trained.fpm"))
                 print(f"{family} {dtype} fused grads {grads}")

@@ -1,8 +1,11 @@
 """Equivalence-preserving fusion of residual blocks into plain conv chains.
 
-The rewrites eliminate the element-wise add (and, for projection blocks,
-the 1x1 shortcut conv and its bn) of a residual block by enlarging the two
-main-path convolutions:
+One rewrite eliminates the element-wise add of a residual block (and the
+shortcut's conv and bn, where it has them) by enlarging the two main-path
+convolutions. It first turns the shortcut into a binary64 conv (weights,
+bias, stride): a projection shortcut is its 1x1 conv with its bn folded
+in, and an identity shortcut is the 1x1 identity projection, stride 1,
+zero bias and no bn. The same steps then fuse either:
 
 * conv1 gains C "passthrough" filters: identity weights that copy the
   block input into C extra output channels. They inherit conv1's stride
@@ -15,12 +18,11 @@ main-path convolutions:
 * The relu between the convs forwards the passthrough unchanged; this is
   the one step that needs the block input to be non-negative, so fusion
   requires the input to be produced by a relu (or an explicit override).
-* conv2 gains C input channels per filter. For an identity shortcut these
-  read the passthrough through identity weights; for a projection
-  shortcut the 1x1 weights (with their bn folded in first) are zero-padded
-  to conv2's kernel size and used instead. When conv2 is followed by bn2,
-  the added weights are divided per filter by bn2's omega so the shortcut
-  contribution passes through bn2 unchanged: omega*(main + short/omega) =
+* conv2 gains C input channels per filter, which read the passthrough
+  through the shortcut's weights zero-padded to conv2's kernel size, and
+  the shortcut's bias joins conv2's. When conv2 is followed by bn2, both
+  are divided per filter by bn2's omega so the shortcut contribution
+  passes through bn2 unchanged: omega*(main + short/omega) =
   omega*main + short.
 
 A fused conv keeps a record (m original filters, n current filters, the
@@ -36,7 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, Node, _checked, _conv_bias, _is_int, atomic_write, bn_params, validate
+from .graph import (Graph, Node, _checked, _conv_bias, _is_int, atomic_write, bn_params,
+                    set_weights, validate)
 from .tensor import ConvSpec, Tensor
 
 OMEGA_MIN = 1e-3
@@ -222,11 +225,8 @@ class BlockMatch:
         return self.bn1 is not None and self.bn2 is not None
 
     def internal_ids(self) -> set[str]:
-        ids = {self.conv1, self.relu1, self.conv2, self.add}
-        for nid in (self.bn1, self.bn2, self.shortcut_conv, self.shortcut_bn):
-            if nid is not None:
-                ids.add(nid)
-        return ids
+        return {nid for nid in (self.conv1, self.bn1, self.relu1, self.conv2, self.bn2,
+                                self.shortcut_conv, self.shortcut_bn, self.add) if nid is not None}
 
 
 def make_identity_weights(channels: int, r: int, s: int, dtype=np.float32) -> Tensor:
@@ -296,64 +296,47 @@ def _block_tag(node: Node) -> str | None:
     return None
 
 
+def _conv_and_bn(g: Graph, nid: str) -> tuple[Node | None, str | None]:
+    """(the conv, the bn's id) when nid is a bn reading a conv, (the conv,
+    None) when it is a conv, and (None, None) otherwise."""
+    node, bn = g.nodes[nid], None
+    if node.kind == "bn":
+        node, bn = g.nodes[node.inputs[0]], nid
+    return (node, bn) if node.kind == "conv" else (None, None)
+
+
+def _is_chain(consumers, ids) -> bool:
+    """True when each of ids, None entries left out, feeds only the next."""
+    chain = [nid for nid in ids if nid is not None]
+    return all(_sole_consumer(consumers, a) == b for a, b in zip(chain, chain[1:]))
+
+
 def _match_add(g: Graph, consumers, add: Node) -> BlockMatch | None:
     relu_out = _sole_consumer(consumers, add.id)
     if relu_out is None or g.nodes[relu_out].kind != "relu":
         return None
     a, b = add.inputs
     for main_tail, other in ((a, b), (b, a)):
-        u = g.nodes[main_tail]
-        if u.kind == "bn":
-            bn2 = u.id
-            conv2 = g.nodes[u.inputs[0]]
-        elif u.kind == "conv":
-            bn2 = None
-            conv2 = u
-        else:
-            continue
-        if conv2.kind != "conv":
+        conv2, bn2 = _conv_and_bn(g, main_tail)
+        if conv2 is None:
             continue
         r1 = g.nodes[conv2.inputs[0]]
         if r1.kind != "relu":
             continue
-        v = g.nodes[r1.inputs[0]]
-        if v.kind == "bn":
-            bn1 = v.id
-            conv1 = g.nodes[v.inputs[0]]
-        elif v.kind == "conv":
-            bn1 = None
-            conv1 = v
-        else:
-            continue
-        if conv1.kind != "conv":
-            continue
-        if (bn1 is None) != (bn2 is None):
+        conv1, bn1 = _conv_and_bn(g, r1.inputs[0])
+        if conv1 is None or (bn1 is None) != (bn2 is None):
             continue
         x_id = conv1.inputs[0]
         # every internal node must feed only the next one in the block
-        main_chain = [conv1.id, bn1, r1.id, conv2.id, bn2, add.id]
-        chain = [nid for nid in main_chain if nid is not None]
-        if any(_sole_consumer(consumers, chain[i]) != chain[i + 1] for i in range(len(chain) - 1)):
+        if not _is_chain(consumers, [conv1.id, bn1, r1.id, conv2.id, bn2, add.id]):
             continue
         common = dict(input_id=x_id, conv1=conv1.id, bn1=bn1, relu1=r1.id,
                       conv2=conv2.id, bn2=bn2, add=add.id, relu_out=relu_out,
                       tag=_block_tag(conv1))
         if other == x_id:
             return BlockMatch(kind="basic", shortcut_conv=None, shortcut_bn=None, **common)
-        w = g.nodes[other]
-        if w.kind == "bn":
-            sbn = w.id
-            sc = g.nodes[w.inputs[0]]
-        elif w.kind == "conv":
-            sbn = None
-            sc = w
-        else:
-            continue
-        if sc.kind != "conv" or sc.inputs[0] != x_id:
-            continue
-        short_chain = [nid for nid in (sc.id, sbn, add.id) if nid is not None]
-        if any(_sole_consumer(consumers, short_chain[i]) != short_chain[i + 1]
-               for i in range(len(short_chain) - 1)):
+        sc, sbn = _conv_and_bn(g, other)
+        if sc is None or sc.inputs[0] != x_id or not _is_chain(consumers, [sc.id, sbn, add.id]):
             continue
         return BlockMatch(kind="projection", shortcut_conv=sc.id, shortcut_bn=sbn, **common)
     return None
@@ -368,12 +351,8 @@ def find_residual_blocks(g: Graph) -> list[BlockMatch]:
     used: set[str] = set()
     for nid in order:
         node = g.nodes[nid]
-        if node.kind != "add":
-            continue
-        match = _match_add(g, consumers, node)
-        if match is None:
-            continue
-        if match.internal_ids() & used:
+        match = _match_add(g, consumers, node) if node.kind == "add" else None
+        if match is None or match.internal_ids() & used:
             continue
         used |= match.internal_ids()
         matches.append(match)
@@ -385,16 +364,16 @@ def _centered(spec: ConvSpec) -> bool:
 
 
 def _extend_bn_identity(bn: Node, extra: int) -> None:
-    """Append `extra` exact-identity channels to a bn node and freeze them."""
+    """Append `extra` exact-identity channels to a bn node and freeze them.
+    A bn without frozen flags has none of its channels frozen."""
     dtype = bn.params["gamma"].dtype
-    eps = dtype.type(bn.attrs["eps"])
-    one = np.ones((1, extra, 1, 1), dtype)
-    zero = np.zeros((1, extra, 1, 1), dtype)
-    var_aux = np.full((1, extra, 1, 1), dtype.type(1) - eps, dtype)
-    for name, ext in (("gamma", one), ("beta", zero), ("mean", zero), ("var", var_aux)):
-        bn.params[name] = Tensor(np.concatenate([bn.params[name].data, ext], axis=1))
-    old = bn.attrs.get("frozen", tuple([0] * (bn.params["gamma"].shape[1] - extra)))
-    bn.attrs["frozen"] = tuple(old) + tuple([1] * extra)
+    c = bn.params["gamma"].shape[1]
+    bn.params = dict(bn.params)
+    for name, v in (("gamma", 1), ("beta", 0), ("mean", 0),
+                    ("var", dtype.type(1) - dtype.type(bn.attrs["eps"]))):
+        bn.params[name] = Tensor(np.concatenate(
+            [bn.params[name].data, np.full((1, extra, 1, 1), v, dtype)], axis=1))
+    bn.attrs = dict(bn.attrs, frozen=tuple(bn.attrs.get("frozen") or (0,) * c) + (1,) * extra)
 
 
 def _provably_nonneg(g: Graph, nid: str) -> bool:
@@ -408,15 +387,53 @@ def _provably_nonneg(g: Graph, nid: str) -> bool:
     return False
 
 
+def _folded(conv: Node, bn: Node | None) -> tuple[np.ndarray, np.ndarray]:
+    """A conv's weights and bias (zeros where it has none) at binary64, with
+    the bn that reads it, when given, folded in: filter k scaled by omega_k
+    and its bias made omega_k * b_k + lambda_k."""
+    w = conv.params["weight"].data
+    b = _conv_bias(conv)
+    b = np.zeros(w.shape[0], np.float64) if b is None else b.astype(np.float64)
+    if bn is None:
+        return w.astype(np.float64), b
+    p = bn_params(bn)
+    omega = p.omega(np.float64)
+    # a binary32 w is widened exactly inside the binary64 product
+    return w * omega[:, None, None, None], omega * b + p.lam(np.float64)
+
+
+def _shortcut(g: Graph, match: BlockMatch, r: int, s: int) -> tuple[Tensor, np.ndarray, tuple]:
+    """The block's shortcut as a binary64 conv with conv2's r x s kernel:
+    (weights, bias, stride). An identity shortcut is the stride-1 identity
+    with zero bias; a projection is its 1x1 conv with its bn folded in,
+    zero-padded to r x s."""
+    c_in = g.nodes[match.conv1].attrs["spec"].c
+    if match.shortcut_conv is None:
+        # made at r x s directly: padding the 1x1 identity would cost one
+        # more pass over its c_in x c_in plane
+        return make_identity_weights(c_in, r, s, np.float64), np.zeros(c_in), (1, 1)
+    sc = g.nodes[match.shortcut_conv]
+    spec: ConvSpec = sc.attrs["spec"]
+    if (spec.r, spec.s) != (1, 1):
+        raise PatternMismatch(f"block {match.tag or match.add!r}: projection shortcut is "
+                              f"{spec.r}x{spec.s}, only 1x1 is fusable")
+    w, b = _folded(sc, None if match.shortcut_bn is None else g.nodes[match.shortcut_bn])
+    return pad_conv_weights(Tensor._wrap(w), r, s), b, spec.stride
+
+
+_CHANNEL_LABELS = {"basic": PROVENANCE_IDENTITY, "projection": PROVENANCE_PROJECTION}
+
+
 def _fuse_block(g: Graph, match: BlockMatch, assume_nonneg: bool):
     """Rewrite one matched block in place; returns FusionReport entries.
 
     All guards run and all new weights are built before the graph is
     touched, so a raise leaves g unchanged.
     """
+    where = f"block {match.tag or match.add!r}"
     if not assume_nonneg and not _provably_nonneg(g, match.input_id):
         raise PatternMismatch(
-            f"block {match.tag or match.add!r}: input {match.input_id!r} "
+            f"{where}: input {match.input_id!r} "
             f"(a {g.nodes[match.input_id].kind}) is not provably non-negative; "
             "the relu between the enlarged convs must forward the passthrough "
             "unchanged (pass assume_nonneg to override)"
@@ -427,139 +444,67 @@ def _fuse_block(g: Graph, match: BlockMatch, assume_nonneg: bool):
     s2: ConvSpec = conv2.attrs["spec"]
     if (s1.r, s1.s) != (s2.r, s2.s) or s1.r % 2 == 0 or s1.s % 2 == 0:
         raise NonOddKernel(
-            f"block {match.tag or match.add!r}: conv kernels {s1.r}x{s1.s} and "
-            f"{s2.r}x{s2.s} must be equal and odd"
+            f"{where}: conv kernels {s1.r}x{s1.s} and {s2.r}x{s2.s} must be equal and odd"
         )
     if s2.stride != (1, 1):
-        raise StrideMismatch(f"block {match.tag or match.add!r}: conv2 stride {s2.stride} != (1, 1)")
-    if match.kind == "basic" and s1.stride != (1, 1):
-        raise StrideMismatch(f"block {match.tag or match.add!r}: basic block conv1 stride {s1.stride}")
+        raise StrideMismatch(f"{where}: conv2 stride {s2.stride} != (1, 1)")
     if not _centered(s1) or not _centered(s2):
-        raise PatternMismatch(f"block {match.tag or match.add!r}: conv padding is not centered")
-
+        raise PatternMismatch(f"{where}: conv padding is not centered")
     dtype = conv1.params["weight"].dtype
-    if conv2.params["weight"].dtype != dtype:
-        raise PatternMismatch(f"block {match.tag or match.add!r}: mixed conv weight dtypes")
-    c_in = s1.c
-    k1, k2 = s1.k, s2.k
-
-    if match.kind == "projection":
-        sc = g.nodes[match.shortcut_conv]
-        ss: ConvSpec = sc.attrs["spec"]
-        if (ss.r, ss.s) != (1, 1):
-            raise PatternMismatch(
-                f"block {match.tag or match.add!r}: projection shortcut is "
-                f"{ss.r}x{ss.s}, only 1x1 is fusable"
-            )
-        if ss.stride != s1.stride:
-            raise StrideMismatch(
-                f"block {match.tag or match.add!r}: shortcut stride {ss.stride} "
-                f"!= conv1 stride {s1.stride}"
-            )
-        if ss.c != c_in or ss.k != k2:
-            raise PatternMismatch(f"block {match.tag or match.add!r}: shortcut channel counts")
-        if sc.params["weight"].dtype != dtype:
-            raise PatternMismatch(f"block {match.tag or match.add!r}: mixed conv weight dtypes")
-    else:
-        if k2 != c_in:
-            raise PatternMismatch(
-                f"block {match.tag or match.add!r}: identity shortcut needs "
-                f"conv2 filters ({k2}) == block input channels ({c_in})"
-            )
+    if any(g.nodes[nid].params["weight"].dtype != dtype
+           for nid in (match.conv2, match.shortcut_conv) if nid is not None):
+        raise PatternMismatch(f"{where}: mixed conv weight dtypes")
+    c_in, k1, k2 = s1.c, s1.k, s2.k
+    removed = [nid for nid in (match.add, match.shortcut_conv, match.shortcut_bn)
+               if nid is not None]
 
     # --- build everything up front -------------------------------------
-    ident1 = make_identity_weights(c_in, s1.r, s1.s, dtype=dtype)
-    new_w1 = Tensor._wrap(np.concatenate([conv1.params["weight"].data, ident1.data], axis=0))
-    new_b1 = None
-    if s1.has_bias:
-        b1 = conv1.params["bias"].data.reshape(-1)
-        new_b1 = np.concatenate([b1, np.zeros(c_in, dtype)])
-
-    # The passthrough weights are assembled at binary64 and rounded to the
-    # graph dtype once, right before the concat; chaining the shortcut-bn
-    # fold and the 1/omega adjustment in the working precision would round
-    # at every step.
-    omega2 = None
+    # The shortcut is assembled at binary64 and rounded to the graph dtype
+    # once, right before the concat; chaining the shortcut-bn fold and the
+    # 1/omega adjustment in the working precision would round at every step.
+    aux, extra_bias, stride = _shortcut(g, match, s2.r, s2.s)
+    if stride != s1.stride:
+        raise StrideMismatch(f"{where}: shortcut stride {stride} != conv1 stride {s1.stride}")
+    if aux.shape[:2] != (k2, c_in):
+        raise PatternMismatch(f"{where}: the shortcut maps {aux.shape[1]} channels to "
+                              f"{aux.shape[0]}, conv2 gives {k2} of the block's {c_in}")
     if match.bn2 is not None:
+        # conv2's added weights pass through bn2 unchanged when divided by its omega
         omega2 = bn_params(g.nodes[match.bn2]).omega(np.float64)
-
-    if match.kind == "basic":
-        aux = make_identity_weights(c_in, s2.r, s2.s, dtype=np.float64)
-        channel_label = PROVENANCE_IDENTITY
-        extra_bias = None
-    else:
-        sc = g.nodes[match.shortcut_conv]
-        ws = sc.params["weight"].data.astype(np.float64)
-        bs = _conv_bias(sc)
-        bs = np.zeros(k2, np.float64) if bs is None else bs.astype(np.float64)
-        if match.shortcut_bn is not None:
-            sp = bn_params(g.nodes[match.shortcut_bn])
-            om_s = sp.omega(np.float64)
-            ws = ws * om_s[:, None, None, None]
-            bs = om_s * bs + sp.lam(np.float64)
-        aux = pad_conv_weights(Tensor(ws), s2.r, s2.s)
-        channel_label = PROVENANCE_PROJECTION
-        extra_bias = bs
-    if omega2 is not None:
         aux = adjust_identity_for_bn(aux, omega2)
-        if extra_bias is not None:
-            extra_bias = extra_bias / omega2
+        extra_bias = extra_bias / omega2
 
-    new_w2 = Tensor._wrap(np.concatenate(
-        [conv2.params["weight"].data, aux.data.astype(dtype, copy=False)], axis=1))
+    ident1 = make_identity_weights(c_in, s1.r, s1.s, dtype=dtype)
+    new_w1 = np.concatenate([conv1.params["weight"].data, ident1.data], axis=0)
+    b1 = _conv_bias(conv1)
+    new_b1 = None if b1 is None else np.concatenate([b1, np.zeros(c_in, dtype)])
+    new_w2 = np.concatenate([conv2.params["weight"].data, aux.data.astype(dtype, copy=False)],
+                            axis=1)
     b2 = _conv_bias(conv2)
-    if extra_bias is not None and np.any(extra_bias != 0):
-        new_b2 = extra_bias if b2 is None else b2.astype(np.float64) + extra_bias
-    else:
-        new_b2 = b2
+    if np.any(extra_bias != 0):
+        b2 = extra_bias if b2 is None else b2.astype(np.float64) + extra_bias
 
     # --- commit ---------------------------------------------------------
-    removed = [match.add]
-    conv1.params = dict(conv1.params)
-    conv1.params["weight"] = new_w1
-    if new_b1 is not None:
-        conv1.params["bias"] = Tensor(new_b1.reshape(1, -1, 1, 1))
-    conv1.attrs = dict(conv1.attrs)
-    conv1.attrs["spec"] = ConvSpec(k=k1 + c_in, c=c_in, r=s1.r, s=s1.s, stride=s1.stride,
-                                   pad=s1.pad, has_bias=s1.has_bias)
+    set_weights(conv1, new_w1, new_b1)
     if match.bn1 is not None:
-        bn1 = g.nodes[match.bn1]
-        bn1.params = dict(bn1.params)
-        bn1.attrs = dict(bn1.attrs)
-        _extend_bn_identity(bn1, c_in)
-
-    conv2.params = dict(conv2.params)
-    conv2.params["weight"] = new_w2
-    has_bias2 = new_b2 is not None
-    if has_bias2:
-        conv2.params["bias"] = Tensor(np.asarray(new_b2, dtype).reshape(1, -1, 1, 1))
-    elif "bias" in conv2.params:
-        del conv2.params["bias"]
-    conv2.attrs = dict(conv2.attrs)
-    conv2.attrs["spec"] = ConvSpec(k=k2, c=k1 + c_in, r=s2.r, s=s2.s, stride=s2.stride,
-                                   pad=s2.pad, has_bias=has_bias2)
-
+        _extend_bn_identity(g.nodes[match.bn1], c_in)
+    set_weights(conv2, new_w2, None if b2 is None else b2.astype(dtype, copy=False))
     relu_out = g.nodes[match.relu_out]
     tail = match.bn2 if match.bn2 is not None else match.conv2
     relu_out.inputs = [tail if nid == match.add else nid for nid in relu_out.inputs]
-    del g.nodes[match.add]
-    if match.kind == "projection":
-        del g.nodes[match.shortcut_conv]
-        removed.append(match.shortcut_conv)
-        if match.shortcut_bn is not None:
-            del g.nodes[match.shortcut_bn]
-            removed.append(match.shortcut_bn)
+    for nid in removed:
+        del g.nodes[nid]
 
     entry1 = ConvFusion(
         m=k1, n=k1 + c_in,
         provenance=[PROVENANCE_ORIGINAL] * k1 + [PROVENANCE_IDENTITY] * c_in,
         channel_provenance=[PROVENANCE_ORIGINAL] * c_in,
-        block=match.tag, removed=list(removed),
+        block=match.tag, removed=removed,
     )
     entry2 = ConvFusion(
         m=k2, n=k2,
         provenance=[PROVENANCE_ORIGINAL] * k2,
-        channel_provenance=[PROVENANCE_ORIGINAL] * k1 + [channel_label] * c_in,
+        channel_provenance=[PROVENANCE_ORIGINAL] * k1 + [_CHANNEL_LABELS[match.kind]] * c_in,
         block=match.tag, removed=[],
     )
     return [(match.conv1, entry1), (match.conv2, entry2)]
@@ -656,22 +601,9 @@ def fold_bn(g: Graph) -> Graph:
                 f"bn {nid!r}: conv {src.id!r} output is shared, folding would "
                 "change its other consumers"
             )
-        spec: ConvSpec = src.attrs["spec"]
         dtype = src.params["weight"].dtype
-        p = bn_params(node)
-        omega = p.omega(np.float64)
-        lam = p.lam(np.float64)
-        w = (src.params["weight"].data.astype(np.float64)
-             * omega[:, None, None, None]).astype(dtype, copy=False)
-        b = _conv_bias(src)
-        b = np.zeros(spec.k, np.float64) if b is None else b.astype(np.float64)
-        b = (omega * b + lam).astype(dtype, copy=False)
-        src.params = dict(src.params)
-        src.params["weight"] = Tensor._wrap(w)
-        src.params["bias"] = Tensor(b.reshape(1, -1, 1, 1))
-        src.attrs = dict(src.attrs)
-        src.attrs["spec"] = ConvSpec(k=spec.k, c=spec.c, r=spec.r, s=spec.s,
-                                     stride=spec.stride, pad=spec.pad, has_bias=True)
+        w, b = _folded(src, node)
+        set_weights(src, w.astype(dtype, copy=False), b.astype(dtype, copy=False))
         for other in out.nodes.values():
             other.inputs = [src.id if x == nid else x for x in other.inputs]
         del out.nodes[nid]

@@ -69,7 +69,7 @@ import os
 import secrets
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -84,6 +84,7 @@ from .tensor import (
     batch_norm_train_backward,
     batch_norm_train_chwn,
     conv2d_chwn_backward,
+    live_taps,
     max_pool_chwn,
     max_pool_chwn_backward,
     pool_out_hw,
@@ -218,8 +219,24 @@ def bn_params(node: Node) -> BnParams:
 
 def _conv_bias(node: Node):
     """A conv or fc node's bias as a 1-D array, or None when it has none."""
-    has_bias = node.attrs["spec"].has_bias if node.kind == "conv" else "bias" in node.params
-    return node.params["bias"].data.reshape(-1) if has_bias else None
+    bias = node.params.get("bias")
+    return None if bias is None else bias.data.reshape(-1)
+
+
+def set_weights(node: Node, weight: np.ndarray, bias: np.ndarray | None) -> None:
+    """Give a conv or fc node new weight and bias arrays (bias None for
+    none), and a conv the spec they imply: k and c from the weight's shape,
+    has_bias from the bias. The arrays are wrapped without a copy, so they
+    must be fresh or read-only; a 1-D bias is stored as (1, k, 1, 1). The
+    node's params and attrs dicts are replaced, not mutated."""
+    params = {name: t for name, t in node.params.items() if name != "bias"}
+    params["weight"] = Tensor._wrap(weight)
+    if bias is not None:
+        params["bias"] = Tensor._wrap(bias.reshape(1, -1, 1, 1))
+    node.params = params
+    if node.kind == "conv":
+        node.attrs = dict(node.attrs, spec=replace(
+            node.attrs["spec"], k=weight.shape[0], c=weight.shape[1], has_bias=bias is not None))
 
 
 def _params_dtype(g: Graph, order: list[str]) -> np.dtype | None:
@@ -326,12 +343,29 @@ def _conv_shape(node: Node, ins) -> tuple[int, int, int, int]:
     if weight is None or weight.shape != spec.weight_shape:
         got = None if weight is None else weight.shape
         raise ShapeMismatch(f"node {node.id!r}: weight shape {got} != {spec.weight_shape}")
-    if spec.has_bias:
-        bias = node.params.get("bias")
-        if bias is None or bias.shape != (1, spec.k, 1, 1):
-            raise ShapeMismatch(f"node {node.id!r}: bias must be (1, {spec.k}, 1, 1)")
+    _check_bias(node, spec.k, spec.has_bias)
     ho, wo = spec.out_hw(h, w)
     return (n, spec.k, ho, wo)
+
+
+def _check_bias(node: Node, k: int, has_bias: bool) -> None:
+    """ShapeMismatch unless the node's bias is (1, k, 1, 1) where has_bias
+    says it has one and absent where it says it has none."""
+    bias = node.params.get("bias")
+    if (bias is not None) != has_bias or has_bias and bias.shape != (1, k, 1, 1):
+        raise ShapeMismatch(f"node {node.id!r}: bias must be " + (
+            f"(1, {k}, 1, 1)" if has_bias else "absent, as its spec has_bias is False"))
+
+
+def _conv_flops(node: Node, ins, out) -> int:
+    """Per output value, 2 per multiply-add over the c channels and the
+    live taps conv2d_chwn runs (live_taps: the padding-only taps are left
+    out), and 1 for the bias."""
+    spec: ConvSpec = node.attrs["spec"]
+    taps = (live_taps(*geometry) for geometry in zip(
+        ins[0][2:], (spec.r, spec.s), spec.stride, spec.pad, out[2:]))
+    return math.prod(out) * (2 * spec.c * math.prod(t.stop - t.start for t in taps)
+                             + spec.has_bias)
 
 
 def _conv_zeros(node: Node, zero_in, dt):
@@ -397,6 +431,7 @@ def _fc_shape(node: Node, ins) -> tuple[int, int, int, int]:
     if weight is None or weight.shape[1] != fin or weight.shape[2:] != (1, 1):
         got = None if weight is None else weight.shape
         raise ShapeMismatch(f"node {node.id!r}: fc weight {got} incompatible with input {ins[0]}")
+    _check_bias(node, weight.shape[0], "bias" in node.params)
     return (n, weight.shape[0], 1, 1)
 
 
@@ -507,10 +542,7 @@ OPS: dict[str, Op] = {
     "output": Op(arity=1, shape=_first, prepare=_passed, role="pin", category="other",
                  zeros=_first, backward=lambda node, gy, *_: ([gy], {})),
     "conv": Op(arity=1, shape=_conv_shape, prepare=_conv_prepare, role="absorb",
-               category="COP", zeros=_conv_zeros,
-               # per output value, c*r*s multiply-adds and the bias
-               flops=lambda node, ins, out: math.prod(out) * (
-                   2 * math.prod(node.params["weight"].shape[1:]) + node.attrs["spec"].has_bias),
+               category="COP", zeros=_conv_zeros, flops=_conv_flops,
                params=("weight", "bias"), dump=lambda attrs: asdict(attrs["spec"]),
                load=_conv_load, backward=lambda node, gy, args, *_: _conv_grads(
                    node, gy, args[0], args[0], node.attrs["spec"].stride, node.attrs["spec"].pad)),

@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fusion import FusionReport
-from .graph import OPS, Graph, Node, _checked, _is_ints, atomic_write, graph_dtype, validate
+from .graph import (OPS, Graph, Node, _checked, _conv_bias, _is_ints, atomic_write, graph_dtype,
+                    set_weights, validate)
 from .tensor import ConvSpec, Tensor
 
 MODES = ("conservative", "continued")
@@ -161,15 +162,13 @@ def _rate_count(rate: float, n: int) -> int:
 
 def _zeroize(g: Graph, consumers, conv_id: str, idx: list[int]) -> None:
     node = g.nodes[conv_id]
-    spec: ConvSpec = node.attrs["spec"]
     w = node.params["weight"].data.copy()
     w[idx] = 0
-    node.params = dict(node.params)
-    node.params["weight"] = Tensor._wrap(w)
-    if spec.has_bias:
-        b = node.params["bias"].data.copy()
-        b[0, idx] = 0
-        node.params["bias"] = Tensor(b)
+    b = _conv_bias(node)
+    if b is not None:
+        b = b.copy()
+        b[idx] = 0
+    set_weights(node, w, b)
     for cid in consumers[conv_id]:
         cons = g.nodes[cid]
         if cons.kind != "bn":
@@ -289,9 +288,9 @@ def _pins(g: Graph, order: list[str], consumers) -> dict[str, Node | None]:
 def _drop_inputs(node: Node, gone: np.ndarray) -> None:
     """Delete the input channels that gone marks from a bn, conv or fc."""
     keep_idx = np.flatnonzero(~gone)
-    node.params = dict(node.params)
-    node.attrs = dict(node.attrs)
     if node.kind == "bn":
+        node.params = dict(node.params)
+        node.attrs = dict(node.attrs)
         for pname in ("gamma", "beta", "mean", "var"):
             node.params[pname] = Tensor._wrap(node.params[pname].data.take(keep_idx, axis=1))
         frozen = node.attrs.get("frozen", ())
@@ -299,11 +298,9 @@ def _drop_inputs(node: Node, gone: np.ndarray) -> None:
             node.attrs["frozen"] = tuple(frozen[i] for i in keep_idx)
         return
     weight = node.params["weight"].data
-    if node.kind == "conv":
-        node.attrs["spec"] = replace(node.attrs["spec"], c=len(keep_idx))
-    else:  # fc: its flattened input holds each channel h*w times
+    if node.kind == "fc":  # its flattened input holds each channel h*w times
         keep_idx = np.flatnonzero(~np.repeat(gone, weight.shape[1] // gone.size))
-    node.params["weight"] = Tensor._wrap(weight.take(keep_idx, axis=1))
+    set_weights(node, weight.take(keep_idx, axis=1), _conv_bias(node))
 
 
 def _drop_filters(node: Node, flags: list[bool], pin: Node | None,
@@ -329,12 +326,9 @@ def _drop_filters(node: Node, flags: list[bool], pin: Node | None,
     if pin is not None:
         return None
     keep_idx = np.flatnonzero(flags)
-    node.params = dict(node.params)
-    node.params["weight"] = Tensor._wrap(node.params["weight"].data.take(keep_idx, axis=0))
-    if spec.has_bias:
-        node.params["bias"] = Tensor._wrap(node.params["bias"].data.take(keep_idx, axis=1))
-    node.attrs = dict(node.attrs)
-    node.attrs["spec"] = replace(spec, k=len(keep_idx))
+    b = _conv_bias(node)
+    set_weights(node, node.params["weight"].data.take(keep_idx, axis=0),
+                None if b is None else b.take(keep_idx))
     return ~np.asarray(flags, dtype=bool)
 
 

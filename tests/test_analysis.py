@@ -50,6 +50,17 @@ class TestCountFlops:
             [conv_node("c", ["in"], 16, 3, bias=np.zeros(16))], (1, 3, 32, 32), "c")
         assert count_flops(g).kind_flops()["conv"] == 884_736 + 16 * 32 * 32
 
+    def test_conv_counts_only_the_taps_it_runs(self):
+        # on a 1x1 map a 3x3 pad-1 conv's taps but the center read padding
+        # alone, and the conv kernel leaves them out (tensor.live_taps)
+        g = single_op_graph(
+            [conv_node("c", ["in"], 16, 3, bias=np.zeros(16))], (1, 3, 1, 1), "c")
+        assert count_flops(g).kind_flops()["conv"] == 16 * (2 * 3 + 1)
+        # stride 2 on a 2x2 map: the one output reads taps 1..2 of each axis
+        g = single_op_graph(
+            [conv_node("c", ["in"], 16, 3, stride=(2, 2))], (1, 3, 2, 2), "c")
+        assert count_flops(g).kind_flops()["conv"] == 16 * 2 * 3 * 4
+
     def test_conv_counts_scale_with_batch(self):
         g = single_op_graph(
             [conv_node("c", ["in"], 16, 3)], (2, 3, 32, 32), "c")

@@ -21,7 +21,7 @@ from fuseprune.fusion import (
     make_identity_weights,
     pad_conv_weights,
 )
-from fuseprune.graph import execute, validate
+from fuseprune.graph import execute, load, save, validate
 from fuseprune.tensor import BnParams, ConvSpec, Tensor
 from fuseprune.zoo import ZooSpec, build
 
@@ -286,6 +286,18 @@ class TestBasicFusion:
         xs = Tensor(-np.abs(rand_input(rng, (1, 4, 6, 6)).data) - 0.1)
         diff = np.abs(execute(g, xs).data - execute(fused, xs).data).max()
         assert diff > 1e-3
+
+    def test_bn_without_frozen_flags_fuses(self, rng, tmp_path):
+        # a bn built without flags is saved with "frozen": [] and loads as ()
+        g = random_residual_block_graph(rng).copy()
+        for nid in ("bn1", "bn2"):
+            g.nodes[nid].attrs = {"eps": g.nodes[nid].attrs["eps"]}
+        save(g, tmp_path / "m.fpm")
+        loaded = load(tmp_path / "m.fpm")
+        assert loaded.nodes["bn1"].attrs["frozen"] == ()
+        fused, _ = fuse(loaded, "1/1")
+        assert fused.nodes["bn1"].attrs["frozen"] == (0,) * 4 + (1,) * 4
+        assert_equivalent(g, fused, rng)
 
     def test_unequal_kernels_rejected(self, rng):
         g = random_residual_block_graph(rng).copy()

@@ -94,6 +94,20 @@ class TestValidate:
         with pytest.raises(ShapeMismatch, match="node 'c': bias must be"):
             validate(graph_of(no_bias))
 
+    def test_conv_bias_the_spec_lacks_rejected(self):
+        conv = conv_node("c", ["in"], 3, 2)
+        conv.params["bias"] = Tensor(np.zeros((1, 3, 1, 1), np.float32))
+        g = make_graph([plain_node("in", "input", []), conv, plain_node("out", "output", ["c"])],
+                       "in", "out", (1, 2, 4, 4))
+        with pytest.raises(ShapeMismatch, match="node 'c': bias must be absent, as its spec"):
+            validate(g)
+
+    def test_fc_bias_of_the_wrong_length_rejected(self, rng):
+        g = tiny_chain(rng)
+        g.nodes["fc"].params["bias"] = Tensor(np.zeros((1, 3, 1, 1), np.float32))
+        with pytest.raises(ShapeMismatch, match=r"node 'fc': bias must be \(1, 2, 1, 1\)"):
+            validate(g)
+
     def test_add_mismatch_names_node(self, rng):
         nodes = [
             plain_node("in", "input", []),
@@ -470,6 +484,33 @@ class TestContainer:
         path = tmp_path / "junk.fpm"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ModelFormatError, match="magic"):
+            load(path)
+
+    def test_conv_bias_the_spec_lacks_does_not_load(self, rng, tmp_path):
+        g = tiny_chain(rng)
+        c1 = g.nodes["c1"]
+        c1.attrs["spec"] = dataclasses.replace(c1.attrs["spec"], has_bias=True)
+        c1.params["bias"] = Tensor(np.ones((1, 4, 1, 1), np.float32))
+        path = tmp_path / "m.fpm"
+        save(g, path)
+        raw = path.read_bytes()
+        man_len = int.from_bytes(raw[4:8], "little")
+        manifest = json.loads(raw[8 : 8 + man_len])
+        assert manifest["nodes"][1]["attrs"]["has_bias"] is True
+        manifest["nodes"][1]["attrs"]["has_bias"] = False
+        payload = json.dumps(manifest, separators=(",", ":")).encode()
+        path.write_bytes(b"FPM1" + len(payload).to_bytes(4, "little") + payload + raw[8 + man_len :])
+        with pytest.raises(ShapeMismatch, match="node 'c1': bias must be absent, as its spec"):
+            load(path)
+
+    def test_fc_bias_of_the_wrong_length_does_not_load(self, rng, tmp_path, monkeypatch):
+        g = tiny_chain(rng)
+        g.nodes["fc"].params["bias"] = Tensor(np.zeros((1, 3, 1, 1), np.float32))
+        path = tmp_path / "m.fpm"
+        with monkeypatch.context() as patched:  # save validates; write the file regardless
+            patched.setattr(graph, "validate", lambda g: g.topo_order())
+            save(g, path)
+        with pytest.raises(ShapeMismatch, match=r"node 'fc': bias must be \(1, 2, 1, 1\)"):
             load(path)
 
     def test_malformed_manifest_rejected(self, tmp_path):

@@ -43,7 +43,8 @@ def test_output_digests_runs():
         digests[dtype, variant, what] = sha
     variants = ("orig", "fused", "masked", "materialized", "deployed")
     lines = [(v, w) for v in variants for w in ("fpm", "b1", "b32")]
-    lines += [("fused", "grads"), ("trained", "fpm")]
+    lines += [("folded-fused", "fpm"), ("folded-fused", "b1"), ("fused", "grads"),
+              ("trained", "fpm")]
     assert set(digests) == {(d, v, w) for d in ("f32", "f64") for v, w in lines}
     # the bitwise promise, seen through the digests: materialize changes
     # the file but no output bit
