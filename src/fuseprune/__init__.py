@@ -12,7 +12,6 @@ speedups.
 """
 
 from .tensor import (
-    BnParams,
     ConvSpec,
     Tensor,
     TensorError,

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (Graph, Node, _checked, _conv_bias, _is_int, atomic_write, bn_params,
+from .graph import (Graph, Node, _checked, _conv_bias, _is_int, atomic_write, bn_affine,
                     set_weights, validate)
 from .tensor import ConvSpec, Tensor
 
@@ -396,10 +396,9 @@ def _folded(conv: Node, bn: Node | None) -> tuple[np.ndarray, np.ndarray]:
     b = np.zeros(w.shape[0], np.float64) if b is None else b.astype(np.float64)
     if bn is None:
         return w.astype(np.float64), b
-    p = bn_params(bn)
-    omega = p.omega(np.float64)
+    omega, lam = bn_affine(bn, np.float64)
     # a binary32 w is widened exactly inside the binary64 product
-    return w * omega[:, None, None, None], omega * b + p.lam(np.float64)
+    return w * omega[:, None, None, None], omega * b + lam
 
 
 def _shortcut(g: Graph, match: BlockMatch, r: int, s: int) -> tuple[Tensor, np.ndarray, tuple]:
@@ -470,7 +469,7 @@ def _fuse_block(g: Graph, match: BlockMatch, assume_nonneg: bool):
                               f"{aux.shape[0]}, conv2 gives {k2} of the block's {c_in}")
     if match.bn2 is not None:
         # conv2's added weights pass through bn2 unchanged when divided by its omega
-        omega2 = bn_params(g.nodes[match.bn2]).omega(np.float64)
+        omega2, _ = bn_affine(g.nodes[match.bn2], np.float64)
         aux = adjust_identity_for_bn(aux, omega2)
         extra_bias = extra_bias / omega2
 
@@ -584,10 +583,11 @@ def fold_bn(g: Graph) -> Graph:
     directly consume a conv whose only consumer it is. The fold is
     evaluated at binary64 and rounded to the graph dtype once, so each
     folded entry carries a single rounding instead of one per operation.
+    g is validated first, so a bn with a negative var raises ShapeMismatch.
     """
     out = g.copy()
     consumers = out.consumers()
-    for nid in list(out.topo_order()):
+    for nid in validate(out):
         node = out.nodes.get(nid)
         if node is None or node.kind != "bn":
             continue

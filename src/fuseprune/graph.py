@@ -53,9 +53,9 @@ then one raw blob of little-endian IEEE-754 values concatenated in
 manifest order. The manifest carries a format version and a SHA-256
 checksum of the blob. save writes a new file beside the target and renames
 it into place, so a failed save leaves any earlier file whole. load
-requires JSON integers for the dims, offsets, lengths and input_shape, a
-list of node ids for each node's inputs, and tensors that tile the blob in
-table order, as save writes them.
+requires JSON integers for the dims, offsets, lengths and input_shape,
+lists of strings for each node's inputs and tags, and tensors that tile
+the blob in table order, as save writes them.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ import numpy as np
 from .tensor import (
     DTYPE_FROM_NAME,
     DTYPE_NAMES,
-    BnParams,
     ConvSpec,
     Tensor,
     TensorError,
@@ -88,7 +87,6 @@ from .tensor import (
     max_pool_chwn,
     max_pool_chwn_backward,
     pool_out_hw,
-    prepare_batch_norm,
     prepare_conv,
 )
 
@@ -206,15 +204,15 @@ def _topo_order(g: Graph) -> list[str]:
     return order
 
 
-def bn_params(node: Node) -> BnParams:
-    """The BnParams of a bn node's parameter tensors and eps."""
-    return BnParams(
-        gamma=node.params["gamma"].data.reshape(-1),
-        beta=node.params["beta"].data.reshape(-1),
-        mean=node.params["mean"].data.reshape(-1),
-        var=node.params["var"].data.reshape(-1),
-        eps=float(node.attrs["eps"]),
-    )
+def bn_affine(node: Node, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A bn node's inference affine y = omega * x + lam as two 1-D arrays
+    in dtype: omega = gamma / sqrt(var + eps) and lam = beta - omega * mean,
+    each parameter cast to dtype first. validate checks the parameters."""
+    dt = np.dtype(dtype)
+    gamma, beta, mean, var = (node.params[p].data.reshape(-1).astype(dt, copy=False)
+                              for p in ("gamma", "beta", "mean", "var"))
+    omega = gamma / np.sqrt(var + dt.type(float(node.attrs["eps"])))
+    return omega, beta - omega * mean
 
 
 def _conv_bias(node: Node):
@@ -386,13 +384,15 @@ def _bn_shape(node: Node, ins) -> tuple[int, int, int, int]:
         raise ShapeMismatch(f"node {node.id!r}: frozen flags cover {len(frozen)} of {c} channels")
     if not float(node.attrs.get("eps", 0.0)) > 0:
         raise ShapeMismatch(f"node {node.id!r}: bn eps must be > 0")
+    if node.params["var"].data.min() < 0:
+        raise ShapeMismatch(f"node {node.id!r}: bn var must be non-negative")
     return ins[0]
 
 
 def _bn_zeros(node: Node, zero_in, dt):
     if zero_in[0] is None:
         return None
-    return _marks(zero_in[0] & (bn_params(node).lam(dt) == 0))
+    return _marks(zero_in[0] & (bn_affine(node, dt)[1] == 0))
 
 
 def _add_shape(node: Node, ins) -> tuple[int, int, int, int]:
@@ -471,8 +471,8 @@ def _fc_prepare(node: Node, ins, zero_in, zero_out, dt):
 
 
 def _bn_prepare(node: Node, ins, zero_in, zero_out, dt):
-    bn = prepare_batch_norm(bn_params(node), ins[0][0], dt)
-    return lambda args: bn(args[0])
+    omega, lam = (a.reshape(-1, 1, 1, 1) for a in bn_affine(node, dt))
+    return lambda args: args[0] * omega + lam
 
 
 def _bn_train(node: Node, args, momentum):
@@ -516,6 +516,10 @@ def _is_int(v) -> bool:
 
 def _is_ints(v) -> bool:
     return isinstance(v, list) and all(_is_int(i) for i in v)
+
+
+def _is_strs(v) -> bool:
+    return isinstance(v, list) and all(isinstance(i, str) for i in v)
 
 
 def _pair(raw, key) -> tuple[int, int]:
@@ -955,17 +959,17 @@ def load(path) -> Graph:
                     )
                 params[pname] = tensors[tname]
             kind = raw["kind"]
-            inputs = _checked("inputs", raw.get("inputs", []), lambda v: isinstance(v, list)
-                              and all(isinstance(i, str) for i in v), "a list of node ids",
-                              f"node {raw['id']!r} field")
+            where = f"node {raw['id']!r} field"
             nodes[raw["id"]] = Node(
                 id=raw["id"],
                 kind=kind,
-                inputs=list(inputs),
+                inputs=list(_checked("inputs", raw.get("inputs", []), _is_strs,
+                                     "a list of node ids", where)),
                 # an unknown kind loads bare, for validate to name it
                 attrs=OPS[kind].load(raw.get("attrs", {})) if kind in OPS else {},
                 params=params,
-                tags=list(raw.get("tags", [])),
+                tags=list(_checked("tags", raw.get("tags", []), _is_strs, "a list of strings",
+                                   where)),
             )
         g = Graph(
             nodes=nodes,

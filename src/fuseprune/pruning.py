@@ -254,17 +254,6 @@ class MaterializeResult:
     summary: list[dict]
 
 
-def _check_zeroized(node: Node, zero_idx: list[int]) -> None:
-    w = node.params["weight"].data
-    if np.any(w[zero_idx] != 0):
-        raise InconsistentMask(
-            f"conv {node.id!r}: mask marks filters {zero_idx} as zeroized but "
-            "their weights are not all zero"
-        )
-    if node.attrs["spec"].has_bias and np.any(node.params["bias"].data[0, zero_idx] != 0):
-        raise InconsistentMask(f"conv {node.id!r}: zeroized filters carry nonzero bias")
-
-
 def _pins(g: Graph, order: list[str], consumers) -> dict[str, Node | None]:
     """For every node, the node that fixes its channel count, or None.
 
@@ -303,11 +292,11 @@ def _drop_inputs(node: Node, gone: np.ndarray) -> None:
     set_weights(node, weight.take(keep_idx, axis=1), _conv_bias(node))
 
 
-def _drop_filters(node: Node, flags: list[bool], pin: Node | None,
+def _drop_filters(node: Node, flags: list[bool], pin: Node | None, dt,
                   summary: list[dict]) -> np.ndarray | None:
     """Delete a conv's zeroized filters, after checking the mask against
-    it, unless pin fixes its channel count; the deleted filters as a bool
-    mask, or None."""
+    its zeros rule, unless pin fixes its channel count; the deleted filters
+    as a bool mask, or None."""
     spec: ConvSpec = node.attrs["spec"]
     if len(flags) != spec.k:
         raise InconsistentMask(
@@ -316,7 +305,10 @@ def _drop_filters(node: Node, flags: list[bool], pin: Node | None,
     zero_idx = [i for i, f in enumerate(flags) if not f]
     if not zero_idx:
         return None
-    _check_zeroized(node, zero_idx)
+    marks = OPS["conv"].zeros(node, [None], dt)
+    if marks is None or not marks[zero_idx].all():
+        raise InconsistentMask(f"conv {node.id!r}: mask marks filters {zero_idx} as zeroized "
+                               "but their weights or bias are not all zero")
     if len(zero_idx) == spec.k:
         raise InconsistentMask(f"conv {node.id!r}: mask would remove every filter")
     removed = 0 if pin is not None else len(zero_idx)
@@ -336,13 +328,14 @@ def materialize(g: Graph, mask: PruneMask, report: FusionReport | None = None) -
     """Physically delete zeroized filters; bit-exact by construction.
 
     One pass in topological order carries each node's deleted output
-    channels. A conv in the mask is checked (lengths, actual zeros, not
-    every filter) and loses its zeroized filters, unless an add, concat or
-    the output pins its channel count (_pins): then it keeps them and the
-    summary says so. The deleted channels pass through a "pass" kind, whose
-    zeros rule must still mark them exactly zero (InconsistentMask
-    otherwise), and a bn, conv or fc drops them from its parameters. The
-    input graph is never mutated; report is not read.
+    channels. A conv in the mask is checked (its length, that its zeros
+    rule marks every zeroized filter, and that not every filter goes) and
+    loses its zeroized filters, unless an add, concat or the output pins
+    its channel count (_pins): then it keeps them and the summary says so.
+    The deleted channels pass through a "pass" kind, whose zeros rule must
+    still mark them exactly zero (InconsistentMask otherwise), and a bn,
+    conv or fc drops them from its parameters. The input graph is never
+    mutated; report is not read.
     """
     order = list(validate(g))
     for nid in mask.keep:
@@ -370,6 +363,6 @@ def materialize(g: Graph, mask: PruneMask, report: FusionReport | None = None) -
             _drop_inputs(node, drop)
         gone[nid] = drop if op.role == "pass" else None
         if nid in mask.keep:
-            gone[nid] = _drop_filters(node, mask.keep[nid], pins[nid], summary)
+            gone[nid] = _drop_filters(node, mask.keep[nid], pins[nid], dt, summary)
     validate(out)
     return MaterializeResult(graph=out, summary=summary)

@@ -6,10 +6,9 @@ held batch innermost, as (c, h, w, n) arrays in row-major order with the
 batch fastest: graph.execute transposes its (n, c, h, w) input Tensor into
 that layout once, runs every node on it, and transposes the output back
 once, and the trainer does the same. The kernels (conv2d_chwn,
-batch_norm_chwn, max_pool_chwn) and the training math beside each (bn's
-training forward and the backwards) work on that layout. The kernels are
-pure functions on numpy arrays, and their results depend only on their
-inputs.
+max_pool_chwn) and the training math beside each (bn's training forward
+and the backwards) work on that layout. The kernels are pure functions on
+numpy arrays, and their results depend only on their inputs.
 
 Determinism contract. Materializing a pruned model must reproduce the
 masked model bit for bit. That promise rests on the graph, not on any
@@ -29,8 +28,7 @@ thread count. The kernels meet it as follows:
 * conv2d_chwn is prepare_conv and its application in one. graph.compile
   keeps the prepared conv, the live weight matrix made once per graph, and
   every execute applies it, so a compiled graph makes the same BLAS calls
-  on the same operands as conv2d_chwn on that input; prepare_batch_norm
-  splits bn's omega and lam from its affine alike.
+  on the same operands as conv2d_chwn on that input.
 * Dead taps. conv2d_chwn also leaves out the kernel taps that read only
   padding: live_taps works out their hull from the geometry alone, so a
   masked model and its materialization, which share every geometry, drop
@@ -215,55 +213,6 @@ class ConvSpec:
                 f"conv output collapses to {ho}x{wo} for input {h}x{w} with {self}"
             )
         return ho, wo
-
-
-@dataclass
-class BnParams:
-    """Per-channel batch normalization parameters for inference.
-
-    gamma, beta, mean and var are 1-D arrays of equal length; eps is a
-    positive scalar. The affine form used everywhere is
-
-        y = omega * x + lam,  omega = gamma / sqrt(var + eps),
-                              lam   = beta - omega * mean.
-    """
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    mean: np.ndarray
-    var: np.ndarray
-    eps: float = 1e-5
-
-    def __post_init__(self):
-        self.gamma = np.asarray(self.gamma).reshape(-1)
-        self.beta = np.asarray(self.beta).reshape(-1)
-        self.mean = np.asarray(self.mean).reshape(-1)
-        self.var = np.asarray(self.var).reshape(-1)
-        n = self.gamma.shape[0]
-        if any(a.shape[0] != n for a in (self.beta, self.mean, self.var)):
-            raise TensorError("BnParams arrays must have equal length")
-        if n < 1:
-            raise TensorError("BnParams must cover at least one channel")
-        if np.any(self.var < 0):
-            raise TensorError("BnParams.var must be non-negative")
-        if not self.eps > 0:
-            raise TensorError("BnParams.eps must be > 0")
-
-    @property
-    def channels(self) -> int:
-        return self.gamma.shape[0]
-
-    def omega(self, dtype) -> np.ndarray:
-        dt = np.dtype(dtype)
-        g = self.gamma.astype(dt, copy=False)
-        v = self.var.astype(dt, copy=False)
-        return g / np.sqrt(v + dt.type(self.eps))
-
-    def lam(self, dtype) -> np.ndarray:
-        dt = np.dtype(dtype)
-        b = self.beta.astype(dt, copy=False)
-        m = self.mean.astype(dt, copy=False)
-        return b - self.omega(dt) * m
 
 
 def _conv_geometry(chw, dt, w: np.ndarray, stride, pad) -> tuple[int, int]:
@@ -543,30 +492,14 @@ def conv2d_chwn_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, stride, p
     return conv2d_chwn(stuffed, flipped, None, (1, 1), (0, 0)), gw
 
 
-def prepare_batch_norm(p: BnParams, channels: int, dtype):
-    """batch_norm_chwn's omega and lam for a (channels, h, w, n) input of
-    dtype, computed once: returns the function of x that applies them."""
-    if p.channels != channels:
-        raise TensorError(f"bn covers {p.channels} channels, tensor has {channels}")
-    omega = p.omega(dtype).reshape(-1, 1, 1, 1)
-    lam = p.lam(dtype).reshape(-1, 1, 1, 1)
-    return lambda x: x * omega + lam
-
-
-def batch_norm_chwn(x: np.ndarray, p: BnParams) -> np.ndarray:
-    """Per-channel affine y = omega * x + lam in x's dtype, on a (c, h, w, n)
-    array."""
-    return prepare_batch_norm(p, x.shape[0], x.dtype)(x)
-
-
 def batch_norm_train_chwn(x: np.ndarray, gamma, beta, mean, var, eps, frozen, momentum):
     """Training-mode batch norm of a (c, h, w, n) array, given 1-D gamma,
-    beta and stored mean and var (unchecked: a BnParams would add about a
-    fifth to the call). Returns y, the cache batch_norm_train_backward
-    reads, and the new running mean and var: channels the bool mask frozen
-    leaves out normalize with the batch's mean and two-pass biased variance
-    and fold them in with the momentum; frozen channels use and keep the
-    stored ones (fusion's exact-identity channels)."""
+    beta and stored mean and var, unchecked (graph.validate checks them).
+    Returns y, the cache batch_norm_train_backward reads, and the new
+    running mean and var: channels the bool mask frozen leaves out
+    normalize with the batch's mean and two-pass biased variance and fold
+    them in with the momentum; frozen channels use and keep the stored ones
+    (fusion's exact-identity channels)."""
     dt = x.dtype
     c, h, w, n = x.shape
     cnt = dt.type(n * h * w)

@@ -8,22 +8,21 @@ sequential fc is unchanged by removing all-zero inputs. They validate their
 operands with the package's own checks, so a test can compare the errors
 two kernels raise.
 
-conv2d_gemm, batch_norm_inference and max_pool_raw run the package's
-batch-innermost kernels (tensor.conv2d_chwn, batch_norm_chwn,
-max_pool_chwn) on (n, c, h, w) arrays: the same arithmetic, with one
-transposing copy on each side.
+conv2d_gemm and max_pool_raw run the package's batch-innermost kernels
+(tensor.conv2d_chwn, max_pool_chwn), and batch_norm_inference a bn node's
+graph forward (graph.OPS["bn"].run), on (n, c, h, w) arrays: the same
+arithmetic, with one transposing copy on each side.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from fuseprune.graph import OPS, Node
 from fuseprune.tensor import (
-    BnParams,
     TensorError,
     _conv_geometry,
     _filter_bias,
-    batch_norm_chwn,
     conv2d_chwn,
     max_pool_chwn,
 )
@@ -46,9 +45,10 @@ def conv2d_gemm(x: np.ndarray, w, bias, stride, pad,
     return _nchw(conv2d_chwn(_chwn(x), w, bias, stride, pad, zero_in, zero_out))
 
 
-def batch_norm_inference(x: np.ndarray, p: BnParams) -> np.ndarray:
-    """batch_norm_chwn on an (n, c, h, w) array."""
-    return _nchw(batch_norm_chwn(_chwn(x), p))
+def batch_norm_inference(x: np.ndarray, node: Node) -> np.ndarray:
+    """The bn node's inference forward, y = omega * x + lam in x's dtype,
+    on an (n, c, h, w) array."""
+    return _nchw(OPS["bn"].run(node, [_chwn(x)]))
 
 
 def max_pool_raw(x: np.ndarray, window, stride, pad) -> np.ndarray:

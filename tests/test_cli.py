@@ -142,6 +142,20 @@ class TestFuseAndVerify:
         assert run("fuse", tiny, "--option", "0/3", "-o", out) == EXIT_OK
         assert out.read_bytes() == tiny.read_bytes()
 
+    @pytest.mark.parametrize("tags", [[5], "stage1.block1"], ids=["int", "string"])
+    def test_tags_not_a_list_of_strings_exit_2(self, tiny, tmp_path, capsys, tags):
+        # an int tag crashed fuse in its block matching; a string's
+        # characters loaded as tags, and fuse left that block out
+        raw = tiny.read_bytes()
+        man_len = int.from_bytes(raw[4:8], "little")
+        manifest = json.loads(raw[8 : 8 + man_len])
+        next(n for n in manifest["nodes"] if n["id"] == "stage1.block1.conv1")["tags"] = tags
+        payload = json.dumps(manifest, separators=(",", ":")).encode()
+        bad = tmp_path / "bad.fpm"
+        bad.write_bytes(b"FPM1" + len(payload).to_bytes(4, "little") + payload + raw[8 + man_len :])
+        assert run("fuse", bad, "--option", "3/3", "-o", tmp_path / "x.fpm") == EXIT_VALIDATION
+        assert "'tags' must be a list of strings" in capsys.readouterr().err
+
     def test_bad_option_string(self, tiny, tmp_path):
         assert run("fuse", tiny, "--option", "9/9",
                    "-o", tmp_path / "x.fpm") == EXIT_VALIDATION

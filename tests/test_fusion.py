@@ -21,8 +21,8 @@ from fuseprune.fusion import (
     make_identity_weights,
     pad_conv_weights,
 )
-from fuseprune.graph import execute, load, save, validate
-from fuseprune.tensor import BnParams, ConvSpec, Tensor
+from fuseprune.graph import bn_affine, execute, load, save, validate
+from fuseprune.tensor import ConvSpec, Tensor
 from fuseprune.zoo import ZooSpec, build
 
 from conftest import bn_node, conv_node, make_graph, plain_node, random_residual_block_graph
@@ -111,11 +111,11 @@ class TestAdjustForBn:
         x = rand_input(rng, (1, 3, 4, 4))
         gamma = np.array([1.5, 0.7, 2.0], np.float32)
         var = np.array([0.9, 1.1, 1.3], np.float32)
-        p = BnParams(gamma=gamma, beta=np.zeros(3), mean=np.zeros(3), var=var, eps=1e-5)
-        omega = p.omega(np.float32)
+        bn = bn_node("bn", [], 3, gamma=gamma, var=var, eps=1e-5)
+        omega, _ = bn_affine(bn, np.float32)
         adj = adjust_identity_for_bn(make_identity_weights(3, 3, 3), omega)
         spec = ConvSpec(3, 3, 3, 3, stride=(1, 1), pad=(1, 1), has_bias=False)
-        y = batch_norm_inference(conv2d_gemm(x.data, adj, None, spec.stride, spec.pad), p)
+        y = batch_norm_inference(conv2d_gemm(x.data, adj, None, spec.stride, spec.pad), bn)
         np.testing.assert_allclose(y, x.data, rtol=1e-5, atol=1e-6)
 
     def test_near_zero_rejected(self):
@@ -235,12 +235,9 @@ class TestBasicFusion:
         g = random_residual_block_graph(rng, dtype=dtype)
         (m,) = find_residual_blocks(g)
         fused, _ = fuse_block(g, m)
-        bn = fused.node("bn1")
-        p = BnParams(gamma=bn.params["gamma"].data, beta=bn.params["beta"].data,
-                     mean=bn.params["mean"].data, var=bn.params["var"].data,
-                     eps=bn.attrs["eps"])
-        assert np.all(p.omega(dtype)[4:] == dtype(1))
-        assert np.all(p.lam(dtype)[4:] == dtype(0))
+        omega, lam = bn_affine(fused.node("bn1"), dtype)
+        assert np.all(omega[4:] == dtype(1))
+        assert np.all(lam[4:] == dtype(0))
 
     @pytest.mark.parametrize("with_bn", [True, False])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -512,15 +509,11 @@ class TestFoldBn:
         assert [n.kind for n in folded.nodes.values()].count("bn") == 0
         conv = folded.node("c")
         assert conv.attrs["spec"].has_bias
-        bn = g.node("b")
-        p = BnParams(gamma=bn.params["gamma"].data, beta=bn.params["beta"].data,
-                     mean=bn.params["mean"].data, var=bn.params["var"].data,
-                     eps=bn.attrs["eps"])
-        om = p.omega(np.float64)
+        om, lam = bn_affine(g.node("b"), np.float64)
         want_w = (w.astype(np.float64) * om[:, None, None, None]).astype(np.float32)
         np.testing.assert_array_equal(conv.params["weight"].data, want_w)
         np.testing.assert_array_equal(conv.params["bias"].data.reshape(-1),
-                                      p.lam(np.float64).astype(np.float32))
+                                      lam.astype(np.float32))
         assert_equivalent(g, folded, rng)
 
     def test_fold_whole_zoo_model(self):

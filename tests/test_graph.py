@@ -513,6 +513,20 @@ class TestContainer:
         with pytest.raises(ShapeMismatch, match=r"node 'fc': bias must be \(1, 2, 1, 1\)"):
             load(path)
 
+    def test_negative_bn_var_does_not_load(self, rng, tmp_path, monkeypatch, capsys):
+        g = tiny_chain(rng)
+        var = g.nodes["b1"].params["var"].data.copy()
+        var[0, 1] = -0.5
+        g.nodes["b1"].params["var"] = Tensor(var)
+        path = tmp_path / "m.fpm"
+        with monkeypatch.context() as patched:  # save validates; write the file regardless
+            patched.setattr(graph, "validate", lambda g: g.topo_order())
+            save(g, path)
+        with pytest.raises(ShapeMismatch, match="node 'b1': bn var must be non-negative"):
+            load(path)
+        assert main(["flops", str(path)]) == EXIT_VALIDATION
+        assert "bn var must be non-negative" in capsys.readouterr().err
+
     def test_malformed_manifest_rejected(self, tmp_path):
         payload = b"{this is not json"
         path = tmp_path / "bad.fpm"
@@ -575,14 +589,17 @@ class TestContainer:
         lambda m: m["tensors"][0]["shape"].__setitem__(0, 4.5),
         lambda m: m["input_shape"].__setitem__(1, 3.9),
         lambda m: m["input_shape"].__setitem__(1, "3"),
+        lambda m: m["nodes"][1].update(tags=[5]),
+        lambda m: m["nodes"][1].update(tags="stage1.block1"),
     ], ids=["blob-list", "params-list", "node-list", "stride-one-entry", "input-list",
             "inputs-string", "offset-bool", "dim-float", "input-shape-float",
-            "input-shape-string"])
+            "input-shape-string", "tags-int", "tags-string"])
     def test_wrong_json_type_rejected(self, rng, tmp_path, capsys, edit):
         # a JSON value of the wrong type is a malformed file, not a crash;
         # a string's inputs were split into characters (a GraphError), and
         # the others loaded: a tensor read from byte 1 for an offset of true,
-        # a dim or input_shape entry truncated or coerced to an integer
+        # a dim or input_shape entry truncated or coerced to an integer, an
+        # integer tag, and a string's tags split into characters
         path = tmp_path / "m.fpm"
         save(tiny_chain(rng), path)
         raw = path.read_bytes()

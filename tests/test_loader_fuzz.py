@@ -1,37 +1,44 @@
-"""Fuzzing of the three file loaders on mutated and truncated bytes.
+"""Fuzzing of the four file loaders on mutated and truncated bytes.
 
-Each loader reads a well-formed file cut short, with a few bytes replaced,
-inserted or deleted at one place, or with one value of its JSON (for a
-model, of its manifest) replaced by another JSON value. Whatever the bytes,
-graph.load may raise only GraphError (its ModelFormatError) or ValueError,
-and PruneMask.load and FusionReport.load only ValueError: the errors the
-command line turns into exit code 2.
+Each of the three JSON-bearing loaders reads a well-formed file cut short,
+with a few bytes replaced, inserted or deleted at one place, or with one
+value of its JSON (for a model, of its manifest) replaced by another JSON
+value. cli.read_tensor reads a well-formed tensor file cut short, with a
+few bytes flipped at one place, or under a drawn five-word header.
+Whatever the bytes, graph.load may raise only GraphError (its
+ModelFormatError) or ValueError, and PruneMask.load, FusionReport.load and
+cli.read_tensor only ValueError: the errors the command line turns into
+exit code 2.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fuseprune.cli import read_tensor, write_tensor
 from fuseprune.fusion import FusionReport, find_residual_blocks, fuse_block
 from fuseprune.graph import GraphError, load, save
 from fuseprune.pruning import PruneConfig, PruneMask, soft_prune_epoch
+from fuseprune.tensor import Tensor
 
 from conftest import (bn_node, conv_node, fc_node, make_graph, plain_node,
                       random_residual_block_graph)
 
 
 def _every_kind():
-    """A model with a node of every kind over a blob of a few hundred bytes."""
+    """A model with a node of every kind, and a tagged one, over a blob of a
+    few hundred bytes."""
     rng = np.random.default_rng(0)
     nodes = [
         plain_node("in", "input", []),
         conv_node("conv", ["in"], 2, 1, weight=rng.standard_normal((2, 1, 3, 3)).astype(
-            np.float32), bias=[0.5, -0.5]),
+            np.float32), bias=[0.5, -0.5], tags=["stage1.block1"]),
         bn_node("bn", ["conv"], 2),
         plain_node("relu", "relu", ["bn"]),
         plain_node("pool", "maxpool", ["relu"], window=(2, 2), stride=(2, 2), pad=(0, 0)),
@@ -46,7 +53,8 @@ def _every_kind():
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """The bytes of a model, a mask and a fusion report, all well formed."""
+    """The bytes of a model, a mask, a fusion report and a tensor, all well
+    formed."""
     folder = tmp_path_factory.mktemp("fuzz")
     g = random_residual_block_graph(np.random.default_rng(1), c_in=2, k=2, hw=4,
                                     projection=True)
@@ -55,7 +63,9 @@ def files(tmp_path_factory):
     save(_every_kind(), folder / "m.fpm")
     mask.save(folder / "mask.json")
     report.save(folder / "report.json")
-    return {name: (folder / name).read_bytes() for name in ("m.fpm", "mask.json", "report.json")}
+    write_tensor(folder / "x.bin", Tensor(np.arange(8, dtype=np.float32).reshape(1, 2, 2, 2)))
+    return {name: (folder / name).read_bytes()
+            for name in ("m.fpm", "mask.json", "report.json", "x.bin")}
 
 
 JSON_VALUES = st.recursive(
@@ -99,6 +109,26 @@ def mutated(draw, data: bytes, manifest_at: int | None = None) -> bytes:
     return data[:4] + len(text).to_bytes(4, "little") + text + data[manifest_at + length:]
 
 
+# a header word: small, so that some drawn shapes fit the data, or any u32
+HEADER_WORD = st.integers(0, 4) | st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def mutated_tensor(draw, data: bytes) -> bytes:
+    """A tensor file cut short, with a short run of bytes flipped at one
+    place, or with its five-word header (dtype tag, four dims) drawn."""
+    how = draw(st.sampled_from(("cut", "flip", "header")))
+    if how == "cut":
+        return data[:draw(st.integers(0, len(data)))]
+    if how == "flip":
+        at = draw(st.integers(0, len(data) - 1))
+        masks = draw(st.binary(min_size=1, max_size=4).filter(any))
+        run = bytes(b ^ m for b, m in zip(data[at:], masks))
+        return data[:at] + run + data[at + len(run):]
+    words = draw(st.lists(HEADER_WORD, min_size=5, max_size=5))
+    return struct.pack("<5I", *words) + data[struct.calcsize("<5I"):]
+
+
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -130,3 +160,9 @@ def test_mask_load_raises_only_value_error(files, tmp_path, data):
 def test_report_load_raises_only_value_error(files, tmp_path, data):
     _load_mutated(FusionReport.load, data.draw(mutated(files["report.json"])), tmp_path,
                   ValueError)
+
+
+@FUZZ
+@given(st.data())
+def test_read_tensor_raises_only_value_error(files, tmp_path, data):
+    _load_mutated(read_tensor, data.draw(mutated_tensor(files["x.bin"])), tmp_path, ValueError)

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from fuseprune.graph import OPS, Node, ShapeMismatch, validate
 from fuseprune.tensor import (
-    BnParams,
     Tensor,
     TensorError,
 )
 
-from conftest import make_graph, plain_node
+from conftest import bn_node, make_graph, plain_node
 from oracles import bn_brute, conv2d_brute, fc_brute, maxpool_brute
 from reference_kernels import batch_norm_inference, conv2d_raw, fc_raw, max_pool_raw
 
@@ -130,23 +129,23 @@ class TestBatchNorm:
         rng = np.random.default_rng(5)
         x = Tensor(rng.standard_normal((2, 3, 4, 4)).astype(np.float32))
         eps = 1e-5
-        p = BnParams(gamma=np.ones(3, np.float32), beta=np.zeros(3, np.float32),
-                     mean=np.zeros(3, np.float32),
-                     var=np.full(3, np.float32(1) - np.float32(eps)), eps=eps)
-        y = batch_norm_inference(x.data, p)
+        bn = bn_node("bn", [], 3, var=np.full(3, np.float32(1) - np.float32(eps)), eps=eps)
+        y = batch_norm_inference(x.data, bn)
         assert np.array_equal(y, x.data)
 
     def test_hand_case_omega_one(self):
         # gamma=2, beta=1, mean=0, var=3, eps=1 -> omega = 2/sqrt(4) = 1, y = x + 1
         x = Tensor(np.arange(8, dtype=np.float64).reshape(1, 1, 2, 4))
-        p = BnParams(gamma=[2.0], beta=[1.0], mean=[0.0], var=[3.0], eps=1.0)
-        y = batch_norm_inference(x.data, p)
+        bn = bn_node("bn", [], 1, gamma=[2.0], beta=[1.0], mean=[0.0], var=[3.0], eps=1.0,
+                     dtype=np.float64)
+        y = batch_norm_inference(x.data, bn)
         assert np.array_equal(y, x.data + 1.0)
 
     def test_x_equals_mean_gives_beta(self):
         x = Tensor(np.full((1, 2, 2, 2), 5.0, dtype=np.float64))
-        p = BnParams(gamma=[3.0, 4.0], beta=[0.25, -0.5], mean=[5.0, 5.0], var=[2.0, 7.0])
-        y = batch_norm_inference(x.data, p)
+        bn = bn_node("bn", [], 2, gamma=[3.0, 4.0], beta=[0.25, -0.5], mean=[5.0, 5.0],
+                     var=[2.0, 7.0], dtype=np.float64)
+        y = batch_norm_inference(x.data, bn)
         assert np.allclose(y[0, 0], 0.25) and np.allclose(y[0, 1], -0.5)
 
     def test_matches_brute(self):
@@ -156,20 +155,21 @@ class TestBatchNorm:
         beta = rng.standard_normal(4).astype(np.float32)
         mean = rng.standard_normal(4).astype(np.float32)
         var = rng.uniform(0.2, 2.0, 4).astype(np.float32)
-        p = BnParams(gamma=gamma, beta=beta, mean=mean, var=var, eps=1e-5)
-        got = batch_norm_inference(x, p)
+        bn = bn_node("bn", [], 4, gamma=gamma, beta=beta, mean=mean, var=var, eps=1e-5)
+        got = batch_norm_inference(x, bn)
         want = bn_brute(x, gamma, beta, mean, var, 1e-5)
         assert np.array_equal(got, want)
 
-    def test_rejects_bad_params(self):
-        with pytest.raises(TensorError):
-            BnParams(gamma=[1.0], beta=[0.0], mean=[0.0], var=[-0.1])
-        with pytest.raises(TensorError):
-            BnParams(gamma=[1.0], beta=[0.0], mean=[0.0], var=[1.0], eps=0.0)
-        x = np.zeros((1, 2, 2, 2), dtype=np.float32)
-        p = BnParams(gamma=[1.0], beta=[0.0], mean=[0.0], var=[1.0])
-        with pytest.raises(TensorError):
-            batch_norm_inference(x, p)
+    @pytest.mark.parametrize("channels, params", [
+        (1, {"var": [-0.1]}),
+        (1, {"eps": 0.0}),
+        (2, {}),  # a one-channel bn on a two-channel input
+    ], ids=["negative-var", "zero-eps", "channel-count"])
+    def test_rejects_bad_params(self, channels, params):
+        nodes = [plain_node("in", "input", []), bn_node("bn", ["in"], 1, **params),
+                 plain_node("out", "output", ["bn"])]
+        with pytest.raises(ShapeMismatch):
+            validate(make_graph(nodes, "in", "out", (1, channels, 2, 2)))
 
 
 def run(kind, *args):
