@@ -37,6 +37,13 @@ one diff:
     (cd ../parent && PYTHONPATH=src python3 scripts/output_digests.py) > old.txt
     diff old.txt new.txt
 
+The lines exercise both of the conv's window builders (tensor.PreparedConv),
+which must give the identical matrix: every b1 line gathers through the
+index table, for the fc at least (a 1x1 map at batch 1), and the
+resnet8-tiny, resnet18 and resnet34 b1 lines also for their convs on maps
+of 4x4 and below; every b32 line and the grads and trained lines, whose
+GEMMs are wider than 16 columns, copy out of the window view alone.
+
 The bits depend on the BLAS and its thread count, so compare runs made
 with the same OPENBLAS_NUM_THREADS (or its equivalent) on one machine.
 Every model and input is drawn from seed SEED, and the larger families run

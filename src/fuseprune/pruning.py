@@ -336,6 +336,12 @@ def materialize(g: Graph, mask: PruneMask, report: FusionReport | None = None) -
     still mark them exactly zero (InconsistentMask otherwise), and a bn,
     conv or fc drops them from its parameters. The input graph is never
     mutated; report is not read.
+
+    It deletes by the mask, not by the zero marks: a filter that is zero by
+    chance but kept by the mask stays, and the summary counts the mask's
+    filters alone. masked == materialized still holds for such a filter,
+    because graph.execute marks it and leaves it out of the GEMMs on both
+    sides.
     """
     order = list(validate(g))
     for nid in mask.keep:

@@ -25,6 +25,13 @@ thread count. The kernels meet it as follows:
   Dead filters are written back as +0 at full width, so every other kernel
   sees the same shapes as before. The order of the c*r*s terms of a dot
   product is the BLAS's.
+* Two window builders, one matrix. A call builds each band's window matrix
+  either by copying it out of a view of the padded input or, for a skinny
+  GEMM of at most _GATHER_COLUMNS columns (ho*wo*n), by gathering it
+  through an index table prepare_conv made from the geometry. Both give the
+  identical C-ordered matrix, and the choice depends on ho*wo*n alone,
+  which a masked model and its materialization share, so it cannot change
+  a bit.
 * conv2d_chwn is prepare_conv and its application in one. graph.compile
   keeps the prepared conv, the live weight matrix made once per graph, and
   every execute applies it, so a compiled graph makes the same BLAS calls
@@ -50,6 +57,7 @@ high-precision runs. Mixing dtypes within one kernel call is an error.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -317,16 +325,60 @@ def _gather_taps(w: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
         k, c, rows.stop - rows.start, cols.stop - cols.start)
 
 
+# The widest GEMM, in output columns ho*wo*n, whose window matrix is
+# gathered through the index table rather than copied out of the padded
+# input's window view; also the largest output map, in positions ho*wo, that
+# prepare_conv builds a table for. Building the matrix alone, at one BLAS
+# thread, the gather takes 0.2-0.5x the view's time on 4x4 to 1x1 maps at
+# batch 1 to 16, about the same on 8x8 maps and 2.2x on 16x16 ones, where
+# the view copies runs of wo*n elements and the gather runs of n. The limit
+# counts columns, not positions, because at batch 32 on small maps the
+# gather's saving on that step did not carry over to whole-graph latency.
+_GATHER_COLUMNS = 16
+
+
+@functools.lru_cache(maxsize=128)
+def _window_table(c, h, w, stride, pad, ho, wo, tap_rows, tap_cols) -> np.ndarray:
+    """The read-only (c*r'*s', ho, wo) intp index table of an unmasked
+    conv's window matrix over the (tap_rows, tap_cols) hull, given as
+    (start, stop) pairs: [t*r'*s' + i*s' + j, oh, ow] is the row of the
+    unpadded input, viewed as (c*h*w, n), that tap (i, j) of channel t reads
+    at output (oh, ow), or c*h*w, a zero row, where it reads padding.
+
+    Kept per geometry: the trainer prepares its convs on every call and a
+    graph compiles each time its weights change, and both then find it here.
+    """
+    def reads(size, stride, pad, out, taps):
+        # (taps, out): the input index each offset reads, and whether it is real
+        at = (stride * np.arange(out, dtype=np.intp)
+              + np.arange(*taps, dtype=np.intp)[:, None] - pad)
+        return at, (at >= 0) & (at < size)
+
+    rows, real_rows = reads(h, stride[0], pad[0], ho, tap_rows)
+    cols, real_cols = reads(w, stride[1], pad[1], wo, tap_cols)
+    spatial = rows[:, None, :, None] * w + cols[None, :, None, :]
+    real = real_rows[:, None, :, None] & real_cols[None, :, None, :]
+    table = np.where(real, np.arange(c, dtype=np.intp).reshape(c, 1, 1, 1, 1) * (h * w)
+                     + spatial, c * h * w).reshape(-1, ho, wo)
+    table.setflags(write=False)
+    return table
+
+
 def prepare_conv(w, bias, stride, pad, chw, dtype,
                  zero_in=None, zero_out=None) -> "PreparedConv":
     """The part of conv2d_chwn that depends on the weights and the input's
     (c, h, w) and dtype alone, for any batch size: the checks, the output
-    geometry, the live taps and the live weights as one (k', c'*r'*s')
-    matrix. Applying the result to a (c, h, w, n) input runs the GEMMs.
+    geometry, the live taps, the live weights as one (k', c'*r'*s') matrix
+    and, for an output map of at most _GATHER_COLUMNS positions, the index
+    table of the window matrix. Applying the result to a (c, h, w, n) input
+    runs the GEMMs.
 
     Without masks the matrix is a view of the (tap-restricted) weights; with
     either mask it is a copy of the live filters over the live channels,
-    made here once rather than on every application.
+    made here once rather than on every application. The unmasked index
+    table is shared by every prepare of one geometry (_window_table); a
+    masked conv takes its live channels' rows of it here, once, so that its
+    gather reads the unmasked input directly.
     """
     weight = w if isinstance(w, Tensor) else None
     if weight is not None:
@@ -340,6 +392,10 @@ def prepare_conv(w, bias, stride, pad, chw, dtype,
     if (tap_rows.stop - tap_rows.start, tap_cols.stop - tap_cols.start) != (r, s):
         w = (weight.taps(tap_rows, tap_cols) if weight is not None
              else _gather_taps(w, tap_rows, tap_cols))
+    table = None
+    if ho * wo <= _GATHER_COLUMNS:
+        table = _window_table(*chw, tuple(stride), tuple(pad), ho, wo,
+                              (tap_rows.start, tap_rows.stop), (tap_cols.start, tap_cols.stop))
     # take, unlike fancy indexing on axis 1, copies straight into C order
     live_out = live_in = None
     if zero_out is not None:
@@ -348,10 +404,13 @@ def prepare_conv(w, bias, stride, pad, chw, dtype,
     if zero_in is not None:
         live_in = np.flatnonzero(~zero_in)
         w = w.take(live_in, axis=1)
+        if table is not None:
+            table = table.reshape(chw[0], -1).take(live_in, axis=0).reshape(-1, ho, wo)
+            table.setflags(write=False)
     return PreparedConv(w2d=w.reshape(w.shape[0], math.prod(w.shape[1:])), k=k, ho=ho, wo=wo,
                         r=r, s=s, stride=tuple(stride), pad=tuple(pad), tap_rows=tap_rows,
                         tap_cols=tap_cols, live_in=live_in, live_out=live_out,
-                        bias=None if b is None else b.reshape(k, 1, 1, 1))
+                        bias=None if b is None else b.reshape(k, 1, 1, 1), table=table)
 
 
 class PreparedConv(NamedTuple):
@@ -359,7 +418,15 @@ class PreparedConv(NamedTuple):
     of the prepared (c, h, w) and dtype returns the new (k, ho, wo, n)
     output. It holds nothing that one call leaves for the next. (A named
     tuple: immutable, and about a fifth of a frozen dataclass's cost to
-    build, which the trainer pays on every conv2d_chwn call.)"""
+    build, which the trainer pays on every conv2d_chwn call.)
+
+    A call builds each band's window matrix, the C-ordered (c'*r'*s', m*wo*n)
+    matrix of m output rows, by one of two builders that give the identical
+    matrix. A GEMM of at most _GATHER_COLUMNS columns (ho*wo*n) whose conv
+    has a table gathers it: one take of the table's rows for those output
+    rows from x viewed as (c*h*w, n) with a zero row appended, so neither
+    pad_hw nor a take of the live channels runs. Any other copies it out of
+    the window view of x's live channels, padded by pad_hw."""
 
     w2d: np.ndarray
     k: int
@@ -374,27 +441,50 @@ class PreparedConv(NamedTuple):
     live_in: np.ndarray | None
     live_out: np.ndarray | None
     bias: np.ndarray | None
+    table: np.ndarray | None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        w2d, k, ho, wo, r, s, stride, pad, tap_rows, tap_cols, live_in, live_out, bias = self
-        if live_in is not None:
-            x = x.take(live_in, axis=0)
+        return self._apply(x, self.table is not None
+                           and self.ho * self.wo * x.shape[3] <= _GATHER_COLUMNS)
+
+    def _apply(self, x: np.ndarray, gather: bool) -> np.ndarray:
+        """The conv of x, its window matrices gathered through the table
+        when gather is true, copied out of the window view otherwise."""
+        (w2d, k, ho, wo, r, s, stride, pad, tap_rows, tap_cols, live_in, live_out, bias,
+         table) = self
         n = x.shape[3]
         rows, depth = w2d.shape
         dt = w2d.dtype
-        windows = batch_innermost_windows(pad_hw(x, pad), r, s, stride)[:, tap_rows, tap_cols]
+        if gather:
+            c, h, w, _ = x.shape
+            src = np.empty((c * h * w + 1, n), dtype=x.dtype)
+            src[:-1] = x.reshape(-1, n)
+            src[-1] = 0
+        else:
+            if live_in is not None:
+                x = x.take(live_in, axis=0)
+            windows = batch_innermost_windows(pad_hw(x, pad), r, s, stride)[:, tap_rows, tap_cols]
         y = np.empty((rows, ho, wo, n), dtype=dt)
         y2d = y.reshape(rows, ho * wo * n)
         band = max(1, min(ho, _BLOCK_BYTES // max(1, depth * wo * n * dt.itemsize)))
         for oh in range(0, ho, band):
             m = min(band, ho - oh)
-            # a copy even where a reshape could be a strided view (a single
-            # tap), so the BLAS sees the layout a kernel of those taps alone
-            # gives; freed before the next band's is made, so that one reuses
-            # its memory instead of faulting in fresh pages
-            np.matmul(w2d, np.ascontiguousarray(
-                windows[:, :, :, oh : oh + m].reshape(depth, m * wo * n)),
-                out=y2d[:, oh * wo * n : (oh + m) * wo * n])
+            out = y2d[:, oh * wo * n : (oh + m) * wo * n]
+            # each band's matrix is a temporary, freed before the next one's
+            # is made, so that one reuses its memory instead of faulting in
+            # fresh pages
+            if gather:
+                # every index lies in src, so mode="wrap" reads what the
+                # default would, skipping its bounds check: about a quarter
+                # faster at batch 1
+                np.matmul(w2d, src.take(table[:, oh : oh + m], axis=0, mode="wrap").reshape(
+                    depth, m * wo * n), out=out)
+            else:
+                # a copy even where a reshape could be a strided view (a
+                # single tap), so the BLAS sees the layout a kernel of those
+                # taps alone gives
+                np.matmul(w2d, np.ascontiguousarray(
+                    windows[:, :, :, oh : oh + m].reshape(depth, m * wo * n)), out=out)
         if live_out is not None:
             full = np.zeros((k, ho, wo, n), dtype=dt)
             full[live_out] = y
@@ -436,9 +526,10 @@ def conv2d_chwn(x: np.ndarray, w, bias, stride, pad,
 
     zero_in and zero_out are optional length-c and length-k bool masks.
     zero_in marks input channels the caller knows to be all exactly zero:
-    they are left out of the GEMMs (a leading-axis take of x), which changes
-    the result only by rounding. zero_out marks filters whose bias is zero
-    and whose weights are zero on every live input channel: they are left
+    they are left out of the GEMMs (a leading-axis take of x, or of the
+    index table's rows), which changes the result only by rounding.
+    zero_out marks filters whose bias is zero and whose weights are zero on
+    every live input channel: they are left
     out of the GEMMs and their outputs are written as +0. Two calls whose
     live channels, filters and taps hold the same values therefore make the
     same GEMMs, whatever else sits beside them, and that is what keeps
@@ -446,9 +537,16 @@ def conv2d_chwn(x: np.ndarray, w, bias, stride, pad,
     mask the live weights are copied out of the (tap-restricted) weights by
     each prepare.
 
-    The input is padded on its spatial axes (pad_hw) and read as is at pad
-    0, so the window matrix's columns run (ho, wo, n) and at stride 1 its
-    rows are copied as runs of wo*n contiguous elements.
+    The window matrix's columns run (ho, wo, n), and it is built by one of
+    two builders that give the identical matrix (PreparedConv). For a GEMM
+    of more than _GATHER_COLUMNS columns (ho*wo*n) the input's live channels
+    are taken, padded on their spatial axes (pad_hw; read as is at pad 0)
+    and copied out of their window view, at stride 1 as runs of wo*n
+    contiguous elements. For a skinny one, on an output map of at most
+    _GATHER_COLUMNS positions, one take per band reads every window element
+    through prepare_conv's index table from the unpadded input with one zero
+    row appended, which stands in for every padding read: no pad_hw and no
+    take of the live channels.
 
     The order of the c'*r'*s' terms of each dot product is the BLAS's, so
     results agree with a sequential sum to rounding, not bit for bit.

@@ -21,6 +21,15 @@ random geometries, that a 3x3 pad-1 conv on a 1x1 map is byte for byte the
 tolerance, and that a weight Tensor caches one tap-restricted copy per
 window and none when every tap is live.
 
+A prepared conv builds its window matrix by copying it out of the padded
+input's window view or, for a GEMM of at most 16 columns (ho*wo*n), by
+gathering it through an index table. The test_*builder*, test_gathered_*
+and test_*table* tests check that the two give the same output byte for
+byte on one PreparedConv (f32 and f64, batches 1, 2 and 32, 3x3 convs on
+1x1 to 8x8 maps, the 1x1 projection and the 7x7 stem, dead-tap hulls and
+both masks, in one band or many), that the choice follows ho*wo*n alone,
+and that one unmasked geometry's table is built once and shared.
+
 fc_raw forms a block of inputs' products at once and adds them in input
 order. The block length follows reference_kernels._BLOCK_BYTES and must
 change no bit: it is compared bit for bit with the sequential oracle under
@@ -520,3 +529,83 @@ def test_fc_removal_is_bit_exact_when_the_block_length_changes(monkeypatch, dt):
     full = fc_raw(x, w, None)
     assert bits_equal(fc_raw(x[:, keep_in], w[:, keep_in], None), full)
     assert bits_equal(fc_raw(x, w[keep_out], None), np.ascontiguousarray(full[:, keep_out]))
+
+
+# (kernel, input size, stride, pad): 3x3 pad-1 convs at stride 1 and 2 on
+# 1x1 to 8x8 maps, the 1x1 stride-2 projection and the 7x7 pad-3 stride-2
+# stem; the small maps and the stem have hulls without their dead taps
+BUILDER_GEOMETRIES = ([(3, hw, stride, 1) for hw in range(1, 9) for stride in (1, 2)]
+                      + [(1, hw, 2, 0) for hw in (1, 2, 4, 8)]
+                      + [(7, hw, 2, 3) for hw in (1, 2, 4, 8)])
+
+
+@pytest.mark.parametrize("dt", DTYPES)
+@pytest.mark.parametrize("n", (1, 2, 32))
+@pytest.mark.parametrize("band_rows", (None, 1))
+def test_gathered_windows_equal_the_window_view(monkeypatch, dt, n, band_rows):
+    # both builders run on the same PreparedConv, masked and not, with every
+    # map given a table (the call itself gathers for ho*wo*n <= 16 only), in
+    # one band or in bands of one output row
+    monkeypatch.setattr(tensor, "_GATHER_COLUMNS", 64)
+    if band_rows is not None:
+        monkeypatch.setattr(tensor, "_BLOCK_BYTES", 1)
+    rng = np.random.default_rng(23)
+    c, k = 6, 5
+    for r, hw, stride, pad in BUILDER_GEOMETRIES:
+        x = rand(rng, (c, hw, hw, n), dt)
+        w = rand(rng, (k, c, r, r), dt)
+        b = rand(rng, k, dt)
+        zero_in, zero_out = np.isin(np.arange(c), (1, 4)), np.isin(np.arange(k), (0, 3))
+        x[zero_in] = 0
+        for masks in ((None, None), (zero_in, None), (None, zero_out), (zero_in, zero_out)):
+            wz, bz = zeroize_filters(w, b, np.zeros(k, bool) if masks[1] is None else masks[1])
+            conv = tensor.prepare_conv(wz, bz, (stride, stride), (pad, pad), (c, hw, hw), dt,
+                                       *masks)
+            assert conv.table is not None
+            view = conv._apply(x, gather=False)
+            gathered = conv._apply(x, gather=True)
+            assert bits_equal(gathered, view), (r, hw, stride, masks[0] is None,
+                                                masks[1] is None)
+            assert bits_equal(conv(x), view)
+
+
+@pytest.mark.parametrize("dt", DTYPES)
+@pytest.mark.parametrize("masked", (False, True))
+def test_the_builder_follows_the_gemm_width_alone(monkeypatch, dt, masked):
+    built = []
+    real = tensor.PreparedConv._apply
+    monkeypatch.setattr(tensor.PreparedConv, "_apply",
+                        lambda conv, x, gather: built.append(gather) or real(conv, x, gather))
+    rng = np.random.default_rng(24)
+    c = 4
+    # (input size, stride, batch): ho*wo*n at 16 and just above it, for
+    # 4x4, 2x2 and 1x1 output maps; 8x8 and 16x16 maps have no table
+    for hw, stride, n in ((4, 1, 1), (4, 1, 2), (8, 2, 1), (8, 2, 2), (2, 1, 4), (2, 1, 5),
+                          (4, 2, 4), (4, 2, 5), (1, 1, 16), (1, 2, 17), (8, 1, 1),
+                          (16, 1, 1), (32, 2, 1)):
+        ho = (hw - 1) // stride + 1
+        zero_in = np.isin(np.arange(c), (2,)) if masked else None
+        conv = tensor.prepare_conv(rand(rng, (3, c, 3, 3), dt), None, (stride, stride),
+                                   (1, 1), (c, hw, hw), dt, zero_in)
+        built.clear()
+        conv(rand(rng, (c, hw, hw, n), dt))
+        assert built == [ho * ho * n <= 16]
+        assert (conv.table is None) == (ho * ho > 16)
+
+
+def test_one_unmasked_geometry_shares_one_table():
+    rng = np.random.default_rng(25)
+    x_chw, stride, pad = (8, 4, 4), (2, 2), (1, 1)
+    a = tensor.prepare_conv(rand(rng, (3, 8, 3, 3), np.float32), None, stride, pad, x_chw,
+                            np.float32)
+    b = tensor.prepare_conv(Tensor(rand(rng, (5, 8, 3, 3), np.float64)),
+                            rand(rng, 5, np.float64), stride, pad, x_chw, np.float64,
+                            None, np.isin(np.arange(5), (1,)))
+    assert a.table is b.table and not a.table.flags.writeable
+    assert a.table.dtype == np.intp and a.table.shape == (8 * 3 * 3, 2, 2)
+    # a masked input takes its live channels' rows of the shared table
+    zero_in = np.isin(np.arange(8), (0, 5))
+    masked = tensor.prepare_conv(rand(rng, (3, 8, 3, 3), np.float32), None, stride, pad, x_chw,
+                                 np.float32, zero_in)
+    assert masked.table is not a.table and not masked.table.flags.writeable
+    assert np.array_equal(masked.table, a.table.reshape(8, -1, 2, 2)[~zero_in].reshape(-1, 2, 2))

@@ -3,8 +3,11 @@
 Each of the three JSON-bearing loaders reads a well-formed file cut short,
 with a few bytes replaced, inserted or deleted at one place, or with one
 value of its JSON (for a model, of its manifest) replaced by another JSON
-value. cli.read_tensor reads a well-formed tensor file cut short, with a
-few bytes flipped at one place, or under a drawn five-word header.
+value; a model may also have one field of one node (kind, inputs, tags,
+an attrs value or a params entry) replaced by a drawn JSON value, which a
+draw through the whole manifest seldom reaches. cli.read_tensor reads a
+well-formed tensor file cut short, with a few bytes flipped at one place,
+or under a drawn five-word header.
 Whatever the bytes, graph.load may raise only GraphError (its
 ModelFormatError) or ValueError, and PruneMask.load, FusionReport.load and
 cli.read_tensor only ValueError: the errors the command line turns into
@@ -89,11 +92,29 @@ def replaced_value(draw, tree):
 
 
 @st.composite
+def node_field_replaced(draw, manifest):
+    """A model manifest with one field of one node replaced by a drawn JSON
+    value: its kind, inputs or tags, or one value of its attrs or params."""
+    nodes = list(manifest["nodes"])
+    at = draw(st.integers(0, len(nodes) - 1))
+    node = dict(nodes[at])
+    field = draw(st.sampled_from([("kind",), ("inputs",), ("tags",)]
+                                 + [("attrs", key) for key in node["attrs"]]
+                                 + [("params", key) for key in node["params"]]))
+    value = draw(JSON_VALUES)
+    node[field[0]] = value if len(field) == 1 else {**node[field[0]], field[1]: value}
+    nodes[at] = node
+    return {**manifest, "nodes": nodes}
+
+
+@st.composite
 def mutated(draw, data: bytes, manifest_at: int | None = None) -> bytes:
     """data cut short, with a short run of bytes replaced at one place, or
     with one JSON value replaced; manifest_at is where a model's manifest
-    starts, after its 4 magic bytes and its u32 length."""
-    how = draw(st.sampled_from(("cut", "bytes", "json")))
+    starts, after its 4 magic bytes and its u32 length, and a model may
+    also have one field of one node replaced (node_field_replaced)."""
+    how = draw(st.sampled_from(("cut", "bytes", "json")
+                               + (("node",) if manifest_at is not None else ())))
     at = draw(st.integers(0, len(data)))
     if how == "cut":
         return data[:at]
@@ -105,7 +126,8 @@ def mutated(draw, data: bytes, manifest_at: int | None = None) -> bytes:
         return json.dumps(draw(replaced_value(json.loads(data)))).encode()
     length = int.from_bytes(data[4:manifest_at], "little")
     manifest = json.loads(data[manifest_at:manifest_at + length])
-    text = json.dumps(draw(replaced_value(manifest))).encode()
+    replace = node_field_replaced if how == "node" else replaced_value
+    text = json.dumps(draw(replace(manifest))).encode()
     return data[:4] + len(text).to_bytes(4, "little") + text + data[manifest_at + length:]
 
 

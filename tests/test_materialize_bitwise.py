@@ -7,11 +7,12 @@ run the same GEMMs on the same compacted operands, so their outputs agree
 bit for bit. These tests check that over the whole zoo and, on hand-built
 graphs, the cases the marks must get right: a blocked conv that keeps its
 zero filters, a filter that is zero by chance, which is dead only where
-the following bn's shift is zero, and an fc that reads a spatial map,
-where each channel's mark covers h*w of its inputs. The zoo sweep drives
-resnet18 and resnet34 through stage-4 convs on 1x1 maps (2x2 for their
-stride-2 conv), where conv2d_chwn drops the taps that read only padding,
-on both sides.
+the following bn's shift is zero and which materialize keeps, as it
+deletes by the mask and not by the zero marks, and an fc that reads a
+spatial map, where each channel's mark covers h*w of its inputs. The zoo
+sweep drives resnet18 and resnet34 through stage-4 convs on 1x1 maps (2x2
+for their stride-2 conv), where conv2d_chwn drops the taps that read only
+padding, on both sides.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import pytest
 from fuseprune import graph
 from fuseprune.fusion import fuse
 from fuseprune.graph import execute
-from fuseprune.pruning import PruneConfig, PruneMask, materialize, soft_prune_epoch
+from fuseprune.pruning import PruneConfig, PruneMask, _zeroize, materialize, soft_prune_epoch
 from fuseprune.tensor import DTYPE_FROM_NAME, Tensor
 from fuseprune.zoo import FAMILIES, ZooSpec, build
 
@@ -257,6 +258,38 @@ def test_chance_zero_filter_with_nonzero_shift_stays_live(dtype):
     beta[0, 2] = 0
     g.node("bn1").params["beta"] = Tensor(beta)
     assert np.max(np.abs(reference(g, x) - ref)) > 1e3 * TOL["f32"]
+
+
+@pytest.mark.parametrize("dtype", ("f32", "f64"))
+def test_materialize_deletes_by_mask_not_by_zero_marks(dtype):
+    # a filter zeroed by hand outside the mask, as soft pruning zeroes one
+    # (its bn's beta and mean cleared too), is marked dead by execute but
+    # kept by materialize, which reads the mask alone: the summary is that of
+    # the graph without it, and masked == materialized still holds because
+    # the filter is left out of the GEMMs on both sides
+    g = build(ZooSpec("resnet8-tiny", input_shape=(1, 3, 8, 8), dtype=dtype, seed=3))
+    fused, report = fuse(g, "3/3")
+    masked = fused.copy()
+    mask = soft_prune_epoch(masked, report, PruneConfig(rate=0.3, mode="continued"))
+    res = materialize(masked, mask)
+    conv = next(rec["conv"] for rec in res.summary if rec["removed"])
+    keep = mask.keep[conv]
+    chance = keep.index(True)
+    by_hand = masked.copy()
+    _zeroize(by_hand, by_hand.consumers(), conv, [chance])
+    assert keep[chance] and by_hand.node(conv).params["weight"].zero_rows()[chance]
+    hand = materialize(by_hand, mask)
+    assert hand.summary == res.summary
+    k = by_hand.node(conv).attrs["spec"].k
+    assert hand.graph.node(conv).attrs["spec"].k == res.graph.node(conv).attrs["spec"].k
+    assert hand.graph.node(conv).attrs["spec"].k == sum(keep) < k
+    x = Tensor(np.random.default_rng(7).standard_normal((5, 3, 8, 8)) * INPUT_SCALE,
+               DTYPE_FROM_NAME[dtype])
+    at = sum(keep[:chance])  # the filter's index after materialize
+    assert zero_marks(by_hand, x)[conv][chance] and zero_marks(hand.graph, x)[conv][at]
+    assert_same_live_counts(by_hand, hand.graph, x)
+    for xb in (x, Tensor(x.data[:1])):
+        assert same_bytes(execute(by_hand, xb), execute(hand.graph, xb))
 
 
 def spatial_fc_graph(rng, dt, h=3, w=4):
