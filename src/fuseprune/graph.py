@@ -29,12 +29,12 @@ frameworks prepare a trained model once and then run it: it validates g,
 sorts it, derives the zero marks and prepares every node (bn's omega and
 lam, each conv's and fc's live weight matrix, bias and geometry). The
 resulting Plan is immutable and holds no per-call buffer; Plan.run does
-only what depends on x. execute keeps the plan on the graph from the
-second execute of an unchanged graph on, and compiles again whenever the
-graph's snapshot, its ids, input_shape and each node's kind, inputs,
-attrs and params, differs from the plan's. Every edit the package makes
-replaces a value (a Tensor, an attrs value, an inputs list), so it shows
-in the snapshot; an attrs value must be replaced, never mutated in place.
+only what depends on x. execute keeps the plan on the graph from its first
+execute, and compiles again whenever the graph's snapshot, its ids,
+input_shape and each node's kind, inputs, attrs and params, differs from
+the plan's. Every edit the package makes replaces a value (a Tensor, an
+attrs value, an inputs list), so it shows in the snapshot; an attrs value
+must be replaced, never mutated in place.
 
 compile also derives, node by node, the output channels that are exactly
 zero for every input, from the weights alone (Op.zeros), and
@@ -54,8 +54,9 @@ manifest order. The manifest carries a format version and a SHA-256
 checksum of the blob. save writes a new file beside the target and renames
 it into place, so a failed save leaves any earlier file whole. load
 requires JSON integers for the dims, offsets, lengths and input_shape,
-lists of strings for each node's inputs and tags, and tensors that tile
-the blob in table order, as save writes them.
+a string for each node's kind, lists of strings for its inputs and tags,
+an object of tensor names for its params, and tensors that tile the blob
+in table order, as save writes them.
 """
 
 from __future__ import annotations
@@ -145,10 +146,9 @@ class Graph:
     input_id: str
     output_id: str
     input_shape: tuple[int, int, int, int]
-    # the Plan execute keeps, which checks itself against the graph, and the
-    # identity snapshot of the last execute that compiled without keeping one
+    # the Plan execute keeps from the graph's first execute, which checks
+    # itself against the graph and is compiled anew after an edit
     _plan: "Plan | None" = field(default=None, init=False, compare=False, repr=False)
-    _unkept: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def node(self, node_id: str) -> Node:
         try:
@@ -317,11 +317,10 @@ class Op:
     train: Callable = lambda node, args, momentum: (OPS[node.kind].run(node, args), None, {})
     backward: Callable | None = None
 
-    def run(self, node: Node, args, zero_in=None, zero_out=None) -> np.ndarray:
+    def run(self, node: Node, args) -> np.ndarray:
         """The node's output for the (c, h, w, n) arrays args: prepare for
-        their (c, h, w) and dtype, applied to them."""
-        return self.prepare(node, [a.shape[:3] for a in args], zero_in, zero_out,
-                            args[0].dtype)(args)
+        their (c, h, w) and dtype, without marks, applied to them."""
+        return self.prepare(node, [a.shape[:3] for a in args], None, None, args[0].dtype)(args)
 
 
 def _fixed(fn):
@@ -367,9 +366,13 @@ def _conv_flops(node: Node, ins, out) -> int:
 
 
 def _conv_zeros(node: Node, zero_in, dt):
-    zero = node.params["weight"].zero_rows(zero_in[0])
-    if zero is not None and node.attrs["spec"].has_bias:
-        zero = zero & (node.params["bias"].data.reshape(-1) == 0)
+    w = node.params["weight"].data
+    nonzero = w != 0
+    if zero_in[0] is not None:
+        nonzero[:, zero_in[0]] = False
+    zero = ~nonzero.reshape(w.shape[0], -1).any(axis=1)
+    if node.attrs["spec"].has_bias:
+        zero &= node.params["bias"].data.reshape(-1) == 0
     return _marks(zero)
 
 
@@ -437,8 +440,8 @@ def _fc_shape(node: Node, ins) -> tuple[int, int, int, int]:
 
 def _conv_prepare(node: Node, ins, zero_in, zero_out, dt):
     spec: ConvSpec = node.attrs["spec"]
-    conv = prepare_conv(node.params["weight"], _conv_bias(node), spec.stride, spec.pad, ins[0],
-                        dt, zero_in, zero_out)
+    conv = prepare_conv(node.params["weight"].data, _conv_bias(node), spec.stride, spec.pad,
+                        ins[0], dt, zero_in, zero_out)
     return lambda args: conv(args[0])
 
 
@@ -465,7 +468,7 @@ def _fc_prepare(node: Node, ins, zero_in, zero_out, dt):
     c, h, w = ins[0]
     if zero_in is not None:
         zero_in = np.repeat(zero_in, h * w)
-    conv = prepare_conv(node.params["weight"], _conv_bias(node), (1, 1), (0, 0),
+    conv = prepare_conv(node.params["weight"].data, _conv_bias(node), (1, 1), (0, 0),
                         (c * h * w, 1, 1), dt, zero_in)
     return lambda args: conv(_fc_input(args[0]))
 
@@ -680,14 +683,6 @@ def _snapshot(g: Graph) -> tuple:
                    tuple(n.params.items())) for nid, n in g.nodes.items()))
 
 
-def _identities(snapshot: tuple) -> tuple:
-    """snapshot with each Tensor replaced by its id, so that holding it keeps
-    no weights alive."""
-    *ids, nodes = snapshot
-    return (*ids, tuple((*node, tuple((k, id(t)) for k, t in params))
-                        for *node, params in nodes))
-
-
 @dataclass(frozen=True)
 class Plan:
     """A graph compiled for execution: validated, sorted, its zero marks
@@ -780,10 +775,10 @@ def execute(g: Graph, x: Tensor, timings: dict[str, float] | None = None) -> Ten
     Tensor, a new attrs value (a ConvSpec, a frozen tuple), a new inputs
     list or an edit of the list itself. An attrs value mutated in place,
     such as a list edited where it sits, is not seen. Graph.copy() does not
-    carry the plan. A new plan is kept only when the previous execute saw
-    the same snapshot: a graph executed once, or edited between every two
-    executes, holds no prepared weights, and a graph run repeatedly
-    compiles twice before its plan is kept.
+    carry the plan. The plan is kept from the first execute, so a graph
+    executed unchanged compiles once; it holds the prepared weights, and
+    the Tensors of the snapshot, until the next compile or until g._plan is
+    set to None.
 
     Every conv, and every fc as a 1x1 conv, leaves out of its GEMMs the
     input channels and filters that the kinds' zeros rules (Op) prove
@@ -796,14 +791,9 @@ def execute(g: Graph, x: Tensor, timings: dict[str, float] | None = None) -> Ten
     non-finite value inside the graph that a later node maps to a finite
     one, such as a -inf that a relu makes 0, does not raise.
     """
-    snapshot = _snapshot(g)
     plan = g._plan
-    if plan is None or plan.snapshot != snapshot:
-        plan = compile(g)
-        # a Tensor's id can be reused once it is freed, which at worst keeps
-        # this plan, compiled from g as it is now, one execute early
-        seen = _identities(snapshot)
-        g._plan, g._unkept = (plan, None) if g._unkept == seen else (None, seen)
+    if plan is None or plan.snapshot != _snapshot(g):
+        plan = g._plan = compile(g)
     return plan.run(x, timings)
 
 
@@ -951,15 +941,17 @@ def load(path) -> Graph:
                 f"{path}: the tensors cover {end} of the blob's {len(blob)} bytes")
         nodes: dict[str, Node] = {}
         for raw in manifest["nodes"]:
+            where = f"node {raw['id']!r} field"
+            kind = _checked("kind", raw["kind"], lambda v: isinstance(v, str), "a string", where)
             params = {}
-            for pname, tname in raw.get("params", {}).items():
+            names = _checked("params", raw.get("params", {}), lambda v: isinstance(v, dict)
+                             and _is_strs(list(v.values())), "an object of tensor names", where)
+            for pname, tname in names.items():
                 if tname not in tensors:
                     raise ModelFormatError(
                         f"{path}: node {raw['id']!r} references absent tensor {tname!r}"
                     )
                 params[pname] = tensors[tname]
-            kind = raw["kind"]
-            where = f"node {raw['id']!r} field"
             nodes[raw["id"]] = Node(
                 id=raw["id"],
                 kind=kind,

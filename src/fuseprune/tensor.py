@@ -39,8 +39,9 @@ thread count. The kernels meet it as follows:
 * Dead taps. conv2d_chwn also leaves out the kernel taps that read only
   padding: live_taps works out their hull from the geometry alone, so a
   masked model and its materialization, which share every geometry, drop
-  the same taps. The dropped terms are w * (+0). A weight Tensor keeps its
-  tap-restricted copy per window, so no call gathers it twice.
+  the same taps. The dropped terms are w * (+0). Each prepare_conv cuts
+  the tap-restricted copy of the weights once and its result holds it: a
+  compiled graph's plan keeps it, and a Tensor keeps no copy of its own.
 * graph.execute runs every fc as a 1x1-conv GEMM (conv2d_chwn) over the
   (c*h*w, 1, 1, n) view of its input, compacted by the input channels'
   zero marks repeated over h*w, so a masked fc multiplies the operands its
@@ -81,7 +82,7 @@ class Tensor:
     caller's array stays writable and unshared.
     """
 
-    __slots__ = ("data", "_cache")
+    __slots__ = ("data",)
 
     def __init__(self, data, dtype=None):
         self._adopt(np.array(data, dtype=dtype, order="C"))
@@ -109,61 +110,9 @@ class Tensor:
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "_cache", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
-
-    def _cached(self, key, make):
-        """make(), computed on first use and kept under key: the data never
-        changes. The dict is made on first use, so tensors that are never
-        asked, such as activations, carry none."""
-        if self._cache is None:
-            object.__setattr__(self, "_cache", {})
-        if key not in self._cache:
-            self._cache[key] = make()
-        return self._cache[key]
-
-    def zero_rows(self, skip=None) -> np.ndarray | None:
-        """Read-only bool mask over axis 0 of the slices that are all exactly
-        zero, or None when there are none.
-
-        skip, an optional bool mask over axis 1, leaves the entries it marks
-        out of the test: for a conv weight and the input channels known to
-        be zero, the result marks the filters that read nothing else. Each
-        result is kept per skip mask. With a skip mask the test reads the
-        (axis 0, axis 1) table of slices that hold a nonzero, made once per
-        Tensor: each further mask then reads k*c flags, not the weights, and
-        the first costs about half of copying the unskipped weights out.
-        """
-        def nonzero():
-            k, c = self.shape[:2]
-            return (self.data.reshape(k, c, -1) != 0).any(axis=2)
-
-        def make():
-            if skip is None:
-                zero = ~self.data.reshape(self.shape[0], -1).any(axis=1)
-            else:
-                zero = ~self._cached("nonzero", nonzero)[:, ~skip].any(axis=1)
-            zero.setflags(write=False)
-            return zero if zero.any() else None
-
-        return self._cached(("zero_rows", None if skip is None else skip.tobytes()), make)
-
-    def taps(self, rows: slice, cols: slice) -> np.ndarray:
-        """A read-only C-ordered copy of this conv weight's [:, :, rows, cols]
-        (slices with a start and a stop), kept per window.
-
-        conv2d_chwn multiplies only the taps that read a real input; caching
-        the slice spares it a gather that reads the whole weight on every
-        call.
-        """
-        def make():
-            sub = _gather_taps(self.data, rows, cols)
-            sub.setflags(write=False)
-            return sub
-
-        return self._cached(("taps", rows.start, rows.stop, cols.start, cols.stop), make)
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -345,8 +294,9 @@ def _window_table(c, h, w, stride, pad, ho, wo, tap_rows, tap_cols) -> np.ndarra
     unpadded input, viewed as (c*h*w, n), that tap (i, j) of channel t reads
     at output (oh, ow), or c*h*w, a zero row, where it reads padding.
 
-    Kept per geometry: the trainer prepares its convs on every call and a
-    graph compiles each time its weights change, and both then find it here.
+    Kept per geometry, unlike the weights: the trainer prepares its convs
+    on every call, and a graph compiles on its first execute and again after
+    each edit, and every such prepare of one geometry finds it here.
     """
     def reads(size, stride, pad, out, taps):
         # (taps, out): the input index each offset reads, and whether it is real
@@ -364,25 +314,24 @@ def _window_table(c, h, w, stride, pad, ho, wo, tap_rows, tap_cols) -> np.ndarra
     return table
 
 
-def prepare_conv(w, bias, stride, pad, chw, dtype,
+def prepare_conv(w: np.ndarray, bias, stride, pad, chw, dtype,
                  zero_in=None, zero_out=None) -> "PreparedConv":
-    """The part of conv2d_chwn that depends on the weights and the input's
-    (c, h, w) and dtype alone, for any batch size: the checks, the output
-    geometry, the live taps, the live weights as one (k', c'*r'*s') matrix
-    and, for an output map of at most _GATHER_COLUMNS positions, the index
-    table of the window matrix. Applying the result to a (c, h, w, n) input
-    runs the GEMMs.
+    """The part of conv2d_chwn that depends on the (k, c, r, s) weight array
+    w and the input's (c, h, w) and dtype alone, for any batch size: the
+    checks, the output geometry, the live taps, the live weights as one
+    (k', c'*r'*s') matrix and, for an output map of at most _GATHER_COLUMNS
+    positions, the index table of the window matrix. Applying the result to
+    a (c, h, w, n) input runs the GEMMs.
 
-    Without masks the matrix is a view of the (tap-restricted) weights; with
-    either mask it is a copy of the live filters over the live channels,
-    made here once rather than on every application. The unmasked index
-    table is shared by every prepare of one geometry (_window_table); a
-    masked conv takes its live channels' rows of it here, once, so that its
-    gather reads the unmasked input directly.
+    Without masks the matrix is a view of w, or of the copy of its live taps
+    (_gather_taps) that each prepare cuts when they are a strict part of the
+    kernel; with either mask it is a copy of the live filters over the live
+    channels. Either copy is made here once rather than on every
+    application, and the result holds it. The unmasked index table is
+    shared by every prepare of one geometry (_window_table); a masked conv
+    takes its live channels' rows of it here, once, so that its gather
+    reads the unmasked input directly.
     """
-    weight = w if isinstance(w, Tensor) else None
-    if weight is not None:
-        w = weight.data
     dt = np.dtype(dtype)
     k, _, r, s = w.shape
     ho, wo = _conv_geometry(chw, dt, w, stride, pad)
@@ -390,8 +339,7 @@ def prepare_conv(w, bias, stride, pad, chw, dtype,
     tap_rows = live_taps(chw[1], r, stride[0], pad[0], ho)
     tap_cols = live_taps(chw[2], s, stride[1], pad[1], wo)
     if (tap_rows.stop - tap_rows.start, tap_cols.stop - tap_cols.start) != (r, s):
-        w = (weight.taps(tap_rows, tap_cols) if weight is not None
-             else _gather_taps(w, tap_rows, tap_cols))
+        w = _gather_taps(w, tap_rows, tap_cols)
     table = None
     if ho * wo <= _GATHER_COLUMNS:
         table = _window_table(*chw, tuple(stride), tuple(pad), ho, wo,
@@ -494,12 +442,13 @@ class PreparedConv(NamedTuple):
         return y
 
 
-def conv2d_chwn(x: np.ndarray, w, bias, stride, pad,
+def conv2d_chwn(x: np.ndarray, w: np.ndarray, bias, stride, pad,
                 zero_in=None, zero_out=None) -> np.ndarray:
     """2-D convolution (cross-correlation) with zero padding, as im2col GEMMs,
     from a (c, h, w, n) input to a new (k, ho, wo, n) output: prepare_conv
-    for x's (c, h, w) and dtype, applied to x. graph.compile keeps the
-    prepared conv and applies it on every execute.
+    for x's (c, h, w) and dtype, applied to x. graph.compile prepares each
+    conv once, and the plan that a graph keeps from its first execute
+    applies it on every execute.
 
     y(k, ho, wo, n) = sum over (t, i, j) of
         x(t, stride[0]*ho + i - pad[0], stride[1]*wo + j - pad[1], n) * w(k, t, i, j)
@@ -519,10 +468,9 @@ def conv2d_chwn(x: np.ndarray, w, bias, stride, pad,
 
     The live taps are the hull live_taps works out from the geometry alone
     (h, w, r, s, stride, pad, ho, wo): a 3x3 pad-1 conv on a 1x1 map
-    multiplies its center tap only. w is a (k, c, r, s) array or a weight
-    Tensor. When the hull is a strict part of the kernel, a Tensor gives
-    the weights of those taps from its cache (Tensor.taps) and an array is
-    gathered anew on every prepare.
+    multiplies its center tap only. w is a (k, c, r, s) array; when the
+    hull is a strict part of the kernel, each prepare gathers the weights of
+    those taps anew, and a compiled graph's prepared conv holds them.
 
     zero_in and zero_out are optional length-c and length-k bool masks.
     zero_in marks input channels the caller knows to be all exactly zero:

@@ -38,7 +38,7 @@ def _nchw(y: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(y.transpose(3, 0, 1, 2))
 
 
-def conv2d_gemm(x: np.ndarray, w, bias, stride, pad,
+def conv2d_gemm(x: np.ndarray, w: np.ndarray, bias, stride, pad,
                 zero_in=None, zero_out=None) -> np.ndarray:
     """conv2d_chwn on an (n, c, h, w) input, returning a new (n, k, ho, wo)
     array: the same GEMMs, with one transposing copy on each side."""

@@ -18,8 +18,8 @@ tensor.live_taps works out from the geometry; every tap outside it reads
 padding alone. The test_*tap* tests check the hull by brute force over
 random geometries, that a 3x3 pad-1 conv on a 1x1 map is byte for byte the
 1x1 conv of its center tap, that partial hulls stay within the oracle's
-tolerance, and that a weight Tensor caches one tap-restricted copy per
-window and none when every tap is live.
+tolerance, and that a prepared conv holds one tap-restricted copy of the
+weights per window and none when every tap is live.
 
 A prepared conv builds its window matrix by copying it out of the padded
 input's window view or, for a GEMM of at most 16 columns (ho*wo*n), by
@@ -48,11 +48,7 @@ import numpy as np
 import pytest
 
 from fuseprune import tensor
-from fuseprune.tensor import (
-    Tensor,
-    TensorError,
-    live_taps,
-)
+from fuseprune.tensor import TensorError, live_taps
 
 import reference_kernels
 from oracles import conv2d_brute, fc_brute
@@ -363,7 +359,7 @@ def test_dead_taps_of_random_geometries_match_brute(dt):
 @pytest.mark.parametrize("masked", (False, True))
 def test_center_tap_of_a_1x1_map_is_the_1x1_conv(dt, n, with_bias, masked):
     # 8 of the 9 taps read padding: the GEMM must be the center tap's alone,
-    # the same bytes as a 1x1 conv, for an array or a cached Tensor weight
+    # the same bytes as a 1x1 conv
     rng = np.random.default_rng(19)
     c, k = 12, 10
     x = rand(rng, (n, c, 1, 1), dt)
@@ -379,9 +375,8 @@ def test_center_tap_of_a_1x1_map_is_the_1x1_conv(dt, n, with_bias, masked):
     center = np.ascontiguousarray(w[:, :, 1:2, 1:2])
     want = conv2d_gemm(x, center, b, (1, 1), (0, 0), zero_in, zero_out)
     for stride in ((1, 1), (2, 2)):
-        for weight in (w, Tensor(w)):
-            got = conv2d_gemm(x, weight, b, stride, (1, 1), zero_in, zero_out)
-            assert bits_equal(got, want), (stride, type(weight))
+        got = conv2d_gemm(x, w, b, stride, (1, 1), zero_in, zero_out)
+        assert bits_equal(got, want), stride
     assert_near_brute(want, x, w, b, (1, 1), (1, 1), dt)
 
 
@@ -398,50 +393,40 @@ def test_partial_tap_hulls_match_brute(dt, h, w_in, r, stride, pad):
         x = rand(rng, (n, 5, h, w_in), dt)
         w = rand(rng, (6, 5, r, r), dt)
         b = rand(rng, 6, dt)
-        for weight in (w, Tensor(w)):
-            assert_near_brute(conv2d_gemm(x, weight, b, stride, pad), x, w, b, stride, pad, dt)
+        assert_near_brute(conv2d_gemm(x, w, b, stride, pad), x, w, b, stride, pad, dt)
 
 
-def test_all_live_taps_make_no_copy_and_no_cache(monkeypatch):
+def test_all_live_taps_make_no_copy(monkeypatch):
     gathered = []
     real_gather = tensor._gather_taps
     monkeypatch.setattr(tensor, "_gather_taps",
                         lambda *a: gathered.append(a) or real_gather(*a))
     rng = np.random.default_rng(21)
-    w = Tensor(rand(rng, (4, 3, 3, 3), np.float32))
-    x = Tensor(rand(rng, (2, 3, 5, 5), np.float32))
+    w = rand(rng, (4, 3, 3, 3), np.float32)
+    x = rand(rng, (2, 3, 5, 5), np.float32)
     for stride in ((1, 1), (2, 2)):
-        conv2d_gemm(x.data, w, None, stride, (1, 1))
-        conv2d_gemm(x.data, w.data, None, stride, (1, 1))
-    assert gathered == [] and w._cache is None
-    # a 1x1 map does gather, once for the Tensor and on every array call
-    one = Tensor(rand(rng, (2, 3, 1, 1), np.float32))
+        conv2d_gemm(x, w, None, stride, (1, 1))
+    assert gathered == []
+    # a 1x1 map does gather, once per prepare
+    one = rand(rng, (2, 3, 1, 1), np.float32)
     for _ in range(2):
-        conv2d_gemm(one.data, w, None, (1, 1), (1, 1))
-        conv2d_gemm(one.data, w.data, None, (1, 1), (1, 1))
-    assert len(gathered) == 3
+        conv2d_gemm(one, w, None, (1, 1), (1, 1))
+    assert len(gathered) == 2
 
 
 @pytest.mark.parametrize("dt", DTYPES)
-def test_one_weight_caches_a_window_per_map_size(dt):
+def test_one_weight_prepares_the_window_of_each_map_size(dt):
     # stride 2, pad 1: a 1x1 map reads the center tap, a 2x2 map the
-    # [1, 3) x [1, 3) window, and a 3x3 map every tap
+    # [1, 3) x [1, 3) window, and a 3x3 map every tap; the prepared conv
+    # holds a copy of the window's weights, or a view of them all
     rng = np.random.default_rng(22)
     w = rand(rng, (6, 4, 3, 3), dt)
-    weight = Tensor(w)
-    first = {}
-    for hw in (1, 2, 3, 1, 2):
+    for hw, taps in ((1, 1), (2, 4), (3, 9)):
         x = rand(rng, (2, 4, hw, hw), dt)
-        got = conv2d_gemm(x, weight, None, (2, 2), (1, 1))
-        assert_near_brute(got, x, w, None, (2, 2), (1, 1), dt)
-        if hw in first:
-            assert bits_equal(conv2d_gemm(first[hw], weight, None, (2, 2), (1, 1)),
-                              conv2d_gemm(first[hw], w, None, (2, 2), (1, 1)))
-        first.setdefault(hw, x)
-    windows = [v for key, v in weight._cache.items() if key[0] == "taps"]
-    assert sorted(v.shape for v in windows) == [(6, 4, 1, 1), (6, 4, 2, 2)]
-    assert weight.taps(slice(1, 2), slice(1, 2)) is weight.taps(slice(1, 2), slice(1, 2))
-    assert all(not v.flags.writeable for v in windows)
+        assert_near_brute(conv2d_gemm(x, w, None, (2, 2), (1, 1)), x, w, None, (2, 2), (1, 1), dt)
+        conv = tensor.prepare_conv(w, None, (2, 2), (1, 1), (4, hw, hw), dt)
+        assert conv.w2d.shape == (6, 4 * taps)
+        assert np.shares_memory(conv.w2d, w) == (taps == 9)
 
 
 @pytest.mark.parametrize("kernel", (conv2d_raw, conv2d_gemm))
@@ -598,7 +583,7 @@ def test_one_unmasked_geometry_shares_one_table():
     x_chw, stride, pad = (8, 4, 4), (2, 2), (1, 1)
     a = tensor.prepare_conv(rand(rng, (3, 8, 3, 3), np.float32), None, stride, pad, x_chw,
                             np.float32)
-    b = tensor.prepare_conv(Tensor(rand(rng, (5, 8, 3, 3), np.float64)),
+    b = tensor.prepare_conv(rand(rng, (5, 8, 3, 3), np.float64),
                             rand(rng, 5, np.float64), stride, pad, x_chw, np.float64,
                             None, np.isin(np.arange(5), (1,)))
     assert a.table is b.table and not a.table.flags.writeable

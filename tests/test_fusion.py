@@ -57,14 +57,14 @@ class TestIdentityWeights:
             x = rand_input(rng, (2, 4, 6, 6), dtype)
             w = make_identity_weights(4, 3, 3, dtype=dtype)
             spec = ConvSpec(k=4, c=4, r=3, s=3, stride=(1, 1), pad=(1, 1), has_bias=False)
-            y = conv2d_gemm(x.data, w, None, spec.stride, spec.pad)
+            y = conv2d_gemm(x.data, w.data, None, spec.stride, spec.pad)
             assert np.array_equal(y, x.data)
 
     def test_strided_identity_subsamples(self, rng):
         x = rand_input(rng, (1, 2, 6, 6))
         w = make_identity_weights(2, 3, 3)
         spec = ConvSpec(k=2, c=2, r=3, s=3, stride=(2, 2), pad=(1, 1), has_bias=False)
-        y = conv2d_gemm(x.data, w, None, spec.stride, spec.pad)
+        y = conv2d_gemm(x.data, w.data, None, spec.stride, spec.pad)
         assert y.shape == (1, 2, 3, 3)
         assert np.array_equal(y, x.data[:, :, ::2, ::2])
 
@@ -86,9 +86,9 @@ class TestPadConvWeights:
     def test_padded_conv_same_function(self, rng):
         x = rand_input(rng, (2, 3, 5, 5))
         w = Tensor(rng.standard_normal((4, 3, 1, 1)).astype(np.float32))
-        y1 = conv2d_gemm(x.data, w, None, (2, 2), (0, 0))
+        y1 = conv2d_gemm(x.data, w.data, None, (2, 2), (0, 0))
         p = pad_conv_weights(w, 3, 3)
-        y2 = conv2d_gemm(x.data, p, None, (2, 2), (1, 1))
+        y2 = conv2d_gemm(x.data, p.data, None, (2, 2), (1, 1))
         assert np.array_equal(y1, y2)
 
     def test_bad_targets_rejected(self, rng):
@@ -115,7 +115,7 @@ class TestAdjustForBn:
         omega, _ = bn_affine(bn, np.float32)
         adj = adjust_identity_for_bn(make_identity_weights(3, 3, 3), omega)
         spec = ConvSpec(3, 3, 3, 3, stride=(1, 1), pad=(1, 1), has_bias=False)
-        y = batch_norm_inference(conv2d_gemm(x.data, adj, None, spec.stride, spec.pad), bn)
+        y = batch_norm_inference(conv2d_gemm(x.data, adj.data, None, spec.stride, spec.pad), bn)
         np.testing.assert_allclose(y, x.data, rtol=1e-5, atol=1e-6)
 
     def test_near_zero_rejected(self):

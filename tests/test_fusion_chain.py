@@ -1,0 +1,70 @@
+"""A property test over the whole transformation chain on drawn residual blocks.
+
+Each draw builds one block (conftest.random_residual_block_graph) of drawn
+channels, map size, kernel (1 or 3), stride, bn, shortcut and dtype, and
+runs fuse_block -> soft_prune_epoch (conservative, and continued at 0.3)
+-> materialize -> fold_bn. Each step keeps its promise at its stated
+strength: fusion and the fold within the acceptance suite's tolerances,
+materialization byte for byte, and a mask with one kept filter flipped to
+zeroized is refused with InconsistentMask.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fuseprune.fusion import find_residual_blocks, fold_bn, fuse_block
+from fuseprune.graph import execute
+from fuseprune.pruning import (InconsistentMask, PruneConfig, PruneMask, materialize,
+                               soft_prune_epoch)
+from fuseprune.tensor import Tensor
+
+from conftest import random_residual_block_graph
+
+INPUT_SCALE = 0.1  # as in tests/test_acceptance.py
+TOL = {np.float32: 1e-4, np.float64: 1e-10}  # the acceptance suite's tolerances
+
+
+@st.composite
+def blocks(draw):
+    """The keyword arguments of one random_residual_block_graph."""
+    projection = draw(st.booleans())
+    c_in = draw(st.integers(1, 6))
+    # an identity shortcut adds the block input, so the shapes must agree
+    k = draw(st.integers(1, 6)) if projection else c_in
+    stride = draw(st.sampled_from([1, 2])) if projection else 1
+    return dict(c_in=c_in, k=k, hw=draw(st.integers(1, 7)), kernel=draw(st.sampled_from([1, 3])),
+                stride=(stride, stride), with_bn=draw(st.booleans()), projection=projection,
+                dtype=draw(st.sampled_from([np.float32, np.float64])))
+
+
+def max_diff(a: Tensor, b: Tensor) -> float:
+    return float(np.max(np.abs(a.data - b.data)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(block=blocks(), seed=st.integers(0, 2**16), flip=st.integers(0, 2**16))
+def test_fuse_prune_materialize_fold_keep_their_promises(block, seed, flip):
+    rng = np.random.default_rng(seed)
+    g = random_residual_block_graph(rng, **block)
+    dt, tol = block["dtype"], TOL[block["dtype"]]
+    x = Tensor(rng.standard_normal((3, *g.input_shape[1:])) * INPUT_SCALE, dt)
+    (match,) = find_residual_blocks(g)
+    fused, report = fuse_block(g, match)
+    assert max_diff(execute(fused, x), execute(g, x)) <= tol
+    for cfg in (PruneConfig(mode="conservative"), PruneConfig(rate=0.3, mode="continued")):
+        masked = fused.copy()
+        mask = soft_prune_epoch(masked, report, cfg)
+        small = materialize(masked, mask).graph
+        y = execute(masked, x)
+        assert y.data.tobytes() == execute(small, x).data.tobytes(), cfg.mode
+        assert max_diff(execute(fold_bn(small), x), y) <= tol, cfg.mode
+        kept = [(conv, i) for conv, flags in mask.keep.items() for i, f in enumerate(flags) if f]
+        conv, i = kept[flip % len(kept)]
+        tampered = PruneMask(keep={**mask.keep, conv: [f and j != i for j, f in
+                                                       enumerate(mask.keep[conv])]})
+        with pytest.raises(InconsistentMask):
+            materialize(masked, tampered)

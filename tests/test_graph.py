@@ -328,7 +328,7 @@ def _soft_prune(g):
 
 
 class TestPlanCache:
-    """execute keeps a graph's plan from its second execute on and compiles
+    """execute keeps a graph's plan from its first execute on and compiles
     again after any edit the snapshot shows."""
 
     @pytest.mark.parametrize("edit", [
@@ -352,43 +352,39 @@ class TestPlanCache:
         with pytest.raises(DanglingInput):
             execute(g, x)
 
-    def test_validate_runs_until_the_plan_is_kept(self, rng, monkeypatch):
+    def test_validate_runs_once_per_graph_state(self, rng, monkeypatch):
         g = tiny_chain(rng)
         calls = []
         real_validate = graph.validate
         monkeypatch.setattr(graph, "validate", lambda h: calls.append(h) or real_validate(h))
         x = Tensor(rng.standard_normal((1, 3, 8, 8)).astype(np.float32))
         outs = {execute(g, x).data.tobytes() for _ in range(5)}
-        assert len(calls) == 2 and len(outs) == 1  # kept from the second execute on
+        assert len(calls) == 1 and len(outs) == 1  # kept from the first execute on
         mask = soft_prune_epoch(g, None, PruneConfig(rate=0.3, mode="continued"))
         assert mask.zeroed("c1")
         for _ in range(3):
             execute(g, x)
-        assert len(calls) == 4
+        assert len(calls) == 2
         execute(g.copy(), x)  # a copy carries no plan
-        assert len(calls) == 5
+        assert len(calls) == 3
 
-    def test_only_a_graph_executed_again_keeps_a_plan(self, rng):
+    def test_the_first_execute_keeps_a_plan_that_an_edit_releases(self, rng):
         g = tiny_chain(rng)
         x = Tensor(rng.standard_normal((1, 3, 8, 8)).astype(np.float32))
         old = g.nodes["c1"].params["weight"]
         refs = sys.getrefcount(old)
         execute(g, x)
-        assert g._plan is None and sys.getrefcount(old) == refs  # a one-shot execute holds nothing
-        execute(g, x)
         assert g._plan is not None and sys.getrefcount(old) > refs
         g.nodes["c1"].params["weight"] = Tensor(old.data * 2)
         execute(g, x)
         # the stale plan went, and with it the replaced weights
-        assert g._plan is None and sys.getrefcount(old) == refs - 1
-        execute(g, x)
-        assert g._plan is not None
+        assert g._plan is not None and sys.getrefcount(old) == refs - 1
+        assert g._plan.snapshot == graph._snapshot(g)
 
     def test_the_plan_is_no_part_of_equality_or_repr(self, rng):
         g = tiny_chain(rng)
         text = repr(g)
         x = Tensor(rng.standard_normal((1, 3, 8, 8)).astype(np.float32))
-        execute(g, x)
         execute(g, x)
         assert g._plan is not None and g.copy()._plan is None
         assert g == g.copy() and repr(g) == text
@@ -578,28 +574,35 @@ class TestContainer:
         with pytest.raises(ModelFormatError, match="outside the blob"):
             load(path)
 
-    @pytest.mark.parametrize("edit", [
-        lambda m: m.update(blob=[]),
-        lambda m: m["nodes"][1].update(params=[]),
-        lambda m: m["nodes"].__setitem__(1, ["c1"]),
-        lambda m: m["nodes"][1]["attrs"].update(stride=[1]),
-        lambda m: m["nodes"][1].update(inputs=[["in"]]),
-        lambda m: m["nodes"][1].update(inputs="in"),
-        lambda m: m["tensors"][1].update(offset=True),
-        lambda m: m["tensors"][0]["shape"].__setitem__(0, 4.5),
-        lambda m: m["input_shape"].__setitem__(1, 3.9),
-        lambda m: m["input_shape"].__setitem__(1, "3"),
-        lambda m: m["nodes"][1].update(tags=[5]),
-        lambda m: m["nodes"][1].update(tags="stage1.block1"),
+    @pytest.mark.parametrize("edit,named", [
+        (lambda m: m.update(blob=[]), ""),
+        (lambda m: m["nodes"][1].update(params=[]), ""),
+        (lambda m: m["nodes"].__setitem__(1, ["c1"]), ""),
+        (lambda m: m["nodes"][1]["attrs"].update(stride=[1]), ""),
+        (lambda m: m["nodes"][1].update(inputs=[["in"]]), ""),
+        (lambda m: m["nodes"][1].update(inputs="in"), ""),
+        (lambda m: m["tensors"][1].update(offset=True), ""),
+        (lambda m: m["tensors"][0]["shape"].__setitem__(0, 4.5), ""),
+        (lambda m: m["input_shape"].__setitem__(1, 3.9), ""),
+        (lambda m: m["input_shape"].__setitem__(1, "3"), ""),
+        (lambda m: m["nodes"][1].update(tags=[5]), ""),
+        (lambda m: m["nodes"][1].update(tags="stage1.block1"), ""),
+        (lambda m: m["nodes"][1].update(kind=["conv"]), "node 'c1' field 'kind'"),
+        (lambda m: m["nodes"][1].update(kind={"conv": 1}), "node 'c1' field 'kind'"),
+        (lambda m: m["nodes"][1]["params"].update(weight=["c1/weight"]),
+         "node 'c1' field 'params'"),
     ], ids=["blob-list", "params-list", "node-list", "stride-one-entry", "input-list",
             "inputs-string", "offset-bool", "dim-float", "input-shape-float",
-            "input-shape-string", "tags-int", "tags-string"])
-    def test_wrong_json_type_rejected(self, rng, tmp_path, capsys, edit):
+            "input-shape-string", "tags-int", "tags-string", "kind-list", "kind-object",
+            "params-entry-list"])
+    def test_wrong_json_type_rejected(self, rng, tmp_path, capsys, edit, named):
         # a JSON value of the wrong type is a malformed file, not a crash;
         # a string's inputs were split into characters (a GraphError), and
         # the others loaded: a tensor read from byte 1 for an offset of true,
         # a dim or input_shape entry truncated or coerced to an integer, an
-        # integer tag, and a string's tags split into characters
+        # integer tag, and a string's tags split into characters; a kind or
+        # params entry that is a list or an object failed as unhashable,
+        # naming neither the node nor the field, which the message must now name
         path = tmp_path / "m.fpm"
         save(tiny_chain(rng), path)
         raw = path.read_bytes()
@@ -609,7 +612,7 @@ class TestContainer:
         edit(manifest)
         payload = json.dumps(manifest, separators=(",", ":")).encode()
         path.write_bytes(b"FPM1" + len(payload).to_bytes(4, "little") + payload + raw[8 + man_len :])
-        with pytest.raises(ModelFormatError, match="malformed manifest"):
+        with pytest.raises(ModelFormatError, match="malformed manifest.*" + named):
             load(path)
         assert main(["flops", str(path)]) == EXIT_VALIDATION
         assert "malformed manifest" in capsys.readouterr().err

@@ -59,6 +59,11 @@ def same_bytes(a: Tensor, b: Tensor) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.data.tobytes() == b.data.tobytes()
 
 
+def zero_filters(weight: Tensor) -> np.ndarray:
+    """The bool mask of a conv weight's filters that are all exactly zero."""
+    return ~weight.data.reshape(weight.shape[0], -1).any(axis=1)
+
+
 def zero_marks(g, x):
     """The zero-channel marks of every node of g, as execute derives them."""
     marks = {}
@@ -131,7 +136,7 @@ def test_blocked_conv_is_compacted_on_both_sides():
     x = Tensor(np.random.default_rng(6).standard_normal((32, 3, 8, 8)) * INPUT_SCALE, np.float32)
     marks = {"masked": zero_marks(masked, x), "materialized": zero_marks(res.graph, x)}
     for rec in blocked:
-        zeroed = list(np.flatnonzero(res.graph.node(rec["conv"]).params["weight"].zero_rows()))
+        zeroed = list(np.flatnonzero(zero_filters(res.graph.node(rec["conv"]).params["weight"])))
         assert len(zeroed) == rec["zeroized"]
         for side in marks.values():
             assert list(np.flatnonzero(side[rec["conv"]])) == zeroed
@@ -153,8 +158,8 @@ def test_passthrough_of_a_removed_stem_channel_is_dead_on_both_sides(family, dty
     g.node(fid).params["weight"] = Tensor(g.node(fid).params["weight"].data * 0.01)
     fused, report = fuse(g, f"1/{len(FAMILIES[family].stages)}")
     masked, res = pruned_pair(fused, report, "continued", 0.3)
-    stem_dead = np.flatnonzero(masked.node("conv1").params["weight"].zero_rows())
-    zeroized = masked.node(fid).params["weight"].zero_rows()
+    stem_dead = np.flatnonzero(zero_filters(masked.node("conv1").params["weight"]))
+    zeroized = zero_filters(masked.node(fid).params["weight"])
     passthrough = c1 + stem_dead
     assert len(stem_dead) > 0 and not zeroized[passthrough].any()
     x = Tensor(np.random.default_rng(9).standard_normal((32, 3, hw, hw)) * INPUT_SCALE,
@@ -277,7 +282,7 @@ def test_materialize_deletes_by_mask_not_by_zero_marks(dtype):
     chance = keep.index(True)
     by_hand = masked.copy()
     _zeroize(by_hand, by_hand.consumers(), conv, [chance])
-    assert keep[chance] and by_hand.node(conv).params["weight"].zero_rows()[chance]
+    assert keep[chance] and zero_filters(by_hand.node(conv).params["weight"])[chance]
     hand = materialize(by_hand, mask)
     assert hand.summary == res.summary
     k = by_hand.node(conv).attrs["spec"].k

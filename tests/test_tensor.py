@@ -176,8 +176,7 @@ def run(kind, *args):
     """The kind's graph forward, OPS[kind].run, on arrays and without zero
     marks, for the kinds that read no attrs or params. The arrays are
     (n, c, h, w) here and cross into the runs' (c, h, w, n) layout."""
-    y = OPS[kind].run(plain_node(kind, kind, []), [a.transpose(1, 2, 3, 0) for a in args],
-                      None, None)
+    y = OPS[kind].run(plain_node(kind, kind, []), [a.transpose(1, 2, 3, 0) for a in args])
     return y.transpose(3, 0, 1, 2)
 
 
@@ -248,11 +247,11 @@ class TestFullyConnected:
         x = rng.standard_normal((2, 3, 2, 2)).astype(np.float32)
         w = Tensor(rng.standard_normal((5, 12, 1, 1)).astype(np.float32))
         fc = Node("fc", "fc", ["x"], params={"weight": w})
-        y = OPS["fc"].run(fc, [x.transpose(1, 2, 3, 0)], None, None).transpose(3, 0, 1, 2)
+        y = OPS["fc"].run(fc, [x.transpose(1, 2, 3, 0)]).transpose(3, 0, 1, 2)
         assert y.shape == (2, 5, 1, 1)
         want = fc_brute(x.reshape(2, 12), w.data.reshape(5, 12), None)
         scale = fc_brute(np.abs(x).reshape(2, 12), np.abs(w.data).reshape(5, 12), None)
         assert np.all(np.abs(y.reshape(2, 5) - want) <= 1e-5 * scale)
         fc.params = {"weight": Tensor(np.zeros((5, 9, 1, 1), np.float32))}
         with pytest.raises(TensorError):
-            OPS["fc"].run(fc, [x.transpose(1, 2, 3, 0)], None, None)
+            OPS["fc"].run(fc, [x.transpose(1, 2, 3, 0)])

@@ -1,11 +1,13 @@
-"""Tensor owns its data: the caller's array is copied, never frozen or shared."""
+"""Tensor owns its data: the caller's array is copied, never frozen or shared,
+and a Tensor holds nothing else. The conv's zero marks are read from a
+weight Tensor's data on each compile."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from fuseprune.graph import execute
+from fuseprune.graph import OPS, execute
 from fuseprune.tensor import Tensor
 
 from conftest import conv_node, make_graph, plain_node
@@ -40,29 +42,56 @@ def test_kernel_outputs_are_read_only():
         assert not y.data.flags.writeable
 
 
-def test_zero_rows_marks_all_zero_filters_once():
+def test_a_tensor_holds_its_data_alone():
+    t = Tensor(np.ones((1, 1, 2, 2), np.float32))
+    assert Tensor.__slots__ == ("data",)
+    with pytest.raises(AttributeError):
+        t.extra = 1
+
+
+def _conv_zeros(w, zero_in=None, bias=None):
+    """OPS["conv"].zeros of a conv over weight w (and bias), given its input
+    channels' marks, as a list, or None."""
+    node = conv_node("c", ["in"], *w.shape[:2], r=w.shape[2], s=w.shape[3], weight=w, bias=bias)
+    zero = OPS["conv"].zeros(node, [zero_in], w.dtype)
+    return None if zero is None else zero.tolist()
+
+
+def test_conv_zeros_without_input_marks():
     w = np.ones((4, 2, 3, 3), np.float32)
     w[1] = 0
-    w[3] = -0.0
     w[2, 1, 2, 2] = 0
-    t = Tensor(w)
-    zero = t.zero_rows()
-    assert zero.tolist() == [False, True, False, True]
-    assert not zero.flags.writeable
-    assert t.zero_rows() is zero
-    assert Tensor(np.ones((2, 1, 1, 1), np.float32)).zero_rows() is None
+    assert _conv_zeros(w) == [False, True, False, False]
+    assert _conv_zeros(np.ones((2, 1, 1, 1), np.float32)) is None
 
 
-def test_zero_rows_can_skip_input_channels():
+def test_conv_zeros_leave_out_marked_input_channels():
     # filter 0 reads only input channel 1, filter 1 reads both
     w = np.zeros((3, 2, 1, 1), np.float32)
     w[0, 1] = 1
     w[1] = 2
-    t = Tensor(w)
-    skip = np.array([False, True])
-    zero = t.zero_rows(skip)
-    assert zero.tolist() == [True, False, True]
-    assert t.zero_rows(skip.copy()) is zero
-    assert t.zero_rows().tolist() == [False, False, True]
-    assert t.zero_rows(np.array([False, False])).tolist() == [False, False, True]
-    assert t.zero_rows(np.array([True, True])).tolist() == [True, True, True]
+    assert _conv_zeros(w, np.array([False, True])) == [True, False, True]
+    assert _conv_zeros(w, np.array([True, False])) == [False, False, True]
+    assert _conv_zeros(w, np.array([False, False])) == [False, False, True]
+
+
+def test_conv_zeros_with_every_input_channel_marked():
+    w = np.ones((3, 2, 3, 3), np.float64)
+    assert _conv_zeros(w, np.array([True, True])) == [True, True, True]
+
+
+def test_conv_zeros_a_nonzero_bias_unmarks_its_filter():
+    w = np.zeros((3, 2, 1, 1), np.float32)
+    w[0] = 1
+    assert _conv_zeros(w, bias=[0.0, 0.5, 0.0]) == [False, False, True]
+    assert _conv_zeros(w, bias=[0.0, 0.5, -1.0]) is None
+    assert _conv_zeros(w, np.array([True, True]), bias=[0.0, 0.5, -0.0]) == [True, False, True]
+
+
+def test_conv_zeros_count_negative_zero_as_zero():
+    w = np.ones((3, 2, 3, 3), np.float32)
+    w[1] = -0.0
+    w[2, 0] = -0.0
+    assert np.signbit(w[1]).all()
+    assert _conv_zeros(w) == [False, True, False]
+    assert _conv_zeros(w, np.array([False, True])) == [False, True, True]

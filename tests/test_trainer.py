@@ -581,14 +581,13 @@ class TestTrainEpoch:
         return TrainConfig(**base)
 
     def test_training_releases_the_weights_a_kept_plan_held(self):
-        # a graph executed twice, as by evaluate, keeps a plan; training
-        # replaced every parameter, but the stale plan held all the old
-        # Tensors until the next execute
+        # a graph executed, as by evaluate, keeps a plan; training replaced
+        # every parameter, but the stale plan held all the old Tensors until
+        # the next execute
         g = small_net(1)
         x = Tensor(np.zeros((2, 3, 8, 8), np.float32))
         old = [t for node in g.nodes.values() for t in node.params.values()]
         refs = [sys.getrefcount(t) for t in old]
-        execute(g, x)
         execute(g, x)
         assert g._plan is not None
         train_epoch(g, SynthDataset(seed=1, n_train=32, n_test=4), self.cfg())
