@@ -44,8 +44,11 @@ resnet8-tiny, resnet18 and resnet34 b1 lines also for their convs on maps
 of 4x4 and below; every b32 line and the grads and trained lines, whose
 GEMMs are wider than 16 columns, copy out of the window view alone.
 
-The bits depend on the BLAS and its thread count, so compare runs made
-with the same OPENBLAS_NUM_THREADS (or its equivalent) on one machine.
+The bits depend on the BLAS, its kernel and its thread count, so compare
+runs made with the same OPENBLAS_NUM_THREADS (or its equivalent) on one
+machine. The script names on standard error the kernel OpenBLAS picked
+for this CPU (`openblas core: SkylakeX`, say, or `unknown` where it finds
+no OpenBLAS), which OPENBLAS_CORETYPE overrides.
 Every model and input is drawn from seed SEED, and the larger families run
 at HW x HW rather than at 224x224.
 """
@@ -53,6 +56,8 @@ at HW x HW rather than at 224x224.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import hashlib
 import math
 import os
@@ -111,6 +116,27 @@ def folded_fused(orig, stages: int) -> Graph:
     return fuse(fold_bn(g), f"{stages}/{stages}")[0]
 
 
+def openblas_core() -> str:
+    """The name of the kernel OpenBLAS chose, or "unknown" without an OpenBLAS.
+
+    The name is looked up among the process's global symbols and in the
+    OpenBLAS that numpy's wheels bundle, which numpy has already loaded.
+    """
+    bundled = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                     "*openblas*"))
+    for lib in [None, *bundled]:
+        try:
+            dll = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for name in ("openblas_get_corename", "scipy_openblas_get_corename64_"):
+            corename = getattr(dll, name, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode("ascii", "replace").strip()
+    return "unknown"
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -146,6 +172,7 @@ def training(fused, report: FusionReport, path) -> tuple[str, str]:
 
 def main(argv=None):
     args = parse_args(argv if argv is not None else sys.argv[1:])
+    print(f"openblas core: {openblas_core()}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         for family in args.family or list(FAMILIES):
             for dtype in DTYPES:

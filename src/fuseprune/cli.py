@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import struct
 import sys
 
@@ -65,14 +66,16 @@ def read_tensor(path) -> Tensor:
             raise ValueError(f"{path}: unknown dtype tag {tag}")
         dt = _DTYPE_FOR_TAG[tag]
         count = math.prod(shape)  # exact: four u32 dims overflow int64
-        # read what is there rather than count * itemsize, which can exceed memory
-        raw = fh.read()
-        if len(raw) < count * dt.itemsize:
+        # the file's size is checked first: count * itemsize can exceed memory
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size < count * dt.itemsize:
             raise ValueError(f"{path}: expected {count} elements, file is short")
-        if len(raw) > count * dt.itemsize:
+        if size > count * dt.itemsize:
             raise ValueError(f"{path}: trailing bytes after tensor data")
-    data = np.frombuffer(raw, dtype=dt).reshape(shape)
-    return Tensor(data.astype(data.dtype.newbyteorder("=")))
+        data = np.empty(shape, dt)
+        if fh.readinto(data.reshape(-1).view(np.uint8)) != data.nbytes:
+            raise ValueError(f"{path}: expected {count} elements, file is short")
+    return Tensor._wrap(data.astype(data.dtype.newbyteorder("="), copy=False))
 
 
 def _cmd_build_model(args) -> int:

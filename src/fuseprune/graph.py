@@ -52,11 +52,20 @@ attributes, tags, and a tensor table of name/shape/dtype/offset/length),
 then one raw blob of little-endian IEEE-754 values concatenated in
 manifest order. The manifest carries a format version and a SHA-256
 checksum of the blob. save writes a new file beside the target and renames
-it into place, so a failed save leaves any earlier file whole. load
-requires JSON integers for the dims, offsets, lengths and input_shape,
-a string for each node's kind, lists of strings for its inputs and tags,
-an object of tensor names for its params, and tensors that tile the blob
-in table order, as save writes them.
+it into place, so a failed save leaves any earlier file whole. It encodes
+the manifest once, with 64 zeros for the digest, writes the header, the
+manifest and then each tensor straight from its own buffer, and last
+writes the hex digest over the zeros. load requires JSON integers for the
+dims, offsets, lengths and input_shape, a string for each node's kind,
+lists of strings for its inputs and tags, an object of tensor names for
+its params, and tensors that tile the blob in table order, as save writes
+them. It checks the blob's length against the file's size and the whole
+tensor table before it reads a byte of the blob, then reads each tensor
+into a fresh array of its own, and wraps them in Tensors only once the
+blob's digest matches. Both hash the blob while they write or read it:
+_Hasher hands slices of at least _SLICE (4 MiB) of whole tensors to one
+thread of its own, which the call joins before it returns or raises; a
+blob under one slice is hashed in the caller's thread and starts none.
 """
 
 from __future__ import annotations
@@ -67,7 +76,9 @@ import heapq
 import json
 import math
 import os
+import queue
 import secrets
+import threading
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
@@ -822,12 +833,77 @@ def atomic_write(path):
         raise
 
 
+_SLICE = 4 << 20  # the fewest bytes the hashing thread takes at a time
+
+
+class _Hasher:
+    """SHA-256 of a sequence of arrays, computed beside the caller's I/O.
+
+    update batches the arrays into slices of at least _SLICE bytes. The
+    first full slice starts one thread, which hashes the slices in order
+    off a queue while the caller reads or writes the next arrays; hashlib
+    releases the GIL on large buffers. Arrays short of a slice are hashed
+    by hexdigest in the caller's thread, so fewer than _SLICE bytes in all
+    start no thread. Leaving the with block joins the thread, on success
+    or error, so none outlives the call that made the hasher.
+    """
+
+    def __init__(self):
+        self._sha = hashlib.sha256()
+        self._batch: list[np.ndarray] = []
+        self._size = 0
+        self._queue: queue.SimpleQueue | None = None
+        self._thread: threading.Thread | None = None
+        self._error: BaseException | None = None
+
+    def __enter__(self) -> "_Hasher":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._join()
+
+    def update(self, arr: np.ndarray) -> None:
+        """Queue arr, which must not change until hexdigest returns."""
+        self._batch.append(arr)
+        self._size += arr.nbytes
+        if self._size >= _SLICE:
+            if self._thread is None:
+                self._queue = queue.SimpleQueue()
+                self._thread = threading.Thread(target=self._drain, name="fpm-sha256")
+                self._thread.start()
+            self._queue.put(self._batch)
+            self._batch, self._size = [], 0
+
+    def hexdigest(self) -> str:
+        """The digest of every array given so far, in order."""
+        self._join()
+        if self._error is not None:
+            raise self._error
+        for arr in self._batch:
+            self._sha.update(arr)
+        self._batch, self._size = [], 0
+        return self._sha.hexdigest()
+
+    def _join(self) -> None:
+        if self._thread is not None:
+            self._queue.put(None)
+            self._thread.join()
+            self._thread = None
+
+    def _drain(self) -> None:
+        try:
+            while (batch := self._queue.get()) is not None:
+                for arr in batch:
+                    self._sha.update(arr)
+        except BaseException as exc:  # hexdigest raises it in the caller's thread
+            self._error = exc
+
+
 def save(g: Graph, path) -> None:
     """Write the graph to a .fpm container (see module docstring)."""
     order = validate(g)
     tensor_entries = []
     chunks = []
-    digest = hashlib.sha256()
     offset = 0
     for nid in order:
         node = g.nodes[nid]
@@ -846,8 +922,8 @@ def save(g: Graph, path) -> None:
                 "length": raw.nbytes,
             })
             chunks.append(raw)
-            digest.update(raw)
             offset += raw.nbytes
+    placeholder = "0" * 64  # as long as the hex digest written over it
     manifest = {
         "format": "fpm",
         "version": FORMAT_VERSION,
@@ -870,15 +946,60 @@ def save(g: Graph, path) -> None:
             for nid in order
         ],
         "tensors": tensor_entries,
-        "blob": {"length": offset, "sha256": digest.hexdigest()},
+        "blob": {"length": offset, "sha256": placeholder},
     }
     payload = json.dumps(manifest, ensure_ascii=True, separators=(",", ":")).encode("utf-8")
-    with atomic_write(path) as fh:
-        fh.write(FORMAT_MAGIC)
-        fh.write(len(payload).to_bytes(4, "little"))
-        fh.write(payload)
+    # the digest is the manifest's last value, so its last run of 64 zeros
+    digest_at = 8 + payload.rindex(placeholder.encode("ascii"))
+    with atomic_write(path) as fh, _Hasher() as sha:
+        fh.write(FORMAT_MAGIC + len(payload).to_bytes(4, "little") + payload)
         for raw in chunks:
+            sha.update(raw)
             fh.write(raw)
+        digest = sha.hexdigest()
+        fh.seek(digest_at)
+        fh.write(digest.encode("ascii"))
+
+
+def _tensor_table(entries, blob_len: int, path) -> list[tuple[str, tuple, np.dtype]]:
+    """The (name, shape, dtype) of each entry, once the entries tile the blob."""
+    table = []
+    end = 0  # save writes the tensors back to back, in table order
+    for entry in entries:
+        name = entry["name"]
+        where = f"tensor {name!r} field"
+        shape = tuple(_checked("shape", entry["shape"], _is_ints, "a list of integers", where))
+        dtype = DTYPE_FROM_NAME.get(entry["dtype"])
+        if dtype is None:
+            raise ModelFormatError(f"{path}: tensor {name!r} has unknown dtype {entry['dtype']!r}")
+        start, length = (_checked(key, entry[key], _is_int, "an integer", where)
+                         for key in ("offset", "length"))
+        if start < 0 or length < 0 or start + length > blob_len:
+            raise ModelFormatError(f"{path}: tensor {name!r} lies outside the blob")
+        if start != end:
+            raise ModelFormatError(f"{path}: tensor {name!r} starts at byte {start}, not "
+                                   f"{end}: the tensors must tile the blob in table order")
+        end += length
+        if math.prod(shape) * dtype.itemsize != length:
+            raise ModelFormatError(f"{path}: tensor {name!r} length/shape mismatch")
+        table.append((name, shape, dtype))
+    if end != blob_len:
+        raise ModelFormatError(f"{path}: the tensors cover {end} of the blob's {blob_len} bytes")
+    return table
+
+
+def _read_blob(fh, table, path) -> tuple[list[np.ndarray], str]:
+    """Read each tensor of the table into a fresh array of its own; return
+    the arrays, in table order, and the SHA-256 of the bytes read."""
+    arrays = []
+    with _Hasher() as sha:
+        for name, shape, dtype in table:
+            arr = np.empty(shape, dtype.newbyteorder("<"))
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+                raise ModelFormatError(f"{path}: the file ends inside tensor {name!r}")
+            sha.update(arr)
+            arrays.append(arr)
+        return arrays, sha.hexdigest()
 
 
 def load(path) -> Graph:
@@ -887,58 +1008,37 @@ def load(path) -> Graph:
     A malformed file raises ModelFormatError, also where a JSON value has
     the wrong type; a well-formed file of an invalid graph, validate's error.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 8 or data[:4] != FORMAT_MAGIC:
-        raise ModelFormatError(f"{path}: not a model container (bad magic)")
-    man_len = int.from_bytes(data[4:8], "little")
-    if len(data) < 8 + man_len:
-        raise ModelFormatError(f"{path}: truncated manifest")
+    fh = open(path, "rb")  # outside the try: an unusable path is no malformed file
     try:
-        manifest = json.loads(data[8 : 8 + man_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ModelFormatError(f"{path}: malformed manifest: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("format") != "fpm":
-        raise ModelFormatError(f"{path}: malformed manifest (not an fpm manifest)")
-    if manifest.get("version") != FORMAT_VERSION:
-        raise ModelFormatError(f"{path}: unsupported version {manifest.get('version')!r}")
-    blob = memoryview(data)[8 + man_len :]
-    try:
-        blob_meta = manifest.get("blob", {})
-        if blob_meta.get("length") != len(blob):
-            raise ModelFormatError(
-                f"{path}: blob length {len(blob)} != declared {blob_meta.get('length')}"
-            )
-        if hashlib.sha256(blob).hexdigest() != blob_meta.get("sha256"):
+        with fh:
+            head = fh.read(8)
+            if len(head) < 8 or head[:4] != FORMAT_MAGIC:
+                raise ModelFormatError(f"{path}: not a model container (bad magic)")
+            man_len = int.from_bytes(head[4:8], "little")
+            blob_len = os.fstat(fh.fileno()).st_size - 8 - man_len
+            if blob_len < 0:
+                raise ModelFormatError(f"{path}: truncated manifest")
+            manifest = json.loads(fh.read(man_len).decode("utf-8"))
+            if not isinstance(manifest, dict) or manifest.get("format") != "fpm":
+                raise ModelFormatError(f"{path}: malformed manifest (not an fpm manifest)")
+            if manifest.get("version") != FORMAT_VERSION:
+                raise ModelFormatError(
+                    f"{path}: unsupported version {manifest.get('version')!r}")
+            blob_meta = manifest.get("blob", {})
+            if blob_meta.get("length") != blob_len:
+                raise ModelFormatError(
+                    f"{path}: blob length {blob_len} != declared {blob_meta.get('length')}"
+                )
+            # the whole table is checked before a byte of the blob is read
+            table = _tensor_table(manifest["tensors"], blob_len, path)
+            arrays, digest = _read_blob(fh, table, path)
+        if digest != blob_meta.get("sha256"):
             raise ModelFormatError(f"{path}: blob checksum failure")
-
-        tensors: dict[str, Tensor] = {}
-        end = 0  # save writes the tensors back to back, in table order
-        for entry in manifest["tensors"]:
-            name = entry["name"]
-            where = f"tensor {name!r} field"
-            shape = tuple(_checked("shape", entry["shape"], _is_ints, "a list of integers", where))
-            dtype = DTYPE_FROM_NAME.get(entry["dtype"])
-            if dtype is None:
-                raise ModelFormatError(f"{path}: tensor {name!r} has unknown dtype {entry['dtype']!r}")
-            start, length = (_checked(key, entry[key], _is_int, "an integer", where)
-                             for key in ("offset", "length"))
-            if start < 0 or length < 0 or start + length > len(blob):
-                raise ModelFormatError(f"{path}: tensor {name!r} lies outside the blob")
-            if start != end:
-                raise ModelFormatError(f"{path}: tensor {name!r} starts at byte {start}, not "
-                                       f"{end}: the tensors must tile the blob in table order")
-            end += length
-            count = math.prod(shape)
-            if count * dtype.itemsize != length:
-                raise ModelFormatError(f"{path}: tensor {name!r} length/shape mismatch")
-            le = dtype.newbyteorder("<")
-            # Tensor copies, so no tensor keeps the file's buffer alive
-            arr = np.frombuffer(blob, le, count, offset=start).reshape(shape)
-            tensors[name] = Tensor(arr, dtype)
-        if end != len(blob):
-            raise ModelFormatError(
-                f"{path}: the tensors cover {end} of the blob's {len(blob)} bytes")
+        # each Tensor keeps the fresh array its bytes were read into (astype
+        # copies only on a big-endian host), so no tensor holds more than its
+        # own bytes of the file
+        tensors = {name: Tensor._wrap(arr.astype(dtype, copy=False))
+                   for (name, _, dtype), arr in zip(table, arrays)}
         nodes: dict[str, Node] = {}
         for raw in manifest["nodes"]:
             where = f"node {raw['id']!r} field"

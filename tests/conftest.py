@@ -31,6 +31,9 @@ class _FullDisk:
         self.written.append(n)
         return n
 
+    def seek(self, offset, whence=0):
+        return self.fh.seek(offset, whence)
+
     def __enter__(self):
         return self
 

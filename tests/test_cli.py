@@ -70,6 +70,7 @@ class TestTensorFiles:
         back = read_tensor(path)
         assert back.shape == t.shape
         assert back.data.tobytes() == t.data.tobytes()
+        assert back.data.base is None  # the array the data was read into, not a copy's view
 
     def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, rng, full_disk):
         path = tmp_path / "x.bin"

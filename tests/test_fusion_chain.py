@@ -7,9 +7,20 @@ runs fuse_block -> soft_prune_epoch (conservative, and continued at 0.3)
 strength: fusion and the fold within the acceptance suite's tolerances,
 materialization byte for byte, and a mask with one kept filter flipped to
 zeroized is refused with InconsistentMask.
+
+The promises must hold under any OpenBLAS kernel, not only the one this
+CPU selects, so one further test reruns one zoo model's masked ==
+materialized check and one fixed draw in a child process that forces the
+Haswell kernel with OPENBLAS_CORETYPE, at one BLAS thread.
 """
 
 from __future__ import annotations
+
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,3 +79,41 @@ def test_fuse_prune_materialize_fold_keep_their_promises(block, seed, flip):
                                                        enumerate(mask.keep[conv])]})
         with pytest.raises(InconsistentMask):
             materialize(masked, tampered)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# run in a child process: OpenBLAS reads OPENBLAS_CORETYPE when numpy loads it
+UNDER_ANOTHER_KERNEL = """
+import numpy as np
+from output_digests import openblas_core
+from fuseprune.fusion import fuse
+from fuseprune.graph import execute
+from fuseprune.pruning import PruneConfig, materialize, soft_prune_epoch
+from fuseprune.tensor import Tensor
+from fuseprune.zoo import ZooSpec, build
+from test_fusion_chain import INPUT_SCALE
+from test_fusion_chain import test_fuse_prune_materialize_fold_keep_their_promises as chain
+
+print(openblas_core())
+masked, report = fuse(build(ZooSpec("resnet8-tiny")), "3/3")
+mask = soft_prune_epoch(masked, report, PruneConfig(rate=0.3, mode="continued"))  # in place
+x = Tensor(np.random.default_rng(0).standard_normal((32, 3, 8, 8)) * INPUT_SCALE, np.float32)
+small = materialize(masked, mask).graph
+if execute(masked, x).data.tobytes() != execute(small, x).data.tobytes():
+    raise SystemExit("the masked and materialized outputs differ")
+chain.hypothesis.inner_test(
+    block=dict(c_in=3, k=5, hw=6, kernel=3, stride=(2, 2), with_bn=True, projection=True,
+               dtype=np.float32), seed=7, flip=3)
+"""
+
+
+def test_promises_hold_under_the_haswell_kernel():
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "scripts"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", UNDER_ANOTHER_KERNEL], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    if platform.machine() in ("x86_64", "AMD64"):  # elsewhere OpenBLAS has no Haswell kernel
+        assert proc.stdout.split()[0] in ("Haswell", "unknown"), proc.stdout

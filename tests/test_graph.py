@@ -5,6 +5,8 @@ import hashlib
 import json
 import os
 import sys
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import pytest
 from fuseprune import graph
 from fuseprune.analysis import count_flops
 from fuseprune.cli import EXIT_VALIDATION, main
-from fuseprune.fusion import find_residual_blocks
+from fuseprune.fusion import find_residual_blocks, fuse
 from fuseprune.graph import (
     CycleDetected,
     DanglingInput,
@@ -30,6 +32,7 @@ from fuseprune.graph import (
 from fuseprune.pruning import PruneConfig, PruneMask, materialize, soft_prune_epoch
 from fuseprune.tensor import Tensor, TensorError
 from fuseprune.trainer import forward_backward
+from fuseprune.zoo import ZooSpec, build
 
 from conftest import bn_node, conv_node, fc_node, make_graph, plain_node
 
@@ -49,6 +52,17 @@ def tiny_chain(rng, dtype=np.float32):
         plain_node("out", "output", ["fc"]),
     ]
     return make_graph(nodes, "in", "out", (1, 3, 8, 8))
+
+
+def big_conv(rng, dtype=np.float32):
+    """input -> one 512x512x3x3 conv with a bias -> output: a blob above graph._SLICE."""
+    nodes = [
+        plain_node("in", "input", []),
+        conv_node("c", ["in"], 512, 512, weight=rng.standard_normal((512, 512, 3, 3)).astype(dtype),
+                  bias=rng.standard_normal(512), dtype=dtype),
+        plain_node("out", "output", ["c"]),
+    ]
+    return make_graph(nodes, "in", "out", (1, 512, 3, 3))
 
 
 def pool_graph(window=(2, 2), stride=(2, 2), pad=(0, 0)):
@@ -717,6 +731,85 @@ class TestContainer:
         arr = np.frombuffer(blob[entry["offset"] : entry["offset"] + entry["length"]], "<f4")
         assert np.array_equal(arr.reshape(entry["shape"]), g.nodes["c1"].params["weight"].data)
         assert hashlib.sha256(blob).hexdigest() == manifest["blob"]["sha256"]
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: fuse(build(ZooSpec("resnet8-tiny")), "3/3")[0],
+        lambda rng: fuse(build(ZooSpec("resnet20")), "3/3")[0],
+        lambda rng: fuse(build(ZooSpec("resnet20", dtype="f64")), "3/3")[0],
+        big_conv,
+    ], ids=["resnet8-tiny-fused", "resnet20-fused", "resnet20-fused-f64", "above-a-slice"])
+    def test_save_of_load_reproduces_the_file(self, rng, tmp_path, make):
+        # and each loaded tensor owns its array, not a view of a file-sized buffer
+        path, again = tmp_path / "m.fpm", tmp_path / "again.fpm"
+        save(make(rng), path)
+        g = load(path)
+        save(g, again)
+        assert again.read_bytes() == path.read_bytes()
+        assert all(t.data.base is None for n in g.nodes.values() for t in n.params.values())
+
+    @pytest.mark.parametrize("which", [0, -1], ids=["first", "last"])
+    def test_flipped_byte_above_a_slice_fails_the_checksum(self, rng, tmp_path, which):
+        path = tmp_path / "m.fpm"
+        save(big_conv(rng), path)
+        raw = bytearray(path.read_bytes())
+        man_len = int.from_bytes(raw[4:8], "little")
+        assert len(raw) - 8 - man_len > graph._SLICE
+        entry = json.loads(raw[8 : 8 + man_len])["tensors"][which]
+        raw[8 + man_len + entry["offset"] + entry["length"] // 2] ^= 0x01
+        path.write_bytes(bytes(raw))
+        threads = threading.active_count()
+        with pytest.raises(ModelFormatError, match="checksum"):
+            load(path)
+        assert threading.active_count() == threads
+
+    def test_no_thread_outlives_a_load_or_save_above_a_slice(self, rng, tmp_path):
+        g = big_conv(rng)
+        path = tmp_path / "m.fpm"
+        threads = threading.active_count()
+        save(g, path)
+        assert threading.active_count() == threads
+        load(path)
+        assert threading.active_count() == threads
+
+    def test_failed_save_above_a_slice_leaves_no_thread(self, rng, tmp_path, full_disk):
+        g = big_conv(rng)
+        threads = threading.active_count()
+        with pytest.raises(OSError, match="No space"):
+            save(g, tmp_path / "m.fpm")
+        assert threading.active_count() == threads
+        assert os.listdir(tmp_path) == []
+
+    def test_only_a_blob_of_a_slice_or_more_starts_a_thread(self, rng, tmp_path, monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda t: (started.append(t.name), real_start(t))[1])
+        small, large = tmp_path / "small.fpm", tmp_path / "large.fpm"
+        save(fuse(build(ZooSpec("resnet20")), "3/3")[0], small)
+        load(small)
+        assert started == []
+        save(big_conv(rng), large)
+        load(large)
+        assert started == ["fpm-sha256"] * 2
+
+    def test_hasher_digest_is_the_sha256_of_the_arrays_in_order(self):
+        sizes = [3, graph._SLICE - 1, 1, 0, graph._SLICE + 7, 5]
+        arrays = [np.full(n, i, np.uint8) for i, n in enumerate(sizes)]
+        with graph._Hasher() as sha:
+            for arr in arrays:
+                sha.update(arr)
+            digest = sha.hexdigest()
+        assert digest == hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+    def test_file_cut_short_while_loading_rejected(self, rng, tmp_path, monkeypatch):
+        # a file that shrinks after load has checked its size: the read comes up short
+        path = tmp_path / "m.fpm"
+        save(tiny_chain(rng), path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-16])
+        monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=size))
+        with pytest.raises(ModelFormatError, match="the file ends inside tensor 'fc/weight'"):
+            load(path)
 
 
 def all_kinds_graph(rng, dtype=np.float32):

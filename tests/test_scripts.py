@@ -4,6 +4,7 @@ test runs: each runs as a subprocess on the smallest zoo model."""
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +37,8 @@ def test_run_pipeline_runs():
 def test_output_digests_runs():
     proc = run_script("output_digests.py", "--family", "resnet8-tiny")
     assert proc.returncode == 0, proc.stderr
+    # the BLAS kernel the digests were made with, which decides their bits
+    assert re.search(r"^openblas core: \S+$", proc.stderr, re.M), proc.stderr
     digests = {}
     for line in proc.stdout.splitlines():
         family, dtype, variant, what, sha = line.split()
