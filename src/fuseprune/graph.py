@@ -95,6 +95,7 @@ from .tensor import (
     batch_norm_train_backward,
     batch_norm_train_chwn,
     conv2d_chwn_backward,
+    conv2d_chwn_weight_grad,
     live_taps,
     max_pool_chwn,
     max_pool_chwn_backward,
@@ -298,7 +299,11 @@ class Op:
     output and new running mean and var. backward(node, gy, args, y, cache)
     returns the gradients of the inputs, in order, and a dict of those of
     the parameters, shaped like them, given the gradient gy of the output
-    y. Every kind but the input has one.
+    y. Every kind but the input has one. param_grads(node, gy, args), where a
+    kind gives one (conv and fc do), returns backward's parameter
+    gradients alone and computes no input gradient: the trainer runs it in
+    place of backward on a node that reads the graph input alone, when no
+    input gradient is wanted.
 
     zeros(node, input marks, dtype) gives the output channels that are
     exactly zero for every input, as a bool mask, or None when none are
@@ -327,6 +332,7 @@ class Op:
     load: Callable = lambda raw: {}
     train: Callable = lambda node, args, momentum: (OPS[node.kind].run(node, args), None, {})
     backward: Callable | None = None
+    param_grads: Callable | None = None
 
     def run(self, node: Node, args) -> np.ndarray:
         """The node's output for the (c, h, w, n) arrays args: prepare for
@@ -456,14 +462,28 @@ def _conv_prepare(node: Node, ins, zero_in, zero_out, dt):
     return lambda args: conv(args[0])
 
 
-def _conv_grads(node: Node, gy, x, view, stride, pad):
+def _conv_grads(node: Node, gy, x, view, stride, pad, input_grad=True):
     """The backward of a conv or fc node whose (c, h, w, n) input x runs as
-    the unmasked conv of view at that stride and pad."""
-    gx, gw = conv2d_chwn_backward(gy, view, node.params["weight"].data, stride, pad)
+    the unmasked conv of view at that stride and pad: the input's gradient,
+    in a list of one, and the parameters'. Without input_grad the list is
+    empty and the input gradient is never computed (Op.param_grads)."""
+    w = node.params["weight"].data
+    if input_grad:
+        gx, gw = conv2d_chwn_backward(gy, view, w, stride, pad)
+        gxs = [gx.reshape(x.shape)]
+    else:
+        gxs, gw = [], conv2d_chwn_weight_grad(gy, view, w, stride, pad)
     grads = {"weight": gw}
     if _conv_bias(node) is not None:
         grads["bias"] = gy.sum(axis=(1, 2, 3)).reshape(node.params["bias"].shape)
-    return [gx.reshape(x.shape)], grads
+    return gxs, grads
+
+
+def _conv_view(node: Node, x):
+    """(the array, stride, pad) a conv node's unmasked conv runs over, for
+    its (c, h, w, n) input x."""
+    spec: ConvSpec = node.attrs["spec"]
+    return x, spec.stride, spec.pad
 
 
 def _fc_input(x):
@@ -482,6 +502,11 @@ def _fc_prepare(node: Node, ins, zero_in, zero_out, dt):
     conv = prepare_conv(node.params["weight"].data, _conv_bias(node), (1, 1), (0, 0),
                         (c * h * w, 1, 1), dt, zero_in)
     return lambda args: conv(_fc_input(args[0]))
+
+
+def _fc_view(node: Node, x):
+    """_conv_view for an fc node: the 1x1 conv over _fc_input(x)."""
+    return _fc_input(x), (1, 1), (0, 0)
 
 
 def _bn_prepare(node: Node, ins, zero_in, zero_out, dt):
@@ -562,8 +587,11 @@ OPS: dict[str, Op] = {
     "conv": Op(arity=1, shape=_conv_shape, prepare=_conv_prepare, role="absorb",
                category="COP", zeros=_conv_zeros, flops=_conv_flops,
                params=("weight", "bias"), dump=lambda attrs: asdict(attrs["spec"]),
-               load=_conv_load, backward=lambda node, gy, args, *_: _conv_grads(
-                   node, gy, args[0], args[0], node.attrs["spec"].stride, node.attrs["spec"].pad)),
+               load=_conv_load,
+               backward=lambda node, gy, args, *_: _conv_grads(
+                   node, gy, args[0], *_conv_view(node, args[0])),
+               param_grads=lambda node, gy, args: _conv_grads(
+                   node, gy, args[0], *_conv_view(node, args[0]), input_grad=False)[1]),
     "bn": Op(arity=1, shape=_bn_shape, prepare=_bn_prepare,
              role="pass", category="SOP", zeros=_bn_zeros, train=_bn_train, backward=_bn_backward,
              flops=lambda node, ins, out: 2 * math.prod(out),
@@ -599,8 +627,11 @@ OPS: dict[str, Op] = {
                    backward=_gavgpool_backward),
     "fc": Op(arity=1, shape=_fc_shape, prepare=_fc_prepare, role="absorb", category="COP",
              flops=lambda node, ins, out: out[0] * 2 * math.prod(node.params["weight"].shape[:2]),
-             params=("weight", "bias"), backward=lambda node, gy, args, *_: _conv_grads(
-                 node, gy, args[0], _fc_input(args[0]), (1, 1), (0, 0))),
+             params=("weight", "bias"),
+             backward=lambda node, gy, args, *_: _conv_grads(
+                 node, gy, args[0], *_fc_view(node, args[0])),
+             param_grads=lambda node, gy, args: _conv_grads(
+                 node, gy, args[0], *_fc_view(node, args[0]), input_grad=False)[1]),
 }
 
 KINDS = tuple(OPS)

@@ -47,10 +47,14 @@ thread count. The kernels meet it as follows:
   zero marks repeated over h*w, so a masked fc multiplies the operands its
   materialization does.
 * The trainer runs graph.execute's per-kind forward without zero masks,
-  but bn's batch_norm_train_chwn. conv2d_chwn_backward, which also serves
-  the fc, pads and windows its input as conv2d_chwn does for the weight
-  gradient, and runs conv2d_chwn itself, without masks, for the input
-  gradient, so training too is deterministic at a fixed thread count.
+  but bn's batch_norm_train_chwn. Its weight gradient,
+  conv2d_chwn_weight_grad, which also serves the fc, pads and windows its
+  input as conv2d_chwn does. conv2d_chwn_backward adds the input gradient
+  as one unmasked conv2d_chwn per phase of the stride, over the
+  output-gradient rows that phase reads, so no GEMM multiplies the zeros a
+  stride puts between outputs; the trainer leaves it out for the node that
+  reads the graph input, whose gradient nothing reads. So training too is
+  deterministic at a fixed thread count.
 
 float32 is the working precision; float64 is supported throughout for
 high-precision runs. Mixing dtypes within one kernel call is an error.
@@ -88,24 +92,26 @@ class Tensor:
         self._adopt(np.array(data, dtype=dtype, order="C"))
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "Tensor":
+    def _wrap(cls, arr: np.ndarray, finite: bool = False) -> "Tensor":
         """A Tensor over arr itself, without a copy.
 
         Only for a fresh array that nothing else holds or writes: a kernel's
-        output, or weights the package has just computed.
+        output, or weights the package has just computed. finite says the
+        caller has already found every value of arr finite, so arr is not
+        scanned again.
         """
         t = cls.__new__(cls)
-        t._adopt(arr)
+        t._adopt(arr, finite)
         return t
 
-    def _adopt(self, arr: np.ndarray) -> None:
+    def _adopt(self, arr: np.ndarray, finite: bool = False) -> None:
         if arr.dtype not in SUPPORTED_DTYPES:
             raise TensorError(f"unsupported dtype {arr.dtype}; expected float32 or float64")
         if arr.ndim != 4:
             raise TensorError(f"tensors are rank-4 (n, c, h, w); got rank {arr.ndim}")
-        if any(d < 1 for d in arr.shape):
+        if min(arr.shape) < 1:
             raise TensorError(f"all dimensions must be >= 1; got {arr.shape}")
-        if not np.isfinite(arr).all():
+        if not finite and not np.isfinite(arr).all():
             raise TensorError("tensor contains NaN or Inf")
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
@@ -502,40 +508,98 @@ def conv2d_chwn(x: np.ndarray, w: np.ndarray, bias, stride, pad,
     return prepare_conv(w, bias, stride, pad, x.shape[:3], x.dtype, zero_in, zero_out)(x)
 
 
-def _stuffed(size: int, kernel: int, stride: int, pad: int, out: int):
-    """(the outputs, their buffer positions) along one axis, as slices:
-    output o goes to stride*o + kernel - 1 - pad of the size + kernel - 1
-    buffer; one that lands outside it read only padding and is left out."""
-    shift = kernel - 1 - pad
-    first = max(0, -(shift // stride))
-    stop = min(out, (size - 1 + pad) // stride + 1)
-    at = stride * first + shift
-    return slice(first, stop), slice(at, at + stride * (stop - first), stride)
+class _Phase(NamedTuple):
+    """Along one axis, the kernel offsets that reach one phase of a conv's
+    input gradient and the output rows they read (_phase)."""
+
+    taps: slice
+    lo: int  # the first row read
+    length: int  # the number of rows read
+
+
+def _phase(size: int, kernel: int, stride: int, pad: int, a: int) -> _Phase | None:
+    """Phase a along one axis of the input gradient of a conv over size
+    inputs: the inputs a + stride*u, or None when there are none or no tap
+    reaches them.
+
+    Input a + stride*u is read by offset i of output o where stride*o + i =
+    a + stride*u + pad, so only the offsets first + stride*p, first =
+    (a + pad) % stride, reach the phase, and offset p of them reads output
+    u + q - p, q = (a + pad) // stride. Over the phase's inputs and its taps
+    that spans outputs [q - taps + 1, q + inputs), and a stride-1 conv of
+    those rows of the output gradient, zero where they lie past its edges,
+    with the flipped sub-kernel gives the phase's gradient.
+    """
+    first = (a + pad) % stride
+    taps, inputs = len(range(first, kernel, stride)), len(range(a, size, stride))
+    if not taps or not inputs:
+        return None
+    return _Phase(slice(first, kernel, stride), (a + pad) // stride - taps + 1, inputs + taps - 1)
+
+
+def _zero_bordered(gy: np.ndarray, rows: tuple[int, int], cols: tuple[int, int]) -> np.ndarray:
+    """The [start, stop) rows and cols of the (k, ho, wo, n) gy on its two
+    spatial axes, zero where they lie past gy's edges; gy itself when they
+    are its own."""
+    k, ho, wo, n = gy.shape
+    if rows == (0, ho) and cols == (0, wo):
+        return gy
+    out = np.zeros((k, rows[1] - rows[0], cols[1] - cols[0], n), dtype=gy.dtype)
+    r0, r1 = max(rows[0], 0), min(rows[1], ho)
+    c0, c1 = max(cols[0], 0), min(cols[1], wo)
+    out[:, r0 - rows[0] : r1 - rows[0], c0 - cols[0] : c1 - cols[0]] = gy[:, r0:r1, c0:c1]
+    return out
+
+
+def conv2d_chwn_weight_grad(gy: np.ndarray, x: np.ndarray, w: np.ndarray, stride, pad):
+    """The weight gradient of the unmasked conv2d_chwn(x, w, ..., stride,
+    pad), given the (k, ho, wo, n) output gradient gy: (cols @ gy.T).T over
+    x's window matrix, made again (caching it would hold r*s times the input
+    per conv), as the BLAS runs that orientation up to twice as fast as
+    gy @ cols.T."""
+    k, c, r, s = w.shape
+    cols = batch_innermost_windows(pad_hw(x, pad), r, s, stride).reshape(c * r * s, -1)
+    return (cols @ gy.reshape(k, -1).T).T.reshape(w.shape)
 
 
 def conv2d_chwn_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, stride, pad):
     """(input gradient, weight gradient) of the unmasked conv2d_chwn(x, w,
-    ..., stride, pad), given the (k, ho, wo, n) output gradient gy.
+    ..., stride, pad), given the (k, ho, wo, n) output gradient gy; the
+    weight gradient is conv2d_chwn_weight_grad's.
 
-    The weight gradient is (cols @ gy.T).T over x's window matrix, made
-    again (caching it would hold r*s times the input per conv), as the BLAS
-    runs that orientation up to twice as fast as gy @ cols.T. The input
-    gradient is conv2d_chwn of the zero-stuffed gy with the flipped,
-    transposed weights (Dumoulin & Visin, arXiv 1603.07285): output (oh,
-    ow) goes to (stride*oh + r-1 - pad, stride*ow + s-1 - pad) of a zeroed
-    (k, h + r - 1, w + s - 1, n) buffer, or nowhere if it read only
-    padding. At stride 2 the GEMM multiplies the stuffed zeros too.
+    The input gradient is the transposed convolution of gy, in its phase
+    (sub-pixel) form (Dumoulin & Visin, arXiv 1603.07285): each of the
+    stride[0]*stride[1] phases gx[:, a::stride[0], b::stride[1]] is one
+    stride-1 conv2d_chwn of the zero-bordered rows of gy it reads (_phase)
+    with the flipped, transposed sub-kernel of the taps that reach it. A
+    phase no tap reaches gets zeros, and no GEMM multiplies a zero that a
+    stride put between outputs. At stride 1 the one phase is the whole
+    gradient.
     """
-    k, c, r, s = w.shape
-    _, h, wd, n = x.shape
-    cols = batch_innermost_windows(pad_hw(x, pad), r, s, stride).reshape(c * r * s, -1)
-    gw = (cols @ gy.reshape(k, -1).T).T.reshape(w.shape)
-    oh, at_h = _stuffed(h, r, stride[0], pad[0], gy.shape[1])
-    ow, at_w = _stuffed(wd, s, stride[1], pad[1], gy.shape[2])
-    stuffed = np.zeros((k, h + r - 1, wd + s - 1, n), dtype=gy.dtype)
-    stuffed[:, at_h, at_w] = gy[:, oh, ow]
-    flipped = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-    return conv2d_chwn(stuffed, flipped, None, (1, 1), (0, 0)), gw
+    _, _, r, s = w.shape
+    c, h, wd, n = x.shape
+    (sh, sw), (ph, pw) = stride, pad
+    gw = conv2d_chwn_weight_grad(gy, x, w, stride, pad)
+    rows = [(a, p) for a in range(sh) if (p := _phase(h, r, sh, ph, a))]
+    cols = [(b, p) for b in range(sw) if (p := _phase(wd, s, sw, pw, b))]
+    gx = None if (sh, sw) == (1, 1) else np.zeros((c, h, wd, n), dtype=gy.dtype)
+    if not rows or not cols:
+        return gx, gw  # every output reads padding alone
+    # one zero-bordered gy that every phase's rows and columns lie in
+    top, left = min(p.lo for _, p in rows), min(p.lo for _, p in cols)
+    bordered = _zero_bordered(gy, (top, max(p.lo + p.length for _, p in rows)),
+                              (left, max(p.lo + p.length for _, p in cols)))
+    for a, pr in rows:
+        for b, pc in cols:
+            part = conv2d_chwn(
+                bordered[:, pr.lo - top : pr.lo - top + pr.length,
+                         pc.lo - left : pc.lo - left + pc.length],
+                w[:, :, pr.taps, pc.taps].transpose(1, 0, 2, 3)[:, :, ::-1, ::-1],
+                None, (1, 1), (0, 0))
+            if gx is None:
+                return part, gw  # stride 1: the one phase is the whole gradient
+            gx[:, a::sh, b::sw] = part
+    return gx, gw
 
 
 def batch_norm_train_chwn(x: np.ndarray, gamma, beta, mean, var, eps, frozen, momentum):

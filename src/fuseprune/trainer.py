@@ -25,13 +25,18 @@ statistics in the forward, the weights in sgd_step), and each replacement
 drops the graph's kept plan (graph.execute), which holds the old Tensors.
 
 train_epoch sorts the graph once and every step of the epoch reuses the
-order. A step whose loss, batch statistics or parameter update is not
-finite stops training with a TrainerError naming the epoch and batch (and
-the node, for statistics and updates).
+order. It throws the input gradient away, so its steps compute none: the
+conv or fc that reads the graph input runs its parameter gradients alone
+(Op.param_grads), which changes no bit of them. sgd_step updates all the
+parameters of one dtype in one pass over a flat buffer, whose bits are
+those of a per-parameter update. A step whose loss, batch statistics or
+parameter update is not finite stops training with a TrainerError naming
+the epoch and batch (and the node, for statistics and updates).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -182,15 +187,16 @@ def _forward_train(g: Graph, x: np.ndarray, bn_momentum: float, order: list[str]
     return values, caches
 
 
-def _replace(g: Graph, node, arrays: dict[str, np.ndarray], what: str) -> None:
+def _replace(g: Graph, node, arrays: dict[str, np.ndarray], what: str | None) -> None:
     """Replace node's parameters by Tensors over the arrays the step has
     just computed, and drop g's kept plan, which holds the old ones. A
     non-finite value means training diverged: a TrainerError naming the
-    node and what.format(the parameter), and node keeps its parameters."""
+    node and what.format(the parameter), and node keeps its parameters.
+    what is None for arrays the caller has already found finite."""
     params = {}
     for name, arr in arrays.items():
         try:
-            params[name] = Tensor._wrap(arr)
+            params[name] = Tensor._wrap(arr, finite=what is None)
         except TensorError:
             raise TrainerError(f"node {node.id!r}: {what.format(name)} is not finite "
                                "(training diverged)") from None
@@ -210,6 +216,21 @@ def training_forward(g: Graph, batch, bn_momentum: float = 0.1) -> np.ndarray:
     return np.ascontiguousarray(_logits(values[g.output_id]))
 
 
+class _EpochOrder(list):
+    """The topological order train_epoch sorts once and hands to each step's
+    forward_backward. train_epoch discards the input gradient, so a step
+    given this order computes none and returns None for it: the nodes in
+    reads_input, which read the graph input alone and whose kind has
+    Op.param_grads, run that in place of Op.backward."""
+
+    def __init__(self, g: Graph):
+        super().__init__(g.topo_order())
+        self.reads_input = frozenset(
+            nid for nid in self
+            if g.nodes[nid].inputs and set(g.nodes[nid].inputs) == {g.input_id}
+            and getattr(OPS.get(g.nodes[nid].kind), "param_grads", None) is not None)
+
+
 def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1,
                      order: list[str] | None = None):
     """One training step's math: loss, parameter gradients, input gradient.
@@ -221,7 +242,8 @@ def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1,
     The batch is cast to g's dtype, and input_grad has that dtype; its
     images must have the (c, h, w) of g's input_shape, as graph.execute
     requires, or TrainerError is raised. order is g's topological order,
-    sorted here when not given.
+    sorted here when not given; train_epoch's own (_EpochOrder) makes the
+    step skip the input gradient, which it then returns as None.
 
     labels must hold one integer in [0, features) per image, where features
     is the length of the flattened logits; other labels raise TrainerError.
@@ -247,51 +269,125 @@ def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1,
                            f"{features} classes [0, {features})")
     loss, dlogits = softmax_cross_entropy(_logits(logits4), labels)
 
+    epoch = isinstance(order, _EpochOrder)
+    skip = order.reads_input if epoch else frozenset()
     gmap: dict[str, np.ndarray] = {g.output_id: dlogits.T.reshape(logits4.shape)}
     grads: dict[str, dict[str, np.ndarray]] = {}
     for nid in reversed(order):
         node = g.nodes[nid]
-        backward = OPS[node.kind].backward
+        op = OPS[node.kind]
         gy = gmap.get(nid)
-        if backward is None or gy is None:
+        if op.backward is None or gy is None:
             continue  # the input, and nodes past the loss tap (none in valid graphs)
-        gxs, gparams = backward(node, gy, [values[src] for src in node.inputs], values[nid],
-                                caches[nid])
+        args = [values[src] for src in node.inputs]
+        if nid in skip:
+            gxs, gparams = [], op.param_grads(node, gy, args)
+        else:
+            gxs, gparams = op.backward(node, gy, args, values[nid], caches[nid])
         if gparams:
             grads[nid] = gparams
         for src, gx in zip(node.inputs, gxs):
             gmap[src] = gmap[src] + gx if src in gmap else gx
+    if epoch:
+        return loss, grads, None
     gx = gmap.get(g.input_id, np.zeros_like(x))
     return loss, grads, np.ascontiguousarray(gx.transpose(3, 0, 1, 2))
 
 
 def sgd_step(g: Graph, grads, cfg: TrainConfig, velocity: dict) -> None:
-    """v <- momentum*v + grad + wd*param; param <- param - lr*v, in place.
+    """v <- momentum*v + grad + wd*param; param <- param - lr*v.
 
     Channels a node's frozen flags mark (bn's) are excluded from both the
     gradient (already zero) and the weight-decay pull, so they never move.
-    Nodes are updated independently, in the order of grads. A non-finite
-    update raises TrainerError naming the node, whose parameters are then
-    left as they were.
+    velocity maps (node id, parameter name) to its velocity, which the next
+    step reads; a parameter without one starts from its first step. The
+    parameters and their velocities are replaced, never mutated. A gradient
+    not shaped like its parameter raises ValueError. A non-finite update
+    raises TrainerError naming the node, whose parameters are then left as
+    they were, as are those of the nodes after it in the order of grads;
+    the nodes before it are updated, and so are the velocities of every
+    pass up to the one that failed.
+
+    The parameters are updated in passes over their concatenation
+    (_flat_sgd): one pass for a run of parameters of one dtype, adjacent in
+    the order of grads and of at most _FLAT_ELEMENTS values together, and
+    so one for every parameter of a small model. Each pass checks its
+    results for finiteness once. Each value takes the elementwise
+    operations, in the order, of an update of its parameter on its own, so
+    the bits are those of a per-parameter loop.
     """
+    new, finite = {}, True
+    for keys in _runs(g, grads):
+        params, velocities, finite = _flat_sgd(g, grads, keys, cfg, velocity)
+        new.update(params)
+        velocity.update(velocities)
+        if not finite:
+            break  # _replace finds the node and raises
     for nid, gparams in grads.items():
-        node = g.nodes[nid]
-        new = {}
-        for pname, grad in gparams.items():
-            param = node.params[pname].data
-            dt = param.dtype
-            step = dt.type(cfg.weight_decay) * param
-            step += grad
-            if node.attrs.get("frozen"):
-                step[:, np.asarray(node.attrs["frozen"], dtype=bool)] = 0
-            v = velocity.get((nid, pname))
-            if v is None:
-                v = velocity[(nid, pname)] = step
-            else:
-                v *= dt.type(cfg.momentum)
-                v += step
-            new[pname] = param - dt.type(cfg.lr) * v
-        _replace(g, node, new, "{} update")
+        _replace(g, g.nodes[nid], {pname: new[nid, pname] for pname in gparams},
+                 None if finite else "{} update")
+
+
+# The most values one sgd_step pass updates: a larger model is updated a run
+# of parameters at a time, so the pass's few temporary copies stay small
+# beside the model. Fused resnet8-tiny (29K values) and fused resnet20
+# (0.50M) take one pass.
+_FLAT_ELEMENTS = 1 << 20
+
+
+def _runs(g: Graph, grads):
+    """The (node id, parameter name) keys of grads, in order, cut into runs
+    of one dtype and at most _FLAT_ELEMENTS values (or one larger
+    parameter)."""
+    run, size, dt = [], 0, None
+    for nid, gparams in grads.items():
+        for pname in gparams:
+            p = g.nodes[nid].params[pname].data
+            if run and (p.dtype != dt or size + p.size > _FLAT_ELEMENTS):
+                yield run
+                run, size = [], 0
+            run.append((nid, pname))
+            size += p.size
+            dt = p.dtype
+    if run:
+        yield run
+
+
+def _flat_sgd(g: Graph, grads, keys, cfg: TrainConfig, velocity: dict):
+    """sgd_step's update of the parameters keys name, all of one dtype, as
+    one pass over their concatenation: step = wd*p + grad, the held entries
+    zeroed, v = momentum*v + step, p - lr*v. Returns each key's new
+    parameter and velocity, views of the flat results, and whether every
+    new parameter is finite.
+
+    A velocity not yet in velocity starts as -0.0, which momentum*v + step
+    turns into step itself, bit for bit.
+    """
+    params = [g.nodes[nid].params[pname].data for nid, pname in keys]
+    gradients = [np.asarray(grads[nid][pname]) for nid, pname in keys]
+    for (nid, pname), p, grad in zip(keys, params, gradients):
+        if grad.shape != p.shape:
+            raise ValueError(f"node {nid!r}: {pname} gradient is shaped {grad.shape}, "
+                             f"the parameter {p.shape}")
+    dt = params[0].dtype
+    starts = list(itertools.accumulate((p.size for p in params), initial=0))
+    flat = np.concatenate(params, axis=None)
+    step = dt.type(cfg.weight_decay) * flat
+    step += np.concatenate(gradients, axis=None)
+    for (nid, _), p, start in zip(keys, params, starts):
+        frozen = g.nodes[nid].attrs.get("frozen")
+        if frozen and any(frozen):  # the held entries: the frozen channels' (bn's)
+            step[start : start + p.size].reshape(p.shape)[:, np.asarray(frozen, dtype=bool)] = 0
+    v = np.concatenate([velocity[key] if key in velocity else np.full(p.size, -0.0, dtype=dt)
+                        for key, p in zip(keys, params)], axis=None)
+    v *= dt.type(cfg.momentum)
+    v += step
+    flat -= np.multiply(dt.type(cfg.lr), v, out=step)
+    spans = [(key, p.shape, slice(start, start + p.size))
+             for key, p, start in zip(keys, params, starts)]
+    return ({key: flat[span].reshape(shape) for key, shape, span in spans},
+            {key: v[span].reshape(shape) for key, shape, span in spans},
+            bool(np.isfinite(flat).all()))
 
 
 def train_epoch(g: Graph, dataset: SynthDataset, cfg: TrainConfig, epoch: int = 0,
@@ -303,7 +399,7 @@ def train_epoch(g: Graph, dataset: SynthDataset, cfg: TrainConfig, epoch: int = 
     """
     if velocity is None:
         velocity = {}
-    topo = g.topo_order()
+    topo = _EpochOrder(g)
     order = np.random.default_rng((cfg.seed, epoch)).permutation(dataset.n_train)
     total, seen = 0.0, 0
     for b, start in enumerate(range(0, dataset.n_train, cfg.batch_size)):

@@ -10,8 +10,9 @@ zeroized is refused with InconsistentMask.
 
 The promises must hold under any OpenBLAS kernel, not only the one this
 CPU selects, so one further test reruns one zoo model's masked ==
-materialized check and one fixed draw in a child process that forces the
-Haswell kernel with OPENBLAS_CORETYPE, at one BLAS thread.
+materialized check and one fixed draw in a child process that forces
+another kernel with OPENBLAS_CORETYPE (Haswell, Sandybridge, Nehalem and
+Prescott in turn), at one BLAS thread.
 """
 
 from __future__ import annotations
@@ -108,12 +109,20 @@ chain.hypothesis.inner_test(
 """
 
 
-def test_promises_hold_under_the_haswell_kernel():
-    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1")
+# OPENBLAS_CORETYPE requests, each with the core name OpenBLAS reports for
+# it: a build may run a request on an older kernel it maps it to, as
+# OpenBLAS 0.3.31 runs Prescott on its Katmai kernel and names that
+KERNELS = {"Haswell": "Haswell", "Sandybridge": "Sandybridge", "Nehalem": "Nehalem",
+           "Prescott": "Katmai"}
+
+
+@pytest.mark.parametrize("core", list(KERNELS))
+def test_promises_hold_under_other_kernels(core):
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "scripts"), env.get("PYTHONPATH", "")])
     proc = subprocess.run([sys.executable, "-c", UNDER_ANOTHER_KERNEL], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    if platform.machine() in ("x86_64", "AMD64"):  # elsewhere OpenBLAS has no Haswell kernel
-        assert proc.stdout.split()[0] in ("Haswell", "unknown"), proc.stdout
+    if platform.machine() in ("x86_64", "AMD64"):  # elsewhere OpenBLAS has no such kernels
+        assert proc.stdout.split()[0] in (KERNELS[core], "unknown"), proc.stdout

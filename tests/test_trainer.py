@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from fuseprune.fusion import fuse
 from fuseprune.graph import OPS, execute, validate
 from fuseprune.pruning import PruneConfig, dynamic_prune
 from fuseprune.tensor import Tensor
@@ -26,6 +27,7 @@ from fuseprune.trainer import (
     train_epoch,
     training_forward,
 )
+from fuseprune.zoo import ZooSpec, build
 
 from conftest import bn_node, conv_node, fc_node, make_graph, plain_node
 from oracles import numeric_gradient
@@ -510,7 +512,81 @@ class TestTrainingForward:
         assert not np.array_equal(after_mean.reshape(-1)[~fmask], before_mean.reshape(-1)[~fmask])
 
 
+def sgd_reference(g, grads, cfg, velocity):
+    """sgd_step one parameter at a time, the order of operations its flat
+    pass must keep bit for bit: step = wd*p + grad, the frozen channels'
+    step zeroed, v = momentum*v + step (v = step at first), p - lr*v."""
+    for nid, gparams in grads.items():
+        node = g.nodes[nid]
+        new = {}
+        for pname, grad in gparams.items():
+            param = node.params[pname].data
+            dt = param.dtype
+            step = dt.type(cfg.weight_decay) * param
+            step += grad
+            if node.attrs.get("frozen"):
+                step[:, np.asarray(node.attrs["frozen"], dtype=bool)] = 0
+            v = velocity.get((nid, pname))
+            if v is None:
+                v = velocity[(nid, pname)] = step
+            else:
+                v *= dt.type(cfg.momentum)
+                v += step
+            new[pname] = Tensor(param - dt.type(cfg.lr) * v)
+        node.params = {**node.params, **new}
+
+
 class TestSgdStep:
+    @pytest.mark.parametrize("dt", (np.float32, F64))
+    def test_flat_update_matches_the_per_parameter_reference(self, dt):
+        rng = np.random.default_rng(11)
+        flat = bn_graph(rng, frozen=[1, 0, 0, 1], dtype=dt)
+        # a -0.0 gradient on a -0.0 parameter makes a first step of -0.0,
+        # which the velocity must keep
+        bias = flat.nodes["fc"].params["bias"].data.copy()
+        bias.flat[0] = -0.0
+        flat.nodes["fc"].params = {**flat.nodes["fc"].params, "bias": Tensor(bias)}
+        ref = flat.copy()
+        x = rng.standard_normal((4, 3, 6, 6))
+        labels = np.array([0, 3, 1, 4])
+        cfg = TrainConfig(lr=0.05, momentum=0.9, weight_decay=1e-4)
+        v_flat, v_ref = {}, {}
+        for _ in range(3):
+            # each graph's own step, so that bn's running statistics move alike
+            steps = [forward_backward(h, x, labels)[1] for h in (flat, ref)]
+            for grads in steps:
+                grads["fc"]["bias"].flat[0] = -0.0
+            assert set(steps[0]) == {"conv", "bn", "fc"}
+            sgd_step(flat, steps[0], cfg, v_flat)
+            sgd_reference(ref, steps[1], cfg, v_ref)
+            assert weights_blob(flat) == weights_blob(ref)
+            assert list(v_flat) == list(v_ref)
+            assert all(v_flat[key].dtype == dt and v_flat[key].shape == v_ref[key].shape
+                       and v_flat[key].tobytes() == v_ref[key].tobytes() for key in v_ref)
+        # the frozen channels never moved
+        fmask = np.array([1, 0, 0, 1], bool)
+        for name in ("gamma", "beta"):
+            assert (flat.nodes["bn"].params[name].data.reshape(-1)[fmask].tobytes()
+                    == bn_graph(np.random.default_rng(11), dtype=dt).nodes["bn"].params[name]
+                    .data.reshape(-1)[fmask].tobytes())
+
+    def test_divergence_names_the_first_bad_parameter_and_stops_there(self):
+        g = bn_graph(np.random.default_rng(12), dtype=np.float32)
+        before = {nid: dict(g.nodes[nid].params) for nid in ("conv", "bn", "fc")}
+        grads = {nid: {p: np.full_like(before[nid][p].data, 1.0) for p in gparams}
+                 for nid, gparams in (("conv", ["weight"]), ("bn", ["gamma", "beta"]),
+                                      ("fc", ["weight", "bias"]))}
+        # lr * 1e10 * 1e30 overflows float32 in bn's beta and fc alone
+        grads["bn"]["beta"] = np.full_like(grads["bn"]["beta"], 1e30)
+        grads["fc"]["weight"] = np.full_like(grads["fc"]["weight"], 1e30)
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainerError, match=r"^node 'bn': beta update is not finite \(training diverged\)$"):
+            sgd_step(g, grads, TrainConfig(lr=1e10, momentum=0.0, weight_decay=0.0), {})
+        # the nodes before it are updated, it and those after it are not
+        assert g.nodes["conv"].params["weight"] is not before["conv"]["weight"]
+        assert all(g.nodes[nid].params[p] is before[nid][p]
+                   for nid in ("bn", "fc") for p in before[nid])
+
     def test_vanilla_step_is_param_minus_lr_grad(self, rng):
         g = small_net(0)
         ds = SynthDataset(seed=1, n_train=8, n_test=4)
@@ -594,6 +670,32 @@ class TestTrainEpoch:
         assert g._plan is None
         assert [sys.getrefcount(t) for t in old] == [r - 1 for r in refs]
 
+    @pytest.mark.parametrize("build_graph,shape", [
+        (lambda: fuse(build(ZooSpec("resnet8-tiny", seed=3)), "3/3")[0], (3, 8, 8)),
+        (lambda: build(ZooSpec("resnet18", input_shape=(1, 3, 16, 16), classes=10, seed=3)),
+         (3, 16, 16)),
+    ], ids=["resnet8-tiny-fused", "resnet18-maxpool-stem"])
+    def test_epochs_match_the_public_step(self, build_graph, shape):
+        # train_epoch computes no input gradient; the public forward_backward
+        # does, and the weights, running statistics and losses must not care
+        ds = SynthDataset(seed=5, shape=shape, n_train=16, n_test=4)
+        cfg = self.cfg(batch_size=8)
+        g, ref = build_graph(), build_graph()
+        velocity, v_ref = {}, {}
+        for epoch in range(2):
+            loss = train_epoch(g, ds, cfg, epoch, velocity)
+            order = np.random.default_rng((cfg.seed, epoch)).permutation(ds.n_train)
+            losses = []
+            for start in range(0, ds.n_train, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                step_loss, grads, gx = forward_backward(ref, ds.train_images[idx],
+                                                        ds.train_labels[idx], cfg.bn_momentum)
+                assert gx.shape == (len(idx), *shape)
+                sgd_step(ref, grads, cfg, v_ref)
+                losses.append(step_loss * len(idx))
+            assert loss == sum(losses) / ds.n_train
+            assert weights_blob(g) == weights_blob(ref)
+
     def test_loss_decreases_and_accuracy_improves(self):
         g = small_net(1)
         ds = SynthDataset(seed=3, n_train=128, n_test=64)
@@ -626,8 +728,6 @@ class TestTrainEpoch:
         assert np.isfinite(loss)
 
     def test_f64_graph_fits_and_evaluates_on_f32_data(self):
-        from fuseprune.zoo import ZooSpec, build
-
         # the synthetic images are f32; training and evaluate cast them to
         # the graph's dtype, exactly, so the f64 graph stays f64
         g = build(ZooSpec("resnet8-tiny", dtype="f64", seed=2))
@@ -660,8 +760,6 @@ class TestTrainEpoch:
                                   np.frombuffer(before["gamma"], np.float32))
 
     def test_diverged_training_names_epoch_batch_and_node(self):
-        from fuseprune.zoo import ZooSpec, build
-
         g = build(ZooSpec("resnet8-tiny", seed=1))
         with np.errstate(all="ignore"), pytest.raises(
                 TrainerError, match=r"^epoch \d+, batch \d+: node '[\w.]+': .* is not finite"):

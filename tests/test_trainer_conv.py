@@ -1,16 +1,19 @@
 """Direct tests of the trainer's convolution, forward and backward.
 
 The trainer runs its forward pass on tensor.conv2d_chwn, its weight
-gradient as an im2col GEMM, and its input gradient as conv2d_chwn of the
-zero-stuffed output gradient with the flipped, transposed weights. All
-leave the accumulation order to the BLAS, so the forward output is
-compared with the brute-force oracle, and the input, weight and bias
-gradients with central finite differences of the float64 loss
-sum(y * gy), by tolerances derived from the dtype. The geometries cover
-what the im2col and stuffing index arithmetic can get wrong: strides that
-leave input rows unread or gaps wider than the kernel, 1x1 kernels, a
-padding wider than the kernel reaches, a single filter, a batch of one,
-non-square kernels, and padding on one or both axes.
+gradient as an im2col GEMM, and its input gradient as the transposed
+convolution in phase form: one stride-1 conv2d_chwn per phase of the input,
+over the zero-bordered output-gradient rows that phase reads, with the
+flipped, transposed sub-kernel of the taps that reach it. All leave the
+accumulation order to the BLAS, so the forward output is compared with the
+brute-force oracle, and the input, weight and bias gradients with central
+finite differences of the float64 loss sum(y * gy), by tolerances derived
+from the dtype. The geometries cover what the im2col and phase index
+arithmetic can get wrong: strides that leave input rows unread or gaps
+wider than the kernel, phases no tap reaches, phases whose rows start
+before or end past the output gradient's edges, 1x1 kernels, a padding
+wider than the kernel reaches, a single filter, a batch of one, non-square
+kernels and strides, and padding on one or both axes.
 """
 
 from __future__ import annotations
@@ -36,28 +39,40 @@ FWD_TOL = {np.float32: 1e-5, np.float64: 1e-12}
 # dominates.
 GRAD_TOL = {np.float32: 1e-5, np.float64: 1e-8}
 
-# name: (n, c, k, h, w, r, s, stride, pad, bias)
+# name: (n, c, k, h, w, r, s, stride, pad, bias); each case draws its data
+# from its place in this dict, so a new case goes last
 CASES = {
-    # (6 - 3) is odd, so the last input row and column are never read
-    "stride2-uneven": (2, 2, 3, 6, 6, 3, 3, (2, 2), (0, 0), True),
-    "projection-1x1-stride2": (2, 3, 4, 6, 6, 1, 1, (2, 2), (0, 0), False),
-    "single-filter": (2, 3, 1, 5, 5, 3, 3, (1, 1), (1, 1), True),
     "non-square": (2, 2, 3, 5, 6, 2, 3, (1, 2), (1, 0), True),
     "pad0": (1, 3, 2, 5, 5, 3, 3, (1, 1), (0, 0), True),
     "pad2-stride2": (2, 2, 3, 5, 4, 3, 3, (2, 1), (2, 1), False),
-    # pad > r - 1: the border outputs read only padding, so the first
-    # output's stuffed gradient would land before the buffer; at stride 2 the
-    # first one kept lands at row 1
+    "projection-1x1-stride2": (2, 3, 4, 6, 6, 1, 1, (2, 2), (0, 0), False),
+    "single-filter": (2, 3, 1, 5, 5, 3, 3, (1, 1), (1, 1), True),
+    # (6 - 3) is odd, so the last input row and column are never read
+    "stride2-uneven": (2, 2, 3, 6, 6, 3, 3, (2, 2), (0, 0), True),
+    "unit-batch-stride2-pad1": (1, 3, 2, 5, 5, 3, 3, (2, 2), (1, 1), True),
+    # pad > r - 1: the border outputs read only padding, so their rows lie
+    # outside every phase's range
     "unit-kernel-pad1": (2, 3, 2, 4, 4, 1, 1, (2, 1), (1, 1), True),
     # the stride leaves gaps wider than the kernel: rows 2, 5 and 6 are unread
     "wide-gaps-stride3": (2, 2, 3, 7, 7, 2, 2, (3, 3), (0, 0), False),
-    "unit-batch-stride2-pad1": (1, 3, 2, 5, 5, 3, 3, (2, 2), (1, 1), True),
+    # the resnet downsampling conv: phase 0 takes the middle tap, phase 1
+    # the outer two, whose rows run one past the output gradient's end
+    "resnet-3x3-stride2-pad1": (2, 3, 4, 8, 8, 3, 3, (2, 2), (1, 1), True),
+    # the odd rows and columns are a phase that no tap reaches
+    "untapped-phase-1x1-stride2": (2, 3, 2, 7, 7, 1, 1, (2, 2), (0, 0), False),
+    # phase 1 gets no tap, and phase 2's rows start at the output
+    # gradient's second
+    "2x2-stride3-pad1": (2, 2, 3, 8, 7, 2, 2, (3, 3), (1, 1), True),
+    # phase 0's rows run from one before the output gradient's first to one
+    # past its last
+    "5x5-stride2-pad2": (2, 2, 3, 7, 6, 5, 5, (2, 2), (2, 2), False),
+    "3x3-stride1x2-pad1": (2, 3, 2, 6, 7, 3, 3, (1, 2), (1, 1), True),
 }
 
 
 def draw(name, dt):
     n, c, k, h, w, r, s, stride, pad, bias = CASES[name]
-    rng = np.random.default_rng(sorted(CASES).index(name))
+    rng = np.random.default_rng(list(CASES).index(name))
     x = rng.standard_normal((n, c, h, w)).astype(dt)
     wt = (rng.standard_normal((k, c, r, s)) * 0.5).astype(dt)
     b = rng.uniform(-0.5, 0.5, k).astype(dt) if bias else None
