@@ -37,6 +37,11 @@ one diff:
     (cd ../parent && PYTHONPATH=src python3 scripts/output_digests.py) > old.txt
     diff old.txt new.txt
 
+One run peaks at about 3.6 GB of resident memory, on the resnet34 f64
+training lines, and a run the system kills for want of memory stops
+without a message on standard error. So run one at a time, and check that
+a full run printed all 190 lines (wc -l) before diffing.
+
 The lines exercise both of the conv's window builders (tensor.PreparedConv),
 which must give the identical matrix: every b1 line gathers through the
 index table, for the fc at least (a 1x1 map at batch 1), and the

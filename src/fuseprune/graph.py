@@ -94,7 +94,7 @@ from .tensor import (
     TensorError,
     batch_norm_train_backward,
     batch_norm_train_chwn,
-    conv2d_chwn_backward,
+    conv2d_chwn_input_grad,
     conv2d_chwn_weight_grad,
     live_taps,
     max_pool_chwn,
@@ -296,14 +296,13 @@ class Op:
     train(node, args, momentum), the training forward, returns the output,
     the cache its backward reads and a dict of the parameter arrays it
     replaces: run's output, None and none, but for bn its batch-statistics
-    output and new running mean and var. backward(node, gy, args, y, cache)
-    returns the gradients of the inputs, in order, and a dict of those of
-    the parameters, shaped like them, given the gradient gy of the output
-    y. Every kind but the input has one. param_grads(node, gy, args), where a
-    kind gives one (conv and fc do), returns backward's parameter
-    gradients alone and computes no input gradient: the trainer runs it in
-    place of backward on a node that reads the graph input alone, when no
-    input gradient is wanted.
+    output and new running mean and var. backward(node, gy, args, y, cache,
+    input_grad=True) returns the gradients of the inputs, in order, and a
+    dict of those of the parameters, shaped like them, given the gradient gy
+    of the output y. Every kind but the input has one. input_grad false says
+    that no input gradient is wanted: conv and fc then compute none and
+    return an empty list, with parameter gradients bit for bit those of a
+    call with it true; the other kinds ignore it.
 
     zeros(node, input marks, dtype) gives the output channels that are
     exactly zero for every input, as a bool mask, or None when none are
@@ -332,7 +331,6 @@ class Op:
     load: Callable = lambda raw: {}
     train: Callable = lambda node, args, momentum: (OPS[node.kind].run(node, args), None, {})
     backward: Callable | None = None
-    param_grads: Callable | None = None
 
     def run(self, node: Node, args) -> np.ndarray:
         """The node's output for the (c, h, w, n) arrays args: prepare for
@@ -462,28 +460,24 @@ def _conv_prepare(node: Node, ins, zero_in, zero_out, dt):
     return lambda args: conv(args[0])
 
 
-def _conv_grads(node: Node, gy, x, view, stride, pad, input_grad=True):
+def _conv_grads(node: Node, gy, x, view, stride, pad, input_grad):
     """The backward of a conv or fc node whose (c, h, w, n) input x runs as
     the unmasked conv of view at that stride and pad: the input's gradient,
-    in a list of one, and the parameters'. Without input_grad the list is
-    empty and the input gradient is never computed (Op.param_grads)."""
+    in a list of one, and the parameters', the weight gradient computed
+    first. Without input_grad the list is empty and the input gradient is
+    never computed."""
     w = node.params["weight"].data
-    if input_grad:
-        gx, gw = conv2d_chwn_backward(gy, view, w, stride, pad)
-        gxs = [gx.reshape(x.shape)]
-    else:
-        gxs, gw = [], conv2d_chwn_weight_grad(gy, view, w, stride, pad)
-    grads = {"weight": gw}
+    grads = {"weight": conv2d_chwn_weight_grad(gy, view, w, stride, pad)}
+    gxs = ([conv2d_chwn_input_grad(gy, view.shape, w, stride, pad).reshape(x.shape)]
+           if input_grad else [])
     if _conv_bias(node) is not None:
         grads["bias"] = gy.sum(axis=(1, 2, 3)).reshape(node.params["bias"].shape)
     return gxs, grads
 
 
-def _conv_view(node: Node, x):
-    """(the array, stride, pad) a conv node's unmasked conv runs over, for
-    its (c, h, w, n) input x."""
+def _conv_backward(node: Node, gy, args, y, cache, input_grad=True):
     spec: ConvSpec = node.attrs["spec"]
-    return x, spec.stride, spec.pad
+    return _conv_grads(node, gy, args[0], args[0], spec.stride, spec.pad, input_grad)
 
 
 def _fc_input(x):
@@ -504,11 +498,6 @@ def _fc_prepare(node: Node, ins, zero_in, zero_out, dt):
     return lambda args: conv(_fc_input(args[0]))
 
 
-def _fc_view(node: Node, x):
-    """_conv_view for an fc node: the 1x1 conv over _fc_input(x)."""
-    return _fc_input(x), (1, 1), (0, 0)
-
-
 def _bn_prepare(node: Node, ins, zero_in, zero_out, dt):
     omega, lam = (a.reshape(-1, 1, 1, 1) for a in bn_affine(node, dt))
     return lambda args: args[0] * omega + lam
@@ -523,14 +512,14 @@ def _bn_train(node: Node, args, momentum):
     return y, cache, {"mean": mean.reshape(1, c, 1, 1), "var": var.reshape(1, c, 1, 1)}
 
 
-def _bn_backward(node: Node, gy, args, y, cache):
+def _bn_backward(node: Node, gy, args, y, cache, *_):
     gx, ggamma, gbeta = batch_norm_train_backward(gy, node.params["gamma"].data.reshape(-1),
                                                   cache)
     c = gy.shape[0]
     return [gx], {"gamma": ggamma.reshape(1, c, 1, 1), "beta": gbeta.reshape(1, c, 1, 1)}
 
 
-def _gavgpool_backward(node: Node, gy, args, y, cache):
+def _gavgpool_backward(node: Node, gy, args, y, *_):
     scale = gy.dtype.type(1.0 / math.prod(args[0].shape[1:3]))
     return [np.broadcast_to(gy * scale, args[0].shape).copy()], {}
 
@@ -587,11 +576,7 @@ OPS: dict[str, Op] = {
     "conv": Op(arity=1, shape=_conv_shape, prepare=_conv_prepare, role="absorb",
                category="COP", zeros=_conv_zeros, flops=_conv_flops,
                params=("weight", "bias"), dump=lambda attrs: asdict(attrs["spec"]),
-               load=_conv_load,
-               backward=lambda node, gy, args, *_: _conv_grads(
-                   node, gy, args[0], *_conv_view(node, args[0])),
-               param_grads=lambda node, gy, args: _conv_grads(
-                   node, gy, args[0], *_conv_view(node, args[0]), input_grad=False)[1]),
+               load=_conv_load, backward=_conv_backward),
     "bn": Op(arity=1, shape=_bn_shape, prepare=_bn_prepare,
              role="pass", category="SOP", zeros=_bn_zeros, train=_bn_train, backward=_bn_backward,
              flops=lambda node, ins, out: 2 * math.prod(out),
@@ -618,7 +603,7 @@ OPS: dict[str, Op] = {
                   flops=lambda node, ins, out: math.prod(out) * math.prod(node.attrs["window"]),
                   dump=lambda attrs: {a: list(attrs[a]) for a in _POOL_ATTRS},
                   load=lambda raw: {a: _pair(raw, a) for a in _POOL_ATTRS},
-                  backward=lambda node, gy, args, y, _: ([max_pool_chwn_backward(
+                  backward=lambda node, gy, args, y, *_: ([max_pool_chwn_backward(
                       gy, args[0], y, *(node.attrs[a] for a in _POOL_ATTRS))], {})),
     "gavgpool": Op(arity=1, shape=lambda node, ins: (*ins[0][:2], 1, 1),
                    prepare=_fixed(lambda args: args[0].mean(axis=(1, 2), keepdims=True)),
@@ -628,10 +613,8 @@ OPS: dict[str, Op] = {
     "fc": Op(arity=1, shape=_fc_shape, prepare=_fc_prepare, role="absorb", category="COP",
              flops=lambda node, ins, out: out[0] * 2 * math.prod(node.params["weight"].shape[:2]),
              params=("weight", "bias"),
-             backward=lambda node, gy, args, *_: _conv_grads(
-                 node, gy, args[0], *_fc_view(node, args[0])),
-             param_grads=lambda node, gy, args: _conv_grads(
-                 node, gy, args[0], *_fc_view(node, args[0]), input_grad=False)[1]),
+             backward=lambda node, gy, args, y, cache, input_grad=True: _conv_grads(
+                 node, gy, args[0], _fc_input(args[0]), (1, 1), (0, 0), input_grad)),
 }
 
 KINDS = tuple(OPS)

@@ -13,18 +13,19 @@ numpy arrays, and their results depend only on their inputs.
 Determinism contract. Materializing a pruned model must reproduce the
 masked model bit for bit. That promise rests on the graph, not on any
 summation order inside a kernel: graph.execute works out, from the weights
-alone, which channels are exactly zero, and conv2d_chwn leaves them out of
-its GEMMs on both sides. The masked model and its materialization then make
-the same BLAS calls on the same compacted operands, so the only thing
-assumed of the BLAS is that identical calls give identical bits at a fixed
-thread count. The kernels meet it as follows:
+alone, which channels are exactly zero, and the prepared conv
+(prepare_conv) leaves them out of its GEMMs on both sides. The masked
+model and its materialization then make the same BLAS calls on the same
+compacted operands, so the only thing assumed of the BLAS is that
+identical calls give identical bits at a fixed thread count. The kernels
+meet it as follows:
 
-* conv2d_chwn, the convolution graphs execute, runs im2col GEMMs over the
-  live input channels and the live filters, one per band of output rows,
-  each written into a (k', ho, wo, n) buffer of the live filters alone.
-  Dead filters are written back as +0 at full width, so every other kernel
-  sees the same shapes as before. The order of the c*r*s terms of a dot
-  product is the BLAS's.
+* The prepared conv (prepare_conv), the convolution graphs execute, runs
+  im2col GEMMs over the live input channels and the live filters, one per
+  band of output rows, each written into a (k', ho, wo, n) buffer of the
+  live filters alone. Dead filters are written back as +0 at full width,
+  so every other kernel sees the same shapes as before. The order of the
+  c*r*s terms of a dot product is the BLAS's.
 * Two window builders, one matrix. A call builds each band's window matrix
   either by copying it out of a view of the padded input or, for a skinny
   GEMM of at most _GATHER_COLUMNS columns (ho*wo*n), by gathering it
@@ -42,19 +43,20 @@ thread count. The kernels meet it as follows:
   the same taps. The dropped terms are w * (+0). Each prepare_conv cuts
   the tap-restricted copy of the weights once and its result holds it: a
   compiled graph's plan keeps it, and a Tensor keeps no copy of its own.
-* graph.execute runs every fc as a 1x1-conv GEMM (conv2d_chwn) over the
+* graph.execute runs every fc as a 1x1-conv GEMM (prepare_conv) over the
   (c*h*w, 1, 1, n) view of its input, compacted by the input channels'
   zero marks repeated over h*w, so a masked fc multiplies the operands its
   materialization does.
 * The trainer runs graph.execute's per-kind forward without zero masks,
   but bn's batch_norm_train_chwn. Its weight gradient,
   conv2d_chwn_weight_grad, which also serves the fc, pads and windows its
-  input as conv2d_chwn does. conv2d_chwn_backward adds the input gradient
-  as one unmasked conv2d_chwn per phase of the stride, over the
-  output-gradient rows that phase reads, so no GEMM multiplies the zeros a
-  stride puts between outputs; the trainer leaves it out for the node that
-  reads the graph input, whose gradient nothing reads. So training too is
-  deterministic at a fixed thread count.
+  input as conv2d_chwn does. conv2d_chwn_input_grad, run after it, computes
+  the input gradient as one unmasked conv2d_chwn per phase of the stride,
+  over the output-gradient rows that phase reads, so no GEMM multiplies
+  the zeros a stride puts between outputs; a backward told that no input
+  gradient is wanted (train_epoch's, for the node that reads the graph
+  input) does not run it. So training too is deterministic at a fixed
+  thread count.
 
 float32 is the working precision; float64 is supported throughout for
 high-precision runs. Mixing dtypes within one kernel call is an error.
@@ -329,6 +331,17 @@ def prepare_conv(w: np.ndarray, bias, stride, pad, chw, dtype,
     positions, the index table of the window matrix. Applying the result to
     a (c, h, w, n) input runs the GEMMs.
 
+    zero_in and zero_out are optional length-c and length-k bool masks.
+    zero_in marks input channels the caller knows to be all exactly zero:
+    they are left out of the GEMMs (a leading-axis take of x, or of the
+    index table's rows), which changes the result only by rounding.
+    zero_out marks filters whose bias is zero and whose weights are zero on
+    every live input channel: they are left out of the GEMMs and their
+    outputs are written as +0. Two convs whose live channels, filters and
+    taps hold the same values therefore make the same GEMMs, whatever else
+    sits beside them, and that is what keeps materialization bit-identical
+    (see the module docstring).
+
     Without masks the matrix is a view of w, or of the copy of its live taps
     (_gather_taps) that each prepare cuts when they are a strict part of the
     kernel; with either mask it is a copy of the live filters over the live
@@ -448,8 +461,7 @@ class PreparedConv(NamedTuple):
         return y
 
 
-def conv2d_chwn(x: np.ndarray, w: np.ndarray, bias, stride, pad,
-                zero_in=None, zero_out=None) -> np.ndarray:
+def conv2d_chwn(x: np.ndarray, w: np.ndarray, bias, stride, pad) -> np.ndarray:
     """2-D convolution (cross-correlation) with zero padding, as im2col GEMMs,
     from a (c, h, w, n) input to a new (k, ho, wo, n) output: prepare_conv
     for x's (c, h, w) and dtype, applied to x. graph.compile prepares each
@@ -464,32 +476,20 @@ def conv2d_chwn(x: np.ndarray, w: np.ndarray, bias, stride, pad,
     operands of mixed dtypes.
 
     The (k', c'*r'*s') matrix of the live filters over the live input
-    channels and live taps multiplies the (c'*r'*s', ho*wo*n) matrix of
-    those channels' input windows at those taps; the bias, when present, is
-    added once at the end. The window matrix is built and multiplied a band
-    of output rows at a time, as many rows as fit in _BLOCK_BYTES (one band
-    for most layers at batch 1); the band depends only on c', r', s', wo, n
-    and the dtype. Each band's product is written by the GEMM straight into
-    its rows of the (k', ho, wo, n) output, with no transposing copy.
+    channels (all of them here; prepare_conv's masks narrow them) and live
+    taps multiplies the (c'*r'*s', ho*wo*n) matrix of those channels' input
+    windows at those taps; the bias, when present, is added once at the
+    end. The window matrix is built and multiplied a band of output rows at
+    a time, as many rows as fit in _BLOCK_BYTES (one band for most layers
+    at batch 1); the band depends only on c', r', s', wo, n and the dtype.
+    Each band's product is written by the GEMM straight into its rows of
+    the (k', ho, wo, n) output, with no transposing copy.
 
     The live taps are the hull live_taps works out from the geometry alone
     (h, w, r, s, stride, pad, ho, wo): a 3x3 pad-1 conv on a 1x1 map
     multiplies its center tap only. w is a (k, c, r, s) array; when the
     hull is a strict part of the kernel, each prepare gathers the weights of
     those taps anew, and a compiled graph's prepared conv holds them.
-
-    zero_in and zero_out are optional length-c and length-k bool masks.
-    zero_in marks input channels the caller knows to be all exactly zero:
-    they are left out of the GEMMs (a leading-axis take of x, or of the
-    index table's rows), which changes the result only by rounding.
-    zero_out marks filters whose bias is zero and whose weights are zero on
-    every live input channel: they are left
-    out of the GEMMs and their outputs are written as +0. Two calls whose
-    live channels, filters and taps hold the same values therefore make the
-    same GEMMs, whatever else sits beside them, and that is what keeps
-    materialization bit-identical (see the module docstring). With either
-    mask the live weights are copied out of the (tap-restricted) weights by
-    each prepare.
 
     The window matrix's columns run (ho, wo, n), and it is built by one of
     two builders that give the identical matrix (PreparedConv). For a GEMM
@@ -505,7 +505,7 @@ def conv2d_chwn(x: np.ndarray, w: np.ndarray, bias, stride, pad,
     The order of the c'*r'*s' terms of each dot product is the BLAS's, so
     results agree with a sequential sum to rounding, not bit for bit.
     """
-    return prepare_conv(w, bias, stride, pad, x.shape[:3], x.dtype, zero_in, zero_out)(x)
+    return prepare_conv(w, bias, stride, pad, x.shape[:3], x.dtype)(x)
 
 
 class _Phase(NamedTuple):
@@ -562,12 +562,12 @@ def conv2d_chwn_weight_grad(gy: np.ndarray, x: np.ndarray, w: np.ndarray, stride
     return (cols @ gy.reshape(k, -1).T).T.reshape(w.shape)
 
 
-def conv2d_chwn_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, stride, pad):
-    """(input gradient, weight gradient) of the unmasked conv2d_chwn(x, w,
-    ..., stride, pad), given the (k, ho, wo, n) output gradient gy; the
-    weight gradient is conv2d_chwn_weight_grad's.
+def conv2d_chwn_input_grad(gy: np.ndarray, shape, w: np.ndarray, stride, pad):
+    """The input gradient of the unmasked conv2d_chwn(x, w, ..., stride,
+    pad) of a (c, h, w, n) x of that shape, given the (k, ho, wo, n) output
+    gradient gy; it reads x's shape alone.
 
-    The input gradient is the transposed convolution of gy, in its phase
+    It is the transposed convolution of gy, in its phase
     (sub-pixel) form (Dumoulin & Visin, arXiv 1603.07285): each of the
     stride[0]*stride[1] phases gx[:, a::stride[0], b::stride[1]] is one
     stride-1 conv2d_chwn of the zero-bordered rows of gy it reads (_phase)
@@ -577,14 +577,13 @@ def conv2d_chwn_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, stride, p
     gradient.
     """
     _, _, r, s = w.shape
-    c, h, wd, n = x.shape
+    _, h, wd, _ = shape
     (sh, sw), (ph, pw) = stride, pad
-    gw = conv2d_chwn_weight_grad(gy, x, w, stride, pad)
     rows = [(a, p) for a in range(sh) if (p := _phase(h, r, sh, ph, a))]
     cols = [(b, p) for b in range(sw) if (p := _phase(wd, s, sw, pw, b))]
-    gx = None if (sh, sw) == (1, 1) else np.zeros((c, h, wd, n), dtype=gy.dtype)
+    gx = None if (sh, sw) == (1, 1) else np.zeros(shape, dtype=gy.dtype)
     if not rows or not cols:
-        return gx, gw  # every output reads padding alone
+        return gx  # every output reads padding alone
     # one zero-bordered gy that every phase's rows and columns lie in
     top, left = min(p.lo for _, p in rows), min(p.lo for _, p in cols)
     bordered = _zero_bordered(gy, (top, max(p.lo + p.length for _, p in rows)),
@@ -597,9 +596,9 @@ def conv2d_chwn_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, stride, p
                 w[:, :, pr.taps, pc.taps].transpose(1, 0, 2, 3)[:, :, ::-1, ::-1],
                 None, (1, 1), (0, 0))
             if gx is None:
-                return part, gw  # stride 1: the one phase is the whole gradient
+                return part  # stride 1: the one phase is the whole gradient
             gx[:, a::sh, b::sw] = part
-    return gx, gw
+    return gx
 
 
 def batch_norm_train_chwn(x: np.ndarray, gamma, beta, mean, var, eps, frozen, momentum):

@@ -25,11 +25,12 @@ statistics in the forward, the weights in sgd_step), and each replacement
 drops the graph's kept plan (graph.execute), which holds the old Tensors.
 
 train_epoch sorts the graph once and every step of the epoch reuses the
-order. It throws the input gradient away, so its steps compute none: the
-conv or fc that reads the graph input runs its parameter gradients alone
-(Op.param_grads), which changes no bit of them. sgd_step updates all the
-parameters of one dtype in one pass over a flat buffer, whose bits are
-those of a per-parameter update. A step whose loss, batch statistics or
+order. It throws the input gradient away, so it asks forward_backward for
+none (input_grad=False): the backward of a node that reads the graph input
+alone is told that no input gradient is wanted, and a conv or fc then
+computes its parameter gradients alone, with the same bits. sgd_step
+updates all the parameters of one dtype in one pass over a flat buffer,
+whose bits are those of a per-parameter update. A step whose loss, batch statistics or
 parameter update is not finite stops training with a TrainerError naming
 the epoch and batch (and the node, for statistics and updates).
 """
@@ -216,23 +217,8 @@ def training_forward(g: Graph, batch, bn_momentum: float = 0.1) -> np.ndarray:
     return np.ascontiguousarray(_logits(values[g.output_id]))
 
 
-class _EpochOrder(list):
-    """The topological order train_epoch sorts once and hands to each step's
-    forward_backward. train_epoch discards the input gradient, so a step
-    given this order computes none and returns None for it: the nodes in
-    reads_input, which read the graph input alone and whose kind has
-    Op.param_grads, run that in place of Op.backward."""
-
-    def __init__(self, g: Graph):
-        super().__init__(g.topo_order())
-        self.reads_input = frozenset(
-            nid for nid in self
-            if g.nodes[nid].inputs and set(g.nodes[nid].inputs) == {g.input_id}
-            and getattr(OPS.get(g.nodes[nid].kind), "param_grads", None) is not None)
-
-
 def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1,
-                     order: list[str] | None = None):
+                     order: list[str] | None = None, *, input_grad: bool = True):
     """One training step's math: loss, parameter gradients, input gradient.
 
     Returns (loss, grads, input_grad) where grads[node_id][param_name] holds
@@ -242,8 +228,10 @@ def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1,
     The batch is cast to g's dtype, and input_grad has that dtype; its
     images must have the (c, h, w) of g's input_shape, as graph.execute
     requires, or TrainerError is raised. order is g's topological order,
-    sorted here when not given; train_epoch's own (_EpochOrder) makes the
-    step skip the input gradient, which it then returns as None.
+    sorted here when not given. With input_grad false the input gradient is
+    neither computed nor returned (None in its place): each node that reads
+    the graph input alone runs its backward with input_grad false, which
+    leaves every parameter gradient's bits as they are.
 
     labels must hold one integer in [0, features) per image, where features
     is the length of the flattened logits; other labels raise TrainerError.
@@ -269,8 +257,6 @@ def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1,
                            f"{features} classes [0, {features})")
     loss, dlogits = softmax_cross_entropy(_logits(logits4), labels)
 
-    epoch = isinstance(order, _EpochOrder)
-    skip = order.reads_input if epoch else frozenset()
     gmap: dict[str, np.ndarray] = {g.output_id: dlogits.T.reshape(logits4.shape)}
     grads: dict[str, dict[str, np.ndarray]] = {}
     for nid in reversed(order):
@@ -280,15 +266,13 @@ def forward_backward(g: Graph, batch, labels, bn_momentum: float = 0.1,
         if op.backward is None or gy is None:
             continue  # the input, and nodes past the loss tap (none in valid graphs)
         args = [values[src] for src in node.inputs]
-        if nid in skip:
-            gxs, gparams = [], op.param_grads(node, gy, args)
-        else:
-            gxs, gparams = op.backward(node, gy, args, values[nid], caches[nid])
+        wanted = input_grad or any(src != g.input_id for src in node.inputs)
+        gxs, gparams = op.backward(node, gy, args, values[nid], caches[nid], wanted)
         if gparams:
             grads[nid] = gparams
         for src, gx in zip(node.inputs, gxs):
             gmap[src] = gmap[src] + gx if src in gmap else gx
-    if epoch:
+    if not input_grad:
         return loss, grads, None
     gx = gmap.get(g.input_id, np.zeros_like(x))
     return loss, grads, np.ascontiguousarray(gx.transpose(3, 0, 1, 2))
@@ -399,7 +383,7 @@ def train_epoch(g: Graph, dataset: SynthDataset, cfg: TrainConfig, epoch: int = 
     """
     if velocity is None:
         velocity = {}
-    topo = _EpochOrder(g)
+    topo = g.topo_order()
     order = np.random.default_rng((cfg.seed, epoch)).permutation(dataset.n_train)
     total, seen = 0.0, 0
     for b, start in enumerate(range(0, dataset.n_train, cfg.batch_size)):
@@ -407,7 +391,8 @@ def train_epoch(g: Graph, dataset: SynthDataset, cfg: TrainConfig, epoch: int = 
         batch = dataset.train_images[idx]
         labels = dataset.train_labels[idx]
         try:
-            loss, grads, _ = forward_backward(g, batch, labels, cfg.bn_momentum, order=topo)
+            loss, grads, _ = forward_backward(g, batch, labels, cfg.bn_momentum, order=topo,
+                                              input_grad=False)
             if not np.isfinite(loss):
                 raise TrainerError(f"loss is {loss} (training diverged)")
             sgd_step(g, grads, cfg, velocity)

@@ -9,9 +9,10 @@ operands with the package's own checks, so a test can compare the errors
 two kernels raise.
 
 conv2d_gemm and max_pool_raw run the package's batch-innermost kernels
-(tensor.conv2d_chwn, max_pool_chwn), and batch_norm_inference a bn node's
-graph forward (graph.OPS["bn"].run), on (n, c, h, w) arrays: the same
-arithmetic, with one transposing copy on each side.
+(tensor.prepare_conv and its application, max_pool_chwn), and
+batch_norm_inference a bn node's graph forward (graph.OPS["bn"].run), on
+(n, c, h, w) arrays: the same arithmetic, with one transposing copy on each
+side.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from fuseprune.tensor import (
     TensorError,
     _conv_geometry,
     _filter_bias,
-    conv2d_chwn,
     max_pool_chwn,
+    prepare_conv,
 )
 
 
@@ -40,9 +41,12 @@ def _nchw(y: np.ndarray) -> np.ndarray:
 
 def conv2d_gemm(x: np.ndarray, w: np.ndarray, bias, stride, pad,
                 zero_in=None, zero_out=None) -> np.ndarray:
-    """conv2d_chwn on an (n, c, h, w) input, returning a new (n, k, ho, wo)
-    array: the same GEMMs, with one transposing copy on each side."""
-    return _nchw(conv2d_chwn(_chwn(x), w, bias, stride, pad, zero_in, zero_out))
+    """prepare_conv with the masks zero_in and zero_out, applied to an
+    (n, c, h, w) input (tensor.conv2d_chwn when both are None), returning a
+    new (n, k, ho, wo) array: the same GEMMs, with one transposing copy on
+    each side."""
+    x = _chwn(x)
+    return _nchw(prepare_conv(w, bias, stride, pad, x.shape[:3], x.dtype, zero_in, zero_out)(x))
 
 
 def batch_norm_inference(x: np.ndarray, node: Node) -> np.ndarray:

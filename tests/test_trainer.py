@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from fuseprune import graph
 from fuseprune.fusion import fuse
 from fuseprune.graph import OPS, execute, validate
 from fuseprune.pruning import PruneConfig, dynamic_prune
@@ -810,6 +811,51 @@ class TestTrainEpoch:
                            r"takes \(3, 8, 8\)"):
             forward_backward(g, np.zeros((4, 3, 16, 16), np.float32), np.zeros(4, np.int64))
         assert weights_blob(g) == before
+
+
+class TestInputGradientSkip:
+    """forward_backward runs conv2d_chwn_input_grad once per conv and fc, but
+    with input_grad=False, as train_epoch asks, not for the node that reads
+    the graph input: a step that computed the image's gradient again would
+    give the same results, only slower."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        real = graph.conv2d_chwn_input_grad
+
+        def counted(gy, shape, *rest):
+            calls.append(tuple(shape))
+            return real(gy, shape, *rest)
+
+        monkeypatch.setattr(graph, "conv2d_chwn_input_grad", counted)
+        return calls
+
+    @staticmethod
+    def fused():
+        """Fused resnet8-tiny 3/3, its conv and fc count and a batch of 8."""
+        g = fuse(build(ZooSpec("resnet8-tiny", seed=3)), "3/3")[0]
+        gemms = sum(node.kind in ("conv", "fc") for node in g.nodes.values())
+        return g, gemms, SynthDataset(seed=5, shape=(3, 8, 8), n_train=8, n_test=4)
+
+    def test_train_epoch_skips_the_image_gradient(self, calls):
+        g, gemms, ds = self.fused()
+        train_epoch(g, ds, TrainConfig(batch_size=8, epochs=1))  # one step
+        assert len(calls) == gemms - 1
+        assert (3, 8, 8, 8) not in calls
+
+    def test_forward_backward_computes_it_unless_told_not_to(self, calls):
+        g, gemms, ds = self.fused()
+        batch, labels = ds.train_images[:8], ds.train_labels[:8]
+        loss, grads, gx = forward_backward(g.copy(), batch, labels)
+        assert len(calls) == gemms and gx.shape == (8, 3, 8, 8)
+        calls.clear()
+        skipped = forward_backward(g.copy(), batch, labels, input_grad=False)
+        assert len(calls) == gemms - 1 and skipped[2] is None
+        assert skipped[0] == loss and grads.keys() == skipped[1].keys()
+        for nid in grads:
+            for p in grads[nid]:
+                assert grads[nid][p].tobytes() == skipped[1][nid][p].tobytes(), (nid, p)
 
 
 class TestDynamicPruneIntegration:

@@ -18,13 +18,15 @@ kernels and strides, and padding on one or both axes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from fuseprune.graph import OPS
 from fuseprune.trainer import _forward_train
 
-from conftest import conv_node, make_graph, plain_node
+from conftest import conv_node, fc_node, make_graph, plain_node
 from oracles import conv2d_brute, numeric_gradient
 from test_trainer import rel_err
 
@@ -143,3 +145,38 @@ def test_unread_rows_and_columns_get_no_gradient(dt):
         assert np.all(gx[:, :, rows, :] == 0) and np.all(gx[:, :, :, rows] == 0), name
         read = np.setdiff1d(np.arange(x.shape[2]), rows)
         assert np.all(gx[:, :, read][:, :, :, read] != 0), name
+
+
+# name: (kind, the CASES entry whose data it draws); the fc takes the
+# case's input and bias, with weights over its c*h*w features
+INPUT_GRAD_CASES = {
+    "conv-stride1": ("conv", "pad0"),
+    "conv-stride2": ("conv", "resnet-3x3-stride2-pad1"),
+    "fc": ("fc", "non-square"),
+}
+
+
+@pytest.mark.parametrize("dt", DTYPES)
+@pytest.mark.parametrize("case", list(INPUT_GRAD_CASES))
+def test_backward_without_input_grad_keeps_the_parameter_bits(case, dt):
+    # a backward told that no input gradient is wanted computes none, and
+    # its parameter gradients are byte for byte those of the full backward
+    kind, name = INPUT_GRAD_CASES[case]
+    x, w, b, stride, pad = draw(name, dt)
+    if kind == "conv":
+        node, y, _ = forward(x, w, b, stride, pad)
+        gy_shape = y.shape
+    else:
+        k, fin = w.shape[0], math.prod(x.shape[1:])
+        wf = np.random.default_rng(7).standard_normal((k, fin, 1, 1)).astype(dt)
+        node = fc_node("fc", ["in"], k, fin, weight=wf, bias=b, dtype=dt)
+        gy_shape = (len(x), k, 1, 1)
+    gy = np.random.default_rng(99).standard_normal(gy_shape).astype(dt).transpose(1, 2, 3, 0)
+    args = [x.transpose(1, 2, 3, 0)]
+    (gx,), full = OPS[kind].backward(node, gy, args, None, None)
+    gxs, gparams = OPS[kind].backward(node, gy, args, None, None, input_grad=False)
+    assert gx.shape == args[0].shape and gxs == []
+    assert set(gparams) == set(full) == ({"weight", "bias"} if b is not None else {"weight"})
+    for p in full:
+        assert gparams[p].dtype == dt and gparams[p].shape == full[p].shape
+        assert gparams[p].tobytes() == full[p].tobytes(), p
