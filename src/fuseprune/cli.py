@@ -158,13 +158,17 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # the options are checked before either model is read, so a bad one
+    # exits 2 whatever the files hold; a NaN --tol would pass no comparison
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
+    if not args.tol >= 0:
+        raise ValueError(f"--tol must be a non-negative number; got {args.tol}")
     lhs = load(args.lhs)
     rhs = load(args.rhs)
     if tuple(lhs.input_shape[1:]) != tuple(rhs.input_shape[1:]):
         raise GraphError(
             f"input shapes differ: {lhs.input_shape} vs {rhs.input_shape}")
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
     dt = graph_dtype(lhs)
     rng = np.random.default_rng(args.seed)
     worst = 0.0

@@ -33,6 +33,14 @@ meet it as follows:
   identical C-ordered matrix, and the choice depends on ho*wo*n alone,
   which a masked model and its materialization share, so it cannot change
   a bit.
+* Skinny GEMMs in row chunks. A band's GEMM of 2 to _GATHER_COLUMNS
+  columns above _GEMM_MACS multiply-adds runs as consecutive np.matmul
+  calls on chunks of the live filters, each writing its own rows of the
+  output. The chunks give other bits than one call would, but they depend
+  only on the (rows, depth, columns) of the compacted GEMM, which a masked
+  model and its materialization share, so both sides still make identical
+  BLAS calls and identical calls giving identical bits stays the only
+  assumption.
 * conv2d_chwn is prepare_conv and its application in one. graph.compile
   keeps the prepared conv, the live weight matrix made once per graph, and
   every execute applies it, so a compiled graph makes the same BLAS calls
@@ -293,6 +301,32 @@ def _gather_taps(w: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
 # gather's saving on that step did not carry over to whole-graph latency.
 _GATHER_COLUMNS = 16
 
+# The most multiply-adds (rows*depth*columns) that one skinny GEMM call of
+# 2 to _GATHER_COLUMNS columns makes. OpenBLAS 0.3.31's SkylakeX kernel
+# runs a GEMM of at most 10^6 multiply-adds on its unpacked operands and
+# packs the whole weight matrix above that: at depth 2304 and 4 columns, at
+# one thread, 108 rows took 32 us in f32 and 109 rows 81 us (f64: 57
+# against 155 us). So a larger skinny GEMM runs as consecutive chunks of
+# the live filters of at most this many multiply-adds each. A 1-column GEMM
+# goes to gemv, where splitting gained nothing, and is never split. There is
+# no minimum chunk: f32 chunks of 27 rows at depth 2304 and 16 columns ran
+# 4-17% slower than the whole GEMM in isolation, but in whole-graph latency
+# (one BLAS thread) resnet18 3x64x64 b1 f32, whose stage-3 convs are that
+# GEMM, fell 19-21% with them and 14-17% with no split below 32 rows.
+_GEMM_MACS = 10**6
+
+
+def _gemm_rows(rows: int, depth: int, columns: int) -> int:
+    """The rows of each np.matmul call of a (rows, depth) @ (depth, columns)
+    GEMM, the last call taking what is left: every row, unless the GEMM has
+    2 to _GATHER_COLUMNS columns and more than _GEMM_MACS multiply-adds, and
+    then as many as fit in _GEMM_MACS, but at least one. It reads the
+    compacted GEMM's shape alone, which a masked conv and its
+    materialization share."""
+    if not 2 <= columns <= _GATHER_COLUMNS or rows * depth * columns <= _GEMM_MACS:
+        return rows
+    return max(1, _GEMM_MACS // (depth * columns))
+
 
 @functools.lru_cache(maxsize=128)
 def _window_table(c, h, w, stride, pad, ho, wo, tap_rows, tap_cols) -> np.ndarray:
@@ -393,7 +427,10 @@ class PreparedConv(NamedTuple):
     has a table gathers it: one take of the table's rows for those output
     rows from x viewed as (c*h*w, n) with a zero row appended, so neither
     pad_hw nor a take of the live channels runs. Any other copies it out of
-    the window view of x's live channels, padded by pad_hw."""
+    the window view of x's live channels, padded by pad_hw. A GEMM of 2 to
+    _GATHER_COLUMNS columns above _GEMM_MACS multiply-adds then multiplies
+    that matrix by consecutive row chunks of w2d (_gemm_rows), each
+    np.matmul writing its own rows of the output."""
 
     w2d: np.ndarray
     k: int
@@ -437,21 +474,31 @@ class PreparedConv(NamedTuple):
         for oh in range(0, ho, band):
             m = min(band, ho - oh)
             out = y2d[:, oh * wo * n : (oh + m) * wo * n]
-            # each band's matrix is a temporary, freed before the next one's
-            # is made, so that one reuses its memory instead of faulting in
-            # fresh pages
             if gather:
                 # every index lies in src, so mode="wrap" reads what the
                 # default would, skipping its bounds check: about a quarter
                 # faster at batch 1
-                np.matmul(w2d, src.take(table[:, oh : oh + m], axis=0, mode="wrap").reshape(
-                    depth, m * wo * n), out=out)
+                cols = src.take(table[:, oh : oh + m], axis=0, mode="wrap").reshape(
+                    depth, m * wo * n)
             else:
                 # a copy even where a reshape could be a strided view (a
                 # single tap), so the BLAS sees the layout a kernel of those
                 # taps alone gives
-                np.matmul(w2d, np.ascontiguousarray(
-                    windows[:, :, :, oh : oh + m].reshape(depth, m * wo * n)), out=out)
+                cols = np.ascontiguousarray(
+                    windows[:, :, :, oh : oh + m].reshape(depth, m * wo * n))
+            # the rows of each np.matmul call. A wider GEMM is never split
+            # and skips the call: a microsecond of Python per conv costs
+            # resnet8-tiny 3x8x8 at batch 32 about 2% of its latency
+            columns = m * wo * n
+            step = rows if columns > _GATHER_COLUMNS else _gemm_rows(rows, depth, columns)
+            if step >= rows:
+                np.matmul(w2d, cols, out=out)
+            else:
+                for i in range(0, rows, step):
+                    np.matmul(w2d[i : i + step], cols, out=out[i : i + step])
+            # freed before the next band's matrix is made, so that one reuses
+            # its memory instead of faulting in fresh pages
+            del cols
         if live_out is not None:
             full = np.zeros((k, ho, wo, n), dtype=dt)
             full[live_out] = y
@@ -483,7 +530,11 @@ def conv2d_chwn(x: np.ndarray, w: np.ndarray, bias, stride, pad) -> np.ndarray:
     a time, as many rows as fit in _BLOCK_BYTES (one band for most layers
     at batch 1); the band depends only on c', r', s', wo, n and the dtype.
     Each band's product is written by the GEMM straight into its rows of
-    the (k', ho, wo, n) output, with no transposing copy.
+    the (k', ho, wo, n) output, with no transposing copy. A skinny band, of
+    2 to _GATHER_COLUMNS columns and above _GEMM_MACS multiply-adds, is
+    multiplied in chunks of the k' filters of at most _GEMM_MACS each,
+    which OpenBLAS runs without packing the weights; the chunks depend only
+    on k', c'*r'*s' and the band's columns.
 
     The live taps are the hull live_taps works out from the geometry alone
     (h, w, r, s, stride, pad, ho, wo): a 3x3 pad-1 conv on a 1x1 map

@@ -395,3 +395,22 @@ class TestUsageErrors:
     def test_verify_bad_trials(self, tiny):
         assert run("verify", "--lhs", tiny, "--rhs", tiny,
                    "--trials", 0) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "-1e-9", "-inf"])
+    def test_verify_bad_tol(self, tiny, capsys, tol):
+        # a model against itself meets any real tolerance: a NaN or negative
+        # one is a usage error, not an equivalence failure
+        assert run("verify", "--lhs", tiny, "--rhs", tiny, "--trials", 1,
+                   f"--tol={tol}") == EXIT_VALIDATION
+        assert "--tol must be a non-negative number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--trials=0", "--trials=-3", "--tol=nan", "--tol=-1"])
+    def test_verify_checks_options_before_reading_models(self, tmp_path, capsys, option):
+        ghost = tmp_path / "ghost.fpm"
+        assert run("verify", "--lhs", ghost, "--rhs", ghost, option) == EXIT_VALIDATION
+        assert "ghost" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["0", "inf"])
+    def test_verify_zero_and_infinite_tol_are_valid(self, tiny, tol):
+        assert run("verify", "--lhs", tiny, "--rhs", tiny, "--trials", 1,
+                   f"--tol={tol}") == EXIT_OK

@@ -30,6 +30,14 @@ byte on one PreparedConv (f32 and f64, batches 1, 2 and 32, 3x3 convs on
 both masks, in one band or many), that the choice follows ho*wo*n alone,
 and that one unmasked geometry's table is built once and shared.
 
+A skinny GEMM (2 to 16 columns) above tensor._GEMM_MACS multiply-adds runs
+as row chunks of the live filters. The test_split_* tests check, with the
+limit lowered so that the last chunk is partial and at the real limit on
+a 256->256 conv of a 2x2 map at batch 1, that a masked conv still equals
+the conv of the compacted operands byte for byte, that the two builders
+still agree and that the result stays near the oracle; and that only a
+GEMM of 2 to 16 columns above the limit is split.
+
 fc_raw forms a block of inputs' products at once and adds them in input
 order. The block length follows reference_kernels._BLOCK_BYTES and must
 change no bit: it is compared bit for bit with the sequential oracle under
@@ -594,3 +602,122 @@ def test_one_unmasked_geometry_shares_one_table():
                                  np.float32, zero_in)
     assert masked.table is not a.table and not masked.table.flags.writeable
     assert np.array_equal(masked.table, a.table.reshape(8, -1, 2, 2)[~zero_in].reshape(-1, 2, 2))
+
+
+def record_gemm_rows(monkeypatch):
+    """A list that gets (rows, depth, columns, step) for every GEMM of at
+    most 16 columns that a conv runs from now on: step is the rows of each
+    of its np.matmul calls."""
+    seen = []
+    real = tensor._gemm_rows
+
+    def recorded(rows, depth, columns):
+        seen.append((rows, depth, columns, real(rows, depth, columns)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(tensor, "_gemm_rows", recorded)
+    return seen
+
+
+def record_matmul_rows(monkeypatch):
+    """A list that gets the rows of the left operand of every np.matmul
+    call made from now on, so that a test sees the chunks a GEMM ran as."""
+    rows = []
+    real = np.matmul
+
+    def recorded(a, b, **kwargs):
+        rows.append(a.shape[0])
+        return real(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    return rows
+
+
+def split_conv_matches_compacted(x, w, b, stride, pad, zero_in, zero_out, dt):
+    """The masked conv of the (c, h, w, n) x, made as prepare_conv's row
+    chunks, against the conv of the compacted operands (byte for byte), its
+    other window builder (byte for byte, where the conv has a table) and
+    the brute-force oracle (within REL_TOL)."""
+    live_c, live_k = np.flatnonzero(~zero_in), np.flatnonzero(~zero_out)
+    w, b = zeroize_filters(w, b, zero_out)
+    x = x.copy()
+    x[zero_in] = 0
+    conv = tensor.prepare_conv(w, b, stride, pad, x.shape[:3], dt, zero_in, zero_out)
+    got = conv(x)
+    small = tensor.conv2d_chwn(x[live_c], w[live_k][:, live_c], b[live_k], stride, pad)
+    assert bits_equal(np.ascontiguousarray(got[live_k]), small)
+    assert_dead_outputs_are_plus_zero(got.transpose(3, 0, 1, 2), zero_out)
+    if conv.table is not None:
+        assert bits_equal(conv._apply(x, gather=True), conv._apply(x, gather=False))
+    nchw = x.transpose(3, 0, 1, 2)
+    assert_near_brute(got.transpose(3, 0, 1, 2), nchw, w, b, stride, pad, dt)
+
+
+@pytest.mark.parametrize("dt", DTYPES)
+@pytest.mark.parametrize("band_rows", (None, 1))
+def test_split_gemms_keep_the_masked_conv_exact(monkeypatch, dt, band_rows):
+    # the limit is set so that each skinny GEMM runs in chunks of 5 live
+    # filters and a last partial one, in one band of output rows or in
+    # bands of one (whose GEMMs write non-contiguous rows of the output)
+    if band_rows is not None:
+        monkeypatch.setattr(tensor, "_BLOCK_BYTES", 1)
+    seen = record_gemm_rows(monkeypatch)
+    calls = record_matmul_rows(monkeypatch)
+    rng = np.random.default_rng(26)
+    c, k = 12, 23
+    # (input size, stride, batch): 16, 4, 8, 2 and 16 columns in one band
+    for hw, stride, n in ((4, 1, 1), (4, 2, 1), (4, 2, 2), (1, 1, 2), (2, 1, 4)):
+        x = rand(rng, (c, hw, hw, n), dt)
+        w = rand(rng, (k, c, 3, 3), dt)
+        b = rand(rng, k, dt)
+        # 17 live filters: chunks of 5, 5, 5 and 2
+        zero_in, zero_out = rng.random(c) < 0.3, np.isin(np.arange(k), rng.permutation(k)[:6])
+        conv = tensor.prepare_conv(w, b, (stride, stride), (1, 1), (c, hw, hw), dt,
+                                   zero_in, zero_out)
+        rows, depth = conv.w2d.shape
+        columns = (1 if band_rows else conv.ho) * conv.wo * n
+        monkeypatch.setattr(tensor, "_GEMM_MACS", 5 * depth * columns + depth * columns - 1)
+        seen.clear()
+        split_conv_matches_compacted(x, w, b, (stride, stride), (1, 1), zero_in, zero_out, dt)
+        assert seen[0] == seen[1] == (17, depth, columns, 5), (hw, stride, n, seen)
+        calls.clear()
+        conv(x)
+        assert calls == [5, 5, 5, 2] * (conv.ho if band_rows else 1), (hw, stride, n, calls)
+
+
+@pytest.mark.parametrize("dt", DTYPES)
+def test_split_gemm_of_a_stage3_resnet18_conv(monkeypatch, dt):
+    # at the real limit: a 256->256 3x3 pad-1 conv on a 2x2 map at batch 1,
+    # with both masks, is a GEMM of four columns above 10^6 multiply-adds
+    seen = record_gemm_rows(monkeypatch)
+    calls = record_matmul_rows(monkeypatch)
+    rng = np.random.default_rng(27)
+    zero_in, zero_out = rng.random(256) < 0.2, rng.random(256) < 0.2
+    split_conv_matches_compacted(rand(rng, (256, 2, 2, 1), dt), rand(rng, (256, 256, 3, 3), dt),
+                                 rand(rng, 256, dt), (1, 1), (1, 1), zero_in, zero_out, dt)
+    rows, depth, columns, step = seen[0]
+    assert columns == 4 and rows * depth * columns > 10**6
+    assert 1 < step < rows and rows % step and step * depth * columns <= 10**6
+    assert seen[1] == seen[0]  # the compacted conv makes the same chunks
+    chunks = [step] * (rows // step) + [rows % step]
+    assert calls[: 2 * len(chunks)] == chunks * 2
+
+
+def test_only_skinny_gemms_above_the_limit_are_split(monkeypatch):
+    # at the real limit, whatever the size
+    assert tensor._gemm_rows(4096, 4608, 1) == 4096
+    assert tensor._gemm_rows(4096, 4608, 17) == 4096
+    assert tensor._gemm_rows(108, 2304, 4) == 108
+    assert tensor._gemm_rows(109, 2304, 4) == 108
+    assert tensor._gemm_rows(256, 2304, 16) == 27
+    assert tensor._gemm_rows(1, 10**6, 16) == 1
+    calls = record_matmul_rows(monkeypatch)
+    monkeypatch.setattr(tensor, "_GEMM_MACS", 1)
+    rng = np.random.default_rng(28)
+    w = rand(rng, (7, 3, 3, 3), np.float32)
+    # (input size, batch): 1, 2, 16 and 17 columns; a 1-column GEMM goes to
+    # gemv and one of 17 or more is no longer skinny
+    for hw, n, split in ((1, 1, False), (1, 2, True), (4, 1, True), (1, 17, False)):
+        calls.clear()
+        tensor.conv2d_chwn(rand(rng, (3, hw, hw, n), np.float32), w, None, (1, 1), (1, 1))
+        assert calls == ([1] * 7 if split else [7]), (hw, n, calls)

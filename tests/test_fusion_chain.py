@@ -12,7 +12,9 @@ The promises must hold under any OpenBLAS kernel, not only the one this
 CPU selects, so one further test reruns one zoo model's masked ==
 materialized check and one fixed draw in a child process that forces
 another kernel with OPENBLAS_CORETYPE (Haswell, Sandybridge, Nehalem and
-Prescott in turn), at one BLAS thread.
+Prescott in turn), at one BLAS thread. Another reruns there, on GEMMs
+that run in row chunks (tensor._GEMM_MACS), a masked == compacted conv
+check in both dtypes and resnet18's masked == materialized check at batch 1.
 """
 
 from __future__ import annotations
@@ -125,4 +127,61 @@ def test_promises_hold_under_other_kernels(core):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     if platform.machine() in ("x86_64", "AMD64"):  # elsewhere OpenBLAS has no such kernels
+        assert proc.stdout.split()[0] in (KERNELS[core], "unknown"), proc.stdout
+
+
+# a child process's masked == compacted checks on GEMMs that run in row
+# chunks (tensor._GEMM_MACS): the resnet18 stage-3 conv of
+# tests/test_conv_gemm.py in both dtypes, and resnet18 3x32x32 at batch 1,
+# masked against materialized; each check must split a GEMM
+SPLIT_UNDER_ANOTHER_KERNEL = """
+import numpy as np
+from output_digests import openblas_core
+from fuseprune import tensor
+from fuseprune.fusion import fuse
+from fuseprune.graph import execute
+from fuseprune.pruning import PruneConfig, materialize, soft_prune_epoch
+from fuseprune.tensor import Tensor
+from fuseprune.zoo import ZooSpec, build
+from test_conv_gemm import split_conv_matches_compacted
+from test_fusion_chain import INPUT_SCALE
+
+print(openblas_core())
+split = []
+real = tensor._gemm_rows
+def recorded(rows, depth, columns):
+    step = real(rows, depth, columns)
+    split.append(step < rows)
+    return step
+tensor._gemm_rows = recorded
+rng = np.random.default_rng(27)
+for dt in (np.float32, np.float64):
+    split.clear()
+    split_conv_matches_compacted(
+        rng.standard_normal((256, 2, 2, 1)).astype(dt),
+        rng.standard_normal((256, 256, 3, 3)).astype(dt), rng.standard_normal(256).astype(dt),
+        (1, 1), (1, 1), rng.random(256) < 0.2, rng.random(256) < 0.2, dt)
+    if not split[0]:
+        raise SystemExit("the stage-3 conv was not split")
+masked, report = fuse(build(ZooSpec("resnet18", input_shape=(1, 3, 32, 32))), "4/4")
+mask = soft_prune_epoch(masked, report, PruneConfig(rate=0.3, mode="continued"))  # in place
+x = Tensor(rng.standard_normal((1, 3, 32, 32)) * INPUT_SCALE, np.float32)
+small = materialize(masked, mask).graph
+split.clear()
+if execute(masked, x).data.tobytes() != execute(small, x).data.tobytes():
+    raise SystemExit("the masked and materialized outputs differ")
+if not any(split):
+    raise SystemExit("no GEMM of resnet18 was split")
+"""
+
+
+@pytest.mark.parametrize("core", list(KERNELS))
+def test_split_gemms_keep_their_promise_under_other_kernels(core):
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "scripts"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", SPLIT_UNDER_ANOTHER_KERNEL], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    if platform.machine() in ("x86_64", "AMD64"):
         assert proc.stdout.split()[0] in (KERNELS[core], "unknown"), proc.stdout
