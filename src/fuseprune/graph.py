@@ -94,8 +94,7 @@ from .tensor import (
     TensorError,
     batch_norm_train_backward,
     batch_norm_train_chwn,
-    conv2d_chwn_input_grad,
-    conv2d_chwn_weight_grad,
+    conv2d_chwn_backward,
     live_taps,
     max_pool_chwn,
     max_pool_chwn_backward,
@@ -463,13 +462,11 @@ def _conv_prepare(node: Node, ins, zero_in, zero_out, dt):
 def _conv_grads(node: Node, gy, x, view, stride, pad, input_grad):
     """The backward of a conv or fc node whose (c, h, w, n) input x runs as
     the unmasked conv of view at that stride and pad: the input's gradient,
-    in a list of one, and the parameters', the weight gradient computed
-    first. Without input_grad the list is empty and the input gradient is
-    never computed."""
-    w = node.params["weight"].data
-    grads = {"weight": conv2d_chwn_weight_grad(gy, view, w, stride, pad)}
-    gxs = ([conv2d_chwn_input_grad(gy, view.shape, w, stride, pad).reshape(x.shape)]
-           if input_grad else [])
+    in a list of one, and the parameters'. Without input_grad the list is
+    empty and the input gradient is never computed."""
+    gx, gw = conv2d_chwn_backward(gy, view, node.params["weight"].data, stride, pad, input_grad)
+    grads = {"weight": gw}
+    gxs = [gx.reshape(x.shape)] if input_grad else []
     if _conv_bias(node) is not None:
         grads["bias"] = gy.sum(axis=(1, 2, 3)).reshape(node.params["bias"].shape)
     return gxs, grads

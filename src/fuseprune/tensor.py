@@ -56,15 +56,23 @@ meet it as follows:
   zero marks repeated over h*w, so a masked fc multiplies the operands its
   materialization does.
 * The trainer runs graph.execute's per-kind forward without zero masks,
-  but bn's batch_norm_train_chwn. Its weight gradient,
-  conv2d_chwn_weight_grad, which also serves the fc, pads and windows its
-  input as conv2d_chwn does. conv2d_chwn_input_grad, run after it, computes
-  the input gradient as one unmasked conv2d_chwn per phase of the stride,
-  over the output-gradient rows that phase reads, so no GEMM multiplies
-  the zeros a stride puts between outputs; a backward told that no input
-  gradient is wanted (train_epoch's, for the node that reads the graph
-  input) does not run it. So training too is deterministic at a fixed
-  thread count.
+  but bn's batch_norm_train_chwn. Its conv and fc backward,
+  conv2d_chwn_backward, builds at most one window matrix per call, but for
+  a stride-1 conv of more filters than channels whose input gradient is
+  wanted. At stride 1 with a pad below the kernel the input gradient is
+  one conv of the zero-bordered output gradient with the flipped kernel,
+  and when k <= c the weight gradient reads that conv's window matrix of
+  the output gradient (k*r*s rows), the smaller of the two, rather than the
+  input's (c*r*s rows); with k > c it reads the input's. Every other
+  geometry takes the weight gradient from the input's window matrix and
+  the input gradient by col2im: one GEMM of the transposed weights and the
+  output gradient, whose r*s taps are then added in row-major tap order
+  into a zeroed padded buffer, so no GEMM multiplies the zeros a stride
+  puts between outputs. The add order is fixed and which matrix feeds the
+  weight gradient depends on the geometry alone, so a backward told that no
+  input gradient is wanted (train_epoch's, for the node that reads the
+  graph input) computes none and gives the same parameter bits, and
+  training too is deterministic at a fixed thread count.
 
 float32 is the working precision; float64 is supported throughout for
 high-precision runs. Mixing dtypes within one kernel call is an error.
@@ -559,97 +567,67 @@ def conv2d_chwn(x: np.ndarray, w: np.ndarray, bias, stride, pad) -> np.ndarray:
     return prepare_conv(w, bias, stride, pad, x.shape[:3], x.dtype)(x)
 
 
-class _Phase(NamedTuple):
-    """Along one axis, the kernel offsets that reach one phase of a conv's
-    input gradient and the output rows they read (_phase)."""
+def conv2d_chwn_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, stride, pad,
+                         input_grad: bool = True):
+    """(input gradient, weight gradient) of the unmasked conv2d_chwn(x, w,
+    ..., stride, pad) of a (c, h, w, n) x, given the (k, ho, wo, n) output
+    gradient gy; the input gradient is None when input_grad is false, and
+    is then never computed. Each call builds at most one window matrix, but
+    for a stride-1 conv of more filters than channels whose input gradient
+    is wanted. Which matrix feeds the weight gradient depends on the
+    geometry alone, never on input_grad, so both calls give it the same
+    bits.
 
-    taps: slice
-    lo: int  # the first row read
-    length: int  # the number of rows read
+    At stride 1 with a pad below the kernel on both axes, the input
+    gradient is the stride-1 conv of gy, zero-bordered by r - 1 - ph rows
+    and s - 1 - pw columns, with the flipped, transposed kernel, whose
+    window matrix of gy has k*r*s rows. With k <= c that matrix, the
+    smaller of the two, also gives the weight gradient: (cols_gy @ x.T).T,
+    its taps flipped back, and x's window matrix is never built; with k > c
+    the weight gradient is (cols_x @ gy.T).T over x's window matrix, and
+    the input gradient is that conv (conv2d_chwn). The orientation
+    (cols @ a.T).T runs up to twice as fast in the BLAS as a @ cols.T.
 
-
-def _phase(size: int, kernel: int, stride: int, pad: int, a: int) -> _Phase | None:
-    """Phase a along one axis of the input gradient of a conv over size
-    inputs: the inputs a + stride*u, or None when there are none or no tap
-    reaches them.
-
-    Input a + stride*u is read by offset i of output o where stride*o + i =
-    a + stride*u + pad, so only the offsets first + stride*p, first =
-    (a + pad) % stride, reach the phase, and offset p of them reads output
-    u + q - p, q = (a + pad) // stride. Over the phase's inputs and its taps
-    that spans outputs [q - taps + 1, q + inputs), and a stride-1 conv of
-    those rows of the output gradient, zero where they lie past its edges,
-    with the flipped sub-kernel gives the phase's gradient.
+    Every other geometry (a stride above 1, or a pad that reaches past the
+    kernel) takes the weight gradient from x's window matrix and the input
+    gradient by col2im (Chetlur et al., arXiv 1410.0759; the transposed
+    convolution of Dumoulin & Visin, arXiv 1603.07285): one GEMM
+    w.T (c*r*s, k) @ gy (k, ho*wo*n), whose (c, r, s, ho, wo, n) columns the
+    r*s taps then add, in row-major tap order, at their strided places of a
+    zeroed (c, h + 2*ph, w + 2*pw, n) buffer, cropped to (c, h, w, n). The
+    add order is fixed, so the result, like the GEMMs', depends on the
+    operands and the BLAS alone. No GEMM multiplies the zeros a stride puts
+    between outputs, and inputs no window reads get exactly zero.
     """
-    first = (a + pad) % stride
-    taps, inputs = len(range(first, kernel, stride)), len(range(a, size, stride))
-    if not taps or not inputs:
-        return None
-    return _Phase(slice(first, kernel, stride), (a + pad) // stride - taps + 1, inputs + taps - 1)
-
-
-def _zero_bordered(gy: np.ndarray, rows: tuple[int, int], cols: tuple[int, int]) -> np.ndarray:
-    """The [start, stop) rows and cols of the (k, ho, wo, n) gy on its two
-    spatial axes, zero where they lie past gy's edges; gy itself when they
-    are its own."""
-    k, ho, wo, n = gy.shape
-    if rows == (0, ho) and cols == (0, wo):
-        return gy
-    out = np.zeros((k, rows[1] - rows[0], cols[1] - cols[0], n), dtype=gy.dtype)
-    r0, r1 = max(rows[0], 0), min(rows[1], ho)
-    c0, c1 = max(cols[0], 0), min(cols[1], wo)
-    out[:, r0 - rows[0] : r1 - rows[0], c0 - cols[0] : c1 - cols[0]] = gy[:, r0:r1, c0:c1]
-    return out
-
-
-def conv2d_chwn_weight_grad(gy: np.ndarray, x: np.ndarray, w: np.ndarray, stride, pad):
-    """The weight gradient of the unmasked conv2d_chwn(x, w, ..., stride,
-    pad), given the (k, ho, wo, n) output gradient gy: (cols @ gy.T).T over
-    x's window matrix, made again (caching it would hold r*s times the input
-    per conv), as the BLAS runs that orientation up to twice as fast as
-    gy @ cols.T."""
     k, c, r, s = w.shape
-    cols = batch_innermost_windows(pad_hw(x, pad), r, s, stride).reshape(c * r * s, -1)
-    return (cols @ gy.reshape(k, -1).T).T.reshape(w.shape)
-
-
-def conv2d_chwn_input_grad(gy: np.ndarray, shape, w: np.ndarray, stride, pad):
-    """The input gradient of the unmasked conv2d_chwn(x, w, ..., stride,
-    pad) of a (c, h, w, n) x of that shape, given the (k, ho, wo, n) output
-    gradient gy; it reads x's shape alone.
-
-    It is the transposed convolution of gy, in its phase
-    (sub-pixel) form (Dumoulin & Visin, arXiv 1603.07285): each of the
-    stride[0]*stride[1] phases gx[:, a::stride[0], b::stride[1]] is one
-    stride-1 conv2d_chwn of the zero-bordered rows of gy it reads (_phase)
-    with the flipped, transposed sub-kernel of the taps that reach it. A
-    phase no tap reaches gets zeros, and no GEMM multiplies a zero that a
-    stride put between outputs. At stride 1 the one phase is the whole
-    gradient.
-    """
-    _, _, r, s = w.shape
-    _, h, wd, _ = shape
+    _, h, wd, n = x.shape
+    _, ho, wo, _ = gy.shape
     (sh, sw), (ph, pw) = stride, pad
-    rows = [(a, p) for a in range(sh) if (p := _phase(h, r, sh, ph, a))]
-    cols = [(b, p) for b in range(sw) if (p := _phase(wd, s, sw, pw, b))]
-    gx = None if (sh, sw) == (1, 1) else np.zeros(shape, dtype=gy.dtype)
-    if not rows or not cols:
-        return gx  # every output reads padding alone
-    # one zero-bordered gy that every phase's rows and columns lie in
-    top, left = min(p.lo for _, p in rows), min(p.lo for _, p in cols)
-    bordered = _zero_bordered(gy, (top, max(p.lo + p.length for _, p in rows)),
-                              (left, max(p.lo + p.length for _, p in cols)))
-    for a, pr in rows:
-        for b, pc in cols:
-            part = conv2d_chwn(
-                bordered[:, pr.lo - top : pr.lo - top + pr.length,
-                         pc.lo - left : pc.lo - left + pc.length],
-                w[:, :, pr.taps, pc.taps].transpose(1, 0, 2, 3)[:, :, ::-1, ::-1],
-                None, (1, 1), (0, 0))
-            if gx is None:
-                return part  # stride 1: the one phase is the whole gradient
-            gx[:, a::sh, b::sw] = part
-    return gx
+    g2d = gy.reshape(k, -1)
+    conv_form = (sh, sw) == (1, 1) and ph < r and pw < s
+    flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    border = (r - 1 - ph, s - 1 - pw)
+    if conv_form and k <= c:
+        cols = batch_innermost_windows(pad_hw(gy, border), r, s, (1, 1)).reshape(k * r * s, -1)
+        gw = (cols @ x.reshape(c, -1).T).T.reshape(c, k, r, s)[:, :, ::-1, ::-1]
+        gw = np.ascontiguousarray(gw.transpose(1, 0, 2, 3))
+        if not input_grad:
+            return None, gw
+        return (np.ascontiguousarray(flipped).reshape(c, -1) @ cols).reshape(c, h, wd, n), gw
+    cols = batch_innermost_windows(pad_hw(x, pad), r, s, stride).reshape(c * r * s, -1)
+    gw = (cols @ g2d.T).T.reshape(w.shape)
+    del cols  # freed before the input gradient's matrix is made
+    if not input_grad:
+        return None, gw
+    if conv_form:
+        return conv2d_chwn(gy, flipped, None, (1, 1), border), gw
+    cols = (w.reshape(k, -1).T @ g2d).reshape(c, r, s, ho, wo, n)
+    gxp = np.zeros((c, h + 2 * ph, wd + 2 * pw, n), dtype=gy.dtype)
+    hspan, wspan = sh * (ho - 1) + 1, sw * (wo - 1) + 1
+    for i in range(r):
+        for j in range(s):
+            gxp[:, i : i + hspan : sh, j : j + wspan : sw] += cols[:, i, j]
+    return np.ascontiguousarray(gxp[:, ph : ph + h, pw : pw + wd]), gw
 
 
 def batch_norm_train_chwn(x: np.ndarray, gamma, beta, mean, var, eps, frozen, momentum):

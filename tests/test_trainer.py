@@ -814,21 +814,25 @@ class TestTrainEpoch:
 
 
 class TestInputGradientSkip:
-    """forward_backward runs conv2d_chwn_input_grad once per conv and fc, but
+    """forward_backward computes an input gradient once per conv and fc, but
     with input_grad=False, as train_epoch asks, not for the node that reads
     the graph input: a step that computed the image's gradient again would
     give the same results, only slower."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        # the input shape of every conv2d_chwn_backward call that returns an
+        # input gradient
         calls = []
-        real = graph.conv2d_chwn_input_grad
+        real = graph.conv2d_chwn_backward
 
-        def counted(gy, shape, *rest):
-            calls.append(tuple(shape))
-            return real(gy, shape, *rest)
+        def counted(gy, x, *rest):
+            gx, gw = real(gy, x, *rest)
+            if gx is not None:
+                calls.append(tuple(x.shape))
+            return gx, gw
 
-        monkeypatch.setattr(graph, "conv2d_chwn_input_grad", counted)
+        monkeypatch.setattr(graph, "conv2d_chwn_backward", counted)
         return calls
 
     @staticmethod

@@ -1,19 +1,23 @@
 """Direct tests of the trainer's convolution, forward and backward.
 
-The trainer runs its forward pass on tensor.conv2d_chwn, its weight
-gradient as an im2col GEMM, and its input gradient as the transposed
-convolution in phase form: one stride-1 conv2d_chwn per phase of the input,
-over the zero-bordered output-gradient rows that phase reads, with the
-flipped, transposed sub-kernel of the taps that reach it. All leave the
-accumulation order to the BLAS, so the forward output is compared with the
-brute-force oracle, and the input, weight and bias gradients with central
-finite differences of the float64 loss sum(y * gy), by tolerances derived
-from the dtype. The geometries cover what the im2col and phase index
-arithmetic can get wrong: strides that leave input rows unread or gaps
-wider than the kernel, phases no tap reaches, phases whose rows start
+The trainer runs its forward pass on tensor.conv2d_chwn and its backward
+on tensor.conv2d_chwn_backward. At stride 1 with a pad below the kernel,
+the input gradient is one conv of the zero-bordered output gradient with
+the flipped, transposed kernel, and when the conv has no more filters than
+channels the weight gradient reads that conv's window matrix too. Every
+other geometry takes the weight gradient from the input's window matrix and
+the input gradient by col2im: one GEMM, then one strided add per kernel tap
+into a zeroed padded buffer. All leave the accumulation order to the BLAS,
+so the forward output is compared with the brute-force oracle, and the
+input, weight and bias gradients with central finite differences of the
+float64 loss sum(y * gy), by tolerances derived from the dtype. The
+geometries cover what the im2col and col2im index arithmetic can get wrong:
+strides that leave input rows unread or gaps wider than the kernel, rows of
+the input that no tap of a phase of the stride reaches, windows that start
 before or end past the output gradient's edges, 1x1 kernels, a padding
 wider than the kernel reaches, a single filter, a batch of one, non-square
-kernels and strides, and padding on one or both axes.
+kernels and strides, padding on one or both axes, and at stride 1 fewer,
+as many and more filters than channels.
 """
 
 from __future__ import annotations
@@ -69,6 +73,15 @@ CASES = {
     # past its last
     "5x5-stride2-pad2": (2, 2, 3, 7, 6, 5, 5, (2, 2), (2, 2), False),
     "3x3-stride1x2-pad1": (2, 3, 2, 6, 7, 3, 3, (1, 2), (1, 1), True),
+    # stride 1, pad 1: the weight gradient reads the output gradient's
+    # window matrix when k <= c and the input's when k > c
+    "stride1-pad1-k<c": (2, 4, 2, 5, 6, 3, 3, (1, 1), (1, 1), True),
+    "stride1-pad1-k=c": (2, 3, 3, 5, 5, 3, 3, (1, 1), (1, 1), False),
+    "stride1-pad1-k>c": (2, 2, 4, 6, 5, 3, 3, (1, 1), (1, 1), True),
+    # a pad past the kernel at stride 1 takes col2im: the border outputs
+    # read only padding
+    "1x1-stride1-pad1": (2, 3, 2, 4, 5, 1, 1, (1, 1), (1, 1), True),
+    "3x3-stride1-pad3": (2, 2, 3, 4, 4, 3, 3, (1, 1), (3, 3), False),
 }
 
 
@@ -153,6 +166,8 @@ INPUT_GRAD_CASES = {
     "conv-stride1": ("conv", "pad0"),
     "conv-stride2": ("conv", "resnet-3x3-stride2-pad1"),
     "fc": ("fc", "non-square"),
+    # the weight gradient reads the window matrix the input gradient uses
+    "conv-stride1-pad1-k<c": ("conv", "stride1-pad1-k<c"),
 }
 
 
