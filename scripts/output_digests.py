@@ -53,7 +53,8 @@ The bits depend on the BLAS, its kernel and its thread count, so compare
 runs made with the same OPENBLAS_NUM_THREADS (or its equivalent) on one
 machine. The script names on standard error the kernel OpenBLAS picked
 for this CPU (`openblas core: SkylakeX`, say, or `unknown` where it finds
-no OpenBLAS), which OPENBLAS_CORETYPE overrides.
+no OpenBLAS), which OPENBLAS_CORETYPE overrides, and the thread count it
+runs on (`openblas threads: 1`, or `unknown`).
 Every model and input is drawn from seed SEED, and the larger families run
 at HW x HW rather than at 224x224.
 """
@@ -121,10 +122,11 @@ def folded_fused(orig, stages: int) -> Graph:
     return fuse(fold_bn(g), f"{stages}/{stages}")[0]
 
 
-def openblas_core() -> str:
-    """The name of the kernel OpenBLAS chose, or "unknown" without an OpenBLAS.
+def _openblas_call(names, restype):
+    """The result of the first of the OpenBLAS functions names that exists,
+    called without arguments, or None without one.
 
-    The name is looked up among the process's global symbols and in the
+    Each name is looked up among the process's global symbols and in the
     OpenBLAS that numpy's wheels bundle, which numpy has already loaded.
     """
     bundled = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
@@ -134,12 +136,27 @@ def openblas_core() -> str:
             dll = ctypes.CDLL(lib)
         except OSError:
             continue
-        for name in ("openblas_get_corename", "scipy_openblas_get_corename64_"):
-            corename = getattr(dll, name, None)
-            if corename is not None:
-                corename.argtypes, corename.restype = [], ctypes.c_char_p
-                return corename().decode("ascii", "replace").strip()
-    return "unknown"
+        for name in names:
+            fn = getattr(dll, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], restype
+                return fn()
+    return None
+
+
+def openblas_core() -> str:
+    """The name of the kernel OpenBLAS chose, or "unknown" without an OpenBLAS."""
+    name = _openblas_call(("openblas_get_corename", "scipy_openblas_get_corename64_"),
+                          ctypes.c_char_p)
+    return "unknown" if name is None else name.decode("ascii", "replace").strip()
+
+
+def openblas_threads() -> str:
+    """The number of threads OpenBLAS runs a call on, or "unknown" without
+    an OpenBLAS."""
+    count = _openblas_call(("openblas_get_num_threads", "scipy_openblas_get_num_threads64_"),
+                           ctypes.c_int)
+    return "unknown" if count is None else str(count)
 
 
 def sha256(data: bytes) -> str:
@@ -178,6 +195,7 @@ def training(fused, report: FusionReport, path) -> tuple[str, str]:
 def main(argv=None):
     args = parse_args(argv if argv is not None else sys.argv[1:])
     print(f"openblas core: {openblas_core()}", file=sys.stderr)
+    print(f"openblas threads: {openblas_threads()}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         for family in args.family or list(FAMILIES):
             for dtype in DTYPES:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .graph import (Graph, Node, _checked, _conv_bias, _is_int, atomic_write, bn_affine,
                     set_weights, validate)
-from .tensor import ConvSpec, Tensor
+from .tensor import ConvSpec, Tensor, TensorError
 
 OMEGA_MIN = 1e-3
 
@@ -371,8 +371,8 @@ def _extend_bn_identity(bn: Node, extra: int) -> None:
     bn.params = dict(bn.params)
     for name, v in (("gamma", 1), ("beta", 0), ("mean", 0),
                     ("var", dtype.type(1) - dtype.type(bn.attrs["eps"]))):
-        bn.params[name] = Tensor(np.concatenate(
-            [bn.params[name].data, np.full((1, extra, 1, 1), v, dtype)], axis=1))
+        bn.params[name] = Tensor._wrap(np.concatenate(
+            [bn.params[name].data, np.full((1, extra, 1, 1), v, dtype)], axis=1), finite=True)
     bn.attrs = dict(bn.attrs, frozen=tuple(bn.attrs.get("frozen") or (0,) * c) + (1,) * extra)
 
 
@@ -387,37 +387,37 @@ def _provably_nonneg(g: Graph, nid: str) -> bool:
     return False
 
 
-def _folded(conv: Node, bn: Node | None) -> tuple[np.ndarray, np.ndarray]:
-    """A conv's weights and bias (zeros where it has none) at binary64, with
-    the bn that reads it, when given, folded in: filter k scaled by omega_k
-    and its bias made omega_k * b_k + lambda_k."""
+def _folded(conv: Node, bn: Node | None, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A conv's weights in dtype and its bias (zeros where it has none) at
+    binary64, with the bn that reads it, when given, folded in: filter k
+    scaled by omega_k and its bias made omega_k * b_k + lambda_k. Each
+    weight product is formed at binary64 inside numpy's ufunc buffer (a
+    binary32 w is widened exactly) and rounded to dtype once."""
     w = conv.params["weight"].data
     b = _conv_bias(conv)
     b = np.zeros(w.shape[0], np.float64) if b is None else b.astype(np.float64)
     if bn is None:
-        return w.astype(np.float64), b
+        return w.astype(dtype), b
     omega, lam = bn_affine(bn, np.float64)
-    # a binary32 w is widened exactly inside the binary64 product
-    return w * omega[:, None, None, None], omega * b + lam
+    return (np.multiply(w, omega[:, None, None, None], out=np.empty(w.shape, dtype),
+                        casting="same_kind"), omega * b + lam)
 
 
-def _shortcut(g: Graph, match: BlockMatch, r: int, s: int) -> tuple[Tensor, np.ndarray, tuple]:
-    """The block's shortcut as a binary64 conv with conv2's r x s kernel:
-    (weights, bias, stride). An identity shortcut is the stride-1 identity
-    with zero bias; a projection is its 1x1 conv with its bn folded in,
-    zero-padded to r x s."""
+def _shortcut(g: Graph, match: BlockMatch) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The block's shortcut as a binary64 1x1 conv: (its (k, c) weight
+    plane, bias, stride). An identity shortcut is the stride-1 identity
+    with zero bias; a projection is its 1x1 conv with its bn folded in."""
     c_in = g.nodes[match.conv1].attrs["spec"].c
     if match.shortcut_conv is None:
-        # made at r x s directly: padding the 1x1 identity would cost one
-        # more pass over its c_in x c_in plane
-        return make_identity_weights(c_in, r, s, np.float64), np.zeros(c_in), (1, 1)
+        return np.eye(c_in), np.zeros(c_in), (1, 1)
     sc = g.nodes[match.shortcut_conv]
     spec: ConvSpec = sc.attrs["spec"]
     if (spec.r, spec.s) != (1, 1):
         raise PatternMismatch(f"block {match.tag or match.add!r}: projection shortcut is "
                               f"{spec.r}x{spec.s}, only 1x1 is fusable")
-    w, b = _folded(sc, None if match.shortcut_bn is None else g.nodes[match.shortcut_bn])
-    return pad_conv_weights(Tensor._wrap(w), r, s), b, spec.stride
+    w, b = _folded(sc, None if match.shortcut_bn is None else g.nodes[match.shortcut_bn],
+                   np.float64)
+    return w.reshape(spec.k, spec.c), b, spec.stride
 
 
 _CHANNEL_LABELS = {"basic": PROVENANCE_IDENTITY, "projection": PROVENANCE_PROJECTION}
@@ -459,35 +459,49 @@ def _fuse_block(g: Graph, match: BlockMatch, assume_nonneg: bool):
 
     # --- build everything up front -------------------------------------
     # The shortcut is assembled at binary64 and rounded to the graph dtype
-    # once, right before the concat; chaining the shortcut-bn fold and the
-    # 1/omega adjustment in the working precision would round at every step.
-    aux, extra_bias, stride = _shortcut(g, match, s2.r, s2.s)
+    # once, as it is written into conv2's kernel center; chaining the
+    # shortcut-bn fold and the 1/omega adjustment in the working precision
+    # would round at every step. Its other taps are the zeros padding
+    # makes, divided by omega2 like the center: -0.0 where omega2 < 0.
+    plane, extra_bias, stride = _shortcut(g, match)
     if stride != s1.stride:
         raise StrideMismatch(f"{where}: shortcut stride {stride} != conv1 stride {s1.stride}")
-    if aux.shape[:2] != (k2, c_in):
-        raise PatternMismatch(f"{where}: the shortcut maps {aux.shape[1]} channels to "
-                              f"{aux.shape[0]}, conv2 gives {k2} of the block's {c_in}")
+    if plane.shape != (k2, c_in):
+        raise PatternMismatch(f"{where}: the shortcut maps {plane.shape[1]} channels to "
+                              f"{plane.shape[0]}, conv2 gives {k2} of the block's {c_in}")
+    zero = np.zeros(k2)
     if match.bn2 is not None:
         # conv2's added weights pass through bn2 unchanged when divided by its omega
         omega2, _ = bn_affine(g.nodes[match.bn2], np.float64)
-        aux = adjust_identity_for_bn(aux, omega2)
+        plane = adjust_identity_for_bn(Tensor._wrap(plane[:, :, None, None]), omega2).data
+        zero = zero / omega2
         extra_bias = extra_bias / omega2
-
-    ident1 = make_identity_weights(c_in, s1.r, s1.s, dtype=dtype)
-    new_w1 = np.concatenate([conv1.params["weight"].data, ident1.data], axis=0)
-    b1 = _conv_bias(conv1)
-    new_b1 = None if b1 is None else np.concatenate([b1, np.zeros(c_in, dtype)])
-    new_w2 = np.concatenate([conv2.params["weight"].data, aux.data.astype(dtype, copy=False)],
-                            axis=1)
+    center = plane.reshape(k2, c_in).astype(dtype)
     b2 = _conv_bias(conv2)
     if np.any(extra_bias != 0):
-        b2 = extra_bias if b2 is None else b2.astype(np.float64) + extra_bias
+        b2 = (extra_bias if b2 is None else b2.astype(np.float64) + extra_bias).astype(dtype)
+    if not all(np.isfinite(a).all() for a in (center, b2) if a is not None):
+        raise TensorError(f"{where}: the shortcut's weights or bias overflow {np.dtype(dtype)}")
+
+    # conv1 and conv2 are each written once, from values known finite (their
+    # Tensors' data, the identity's zeros and ones, the center
+    # checked above), so set_weights does not scan them again
+    cr, cs = (s1.r - 1) // 2, (s1.s - 1) // 2
+    new_w1 = np.zeros((k1 + c_in, c_in, s1.r, s1.s), dtype)
+    new_w1[:k1] = conv1.params["weight"].data
+    new_w1[k1 + np.arange(c_in), np.arange(c_in), cr, cs] = 1
+    b1 = _conv_bias(conv1)
+    new_b1 = None if b1 is None else np.concatenate([b1, np.zeros(c_in, dtype)])
+    new_w2 = np.empty((k2, k1 + c_in, s2.r, s2.s), dtype)
+    new_w2[:, :k1] = conv2.params["weight"].data
+    new_w2[:, k1:] = zero[:, None, None, None]
+    new_w2[:, k1:, cr, cs] = center
 
     # --- commit ---------------------------------------------------------
-    set_weights(conv1, new_w1, new_b1)
+    set_weights(conv1, new_w1, new_b1, finite=True)
     if match.bn1 is not None:
         _extend_bn_identity(g.nodes[match.bn1], c_in)
-    set_weights(conv2, new_w2, None if b2 is None else b2.astype(dtype, copy=False))
+    set_weights(conv2, new_w2, b2, finite=True)
     relu_out = g.nodes[match.relu_out]
     tail = match.bn2 if match.bn2 is not None else match.conv2
     relu_out.inputs = [tail if nid == match.add else nid for nid in relu_out.inputs]
@@ -602,8 +616,8 @@ def fold_bn(g: Graph) -> Graph:
                 "change its other consumers"
             )
         dtype = src.params["weight"].dtype
-        w, b = _folded(src, node)
-        set_weights(src, w.astype(dtype, copy=False), b.astype(dtype, copy=False))
+        w, b = _folded(src, node, dtype)
+        set_weights(src, w, b.astype(dtype, copy=False))
         for other in out.nodes.values():
             other.inputs = [src.id if x == nid else x for x in other.inputs]
         del out.nodes[nid]

@@ -232,16 +232,19 @@ def _conv_bias(node: Node):
     return None if bias is None else bias.data.reshape(-1)
 
 
-def set_weights(node: Node, weight: np.ndarray, bias: np.ndarray | None) -> None:
+def set_weights(node: Node, weight: np.ndarray, bias: np.ndarray | None,
+                finite: bool = False) -> None:
     """Give a conv or fc node new weight and bias arrays (bias None for
     none), and a conv the spec they imply: k and c from the weight's shape,
     has_bias from the bias. The arrays are wrapped without a copy, so they
     must be fresh or read-only; a 1-D bias is stored as (1, k, 1, 1). The
-    node's params and attrs dicts are replaced, not mutated."""
+    node's params and attrs dicts are replaced, not mutated. finite says
+    both arrays are already known finite, such as copies, takes or
+    concatenations of data Tensors hold, so they are not scanned again."""
     params = {name: t for name, t in node.params.items() if name != "bias"}
-    params["weight"] = Tensor._wrap(weight)
+    params["weight"] = Tensor._wrap(weight, finite)
     if bias is not None:
-        params["bias"] = Tensor._wrap(bias.reshape(1, -1, 1, 1))
+        params["bias"] = Tensor._wrap(bias.reshape(1, -1, 1, 1), finite)
     node.params = params
     if node.kind == "conv":
         node.attrs = dict(node.attrs, spec=replace(

@@ -39,7 +39,7 @@ import numpy as np
 from .fusion import FusionReport
 from .graph import (OPS, Graph, Node, _checked, _conv_bias, _is_ints, atomic_write, graph_dtype,
                     set_weights, validate)
-from .tensor import ConvSpec, Tensor
+from .tensor import _BLOCK_BYTES, ConvSpec, Tensor
 
 MODES = ("conservative", "continued")
 
@@ -137,11 +137,20 @@ def _is_flags(v) -> bool:
 
 def filter_l2_norms(w: Tensor) -> np.ndarray:
     """Per-filter L2 norm of a (k, c, r, s) weight tensor, accumulated in
-    binary64: norm_k = sqrt(sum of squared entries of filter k)."""
+    binary64: norm_k = sqrt(sum of squared entries of filter k).
+
+    The binary64 squares are formed a block of filters at a time, at most
+    tensor._BLOCK_BYTES of them (one filter at least); each filter's sum is
+    still numpy's pairwise sum over its whole row.
+    """
     if len(w.shape) != 4:
         raise PruneError(f"filter norms need a 4-D weight tensor, got {w.shape}")
     flat = w.data.reshape(w.shape[0], -1)
-    return np.sqrt(np.sum(np.square(flat, dtype=np.float64), axis=1))
+    rows = max(1, _BLOCK_BYTES // (8 * flat.shape[1]))
+    sums = np.empty(flat.shape[0])
+    for i in range(0, flat.shape[0], rows):
+        np.sum(np.square(flat[i:i + rows], dtype=np.float64), axis=1, out=sums[i:i + rows])
+    return np.sqrt(sums, out=sums)
 
 
 def select_prune_indices(norms: np.ndarray, count: int) -> list[int]:
@@ -168,7 +177,7 @@ def _zeroize(g: Graph, consumers, conv_id: str, idx: list[int]) -> None:
     if b is not None:
         b = b.copy()
         b[idx] = 0
-    set_weights(node, w, b)
+    set_weights(node, w, b, finite=True)
     for cid in consumers[conv_id]:
         cons = g.nodes[cid]
         if cons.kind != "bn":
@@ -177,7 +186,7 @@ def _zeroize(g: Graph, consumers, conv_id: str, idx: list[int]) -> None:
         for pname in ("beta", "mean"):
             arr = cons.params[pname].data.copy()
             arr[0, idx] = 0
-            cons.params[pname] = Tensor(arr)
+            cons.params[pname] = Tensor._wrap(arr, finite=True)
 
 
 def _check_report(g: Graph, report: FusionReport | None) -> None:
@@ -281,7 +290,8 @@ def _drop_inputs(node: Node, gone: np.ndarray) -> None:
         node.params = dict(node.params)
         node.attrs = dict(node.attrs)
         for pname in ("gamma", "beta", "mean", "var"):
-            node.params[pname] = Tensor._wrap(node.params[pname].data.take(keep_idx, axis=1))
+            node.params[pname] = Tensor._wrap(node.params[pname].data.take(keep_idx, axis=1),
+                                              finite=True)
         frozen = node.attrs.get("frozen", ())
         if frozen:
             node.attrs["frozen"] = tuple(frozen[i] for i in keep_idx)
@@ -289,7 +299,7 @@ def _drop_inputs(node: Node, gone: np.ndarray) -> None:
     weight = node.params["weight"].data
     if node.kind == "fc":  # its flattened input holds each channel h*w times
         keep_idx = np.flatnonzero(~np.repeat(gone, weight.shape[1] // gone.size))
-    set_weights(node, weight.take(keep_idx, axis=1), _conv_bias(node))
+    set_weights(node, weight.take(keep_idx, axis=1), _conv_bias(node), finite=True)
 
 
 def _drop_filters(node: Node, flags: list[bool], pin: Node | None, dt,
@@ -320,7 +330,7 @@ def _drop_filters(node: Node, flags: list[bool], pin: Node | None, dt,
     keep_idx = np.flatnonzero(flags)
     b = _conv_bias(node)
     set_weights(node, node.params["weight"].data.take(keep_idx, axis=0),
-                None if b is None else b.take(keep_idx))
+                None if b is None else b.take(keep_idx), finite=True)
     return ~np.asarray(flags, dtype=bool)
 
 

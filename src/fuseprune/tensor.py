@@ -129,9 +129,9 @@ class Tensor:
             raise TensorError(f"tensors are rank-4 (n, c, h, w); got rank {arr.ndim}")
         if min(arr.shape) < 1:
             raise TensorError(f"all dimensions must be >= 1; got {arr.shape}")
-        if not finite and not np.isfinite(arr).all():
-            raise TensorError("tensor contains NaN or Inf")
         arr = np.ascontiguousarray(arr)
+        if not finite and not _all_finite(arr):
+            raise TensorError("tensor contains NaN or Inf")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -152,7 +152,7 @@ class Tensor:
 
     @classmethod
     def zeros(cls, shape, dtype=np.float32) -> "Tensor":
-        return cls._wrap(np.zeros(shape, dtype=dtype))
+        return cls._wrap(np.zeros(shape, dtype=dtype), finite=True)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype_name})"
@@ -266,6 +266,14 @@ def batch_innermost_windows(xp: np.ndarray, r: int, s: int, stride) -> np.ndarra
 # compacted K, so deleting channels or dead taps can change a band but
 # never makes two calls on equal operands differ.
 _BLOCK_BYTES = 512 * 1024
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """True when every value of the contiguous arr is finite; scanned
+    _BLOCK_BYTES of it at a time, so the scan's bool temporary stays small."""
+    flat = arr.reshape(-1)
+    step = max(1, _BLOCK_BYTES // arr.itemsize)
+    return all(np.isfinite(flat[i:i + step]).all() for i in range(0, flat.size, step))
 
 
 def live_taps(size: int, kernel: int, stride: int, pad: int, out: int) -> slice:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, Node
-from .tensor import DTYPE_FROM_NAME, ConvSpec, Tensor
+from .tensor import _BLOCK_BYTES, DTYPE_FROM_NAME, ConvSpec, Tensor
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,12 @@ def _conv(nid, src, k, c, kernel, stride, dtype, tags):
     pad = (kernel - 1) // 2
     spec = ConvSpec(k=k, c=c, r=kernel, s=kernel, stride=(stride, stride), pad=(pad, pad))
     return Node(id=nid, kind="conv", inputs=[src], attrs={"spec": spec},
-                params={"weight": Tensor._wrap(np.zeros(spec.weight_shape, dtype))}, tags=list(tags))
+                params={"weight": Tensor.zeros(spec.weight_shape, dtype)}, tags=list(tags))
 
 
 def _bn(nid, src, c, dtype, tags):
-    one = Tensor(np.ones((1, c, 1, 1), dtype))
-    zero = Tensor(np.zeros((1, c, 1, 1), dtype))
+    one = Tensor._wrap(np.ones((1, c, 1, 1), dtype), finite=True)
+    zero = Tensor.zeros((1, c, 1, 1), dtype)
     return Node(id=nid, kind="bn", inputs=[src],
                 attrs={"eps": 1e-5, "frozen": tuple([0] * c)},
                 params={"gamma": one, "beta": zero, "mean": zero, "var": one}, tags=list(tags))
@@ -131,8 +131,8 @@ def build(spec: ZooSpec) -> Graph:
             in_ch = out_ch
 
     nodes.append(Node(id="gavgpool", kind="gavgpool", inputs=[prev]))
-    fc_w = Tensor(np.zeros((classes, in_ch, 1, 1), dtype))
-    fc_b = Tensor(np.zeros((1, classes, 1, 1), dtype))
+    fc_w = Tensor.zeros((classes, in_ch, 1, 1), dtype)
+    fc_b = Tensor.zeros((1, classes, 1, 1), dtype)
     nodes.append(Node(id="fc", kind="fc", inputs=["gavgpool"],
                       params={"weight": fc_w, "bias": fc_b}))
     nodes.append(Node(id="output", kind="output", inputs=["fc"]))
@@ -140,6 +140,21 @@ def build(spec: ZooSpec) -> Graph:
     g = Graph(nodes={n.id: n for n in nodes}, input_id="input", output_id="output",
               input_shape=tuple(input_shape))
     return init_weights(g, spec.seed)
+
+
+def _normal(rng: np.random.Generator, shape, std, dtype) -> Tensor:
+    """A Tensor of N(0, std^2) draws in dtype, as rng.standard_normal(shape)
+    * std rounded to dtype gives them: drawn in order at binary64 and scaled
+    into the result a block of at most tensor._BLOCK_BYTES at a time, so a
+    binary32 weight never has a full-size binary64 copy. A standard normal
+    draw is finite, and so is the result, which is not scanned again."""
+    flat = np.empty(shape, dtype).reshape(-1)
+    block = np.empty(min(flat.size, _BLOCK_BYTES // 8))
+    for i in range(0, flat.size, block.size):
+        part = block[:flat.size - i]
+        rng.standard_normal(out=part)
+        np.multiply(part, std, out=flat[i:i + block.size], casting="same_kind")
+    return Tensor._wrap(flat.reshape(shape), finite=True)
 
 
 def init_weights(g: Graph, seed: int) -> Graph:
@@ -156,22 +171,19 @@ def init_weights(g: Graph, seed: int) -> Graph:
             spec: ConvSpec = node.attrs["spec"]
             dtype = node.params["weight"].dtype
             std = np.sqrt(2.0 / (spec.c * spec.r * spec.s))
-            w = (rng.standard_normal(spec.weight_shape) * std).astype(dtype)
-            node.params["weight"] = Tensor._wrap(w)
+            node.params["weight"] = _normal(rng, spec.weight_shape, std, dtype)
             if spec.has_bias:
-                node.params["bias"] = Tensor(np.zeros((1, spec.k, 1, 1), dtype))
+                node.params["bias"] = Tensor.zeros((1, spec.k, 1, 1), dtype)
         elif node.kind == "fc":
             wt = node.params["weight"]
             fout, fin = wt.shape[0], wt.shape[1]
             std = np.sqrt(2.0 / fin)
-            node.params["weight"] = Tensor._wrap((rng.standard_normal((fout, fin, 1, 1)) * std).astype(wt.dtype))
+            node.params["weight"] = _normal(rng, (fout, fin, 1, 1), std, wt.dtype)
             if "bias" in node.params:
-                node.params["bias"] = Tensor(np.zeros((1, fout, 1, 1), wt.dtype))
+                node.params["bias"] = Tensor.zeros((1, fout, 1, 1), wt.dtype)
         elif node.kind == "bn":
             c = node.params["gamma"].shape[1]
             dtype = node.params["gamma"].dtype
-            node.params["gamma"] = Tensor(np.ones((1, c, 1, 1), dtype))
-            node.params["beta"] = Tensor(np.zeros((1, c, 1, 1), dtype))
-            node.params["mean"] = Tensor(np.zeros((1, c, 1, 1), dtype))
-            node.params["var"] = Tensor(np.ones((1, c, 1, 1), dtype))
+            for name, fill in (("gamma", 1), ("beta", 0), ("mean", 0), ("var", 1)):
+                node.params[name] = Tensor._wrap(np.full((1, c, 1, 1), fill, dtype), finite=True)
     return g

@@ -6,7 +6,10 @@ runs fuse_block -> soft_prune_epoch (conservative, and continued at 0.3)
 -> materialize -> fold_bn. Each step keeps its promise at its stated
 strength: fusion and the fold within the acceptance suite's tolerances,
 materialization byte for byte, and a mask with one kept filter flipped to
-zeroized is refused with InconsistentMask.
+zeroized is refused with InconsistentMask. Two small zoo-built graphs, one
+with a max-pool stem and one of four blocks in two stages, run the same
+chain through fuse on whole graphs, with drawn bn parameters (some gammas
+negative), and on to a .fpm round trip that must give back every byte.
 
 The promises must hold under any OpenBLAS kernel, not only the one this
 CPU selects, so one further test reruns one zoo model's masked ==
@@ -30,11 +33,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuseprune.fusion import find_residual_blocks, fold_bn, fuse_block
-from fuseprune.graph import execute
+from fuseprune import zoo
+from fuseprune.fusion import find_residual_blocks, fold_bn, fuse, fuse_block
+from fuseprune.graph import execute, load, save
 from fuseprune.pruning import (InconsistentMask, PruneConfig, PruneMask, materialize,
                                soft_prune_epoch)
-from fuseprune.tensor import Tensor
+from fuseprune.tensor import DTYPE_FROM_NAME, Tensor
 
 from conftest import random_residual_block_graph
 
@@ -82,6 +86,57 @@ def test_fuse_prune_materialize_fold_keep_their_promises(block, seed, flip):
                                                        enumerate(mask.keep[conv])]})
         with pytest.raises(InconsistentMask):
             materialize(masked, tampered)
+
+
+# (stages, filters, stem kernel, stem stride, max-pool stem, classes, input)
+CHAIN_FAMILIES = {
+    "pool-stem": zoo._Family((1, 1), (4, 6), 3, 1, True, 5, (1, 3, 10, 10)),
+    "four-blocks": zoo._Family((2, 2), (4, 6), 3, 1, False, 5, (1, 3, 8, 8)),
+}
+
+
+def with_drawn_bn(g, rng):
+    """g with every bn's gamma, beta, mean and var drawn; a third of the
+    gammas are negative (a fused conv2's shortcut taps are then -0.0)."""
+    for node in g.nodes.values():
+        if node.kind == "bn":
+            c, dt = node.params["gamma"].shape[1], node.params["gamma"].dtype
+            gamma = rng.uniform(0.5, 1.5, c) * np.where(rng.random(c) < 1 / 3, -1, 1)
+            node.params = {name: Tensor(v.reshape(1, c, 1, 1), dt) for name, v in (
+                ("gamma", gamma), ("beta", rng.uniform(-0.3, 0.3, c)),
+                ("mean", rng.uniform(-0.3, 0.3, c)), ("var", rng.uniform(0.5, 1.5, c)))}
+    return g
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("family", list(CHAIN_FAMILIES))
+def test_zoo_graphs_keep_their_promises_through_the_chain(monkeypatch, tmp_path, family, dtype):
+    monkeypatch.setitem(zoo.FAMILIES, family, CHAIN_FAMILIES[family])
+    rng = np.random.default_rng(11)
+    g = with_drawn_bn(zoo.build(zoo.ZooSpec(family, dtype=dtype, seed=11)), rng)
+    dt = DTYPE_FROM_NAME[dtype]
+    tol = TOL[dt.type]
+    x = Tensor(rng.standard_normal((3, *g.input_shape[1:])) * INPUT_SCALE, dt)
+    stages = len(CHAIN_FAMILIES[family].stages)
+    fused, report = fuse(g, f"{stages}/{stages}")
+    assert not report.skipped and len(report.convs) == 2 * len(find_residual_blocks(g))
+    assert not any(n.kind == "add" for n in fused.nodes.values())
+    assert max_diff(execute(fused, x), execute(g, x)) <= tol
+    for cfg in (PruneConfig(mode="conservative"), PruneConfig(rate=0.3, mode="continued")):
+        masked = fused.copy()
+        mask = soft_prune_epoch(masked, report, cfg)
+        result = materialize(masked, mask)
+        assert sum(entry["removed"] for entry in result.summary) > 0, cfg.mode
+        small = result.graph
+        y = execute(masked, x)
+        assert y.data.tobytes() == execute(small, x).data.tobytes(), cfg.mode
+        deployed = fold_bn(small)
+        assert max_diff(execute(deployed, x), y) <= tol, cfg.mode
+        save(deployed, tmp_path / "a.fpm")
+        loaded = load(tmp_path / "a.fpm")
+        assert execute(loaded, x).data.tobytes() == execute(deployed, x).data.tobytes()
+        save(loaded, tmp_path / "b.fpm")
+        assert (tmp_path / "a.fpm").read_bytes() == (tmp_path / "b.fpm").read_bytes()
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -39,6 +39,8 @@ def test_output_digests_runs():
     assert proc.returncode == 0, proc.stderr
     # the BLAS kernel the digests were made with, which decides their bits
     assert re.search(r"^openblas core: \S+$", proc.stderr, re.M), proc.stderr
+    # and the thread count, which decides them too
+    assert re.search(r"^openblas threads: (\d+|unknown)$", proc.stderr, re.M), proc.stderr
     digests = {}
     for line in proc.stdout.splitlines():
         family, dtype, variant, what, sha = line.split()
